@@ -38,6 +38,7 @@ from .errors import (
     ParseError,
 )
 from .laman import (
+    CountViolation,
     Graph,
     SparsityReport,
     pebble_game_2_3,
@@ -289,6 +290,19 @@ def _sparsity_digest(sp: SparsityReport) -> dict:
     return out
 
 
+def _violations_digest(violations: list[CountViolation]) -> list[dict]:
+    return [
+        {
+            "joint_ids": list(v.joint_ids),
+            "bar_ids": list(v.bar_ids),
+            "joints": v.joint_total,
+            "bars": v.bar_total,
+            "slack": v.slack,
+        }
+        for v in violations
+    ]
+
+
 def _numeric_verdict(ks: KinematicSummary) -> str:
     if ks.is_isostatic:
         return "isostatic"
@@ -357,16 +371,7 @@ def cmd_analyze(path: str, args: argparse.Namespace) -> tuple[dict, int]:
                 )
             else:
                 verdict = f"counting screen clean up to {cap} joints"
-            bundle["screen_violations"] = [
-                {
-                    "joint_ids": list(v.joint_ids),
-                    "bar_ids": list(v.bar_ids),
-                    "joints": v.joint_total,
-                    "bars": v.bar_total,
-                    "slack": v.slack,
-                }
-                for v in violations
-            ]
+            bundle["screen_violations"] = _violations_digest(violations)
         except CapExceeded as exc:
             verdict = f"counting screen aborted: {exc}"
             bundle["screen_violations"] = None
@@ -453,16 +458,7 @@ def cmd_check(path: str, args: argparse.Namespace) -> tuple[dict, int]:
             bundle["sufficiency"] = {
                 "passed": None,
                 "epistemic": "necessary-only",
-                "screen_violations": [
-                    {
-                        "joint_ids": list(v.joint_ids),
-                        "bar_ids": list(v.bar_ids),
-                        "joints": v.joint_total,
-                        "bars": v.bar_total,
-                        "slack": v.slack,
-                    }
-                    for v in violations
-                ],
+                "screen_violations": _violations_digest(violations),
                 "notes": [
                     f"subgraph counting screen up to {cap} joints; "
                     "necessary, never sufficient, in 3D"

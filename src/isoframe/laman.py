@@ -99,26 +99,25 @@ class PebbleState:
 
         Neighbors are explored in ascending id order and the blocked
         joint (the edge's other endpoint) is never entered, so results
-        are deterministic and its pebbles are never raided.
+        are deterministic and its pebbles are never raided.  The walk
+        keeps an explicit stack of neighbor iterators, one per joint on
+        the path, so long paths cannot exhaust the interpreter stack.
         """
         visited = {root, blocked}
         path = [root]
-
-        def walk(x: int) -> list[int] | None:
-            for y in sorted(self.out[x]):
-                if y in visited:
-                    continue
-                visited.add(y)
-                path.append(y)
-                if self.pebbles[y] > 0:
-                    return list(path)
-                found = walk(y)
-                if found is not None:
-                    return found
+        stack = [iter(sorted(self.out[root]))]
+        while stack:
+            y = next((y for y in stack[-1] if y not in visited), None)
+            if y is None:
+                stack.pop()
                 path.pop()
-            return None
-
-        return walk(root)
+                continue
+            visited.add(y)
+            path.append(y)
+            if self.pebbles[y] > 0:
+                return path
+            stack.append(iter(sorted(self.out[y])))
+        return None
 
     def _pull_pebble(self, root: int, blocked: int) -> bool:
         found = self._dfs_free_pebble(root, blocked)

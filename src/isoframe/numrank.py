@@ -1,15 +1,15 @@
-"""Numeric rigidity analysis: matrices, rank, mobility, self-stress bases.
+"""Numeric rigidity analysis: one matrix, one rank decision.
 
-Three matrices describe the same linear map in different normalizations:
+The compatibility matrix C, shape (b, d*j), has one row per bar (u, v):
+the unit direction (p_u - p_v) / |p_u - p_v| in the u block and its
+negative in the v block.  C maps joint velocities to bar extension
+rates; its transpose, the equilibrium matrix, maps bar tensions to
+joint loads.  Infinitesimal mechanisms live in null(C) modulo
+rigid-body motions, states of self-stress in null(C.T).
 
-* R, shape (b, d*j): row for bar (u, v) holds p_u - p_v in the u block
-  and p_v - p_u in the v block.
-* C: R with each row divided by the bar length (direction cosines).
-* A = transpose(C), shape (d*j, b): takes bar tensions to joint loads.
-
-Infinitesimal mechanisms live in null(R) modulo rigid-body motions;
-states of self-stress in null(A).  Rank is computed on R, whose entries
-are plain coordinate differences.
+Rank is decided once, on C, by the relative cutoff in `_rank`.  Every
+row of C has unit norm, so the decision does not depend on how widely
+the bar lengths are spread.
 """
 
 from __future__ import annotations
@@ -27,18 +27,20 @@ DEFAULT_RANK_TOL = 1e-10
 
 @dataclass(frozen=True)
 class EquilibriumSystem:
-    """The three matrix views of one framework's first-order behavior."""
+    """One framework's first-order behavior as a single matrix.
 
-    R: np.ndarray
+    C is the compatibility matrix of unit bar directions (its transpose
+    is the equilibrium matrix); lengths[i] is the length of bar i.
+    """
+
     C: np.ndarray
-    A: np.ndarray
     lengths: np.ndarray
 
 
 def build_system(f: Framework) -> EquilibriumSystem:
     d, j, b = f.dimension, f.joint_count, f.bar_count
     coords = f.coordinates
-    R = np.zeros((b, d * j))
+    C = np.zeros((b, d * j))
     lengths = np.zeros(b)
     for bar in f.bars:
         u, v = bar.ends
@@ -48,11 +50,25 @@ def build_system(f: Framework) -> EquilibriumSystem:
             # unreachable through new_framework, which rejects
             # coincident joints; kept for hand-built Framework objects
             raise ZeroLengthBar(f"bar {bar.id} between joints {u} and {v}")
-        R[bar.id, d * u : d * u + d] = diff
-        R[bar.id, d * v : d * v + d] = -diff
+        unit = diff / length
+        C[bar.id, d * u : d * u + d] = unit
+        C[bar.id, d * v : d * v + d] = -unit
         lengths[bar.id] = length
-    C = R / lengths[:, None] if b else R.copy()
-    return EquilibriumSystem(R=R, C=C, A=C.T.copy(), lengths=lengths)
+    return EquilibriumSystem(C=C, lengths=lengths)
+
+
+def _rank(sv: np.ndarray, tol: float) -> int:
+    """How many of the descending singular values sv exceed tol * sv[0]."""
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.sum(sv > tol * sv[0]))
+
+
+def _finite(M: np.ndarray) -> np.ndarray:
+    M = np.asarray(M, dtype=float)
+    if not np.all(np.isfinite(M)):
+        raise NonFiniteEntry("matrix contains NaN or infinite entries")
+    return M
 
 
 def numeric_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> tuple[int, np.ndarray]:
@@ -61,16 +77,11 @@ def numeric_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> tuple[int, np.
     Returns (rank, singular values descending).  Matrices with no rows
     or no columns have rank 0 and an empty singular value list.
     """
-    M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
-        raise NonFiniteEntry("matrix contains NaN or infinite entries")
+    M = _finite(M)
     if M.size == 0:
         return 0, np.zeros(0)
     sv = np.linalg.svd(M, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0, sv
-    rank = int(np.sum(sv > tol * sv[0]))
-    return rank, sv
+    return _rank(sv, tol), sv
 
 
 def rigid_body_basis(f: Framework) -> np.ndarray:
@@ -98,8 +109,7 @@ def rigid_body_basis(f: Framework) -> np.ndarray:
             fields.append(rot.ravel())
     raw = np.stack(fields)
     u, sv, vt = np.linalg.svd(raw, full_matrices=False)
-    keep = sv > 1e-12 * sv[0]
-    return vt[keep]
+    return vt[: _rank(sv, 1e-12)]
 
 
 def rigid_body_dimension(f: Framework) -> int:
@@ -108,7 +118,7 @@ def rigid_body_dimension(f: Framework) -> int:
 
 @dataclass(frozen=True)
 class KinematicSummary:
-    """Counts derived from the rigidity matrix rank.
+    """Counts derived from the rank of C.
 
     mechanisms = d*j - rank - rigid_body_dim, self_stresses = b - rank;
     both exact integers once the rank is fixed by the tolerance.
@@ -138,9 +148,8 @@ class KinematicSummary:
 
 
 def mobility(f: Framework, tol: float = DEFAULT_RANK_TOL) -> KinematicSummary:
-    """Rank the rigidity matrix and report mechanism/self-stress counts."""
-    sys = build_system(f)
-    rank, sv = numeric_rank(sys.R, tol)
+    """Rank C and report mechanism/self-stress counts."""
+    rank, sv = numeric_rank(build_system(f).C, tol)
     rb = rigid_body_dimension(f)
     return KinematicSummary(
         dimension=f.dimension,
@@ -161,31 +170,16 @@ def nullspace_bases(
     """Orthonormal bases for self-stresses and non-trivial mechanisms.
 
     Returns (stress_basis, mechanism_basis): stress rows have length b
-    and satisfy A @ sigma ~ 0; mechanism rows have length d*j, lie in
-    null(R), and are orthogonal to every rigid-body field.  Row counts
-    must equal the mobility() counts or InternalInconsistency is raised.
+    and satisfy C.T @ sigma ~ 0; mechanism rows have length d*j, lie in
+    null(C), and are orthogonal to every rigid-body field.  Both come
+    from one full SVD of C, ranked as mobility() ranks it.
     """
-    summary = mobility(f, tol)
-    sys = build_system(f)
-    d, j, b = f.dimension, f.joint_count, f.bar_count
-
-    if b == 0:
-        stress = np.zeros((0, 0))
-    else:
-        u, sv, vt = np.linalg.svd(sys.C, full_matrices=True)
-        cutoff = tol * sv[0] if sv.size and sv[0] > 0 else 0.0
-        rank_c = int(np.sum(sv > cutoff))
-        stress = u[:, rank_c:].T
-    if stress.shape[0] != summary.self_stresses:
-        raise InternalInconsistency(
-            f"stress basis has {stress.shape[0]} rows, expected "
-            f"{summary.self_stresses}"
-        )
-
-    u, sv, vt = np.linalg.svd(sys.R, full_matrices=True)
-    cutoff = tol * sv[0] if sv.size and sv[0] > 0 else 0.0
-    rank_r = int(np.sum(sv > cutoff))
-    kernel = vt[rank_r:]
+    C = _finite(build_system(f).C)
+    b, n = C.shape
+    u, sv, vt = np.linalg.svd(C, full_matrices=True)
+    rank = _rank(sv, tol)
+    stress = u[:, rank:].T
+    kernel = vt[rank:]
     rb = rigid_body_basis(f)
     # project rigid-body motions out of the kernel, then re-orthonormalize;
     # singular values near 1 survive, near 0 were pure rigid-body content
@@ -194,21 +188,18 @@ def nullspace_bases(
         u2, sv2, vt2 = np.linalg.svd(proj, full_matrices=False)
         mech = vt2[sv2 > 0.5]
     else:
-        mech = np.zeros((0, d * j))
-    if mech.shape[0] != summary.mechanisms:
+        mech = np.zeros((0, n))
+    expected = n - rank - rb.shape[0]
+    if mech.shape[0] != expected:
         raise InternalInconsistency(
-            f"mechanism basis has {mech.shape[0]} rows, expected "
-            f"{summary.mechanisms}"
+            f"mechanism basis has {mech.shape[0]} rows, expected {expected}"
         )
 
-    if stress.size:
-        res = np.abs(sys.A @ stress.T).max()
-        scale = max(np.abs(sys.A).max(), 1.0)
-        if res > 10 * tol * scale * b:
-            raise InternalInconsistency(f"self-stress residual too large: {res}")
-    if mech.size:
-        res = np.abs(sys.R @ mech.T).max()
-        scale = max(np.abs(sys.R).max(), 1.0)
-        if res > 10 * tol * scale * max(d * j, b):
-            raise InternalInconsistency(f"mechanism residual too large: {res}")
+    # C has unit rows, so both residuals are on an absolute scale
+    res = np.abs(C.T @ stress.T).max(initial=0.0)
+    if res > 10 * tol * b:
+        raise InternalInconsistency(f"self-stress residual too large: {res}")
+    res = np.abs(C @ mech.T).max(initial=0.0)
+    if res > 10 * tol * max(n, b):
+        raise InternalInconsistency(f"mechanism residual too large: {res}")
     return stress, mech

@@ -225,3 +225,11 @@ def test_scan_guards():
         subgraph_maxwell_scan_3d(f, max_subgraph_joints=13)
     with pytest.raises(ValueError):
         subgraph_maxwell_scan_3d(fig2_examples("C1"))
+
+
+def test_pebble_long_strip_in_shuffled_order():
+    # a triangle strip is tight; shuffled insertion forces long pebble paths
+    j = 4000
+    edges = [(0, 1)] + [e for k in range(2, j) for e in ((k - 2, k), (k - 1, k))]
+    random.Random(0).shuffle(edges)
+    assert pebble_game_2_3(Graph(j, tuple(edges))).verdict == "tight"

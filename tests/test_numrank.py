@@ -57,15 +57,12 @@ def test_rigid_body_basis_is_orthonormal_and_annihilated(octahedron):
     assert B.shape == (6, 18)
     assert np.allclose(B @ B.T, np.eye(6), atol=1e-12)
     sys_ = build_system(octahedron)
-    assert np.max(np.abs(sys_.R @ B.T)) < 1e-12
+    assert np.max(np.abs(sys_.C @ B.T)) < 1e-12
 
 
 def test_system_shapes(octahedron):
     sys_ = build_system(octahedron)
-    assert sys_.R.shape == (12, 18)
     assert sys_.C.shape == (12, 18)
-    assert sys_.A.shape == (18, 12)
-    assert np.allclose(sys_.A, sys_.C.T)
     assert np.allclose(sys_.lengths, np.sqrt(2.0))
 
 
@@ -131,8 +128,8 @@ def test_nullspace_bases_residuals(banana):
     assert stress.shape == (1, 18)
     assert mech.shape == (1, 24)
     sys_ = build_system(banana)
-    assert np.max(np.abs(sys_.A @ stress.T)) < 1e-8
-    assert np.max(np.abs(sys_.R @ mech.T)) < 1e-8
+    assert np.max(np.abs(sys_.C.T @ stress.T)) < 1e-8
+    assert np.max(np.abs(sys_.C @ mech.T)) < 1e-8
     # mechanisms are orthogonal to every rigid-body motion
     B = rigid_body_basis(banana)
     assert np.max(np.abs(B @ mech.T)) < 1e-8
@@ -169,11 +166,42 @@ def test_rank_deficiency_never_grows_at_generic_displacement(octahedron):
         assert mobility(noisy).rank >= base
 
 
-def test_rigidity_and_compatibility_agree_in_rank(octahedron, banana):
-    for f in (octahedron, banana):
-        sys_ = build_system(f)
-        assert numeric_rank(sys_.R)[0] == numeric_rank(sys_.C)[0]
-        assert numeric_rank(sys_.A)[0] == numeric_rank(sys_.R)[0]
+def test_nullspace_bases_row_counts_match_mobility(octahedron, banana, fig2_zoo):
+    for f in (octahedron, banana, *fig2_zoo.values()):
+        ks = mobility(f)
+        stress, mech = nullspace_bases(f)
+        assert (mech.shape[0], stress.shape[0]) == (ks.m, ks.s)
+
+
+def spread_lengths_framework():
+    # isostatic in the plane; the longest bar is 1e10 times the shortest
+    return iso.new_framework(
+        2,
+        [(0.0, 0.0), (1e5, 0.0), (3e4, 9e4), (5e-6, 8e-6), (9e-6, 1e-6)],
+        [(0, 1), (1, 2), (0, 2), (0, 3), (1, 3), (0, 4), (3, 4)],
+    )
+
+
+def test_rank_does_not_depend_on_bar_length_spread():
+    f = spread_lengths_framework()
+    lengths = build_system(f).lengths
+    assert lengths.max() / lengths.min() > 1e9
+    exact = exact_rigidity_rank(to_fractions(f), [b.ends for b in f.bars])
+    assert exact == 7
+    ks = mobility(f)
+    assert ks.rank == exact
+    assert (ks.m, ks.s) == (0, 0)
+    stress, mech = nullspace_bases(f)
+    assert stress.shape == (0, 7)
+    assert mech.shape == (0, 10)
+
+
+def test_nullspace_bases_without_bars():
+    f = iso.new_framework(2, [(0.0, 0.0), (1.0, 0.0)], [])
+    stress, mech = nullspace_bases(f)
+    assert stress.shape == (0, 0)
+    assert mech.shape == (1, 4)
+    assert mobility(f).m == 1
 
 
 def test_numeric_rank_empty_and_zero():

@@ -13,7 +13,7 @@ from isoframe.constructgen import cap_face, platonic, twisted_cap_all_faces
 from isoframe.core import from_json, new_framework, to_json
 from isoframe.laman import Graph, pebble_game_2_3
 from isoframe.maxwell import maxwell_count, maxwell_trace, two_cos
-from isoframe.numrank import mobility
+from isoframe.numrank import mobility, nullspace_bases
 from isoframe.symdetect import detect_point_group
 
 
@@ -143,13 +143,13 @@ def test_rigid_motion_equivariance_on_octahedron(angles, shift):
     assert (k.mechanisms, k.self_stresses) == (0, 0)
 
 
-@given(frameworks(dimension=2))
+@given(frameworks(dimension=2), st.floats(1e-3, 1e3))
 @settings(max_examples=40, deadline=None)
-def test_rigid_motion_preserves_kinematics_2d(f):
+def test_rigid_motion_preserves_kinematics_2d(f, scale):
     rot = _rotation(2, (0.7853981,))
     moved = new_framework(
         2,
-        [tuple(rot @ p + np.array([2.5, -1.25])) for p in f.coordinates],
+        [tuple(scale * (rot @ p) + np.array([2.5, -1.25])) for p in f.coordinates],
         [b.ends for b in f.bars],
     )
     kf, kg = mobility(f), mobility(moved)
@@ -158,6 +158,8 @@ def test_rigid_motion_preserves_kinematics_2d(f):
         kf.mechanisms,
         kf.self_stresses,
     )
+    (sf, mf), (sg, mg) = nullspace_bases(f), nullspace_bases(moved)
+    assert (sg.shape[0], mg.shape[0]) == (sf.shape[0], mf.shape[0])
 
 
 @st.composite
