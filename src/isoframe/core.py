@@ -154,16 +154,13 @@ def new_framework(
             raise NonFiniteEntry(f"joint {i} has a non-finite coordinate: {tup}")
         joints.append(Joint(i, tup))
 
-    # pairwise separation check; j stays desk-scale so O(j^2) is fine
+    coords = np.array([j.position for j in joints], dtype=float)
     tol2 = separation_tol * separation_tol
-    for a in range(len(joints)):
-        pa = joints[a].position
-        for b in range(a + 1, len(joints)):
-            pb = joints[b].position
-            if sum((x - y) ** 2 for x, y in zip(pa, pb)) <= tol2:
-                raise DuplicateJoint(
-                    f"joints {a} and {b} coincide within {separation_tol}"
-                )
+    close = _first_coincident_pair(coords.reshape(len(joints), dimension), tol2)
+    if close is not None:
+        raise DuplicateJoint(
+            f"joints {close[0]} and {close[1]} coincide within {separation_tol}"
+        )
 
     n = len(joints)
     bars: list[Bar] = []
@@ -184,6 +181,36 @@ def new_framework(
         bars.append(Bar(len(bars), ends))
 
     return Framework(dimension, tuple(joints), tuple(bars))
+
+
+def _first_coincident_pair(coords: np.ndarray, tol2: float) -> tuple[int, int] | None:
+    """First coinciding joint pair (a, b), a < b, in lexicographic order.
+
+    Coinciding means a squared distance of at most tol2; None when no
+    pair coincides.  Sort and sweep: joints are sorted along the
+    coordinate of widest spread, and each is compared with its k-th
+    sorted successor for k = 1, 2, ... until no two joints k apart lie
+    within the tolerance along that coordinate, since joints farther
+    apart in the order are farther apart along it too.
+    """
+    n = len(coords)
+    if n < 2:
+        return None
+    first = n * n  # pair (a, b) has key a * n + b, below n * n
+    with np.errstate(over="ignore"):
+        axis = int(np.argmax(np.ptp(coords, axis=0)))
+        order = np.argsort(coords[:, axis], kind="stable")
+        pts = coords[order]
+        for k in range(1, n):
+            near = np.flatnonzero((pts[k:, axis] - pts[:-k, axis]) ** 2 <= tol2)
+            if near.size == 0:
+                break
+            hit = near[((pts[near + k] - pts[near]) ** 2).sum(axis=1) <= tol2]
+            if hit.size:
+                a = np.minimum(order[hit], order[hit + k])
+                b = np.maximum(order[hit], order[hit + k])
+                first = min(first, int((a * n + b).min()))
+    return None if first == n * n else divmod(first, n)
 
 
 def maxwell_count(f: Framework) -> int:

@@ -9,7 +9,9 @@ ones for some groups; those verdicts carry their epistemic status,
 because for the reflection-rich groups the sufficiency is conjectured,
 not proved.  In 3D no counting characterization exists, so the best
 cheap certificate is an exhaustive scan of small connected subgraphs
-for count violations.
+for count violations.  It keeps joint sets as int bitmasks, so each
+visited subgraph costs a few integer operations: its bar count is
+carried over from its parent, and bar ids are listed only for hits.
 """
 
 from __future__ import annotations
@@ -348,7 +350,10 @@ def subgraph_maxwell_scan_3d(
 
     Each hit certifies a state of self-stress.  An empty result proves
     nothing: the scan is a necessary screen, bounded by the cap, and 3D
-    has no subset count characterizing isostaticity.
+    has no subset count characterizing isostaticity.  Joint sets are int
+    bitmasks, so a visited subgraph costs a few integer operations: its
+    bar count is its parent's plus the popcount of the new joint's
+    adjacency inside the parent, and bar ids are listed only for hits.
     """
     if f.dimension != 3:
         raise ValueError("the subgraph count scan applies to 3D frameworks")
@@ -361,69 +366,64 @@ def subgraph_maxwell_scan_3d(
             f"{_SCAN_MAX_CAP}"
         )
     n = f.joint_count
-    adj: list[set[int]] = [set() for _ in range(n)]
+    adj = [0] * n
     for u, v in (bar.ends for bar in f.bars):
-        adj[u].add(v)
-        adj[v].add(u)
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
 
     violations: list[CountViolation] = []
-    visited_budget = _SCAN_BUDGET
+    visited_budget = _SCAN_BUDGET - n  # every visit counts, singletons too
 
-    def record(subset: frozenset[int]) -> None:
-        js = len(subset)
-        if js < 3:
-            return
-        bar_ids = tuple(
-            k
-            for k, bar in enumerate(f.bars)
-            if bar.ends[0] in subset and bar.ends[1] in subset
-        )
-        slack = 3 * js - len(bar_ids) - 6
-        if slack < 0:
-            violations.append(
-                CountViolation(
-                    joint_ids=tuple(sorted(subset)),
-                    bar_ids=bar_ids,
-                    joint_total=js,
-                    bar_total=len(bar_ids),
-                    slack=slack,
-                )
-            )
-
-    # enumerate each connected induced subgraph exactly once: grow only
-    # with joints above the anchor, and never revisit an extension
-    # candidate that an earlier branch already declined
-    def extend(
-        subset: frozenset[int], extension: list[int], anchor: int
-    ) -> None:
+    # visit each connected induced subgraph once: grow only with joints
+    # above the anchor, never retry a candidate an earlier branch declined;
+    # a call visits the children subset + {w}, w in ext, each before its subtree
+    def extend(subset: int, bs: int, boundary: int, ext: list[int], above: int) -> None:
         nonlocal visited_budget
-        visited_budget -= 1
+        visited_budget -= len(ext)
         if visited_budget < 0:
             raise CapExceeded(
                 f"more than {_SCAN_BUDGET} connected subgraphs within "
                 f"cap {cap}; the framework is too large for an "
                 "exhaustive scan"
             )
-        record(subset)
-        if len(subset) >= cap:
-            return
-        ext = list(extension)
-        boundary = {x for y in subset for x in adj[y]}
-        while ext:
-            w = ext.pop(0)
-            new_ext = ext + sorted(
-                x
-                for x in adj[w]
-                if x > anchor and x not in subset and x not in boundary
-            )
-            extend(subset | {w}, new_ext, anchor)
+        js = subset.bit_count() + 1  # joints in each child
+        limit = 3 * js - 6  # bars a child may carry
+        closed = subset | boundary
+        for i, w in enumerate(ext):
+            aw = adj[w]
+            child_bs = bs + (aw & subset).bit_count()
+            if child_bs > limit and js >= 3:
+                child = subset | 1 << w
+                violations.append(
+                    CountViolation(
+                        joint_ids=tuple(_bits(child)),
+                        bar_ids=tuple(
+                            k
+                            for k, bar in enumerate(f.bars)
+                            if child >> bar.ends[0] & child >> bar.ends[1] & 1
+                        ),
+                        joint_total=js,
+                        bar_total=child_bs,
+                        slack=limit - child_bs,
+                    )
+                )
+            if js < cap:
+                grown = ext[i + 1 :] + _bits(aw & above & ~closed)
+                extend(subset | 1 << w, child_bs, boundary | aw, grown, above)
 
     for v0 in range(n):
-        extend(
-            frozenset({v0}),
-            sorted(x for x in adj[v0] if x > v0),
-            v0,
-        )
+        above = -1 << (v0 + 1)
+        extend(1 << v0, 0, adj[v0], _bits(adj[v0] & above), above)
 
     violations.sort(key=lambda c: (c.joint_total, c.joint_ids))
     return violations
+
+
+def _bits(mask: int) -> list[int]:
+    """The set bits of a non-negative int, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out

@@ -53,6 +53,21 @@ def test_duplicate_joint_rejected():
         iso.new_framework(2, [(0.0, 0.0), (1e-12, 0.0)], [(0, 1)])
 
 
+def test_duplicate_joint_names_first_pair():
+    # pairs (1, 3) and (2, 4) coincide; (2, 4) comes first along x, and
+    # joint 3 sorts before joint 1, yet the message names (1, 3)
+    pts = [(0.0, 0.0), (5.0 + 1e-12, 5.0), (1.0, 1.0), (5.0, 5.0), (1.0, 1.0)]
+    with pytest.raises(DuplicateJoint, match="joints 1 and 3 coincide"):
+        iso.new_framework(2, pts, [(0, 1)])
+
+
+def test_far_apart_joints_do_not_overflow():
+    # the squared coordinate difference overflows to inf, which is no
+    # coincidence and no error
+    f = iso.new_framework(2, [(1e200, 0.0), (-1e200, 0.0)], [(0, 1)])
+    assert f.joint_count == 2
+
+
 def test_self_loop_rejected():
     with pytest.raises(SelfLoop):
         iso.new_framework(2, [(0.0, 0.0), (1.0, 0.0)], [(1, 1)])

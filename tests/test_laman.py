@@ -7,7 +7,9 @@ import random
 
 import pytest
 
+from isoframe import laman
 from isoframe.constructgen import (
+    cap_all_faces_symmetric,
     counterexample_2d,
     double_banana,
     fig2_examples,
@@ -30,6 +32,7 @@ from isoframe.laman import (
 from isoframe.numrank import mobility
 
 from oracles import (
+    connected_induced_subgraphs_bruteforce,
     count_violations_bruteforce,
     henneberg_tight_graph,
     laman_verdict_bruteforce,
@@ -200,21 +203,53 @@ def test_scan_finds_overbraced_pocket():
 
 
 def test_scan_matches_bruteforce_on_random_graphs():
+    # 20 graphs at the 2D count b = 2j - 3, which rarely hold a 3D
+    # violation, then 20 at b = 3j - 5, one bar over the 3D count
     rng = random.Random(1889)
-    for _ in range(20):
+    hits = 0
+    for trial in range(40):
         j = rng.randrange(5, 9)
-        edges = sorted(random_count_graph(rng, j))
+        if trial < 20:
+            edges = sorted(random_count_graph(rng, j))
+        else:
+            pairs = list(itertools.combinations(range(j), 2))
+            edges = sorted(rng.sample(pairs, 3 * j - 5))
         pts = [
             (rng.uniform(-1, 1), rng.uniform(-1, 1), rng.uniform(-1, 1))
             for _ in range(j)
         ]
         f = new_framework(3, pts, edges)
         got = [
-            (v.joint_ids, v.slack)
+            (v.joint_ids, v.slack, v.bar_ids, v.bar_total)
             for v in subgraph_maxwell_scan_3d(f, max_subgraph_joints=j)
         ]
-        want = count_violations_bruteforce(j, edges, j)
+        want = []
+        for joint_ids, slack in count_violations_bruteforce(j, edges, j):
+            bar_ids = tuple(
+                k
+                for k, (u, v) in enumerate(edges)
+                if u in joint_ids and v in joint_ids
+            )
+            want.append((joint_ids, slack, bar_ids, len(bar_ids)))
         assert sorted(got) == sorted(want)
+        hits += len(want)
+    assert hits > 0
+
+
+def test_scan_budget_counts_every_visited_subgraph(monkeypatch):
+    # j singletons, b pairs (one per bar) and every connected subset of
+    # 3..8 joints: the scan visits exactly that many subgraphs
+    f = cap_all_faces_symmetric(platonic("octahedron"))
+    edges = [bar.ends for bar in f.bars]
+    larger = len(connected_induced_subgraphs_bruteforce(14, edges, 8))
+    assert (f.joint_count, f.bar_count, larger) == (14, 36, 7450)
+    visits = f.joint_count + f.bar_count + larger
+    monkeypatch.setattr(laman, "_SCAN_BUDGET", visits)
+    assert subgraph_maxwell_scan_3d(f, max_subgraph_joints=8) == []
+    monkeypatch.setattr(laman, "_SCAN_BUDGET", visits - 1)
+    with pytest.raises(CapExceeded) as info:
+        subgraph_maxwell_scan_3d(f, max_subgraph_joints=8)
+    assert "more than 7499 connected subgraphs within cap 8" in str(info.value)
 
 
 def test_scan_guards():

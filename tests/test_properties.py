@@ -1,20 +1,23 @@
-"""Randomized invariants: serialization, relabeling, rigid motions, pebbles."""
+"""Randomized invariants: serialization, relabeling, motions, pebbles, 3D scan."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
 from isoframe.chartables import CATALOG_2D, CATALOG_3D, character_table
 from isoframe.constructgen import cap_face, platonic, twisted_cap_all_faces
 from isoframe.core import from_json, new_framework, to_json
-from isoframe.laman import Graph, pebble_game_2_3
+from isoframe.laman import Graph, pebble_game_2_3, subgraph_maxwell_scan_3d
 from isoframe.maxwell import maxwell_count, maxwell_trace, two_cos
 from isoframe.numrank import mobility, nullspace_bases
 from isoframe.symdetect import detect_point_group
+
+from oracles import count_violations_bruteforce
 
 
 @st.composite
@@ -197,6 +200,33 @@ def test_pebble_bookkeeping_never_leaks(g):
     if report.verdict == "dependent":
         jt, bt = report.witness_joint_total, report.witness_bar_total
         assert bt > 2 * jt - 3
+
+
+@st.composite
+def dense_graphs_with_cap(draw):
+    j = draw(st.integers(min_value=3, max_value=10))
+    density = draw(st.floats(0.3, 0.9))
+    pairs = [(a, b) for a in range(j) for b in range(a + 1, j)]
+    coins = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    edges = [p for p, c in zip(pairs, coins) if c < density]
+    return j, edges, draw(st.integers(min_value=3, max_value=j))
+
+
+@given(dense_graphs_with_cap())
+@settings(max_examples=40, deadline=None)
+def test_subgraph_scan_matches_bruteforce(case):
+    j, edges, cap = case
+    # points on the moment curve: distinct, and the scan ignores geometry
+    f = new_framework(3, [(t, t * t, t**3) for t in range(j)], edges)
+    want = []
+    for joint_ids, slack in count_violations_bruteforce(j, edges, cap):
+        bar_ids = tuple(
+            k for k, (u, v) in enumerate(edges) if u in joint_ids and v in joint_ids
+        )
+        want.append((joint_ids, bar_ids, len(joint_ids), len(bar_ids), slack))
+    target(float(len(want)))  # steer towards graphs with many violations
+    got = [dataclasses.astuple(v) for v in subgraph_maxwell_scan_3d(f, cap)]
+    assert got == want
 
 
 _TABLE_KEYS = [(lbl, 3) for lbl in sorted(CATALOG_3D)] + [
