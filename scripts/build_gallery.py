@@ -5,15 +5,25 @@ Every generated framework is written to the output directory as JSON
 (loadable by the CLI and by core.from_json) next to a one-line summary:
 detected group, scalar count, numeric mechanisms/self-stresses, and the
 2D sparsity verdict where it applies.
+
+Next to each framework file NAME.json go the CLI's `analyze`,
+`check --sufficient` and `detect` reports on it, run with --json from
+inside the output directory so that no report names the directory:
+NAME.COMMAND.json holds stdout and NAME.COMMAND.log the exit code and
+stderr.  Two builds of the gallery compare with `diff -r`.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import pathlib
+import subprocess
+import sys
 from dataclasses import dataclass
 
+import isoframe
 from isoframe.constructgen import (
     all_faces,
     cap_all_faces_symmetric,
@@ -74,6 +84,34 @@ def _summarize(name: str, f: Framework, rank_tol: float) -> str:
     )
 
 
+REPORTS = {
+    "analyze": ["analyze"],
+    "check": ["check", "--sufficient"],
+    "detect": ["detect"],
+}
+
+
+def _write_reports(out_dir: pathlib.Path, name: str) -> None:
+    """Run each report command on NAME.json in a fresh interpreter."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(isoframe.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    for command, args in REPORTS.items():
+        proc = subprocess.run(
+            [sys.executable, "-m", "isoframe.cli", *args, f"{name}.json", "--json"],
+            cwd=out_dir,
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        (out_dir / f"{name}.{command}.json").write_text(proc.stdout)
+        (out_dir / f"{name}.{command}.log").write_text(
+            f"exit {proc.returncode}\n{proc.stderr}"
+        )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("-o", "--out", default="gallery", type=pathlib.Path)
@@ -91,6 +129,7 @@ def main(argv: list[str] | None = None) -> int:
         print(_summarize(name, f, cfg.rank_tol))
         if not cfg.dry_run:
             (cfg.out_dir / f"{name}.json").write_text(to_json(f))
+            _write_reports(cfg.out_dir, name)
     if not cfg.dry_run:
         print(f"\n{len(items)} frameworks written to {cfg.out_dir}/")
     return 0

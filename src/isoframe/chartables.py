@@ -26,8 +26,9 @@ import numpy as np
 from .errors import InternalInconsistency, NonIntegralMultiplicity, UnrecognizedGroup
 from .symdetect import (
     ClassKey,
-    IsometryOp,
     PointGroupInfo,
+    SymmetryAssignment,
+    _find_joint_permutation,
     classify_group,
     classify_matrix,
 )
@@ -182,6 +183,9 @@ _SIGMA_XZ = np.diag([1.0, -1.0, 1.0])
 _C2X = np.diag([1.0, -1.0, -1.0])
 _CYCLE_XYZ = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
+# on no mirror and no rotation axis of any reference group
+_FREE_POINT = np.array([0.31, 0.47, 0.83])
+
 
 def _generators(label: str, dimension: int) -> list[np.ndarray]:
     if label == "C1":
@@ -259,8 +263,17 @@ def reference_group(label: str, dimension: int = 3) -> PointGroupInfo:
     """A concrete realization of the group from reference generators."""
     label = canonical_label(label)
     mats = _close_under_multiplication(_generators(label, dimension), dimension)
-    ops = [classify_matrix(M, dimension) for M in mats]
-    info = classify_group(ops, match_tol=1e-6)
+    # each element permutes the orbit of a point that no element fixes
+    orbit = np.stack([M @ _FREE_POINT[:dimension] for M in mats])
+    elements = [
+        SymmetryAssignment(
+            classify_matrix(M, dimension),
+            _find_joint_permutation(orbit, M, 1e-6),
+            None,
+        )
+        for M in mats
+    ]
+    info = classify_group(elements, match_tol=1e-6)
     if info.schoenflies != label:
         raise InternalInconsistency(
             f"reference generators for {label} closed into {info.schoenflies}"

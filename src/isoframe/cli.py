@@ -8,7 +8,7 @@ with --json, as canonical JSON: keys sorted, two-space indent, so the
 same input and flags give byte-identical output.
 
 Exit codes: 0 pass or success, 1 checked and failed, 2 outside the
-supported scope, 3 bad input.
+supported scope, 3 bad input (a command-line usage error included).
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .symdetect import (
     orbits,
 )
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -190,7 +190,6 @@ def _meta(path: str, args: argparse.Namespace, command: str) -> dict:
         "report_version": REPORT_VERSION,
         "command": command,
         "input": path,
-        "seed": args.seed,
         "tolerances": {
             "rank": args.tol_rank,
             "geometric_rel": geom,
@@ -332,7 +331,7 @@ def cmd_analyze(path: str, args: argparse.Namespace) -> tuple[dict, int]:
 
     group = detect_point_group(f, args.tol_geom)
     ks = mobility(f, tol=args.tol_rank)
-    tv = maxwell_trace(f, group, args.tol_geom)
+    tv = maxwell_trace(f, group)
     cond = isostatic_necessary(f, group, args.tol_geom)
 
     bundle["group"] = _group_digest(group)
@@ -343,7 +342,7 @@ def cmd_analyze(path: str, args: argparse.Namespace) -> tuple[dict, int]:
     sparsity: SparsityReport | None = None
     if f.dimension == 2:
         try:
-            lam = symmetric_laman(f, group, args.tol_geom)
+            lam = symmetric_laman(f, cond)
             sparsity = lam.pebble
             sufficiency = {
                 "verdict": "isostatic" if lam.passed else "not isostatic",
@@ -436,7 +435,7 @@ def cmd_check(path: str, args: argparse.Namespace) -> tuple[dict, int]:
     if args.sufficient:
         if f.dimension == 2:
             try:
-                lam = symmetric_laman(f, group, args.tol_geom)
+                lam = symmetric_laman(f, cond)
                 bundle["sufficiency"] = {
                     "passed": lam.passed,
                     "epistemic": lam.epistemic,
@@ -726,6 +725,14 @@ def _render_text(bundle: dict) -> str:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is bad input: exit 3, not argparse's 2 (scope)."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--json", action="store_true", help="emit canonical JSON")
     sp.add_argument(
@@ -739,12 +746,6 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         help="relative geometric tolerance for symmetry detection",
-    )
-    sp.add_argument(
-        "--seed",
-        type=int,
-        default=0,
-        help="randomization seed recorded in reports (for test harnesses)",
     )
     sp.add_argument(
         "--max-subgraph",
@@ -761,7 +762,7 @@ def _add_common(sp: argparse.ArgumentParser) -> None:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="isoframe",
         description=(
             "Decide and explain isostaticity of symmetric pin-jointed "

@@ -55,7 +55,9 @@ class Framework:
     constructor trusts its arguments.
     """
 
-    __slots__ = ("dimension", "joints", "bars", "_coords", "_pair_to_bar")
+    __slots__ = (
+        "dimension", "joints", "bars", "_coords", "_pair_to_bar", "_diameter"
+    )
 
     def __init__(self, dimension: int, joints: tuple[Joint, ...], bars: tuple[Bar, ...]):
         object.__setattr__(self, "dimension", dimension)
@@ -66,6 +68,7 @@ class Framework:
         coords.setflags(write=False)
         object.__setattr__(self, "_coords", coords)
         object.__setattr__(self, "_pair_to_bar", {b.ends: b.id for b in bars})
+        object.__setattr__(self, "_diameter", None)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Framework is immutable")
@@ -92,12 +95,19 @@ class Framework:
         return self._coords.mean(axis=0)
 
     def diameter(self) -> float:
-        """Largest inter-joint distance; 0.0 with fewer than two joints."""
-        if self.joint_count < 2:
-            return 0.0
-        c = self._coords
-        d2 = ((c[:, None, :] - c[None, :, :]) ** 2).sum(axis=2)
-        return float(math.sqrt(d2.max()))
+        """Largest inter-joint distance; 0.0 with fewer than two joints.
+
+        Computed on first use, a block of rows against the joints from
+        that block on at a time, and kept.
+        """
+        if self._diameter is None:
+            c = self._coords
+            d2max = 0.0
+            for lo in range(0, len(c), 64):
+                diff = c[lo : lo + 64, None, :] - c[None, lo:, :]
+                d2max = max(d2max, float((diff**2).sum(axis=2).max()))
+            object.__setattr__(self, "_diameter", math.sqrt(d2max))
+        return self._diameter
 
     def has_bar(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self._pair_to_bar

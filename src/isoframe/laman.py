@@ -27,8 +27,8 @@ from .errors import (
     GroupOutsideWhitelist,
     SelfLoop,
 )
-from .maxwell import WHITELIST_2D, ConditionCheck, isostatic_necessary
-from .symdetect import PointGroupInfo, detect_point_group
+from .maxwell import WHITELIST_2D, ConditionCheck, ConditionReport
+from .symdetect import PointGroupInfo
 
 _SCAN_BUDGET = 2_000_000
 _SCAN_MAX_CAP = 12
@@ -280,15 +280,16 @@ class SymmetricLamanReport:
 
 
 def symmetric_laman(
-    f: Framework,
-    group: PointGroupInfo | None = None,
-    geom_tol: float | None = None,
+    f: Framework, necessary: ConditionReport
 ) -> SymmetricLamanReport:
-    """Combinatorial sufficiency check for symmetric 2D frameworks."""
+    """Combinatorial sufficiency check for symmetric 2D frameworks.
+
+    necessary is isostatic_necessary's report on f; its group and
+    count checks are reused, not recomputed.
+    """
     if f.dimension != 2:
         raise ValueError("the symmetric sufficiency check is 2D only")
-    if group is None:
-        group = detect_point_group(f, geom_tol)
+    group = necessary.group
     label = group.schoenflies
     if label not in WHITELIST_2D:
         raise GroupOutsideWhitelist(
@@ -296,7 +297,6 @@ def symmetric_laman(
             "groups are " + ", ".join(sorted(WHITELIST_2D))
         )
     pebble = pebble_game_2_3(f)
-    necessary = isostatic_necessary(f, group, geom_tol)
     passed = pebble.verdict == "tight" and necessary.passed
     epistemic = "theorem-backed" if label in _THEOREM_GROUPS else "conjectural"
     notes = [

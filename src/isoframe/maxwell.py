@@ -213,71 +213,52 @@ def gamma_regular(group: PointGroupInfo) -> TraceVector:
     return TraceVector(group, values, (True,) * len(values))
 
 
-def _class_counts(
-    f: Framework, group: PointGroupInfo, geom_tol: float | None = None
-) -> list[UnshiftedCounts]:
-    return [
-        unshifted_counts(f, group.elements[cls.rep_id], geom_tol)
-        for cls in group.classes
-    ]
-
-
 def _closed_form(
-    counts: UnshiftedCounts, dimension: int, j: int, b: int
+    op: IsometryOp, dimension: int, j: int, b: int, jf: int, bf: int
 ) -> int | float:
-    """The bottom-row formula for one class, from the named subcounts."""
-    sc = counts.subcounts
+    """The bottom-row formula for one class, from its fixed joints and bars."""
     if dimension == 2:
-        if counts.kind == "E":
+        if op.kind == "E":
             return 2 * j - b - 3
-        if counts.kind == "C":
-            if counts.n == 2:
-                return -2 * sc["j_c"] - sc["b_2"] + 1
-            tc = two_cos(counts.n, counts.k)
-            return tc * (sc["j_c"] - 1) - 1
-        if counts.kind == "sigma":
-            return 1 - sc["b_sigma"]
-        raise InternalInconsistency(f"no 2D closed form for kind {counts.kind!r}")
-    if counts.kind == "E":
+        if op.kind == "C":
+            if op.n == 2:
+                return -2 * jf - bf + 1
+            return two_cos(op.n, op.k) * (jf - 1) - 1
+        if op.kind == "sigma":
+            return 1 - bf
+        raise InternalInconsistency(f"no 2D closed form for kind {op.kind!r}")
+    if op.kind == "E":
         return 3 * j - b - 6
-    if counts.kind == "C":
-        tc = two_cos(counts.n, counts.k)
-        jn = sc["j_2"] if counts.n == 2 else sc["j_n"]
-        bn = sc["b_2"] if counts.n == 2 else sc["b_n"]
-        return (tc + 1) * (jn - 2) - bn
-    if counts.kind == "sigma":
-        return sc["j_sigma"] - sc["b_sigma"]
-    if counts.kind == "i":
-        return -3 * sc["j_c"] - sc["b_c"]
-    if counts.kind == "S":
-        tc = two_cos(counts.n, counts.k)
-        return sc["j_c"] * (tc - 1) - sc["b_nc"]
-    raise InternalInconsistency(f"no closed form for kind {counts.kind!r}")
+    if op.kind == "C":
+        return (two_cos(op.n, op.k) + 1) * (jf - 2) - bf
+    if op.kind == "sigma":
+        return jf - bf
+    if op.kind == "i":
+        return -3 * jf - bf
+    if op.kind == "S":
+        return jf * (two_cos(op.n, op.k) - 1) - bf
+    raise InternalInconsistency(f"no closed form for kind {op.kind!r}")
 
 
-def maxwell_trace(
-    f: Framework,
-    group: PointGroupInfo,
-    geom_tol: float | None = None,
-) -> TraceVector:
+def maxwell_trace(f: Framework, group: PointGroupInfo) -> TraceVector:
     """Mechanism-minus-self-stress trace, one value per conjugacy class.
 
     Assembled as joint trace times translation trace, minus bar trace,
     minus the rigid-body trace, then cross-checked against the
-    closed-form expression in the unshifted subcounts.  A mismatch is a
-    bug in the counting machinery, never a property of the input.
+    closed-form expression in the same fixed joint and bar counts.  A
+    mismatch is a bug in the counting machinery, never a property of
+    the input.
     """
     d = f.dimension
     j_trace = gamma_joint(f, group).values
     b_trace = gamma_bar(f, group).values
-    per_class = _class_counts(f, group, geom_tol)
     values: list[int | float] = []
     exact: list[bool] = []
-    for cls, jf, bf, counts in zip(group.classes, j_trace, b_trace, per_class):
+    for cls, jf, bf in zip(group.classes, j_trace, b_trace):
         op = group.elements[cls.rep_id].op
         txyz, trot = gamma_rigid_body(op, d)
         v = jf * txyz - bf - txyz - trot
-        ref = _closed_form(counts, d, f.joint_count, f.bar_count)
+        ref = _closed_form(op, d, f.joint_count, f.bar_count, jf, bf)
         is_exact = isinstance(txyz, int) and isinstance(trot, int)
         if is_exact:
             if v != ref:
@@ -315,7 +296,7 @@ _PARITY_NOTES_2D = {
 def _checks_2d(
     cls_label: str, counts: UnshiftedCounts, j: int, b: int
 ) -> list[ConditionCheck]:
-    sc = counts.subcounts
+    jf, bf = counts.joints_unshifted, counts.bars_unshifted
     if counts.kind == "E":
         return [
             ConditionCheck(
@@ -329,24 +310,23 @@ def _checks_2d(
             )
         ]
     if counts.kind == "C" and counts.n == 2:
-        jc, b2 = sc["j_c"], sc["b_2"]
         return [
             ConditionCheck(
                 class_label=cls_label,
                 eq_id="2D:C2",
                 equation="2*j_c + b_2 = 1",
-                inputs={"j_c": jc, "b_2": b2},
-                lhs=2 * jc + b2,
+                inputs={"j_c": jf, "b_2": bf},
+                lhs=2 * jf + bf,
                 rhs=1,
-                passed=2 * jc + b2 == 1,
+                passed=2 * jf + bf == 1,
                 note="the only admissible solution is j_c = 0, b_2 = 1",
             )
         ]
     if counts.kind == "C":
-        jc, n, k = sc["j_c"], counts.n, counts.k
+        n, k = counts.n, counts.k
         tc = two_cos(n, k)
         if isinstance(tc, int):
-            lhs: int | float = tc * (jc - 1)
+            lhs: int | float = tc * (jf - 1)
             passed = lhs == 1
             note = ""
             if n != 3:
@@ -356,7 +336,7 @@ def _checks_2d(
                     f"a {n}-fold rotation satisfies this"
                 )
         else:
-            lhs = tc * (jc - 1)
+            lhs = tc * (jf - 1)
             passed = False
             note = (
                 f"2*cos(2*pi*{k}/{n}) is irrational, so the equation has "
@@ -367,7 +347,7 @@ def _checks_2d(
                 class_label=cls_label,
                 eq_id="2D:Cn",
                 equation="(j_c - 1) * 2*cos(2*pi*k/n) = 1",
-                inputs={"j_c": jc, "n": n, "k": k},
+                inputs={"j_c": jf, "n": n, "k": k},
                 lhs=lhs,
                 rhs=1,
                 passed=passed,
@@ -375,16 +355,15 @@ def _checks_2d(
             )
         ]
     if counts.kind == "sigma":
-        bs = sc["b_sigma"]
         return [
             ConditionCheck(
                 class_label=cls_label,
                 eq_id="2D:sigma",
                 equation="b_sigma = 1",
-                inputs={"j_sigma": sc["j_sigma"], "b_sigma": bs},
-                lhs=bs,
+                inputs={"j_sigma": jf, "b_sigma": bf},
+                lhs=bf,
                 rhs=1,
-                passed=bs == 1,
+                passed=bf == 1,
             )
         ]
     raise InternalInconsistency(f"no 2D condition for kind {counts.kind!r}")
@@ -393,7 +372,7 @@ def _checks_2d(
 def _checks_3d(
     cls_label: str, counts: UnshiftedCounts, j: int, b: int
 ) -> list[ConditionCheck]:
-    sc = counts.subcounts
+    jf, bf = counts.joints_unshifted, counts.bars_unshifted
     if counts.kind == "E":
         return [
             ConditionCheck(
@@ -407,7 +386,6 @@ def _checks_3d(
             )
         ]
     if counts.kind == "C" and counts.n == 2:
-        j2, b2 = sc["j_2"], sc["b_2"]
         along = sum(
             1 for tag in counts.bar_tags.values() if tag == "along_axis"
         )
@@ -416,33 +394,33 @@ def _checks_3d(
                 class_label=cls_label,
                 eq_id="3D:C2",
                 equation="j_2 + b_2 = 2",
-                inputs={"j_2": j2, "b_2": b2},
-                lhs=j2 + b2,
+                inputs={"j_2": jf, "b_2": bf},
+                lhs=jf + bf,
                 rhs=2,
-                passed=j2 + b2 == 2,
+                passed=jf + bf == 2,
                 note="admissible splits are (2,0), (1,1) and (0,2)",
             ),
             ConditionCheck(
                 class_label=cls_label,
                 eq_id="3D:C2-perp",
                 equation="bars counted in b_2 lie perpendicular to the axis",
-                inputs={"b_2": b2, "b_along_axis": along},
+                inputs={"b_2": bf, "b_along_axis": along},
                 lhs=along,
                 rhs=0,
                 passed=along == 0,
             ),
         ]
     if counts.kind == "C":
-        jn, bn, n = sc["j_n"], sc["b_n"], counts.n
+        n = counts.n
         checks = [
             ConditionCheck(
                 class_label=cls_label,
                 eq_id="3D:Cn",
                 equation="b_n = 0",
-                inputs={"j_n": jn, "b_n": bn, "n": n},
-                lhs=bn,
+                inputs={"j_n": jf, "b_n": bf, "n": n},
+                lhs=bf,
                 rhs=0,
-                passed=bn == 0,
+                passed=bf == 0,
                 note=(
                     "(j_n - 2)(2*cos(2*pi*k/n) + 1) = b_n, combined with "
                     "the conditions for the powers of the same axis, "
@@ -456,10 +434,10 @@ def _checks_3d(
                     class_label=cls_label,
                     eq_id="3D:Cn-axis",
                     equation="j_n = 2",
-                    inputs={"j_n": jn, "n": n},
-                    lhs=jn,
+                    inputs={"j_n": jf, "n": n},
+                    lhs=jf,
                     rhs=2,
-                    passed=jn == 2,
+                    passed=jf == 2,
                     note=(
                         "every rotation axis of order above 3 must pass "
                         "through exactly two joints"
@@ -468,42 +446,40 @@ def _checks_3d(
             )
         return checks
     if counts.kind == "sigma":
-        js, bs = sc["j_sigma"], sc["b_sigma"]
         return [
             ConditionCheck(
                 class_label=cls_label,
                 eq_id="3D:sigma",
                 equation="j_sigma = b_sigma",
-                inputs={"j_sigma": js, "b_sigma": bs},
-                lhs=js,
-                rhs=bs,
-                passed=js == bs,
+                inputs={"j_sigma": jf, "b_sigma": bf},
+                lhs=jf,
+                rhs=bf,
+                passed=jf == bf,
             )
         ]
     if counts.kind == "i":
-        jc, bc = sc["j_c"], sc["b_c"]
         return [
             ConditionCheck(
                 class_label=cls_label,
                 eq_id="3D:i",
                 equation="3*j_c + b_c = 0",
-                inputs={"j_c": jc, "b_c": bc},
-                lhs=3 * jc + bc,
+                inputs={"j_c": jf, "b_c": bf},
+                lhs=3 * jf + bf,
                 rhs=0,
-                passed=3 * jc + bc == 0,
+                passed=3 * jf + bf == 0,
                 note="no joint at the centre and no bar centred on it",
             )
         ]
     if counts.kind == "S":
-        jc, bnc, n, k = sc["j_c"], sc["b_nc"], counts.n, counts.k
+        n, k = counts.n, counts.k
         tc = two_cos(n, k)
         if isinstance(tc, int):
-            lhs: int | float = jc * (tc - 1)
-            passed = lhs == bnc
+            lhs: int | float = jf * (tc - 1)
+            passed = lhs == bf
             note = ""
         else:
-            lhs = jc * (tc - 1)
-            passed = jc == 0 and bnc == 0
+            lhs = jf * (tc - 1)
+            passed = jf == 0 and bf == 0
             note = (
                 f"2*cos(2*pi*{k}/{n}) is irrational, so only "
                 "j_c = 0 with b_nc = 0 can satisfy the equation"
@@ -513,9 +489,9 @@ def _checks_3d(
                 class_label=cls_label,
                 eq_id="3D:Sn",
                 equation="j_c * (2*cos(2*pi*k/n) - 1) = b_nc",
-                inputs={"j_c": jc, "b_nc": bnc, "n": n, "k": k},
+                inputs={"j_c": jf, "b_nc": bf, "n": n, "k": k},
                 lhs=lhs,
-                rhs=bnc,
+                rhs=bf,
                 passed=passed,
                 note=note,
             )
@@ -539,10 +515,10 @@ def isostatic_necessary(
         group = detect_point_group(f, geom_tol)
     d = f.dimension
     j, b = f.joint_count, f.bar_count
-    per_class = _class_counts(f, group, geom_tol)
+    builder = _checks_2d if d == 2 else _checks_3d
     checks: list[ConditionCheck] = []
-    for cls, counts in zip(group.classes, per_class):
-        builder = _checks_2d if d == 2 else _checks_3d
+    for cls in group.classes:
+        counts = unshifted_counts(f, group.elements[cls.rep_id], geom_tol)
         checks.extend(builder(cls.label, counts, j, b))
     notes: list[str] = []
     admissible_2d: bool | None = None

@@ -92,7 +92,9 @@ def rigid_body_basis(f: Framework) -> np.ndarray:
     smaller than d(d+1)/2 and the basis reflects that.
     """
     d, j = f.dimension, f.joint_count
-    coords = f.coordinates - f.centroid()
+    # rotation fields grow with the coordinates; measured in units of the
+    # diameter they rank under one cutoff with the unit translations
+    coords = (f.coordinates - f.centroid()) / (f.diameter() or 1.0)
     fields: list[np.ndarray] = []
     for axis in range(d):
         t = np.zeros((j, d))

@@ -12,9 +12,10 @@ The pipeline:
    near-orthogonal, snap it to the nearest orthogonal matrix, and
    verify it permutes the joints and the bars.
 4. Classify verified matrices into E / C / S / sigma / i with exact
-   rational rotation fractions, close the set under multiplication,
-   compute conjugacy classes, merge inverse-paired classes, and name
-   the group on the Schoenflies flowchart.
+   rational rotation fractions, build the multiplication table by
+   composing the joint permutations, compute conjugacy classes, merge
+   inverse-paired classes, and name the group on the Schoenflies
+   flowchart.
 
 All geometric tolerances are relative to the framework diameter.
 """
@@ -79,8 +80,10 @@ class IsometryOp:
 class SymmetryAssignment:
     """An isometry together with the joint and bar permutations it induces.
 
-    Permutations map ids to image ids; they are None when the operation
-    was supplied bare rather than detected on a framework.
+    Permutations map ids to image ids.  A reference group
+    (chartables.reference_group) permutes the points of a free orbit and
+    has no bars; an operation supplied bare to unshifted_counts has
+    neither permutation.
     """
 
     op: IsometryOp
@@ -143,9 +146,8 @@ class PointGroupInfo:
 class UnshiftedCounts:
     """Joints and bars left in place by one symmetry operation.
 
-    subcounts holds the named quantities the per-operation counting
-    rules consume; bar_tags records, for each fixed bar, how it sits
-    relative to the invariant set of the operation.
+    bar_tags records, for each fixed bar, how it sits relative to the
+    invariant set of the operation.
     """
 
     kind: str
@@ -155,7 +157,6 @@ class UnshiftedCounts:
     bars_unshifted: int
     fixed_joint_ids: tuple[int, ...]
     fixed_bar_ids: tuple[int, ...]
-    subcounts: dict[str, int]
     bar_tags: dict[int, str]
 
 
@@ -826,71 +827,60 @@ def _class_label(key: ClassKey, size: int) -> str:
 
 
 def classify_group(
-    elements: Sequence[SymmetryAssignment | IsometryOp],
+    elements: Sequence[SymmetryAssignment],
     match_tol: float = 1e-5,
 ) -> PointGroupInfo:
     """Close, verify, and name a finite set of isometries as a point group.
 
-    Accepts bare IsometryOp values or full assignments.  Raises
-    NotAGroup when the set is not closed or lacks identity or inverses,
-    and UnrecognizedGroup when the closure does not match any supported
-    Schoenflies type.
+    The multiplication table comes from composing the exact joint
+    permutations, each keyed with the sign of its determinant: when the
+    joints span only a hyperplane, an element and its product with the
+    mirror in that hyperplane permute the joints alike.  Raises
+    NotAGroup when the set is not closed or lacks the identity, and
+    UnrecognizedGroup when it does not match any supported Schoenflies
+    type.
     """
     if not elements:
         raise NotAGroup("no elements supplied")
-    assignments = [
-        e if isinstance(e, SymmetryAssignment) else SymmetryAssignment(e, None, None)
-        for e in elements
-    ]
+    assignments = sorted(elements, key=lambda a: _op_sort_key(a.op))
     dims = {a.op.matrix.shape[0] for a in assignments}
     if len(dims) != 1:
         raise ValueError("elements mix dimensions")
     dimension = dims.pop()
-    assignments.sort(key=lambda a: _op_sort_key(a.op))
     ops = [a.op for a in assignments]
     if ops[0].kind != "E":
         raise NotAGroup("the identity is not among the elements")
     g = len(ops)
-    mats = [op.matrix for op in ops]
+    if any(a.joint_perm is None for a in assignments):
+        raise ValueError("every element needs its joint permutation")
+    perms = np.array([a.joint_perm for a in assignments], dtype=np.int64)
+    signs = [1 if op.kind in ("E", "C") else -1 for op in ops]
+    index = {(p.tobytes(), sg): x for x, (p, sg) in enumerate(zip(perms, signs))}
+    if len(index) != g:
+        raise ToleranceAmbiguity(
+            "two elements with the same determinant sign permute the joints alike"
+        )
 
     table = np.zeros((g, g), dtype=int)
-    stacked = np.stack(mats)
     for x in range(g):
-        prods = stacked[x] @ stacked
-        dist = np.abs(prods[:, None, :, :] - stacked[None, :, :, :]).max(
-            axis=(2, 3)
-        )
-        hits = dist <= match_tol
-        counts = hits.sum(axis=1)
-        if (counts == 0).any():
-            y = int(np.flatnonzero(counts == 0)[0])
-            raise NotAGroup(
-                f"the product of elements {x} and {y} is not in the set"
-            )
-        if (counts > 1).any():
-            y = int(np.flatnonzero(counts > 1)[0])
-            close = [int(i) for i in np.flatnonzero(hits[y])]
-            raise ToleranceAmbiguity(
-                f"elements {close} coincide within the matching tolerance"
-            )
-        table[x] = hits.argmax(axis=1)
-    for x in range(g):
-        if sorted(table[x]) != list(range(g)) or sorted(table[:, x]) != list(range(g)):
-            raise NotAGroup("multiplication by one element is not a permutation")
-    inverse = np.zeros(g, dtype=int)
-    for x in range(g):
-        ys = np.flatnonzero(table[x] == 0)
-        if ys.size != 1:
-            raise NotAGroup(f"element {x} has no unique inverse")
-        inverse[x] = ys[0]
+        prods = perms[x][perms]
+        for y in range(g):
+            t = index.get((prods[y].tobytes(), signs[x] * signs[y]))
+            if t is None:
+                raise NotAGroup(
+                    f"the product of elements {x} and {y} is not in the set"
+                )
+            table[x, y] = t
+    if table[0].tolist() != list(range(g)):
+        raise NotAGroup("the identity is not among the elements")
+    # distinct invertible keys make every row a permutation of 0..g-1
+    inverse = np.argmin(table, axis=1)
 
     for i, op in enumerate(ops):
         order, cur = 1, i
         while cur != 0:
             cur = int(table[cur, i])
             order += 1
-            if order > 4 * g:
-                raise NotAGroup(f"element {i} generates an unbounded cycle")
         expected = _expected_element_order(op)
         if order != expected:
             raise UnrecognizedGroup(
@@ -1102,39 +1092,14 @@ def unshifted_counts(
         for b in fixed_bars:
             bar_tags[b] = _fixed_tag_for_bar(f, P, op, b, joint_perm, vtol)
 
-    jf, bf = len(fixed_joints), len(fixed_bars)
-    if op.kind == "E":
-        subcounts = {"j": jf, "b": bf}
-    elif op.kind == "C" and f.dimension == 2:
-        if op.n == 2:
-            subcounts = {"j_c": jf, "b_2": bf}
-        else:
-            if bf:
-                raise InternalInconsistency(
-                    f"a 2D rotation of order {op.n} > 2 cannot fix a bar"
-                )
-            subcounts = {"j_c": jf}
-    elif op.kind == "C":
-        if op.n == 2:
-            subcounts = {"j_2": jf, "b_2": bf}
-        else:
-            subcounts = {"j_n": jf, "b_n": bf}
-    elif op.kind == "sigma":
-        subcounts = {"j_sigma": jf, "b_sigma": bf}
-    elif op.kind == "i":
-        subcounts = {"j_c": jf, "b_c": bf}
-    else:  # S
-        subcounts = {"j_c": jf, "b_nc": bf}
-
     return UnshiftedCounts(
         kind=op.kind,
         n=op.n,
         k=op.k,
-        joints_unshifted=jf,
-        bars_unshifted=bf,
+        joints_unshifted=len(fixed_joints),
+        bars_unshifted=len(fixed_bars),
         fixed_joint_ids=fixed_joints,
         fixed_bar_ids=fixed_bars,
-        subcounts=subcounts,
         bar_tags=bar_tags,
     )
 

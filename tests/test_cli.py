@@ -35,7 +35,7 @@ def test_analyze_isostatic_json(tmp_path, capsys):
     code, out, _ = _run(capsys, ["analyze", path, "--json"])
     assert code == 0
     d = json.loads(out)
-    assert d["report_version"] == 1
+    assert d["report_version"] == 2
     assert d["command"] == "analyze"
     assert d["input"] == path
     assert d["group"]["schoenflies"] == "Oh"
@@ -305,16 +305,34 @@ def test_seed_and_tolerances_recorded(tmp_path, capsys):
         capsys,
         [
             "analyze", path, "--json",
-            "--seed", "42",
             "--tol-rank", "1e-8",
             "--tol-geom", "1e-5",
         ],
     )
     assert code == 0
     d = json.loads(out)
-    assert d["seed"] == 42
+    assert "seed" not in d
     assert d["tolerances"] == {"geometric_rel": 1e-5, "rank": 1e-8}
     assert d["kinematics"]["rank_tolerance"] == 1e-8
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "{path}", "--seed", "42"],
+        ["analyze"],
+        ["check", "{path}", "--tol-rank", "abc"],
+        [],
+    ],
+)
+def test_usage_error_is_bad_input(tmp_path, capsys, argv):
+    # exit 2 means outside the supported scope, so argparse's own 2
+    # would misreport a mistyped command line
+    path = _write(tmp_path, "tet.json", platonic("tetrahedron"))
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(path=path) for a in argv])
+    assert exc.value.code == 3
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_shell_pipeline_generate_into_analyze(tmp_path):

@@ -29,6 +29,7 @@ from isoframe.laman import (
     subgraph_maxwell_scan_3d,
     symmetric_laman,
 )
+from isoframe.maxwell import isostatic_necessary
 from isoframe.numrank import mobility
 
 from oracles import (
@@ -147,7 +148,8 @@ def test_graph_from_framework_keeps_bar_ids():
     ],
 )
 def test_symmetric_sufficiency_positive(key, epistemic):
-    rep = symmetric_laman(fig2_examples(key))
+    f = fig2_examples(key)
+    rep = symmetric_laman(f, isostatic_necessary(f))
     assert rep.passed
     assert rep.epistemic == epistemic
     assert rep.pebble is not None and rep.pebble.verdict == "tight"
@@ -158,12 +160,14 @@ def test_symmetric_sufficiency_positive(key, epistemic):
 def test_symmetric_sufficiency_rejects_outside_whitelist():
     for key in ("C4", "C5", "C6", "C4v"):
         with pytest.raises(GroupOutsideWhitelist):
-            symmetric_laman(counterexample_2d(key))
+            f = counterexample_2d(key)
+            symmetric_laman(f, isostatic_necessary(f))
 
 
 def test_symmetric_sufficiency_2d_only():
     with pytest.raises(ValueError):
-        symmetric_laman(platonic("octahedron"))
+        f = platonic("octahedron")
+        symmetric_laman(f, isostatic_necessary(f))
 
 
 def test_symmetric_sufficiency_underbraced():
@@ -171,7 +175,7 @@ def test_symmetric_sufficiency_underbraced():
     pared = new_framework(
         2, base.coordinates, [b.ends for b in base.bars][:-1]
     )
-    rep = symmetric_laman(pared)
+    rep = symmetric_laman(pared, isostatic_necessary(pared))
     assert not rep.passed
     assert rep.pebble.verdict == "independent-but-underbraced"
     assert any("independent-but-underbraced" in n for n in rep.notes)

@@ -196,6 +196,20 @@ def test_rank_does_not_depend_on_bar_length_spread():
     assert mech.shape == (0, 10)
 
 
+@pytest.mark.parametrize("scale", [1e13, 1e20])
+def test_rigid_body_dimension_does_not_depend_on_scale(octahedron, scale):
+    # rotation fields grow with the coordinates and translations do not;
+    # ranked together under one relative cutoff, the translations dropped
+    big = iso.new_framework(
+        3, octahedron.coordinates * scale, [b.ends for b in octahedron.bars]
+    )
+    ks = mobility(big)
+    assert (ks.rigid_body_dim, ks.m, ks.s) == (6, 0, 0)
+    sq = square_with_diagonal()
+    ks = mobility(iso.new_framework(2, sq.coordinates * scale, [b.ends for b in sq.bars]))
+    assert (ks.rigid_body_dim, ks.m, ks.s) == (3, 0, 0)
+
+
 def test_nullspace_bases_without_bars():
     f = iso.new_framework(2, [(0.0, 0.0), (1.0, 0.0)], [])
     stress, mech = nullspace_bases(f)

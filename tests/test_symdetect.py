@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+from isoframe.chartables import CATALOG_2D, CATALOG_3D, reference_group
 from isoframe.constructgen import fig2_examples, platonic
 from isoframe.core import new_framework
 from isoframe.errors import ContinuousSymmetry, ToleranceAmbiguity
@@ -190,20 +191,51 @@ def test_classify_matrix_2d_kinds():
         classify_matrix(np.eye(3), 2)  # wrong shape
 
 
-@pytest.mark.parametrize("name", ["tetrahedron", "octahedron"])
+def _group_under_test(name):
+    """A detected group by solid name, or a reference group by "label/dD"."""
+    if "/" in name:
+        label, dim = name.split("/")
+        return reference_group(label, int(dim[0]))
+    return detect_point_group(platonic(name))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["tetrahedron", "octahedron", "icosahedron"]
+    + [f"{label}/2D" for label in CATALOG_2D]
+    + [f"{label}/3D" for label in CATALOG_3D],
+)
 def test_multiplication_table_consistency(name):
     # the table must agree with both matrix products and permutation
     # composition: table[x, y] represents "apply y, then x"
-    f = platonic(name)
-    g = detect_point_group(f)
+    g = _group_under_test(name)
     mats = [a.op.matrix for a in g.elements]
     perms = [a.joint_perm for a in g.elements]
     for x in range(g.order):
         for y in range(g.order):
             t = int(g.mult_table[x, y])
             assert np.abs(mats[x] @ mats[y] - mats[t]).max() < 1e-8
-            composed = tuple(perms[x][perms[y][i]] for i in range(f.joint_count))
+            composed = tuple(perms[x][i] for i in perms[y])
             assert composed == perms[t]
+
+
+def test_flat_square_with_diagonal_is_d2h():
+    # in the plane z = 0, each element and its product with the mirror in
+    # that plane permute the joints alike; the determinant sign keeps
+    # the two apart
+    f = new_framework(
+        3,
+        [(1.0, 1.0, 0.0), (-1.0, 1.0, 0.0), (-1.0, -1.0, 0.0), (1.0, -1.0, 0.0)],
+        [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)],
+    )
+    g = detect_point_group(f)
+    assert (g.schoenflies, g.order) == ("D2h", 8)
+    assert len({a.joint_perm for a in g.elements}) == 4
+    still = [i for i, a in enumerate(g.elements) if a.joint_perm == (0, 1, 2, 3)]
+    e, sigma_h = still
+    assert (g.elements[e].op.kind, g.elements[sigma_h].op.kind) == ("E", "sigma")
+    assert np.allclose(np.abs(g.elements[sigma_h].op.axis), [0.0, 0.0, 1.0])
+    assert int(g.mult_table[sigma_h, sigma_h]) == e
 
 
 def test_inverse_table(octahedron):
@@ -360,7 +392,7 @@ def test_fixed_bar_tags_plane_fixtures():
     half_turn = next(a for a in g.elements if a.op.kind == "C")
     uc = unshifted_counts(f, half_turn)
     assert list(uc.bar_tags.values()) == ["centered_at_origin"]
-    assert uc.subcounts == {"j_c": 0, "b_2": 1}
+    assert (uc.joints_unshifted, uc.bars_unshifted) == (0, 1)
 
     f = fig2_examples("Cs_in")
     g = detect_point_group(f)
