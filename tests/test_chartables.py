@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +20,23 @@ from isoframe.errors import NonIntegralMultiplicity, UnrecognizedGroup
 from isoframe.symdetect import detect_point_group
 
 ALL_TABLES = [(lbl, 3) for lbl in CATALOG_3D] + [(lbl, 2) for lbl in CATALOG_2D]
+
+# every table as built, keyed "label/dimension"; rows are [name, dim, paired, values]
+SNAPSHOT = json.loads(
+    (Path(__file__).parent / "data" / "character_tables.json").read_text()
+)
+
+
+@pytest.mark.parametrize("label,dim", ALL_TABLES)
+def test_table_matches_snapshot(label, dim):
+    t = character_table(label, dim)
+    want = SNAPSHOT[f"{label}/{dim}"]
+    assert [list(k) for k in t.class_keys] == want["class_keys"]
+    assert list(t.class_sizes) == want["class_sizes"]
+    assert list(t.class_labels) == want["class_labels"]
+    assert [[r.name, r.dim, r.paired] for r in t.rows] == [w[:3] for w in want["rows"]]
+    for r, w in zip(t.rows, want["rows"]):
+        assert r.values == pytest.approx(tuple(w[3]), abs=1e-12), r.name
 
 
 @pytest.mark.parametrize("label,dim", ALL_TABLES)
