@@ -6,13 +6,19 @@ each such pair into a single row (flagged paired, dimension 2) so every
 entry is real.  Columns are merged conjugacy classes keyed by ClassKey,
 matching PointGroupInfo.classes exactly.
 
-Tables are constructed from reference generator matrices per group
-family (cyclic, dihedral, or direct product with a central improper
-element) and for T, Td, O, I as literals, then self-checked against
-the row orthogonality relations.  A merged pair row has self-norm
-2 * |G| instead of |G|; decompose() accounts for that by returning the
-pair multiplicity doubled, which conveniently equals the stored row
-dimension on the regular representation.
+A table is built from the PointGroupInfo it describes, reading only its
+classes, their ClassKey roles and its multiplication table.  Matrices
+only generate the reference groups, whose elements are told apart by
+their images of a point that no element fixes; no matrix is matched
+against another.  By family: a cyclic group takes its rows from
+discrete logarithms along a generator; a dihedral-type group from its
+cyclic axis half, the classes of role ""; a direct product H x {E, w},
+w a central improper element, from the rows of H, the group of its own
+proper elements; T, Td, O and I are literals.  Every table is
+self-checked against the row orthogonality relations.  A merged pair
+row has self-norm 2 * |G| instead of |G|; decompose() accounts for that
+by returning the pair multiplicity doubled, which conveniently equals
+the stored row dimension on the regular representation.
 """
 
 from __future__ import annotations
@@ -28,7 +34,9 @@ from .symdetect import (
     ClassKey,
     PointGroupInfo,
     SymmetryAssignment,
+    _expected_element_order,
     _find_joint_permutation,
+    _parse_label,
     classify_group,
     classify_matrix,
 )
@@ -85,12 +93,6 @@ class CharacterTable:
     class_sizes: tuple[int, ...]
     class_labels: tuple[str, ...]
     rows: tuple[IrrepRow, ...]
-
-    def column_index(self, key: ClassKey) -> int:
-        try:
-            return self.class_keys.index(key)
-        except ValueError:
-            raise KeyError(f"no class {key} in the {self.schoenflies} table") from None
 
     def regular_values(self) -> tuple[float, ...]:
         """Per-class values of the regular representation."""
@@ -152,18 +154,6 @@ class CharacterTable:
 
 def canonical_label(label: str) -> str:
     return GROUP_ALIASES.get(label, label)
-
-
-def _parse_label(label: str) -> tuple[str, int, str]:
-    """Split an axial label into (head letter, n, suffix)."""
-    head, rest = label[0], label[1:]
-    digits = ""
-    while rest and rest[0].isdigit():
-        digits += rest[0]
-        rest = rest[1:]
-    if not digits:
-        raise UnrecognizedGroup(f"cannot parse group label {label!r}")
-    return head, int(digits), rest
 
 
 def _rotation_about(axis, angle: float) -> np.ndarray:
@@ -238,33 +228,45 @@ def _generators(label: str, dimension: int) -> list[np.ndarray]:
     raise UnrecognizedGroup(f"{label} is not a supported point group")
 
 
-def _close_under_multiplication(gens: list[np.ndarray], d: int) -> list[np.ndarray]:
+def _close_under_multiplication(
+    gens: list[np.ndarray], d: int
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """The elements the generators generate, and their images of _FREE_POINT.
+
+    No element fixes _FREE_POINT, so two elements are the same exactly
+    when they move it to the same image; the images are its orbit.
+    """
+    point = _FREE_POINT[:d]
     elems: list[np.ndarray] = [np.eye(d)]
+    orbit: list[np.ndarray] = [point]
     frontier = [np.eye(d)]
     while frontier:
         new: list[np.ndarray] = []
         for A in frontier:
             for B in gens:
                 prod = A @ B
-                if any(float(np.abs(prod - E).max()) <= 1e-9 for E in elems):
+                image = prod @ point
+                if any(float(np.abs(image - q).max()) <= 1e-6 for q in orbit):
                     continue
                 elems.append(prod)
+                orbit.append(image)
                 new.append(prod)
                 if len(elems) > 1000:
                     raise InternalInconsistency(
                         "group closure did not terminate; bad reference generators"
                     )
         frontier = new
-    return elems
+    return elems, np.stack(orbit)
 
 
 @lru_cache(maxsize=None)
 def reference_group(label: str, dimension: int = 3) -> PointGroupInfo:
-    """A concrete realization of the group from reference generators."""
+    """A concrete realization of the group from reference generators.
+
+    Each element carries its permutation of the free orbit.
+    """
     label = canonical_label(label)
-    mats = _close_under_multiplication(_generators(label, dimension), dimension)
-    # each element permutes the orbit of a point that no element fixes
-    orbit = np.stack([M @ _FREE_POINT[:dimension] for M in mats])
+    mats, orbit = _close_under_multiplication(_generators(label, dimension), dimension)
     elements = [
         SymmetryAssignment(
             classify_matrix(M, dimension),
@@ -281,42 +283,6 @@ def reference_group(label: str, dimension: int = 3) -> PointGroupInfo:
     return info
 
 
-def _half_and_flips(info: PointGroupInfo) -> tuple[list[int], list[int]]:
-    """Split a dihedral-type group into its principal cyclic half and flips."""
-    ops = [a.op for a in info.elements]
-    principal = info.principal_axis
-    half: list[int] = []
-    flips: list[int] = []
-    for i, op in enumerate(ops):
-        if op.kind == "E":
-            half.append(i)
-        elif info.dimension == 2:
-            (half if op.kind == "C" else flips).append(i)
-        elif op.kind in ("C", "S") and principal is not None and op.axis is not None:
-            av = np.asarray(op.axis, float)
-            pv = np.asarray(principal, float)
-            same = min(np.linalg.norm(av - pv), np.linalg.norm(av + pv)) <= 1e-4
-            (half if same else flips).append(i)
-        else:
-            flips.append(i)
-    if len(half) != len(flips) or len(half) * 2 != info.order:
-        raise InternalInconsistency(
-            f"{info.schoenflies} did not split evenly into an axis half and flips"
-        )
-    return half, flips
-
-
-def _element_orders(info: PointGroupInfo) -> list[int]:
-    out = []
-    for i in range(info.order):
-        order, cur = 1, i
-        while cur != 0:
-            cur = int(info.mult_table[cur, i])
-            order += 1
-        out.append(order)
-    return out
-
-
 def _discrete_logs(info: PointGroupInfo, members: list[int], gen: int) -> dict[int, int]:
     m = len(members)
     logs: dict[int, int] = {}
@@ -331,8 +297,7 @@ def _discrete_logs(info: PointGroupInfo, members: list[int], gen: int) -> dict[i
 
 def _rows_cyclic(info: PointGroupInfo) -> list[IrrepRow]:
     m = info.order
-    orders = _element_orders(info)
-    gens = [i for i in range(m) if orders[i] == m]
+    gens = [i for i, a in enumerate(info.elements) if _expected_element_order(a.op) == m]
     if not gens:
         raise InternalInconsistency(f"{info.schoenflies} is not cyclic")
     logs = _discrete_logs(info, list(range(m)), min(gens))
@@ -351,18 +316,26 @@ def _rows_cyclic(info: PointGroupInfo) -> list[IrrepRow]:
 
 
 def _rows_dihedral(info: PointGroupInfo) -> list[IrrepRow]:
-    half, flips = _half_and_flips(info)
+    """Rows of a dihedral-type group from its cyclic axis half.
+
+    The axis half is the classes of role "": the identity and the
+    rotations and rotoreflections about the principal axis.  Every other
+    class is a class of flips.
+    """
+    half_classes = [ci for ci, c in enumerate(info.classes) if c.key.role == ""]
+    flip_classes = [ci for ci, c in enumerate(info.classes) if c.key.role != ""]
+    half = [i for ci in half_classes for i in info.classes[ci].member_ids]
     m = len(half)
-    orders = _element_orders(info)
-    gens = [i for i in half if orders[i] == m]
+    if 2 * m != info.order:
+        raise InternalInconsistency(
+            f"{info.schoenflies} did not split evenly into an axis half and flips"
+        )
+    gens = [i for i in half if _expected_element_order(info.elements[i].op) == m]
     if not gens:
         raise InternalInconsistency(
             f"the axis half of {info.schoenflies} is not cyclic"
         )
     logs = _discrete_logs(info, half, min(gens))
-    flip_set = set(flips)
-    half_classes = [ci for ci, c in enumerate(info.classes) if c.rep_id not in flip_set]
-    flip_classes = [ci for ci, c in enumerate(info.classes) if c.rep_id in flip_set]
     if len(flip_classes) not in (1, 2):
         raise InternalInconsistency(
             f"{info.schoenflies} has {len(flip_classes)} flip classes"
@@ -498,27 +471,13 @@ def _rows_literal(info: PointGroupInfo) -> list[IrrepRow]:
     ]
 
 
-def _proper_half_label(label: str, dimension: int) -> str:
-    if label in ("Ci", "Cs"):
-        return "C1"
-    if label == "Th":
-        return "T"
-    if label == "Oh":
-        return "O"
-    if label == "Ih":
-        return "I"
-    head, n, suffix = _parse_label(label)
-    if head == "C" and suffix == "h":
-        return f"C{n}"
-    if head == "S":
-        return f"C{n // 2}"
-    if head == "D" and suffix in ("h", "d"):
-        return f"D{n}"
-    raise UnrecognizedGroup(f"{label} is not a product-type group")
-
-
 def _rows_product(info: PointGroupInfo) -> list[IrrepRow]:
-    """Rows of H x {E, w} from the rows of H, w a central improper element."""
+    """Rows of H x {E, w} from the rows of H, w a central improper element.
+
+    H is the group of info's own proper elements.  As w is central, each
+    class of proper elements is a class of H, and an improper element r
+    takes the H-class of w r.
+    """
     ops = [a.op for a in info.elements]
     inv_ids = [i for i, op in enumerate(ops) if op.kind == "i"]
     if inv_ids:
@@ -532,37 +491,30 @@ def _rows_product(info: PointGroupInfo) -> list[IrrepRow]:
             )
         w = min(sig_ids)
         suffix_even, suffix_odd = "'", "''"
-    w_mat = ops[w].matrix
 
-    half_label = _proper_half_label(info.schoenflies, info.dimension)
-    half_info = reference_group(half_label, info.dimension)
+    def proper(x: int) -> bool:
+        return ops[x].kind in ("E", "C")
+
+    half_info = classify_group([a for x, a in enumerate(info.elements) if proper(x)])
     half_table = _table_from_info(half_info)
-    half_mats = [a.op.matrix for a in half_info.elements]
-
-    def half_class_of(mat: np.ndarray) -> int:
-        for hid, hm in enumerate(half_mats):
-            if float(np.abs(hm - mat).max()) <= 1e-6:
-                for ci, cls in enumerate(half_info.classes):
-                    if hid in cls.member_ids:
-                        return ci
-        raise InternalInconsistency(
-            f"element of {info.schoenflies} does not project into {half_label}"
-        )
-
-    column_map: list[tuple[int, float]] = []
+    # proper elements are told apart by their permutation alone
+    half_class = {
+        half_info.elements[x].joint_perm: ci
+        for ci, cls in enumerate(half_info.classes)
+        for x in cls.member_ids
+    }
+    column_map: list[tuple[int, bool]] = []
     for cls in info.classes:
-        rep = ops[cls.rep_id]
-        if float(np.linalg.det(rep.matrix)) > 0:
-            column_map.append((half_class_of(rep.matrix), 1.0))
-        else:
-            column_map.append((half_class_of(w_mat @ rep.matrix), -1.0))
+        r = cls.rep_id
+        h = r if proper(r) else int(info.mult_table[w, r])
+        column_map.append((half_class[info.elements[h].joint_perm], proper(r)))
 
     rows: list[IrrepRow] = []
     for parity, suffix in ((1.0, suffix_even), (-1.0, suffix_odd)):
         for hrow in half_table.rows:
             vals = tuple(
-                hrow.values[hc] * (1.0 if sign > 0 else parity)
-                for hc, sign in column_map
+                hrow.values[hc] * (1.0 if is_proper else parity)
+                for hc, is_proper in column_map
             )
             rows.append(IrrepRow(hrow.name + suffix, hrow.dim, hrow.paired, vals))
     return rows

@@ -89,33 +89,30 @@ def _emit_json(bundle: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _read_text(path: str) -> str:
+def _read_json(path: str) -> Any:
+    """The parsed JSON of a file, or of stdin for "-"."""
     if path == "-":
-        return sys.stdin.read()
+        text = sys.stdin.read()
+    else:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
 
 
 def _load_framework(path: str) -> Framework:
-    text = _read_text(path)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
-    return from_json_dict(data)
+    return from_json_dict(_read_json(path))
 
 
 def _load_graph(path: str) -> tuple[Graph, Framework | None]:
     """A graph for the pebble game: a framework file, or one without
     coordinates ("joints" may be a plain count)."""
-    text = _read_text(path)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON ({exc})") from exc
+    data = _read_json(path)
     if isinstance(data, dict) and isinstance(
         data.get("joints"), (list, tuple)
     ):
@@ -316,6 +313,13 @@ def _numeric_verdict(ks: KinematicSummary) -> str:
 # commands
 
 
+def _out_of_scope(f: Framework) -> dict:
+    return {
+        "scope": f"frameworks with {f.joint_count} joints in "
+        f"{f.dimension}D are outside the supported scope"
+    }
+
+
 def cmd_analyze(path: str, args: argparse.Namespace) -> tuple[dict, int]:
     f = _load_framework(path)
     if args.dump_dot:
@@ -323,10 +327,7 @@ def cmd_analyze(path: str, args: argparse.Namespace) -> tuple[dict, int]:
     bundle = _meta(path, args, "analyze")
     bundle["framework"] = _framework_digest(f)
     if not in_scope(f):
-        bundle["verdict"] = {
-            "scope": f"frameworks with {f.joint_count} joints in "
-            f"{f.dimension}D are outside the supported scope"
-        }
+        bundle["verdict"] = _out_of_scope(f)
         return bundle, EXIT_SCOPE
 
     group = detect_point_group(f, args.tol_geom)
@@ -422,10 +423,7 @@ def cmd_check(path: str, args: argparse.Namespace) -> tuple[dict, int]:
     bundle = _meta(path, args, "check")
     bundle["framework"] = _framework_digest(f)
     if not in_scope(f):
-        bundle["verdict"] = {
-            "scope": f"frameworks with {f.joint_count} joints in "
-            f"{f.dimension}D are outside the supported scope"
-        }
+        bundle["verdict"] = _out_of_scope(f)
         return bundle, EXIT_SCOPE
     group = detect_point_group(f, args.tol_geom)
     cond = isostatic_necessary(f, group, args.tol_geom)

@@ -112,13 +112,6 @@ class Framework:
     def has_bar(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self._pair_to_bar
 
-    def isolated_joints(self) -> tuple[int, ...]:
-        """Joints touched by no bar.  Permitted by the model; analyses flag them."""
-        touched: set[int] = set()
-        for b in self.bars:
-            touched.update(b.ends)
-        return tuple(i for i in range(self.joint_count) if i not in touched)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Framework):
             return NotImplemented

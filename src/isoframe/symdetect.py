@@ -82,8 +82,7 @@ class SymmetryAssignment:
 
     Permutations map ids to image ids.  A reference group
     (chartables.reference_group) permutes the points of a free orbit and
-    has no bars; an operation supplied bare to unshifted_counts has
-    neither permutation.
+    has no bars.
     """
 
     op: IsometryOp
@@ -526,6 +525,18 @@ def _expected_element_order(op: IsometryOp) -> int:
     return op.n if op.n % 2 == 0 else 2 * op.n
 
 
+def _parse_label(label: str) -> tuple[str, int, str]:
+    """Split an axial label into (head letter, n, suffix)."""
+    head, rest = label[0], label[1:]
+    digits = ""
+    while rest and rest[0].isdigit():
+        digits += rest[0]
+        rest = rest[1:]
+    if not digits:
+        raise UnrecognizedGroup(f"cannot parse group label {label!r}")
+    return head, int(digits), rest
+
+
 def _expected_group_order(label: str, dimension: int) -> int:
     fixed = {
         "C1": 1, "Cs": 2, "Ci": 2,
@@ -534,13 +545,7 @@ def _expected_group_order(label: str, dimension: int) -> int:
     }
     if label in fixed:
         return fixed[label]
-    head = label[0]
-    rest = label[1:]
-    suffix = ""
-    while rest and not rest[-1].isdigit():
-        suffix = rest[-1] + suffix
-        rest = rest[:-1]
-    n = int(rest)
+    head, n, suffix = _parse_label(label)
     if head == "C":
         return n if suffix == "" else 2 * n
     if head == "S":
@@ -1042,26 +1047,21 @@ def unshifted_counts(
 ) -> UnshiftedCounts:
     """Count and locate the joints and bars one operation leaves in place.
 
-    Every fixed item is verified to sit on the operation's invariant
-    set; a failure there means the permutation and the geometry
-    disagree, which is a bug, not bad input.
+    The assignment must carry its joint and bar permutations, as
+    detected ones do.  Every fixed item is verified to sit on the
+    operation's invariant set; a failure there means the permutation and
+    the geometry disagree, which is a bug, not bad input.
     """
     rel = DEFAULT_GEOM_TOL if geom_tol is None else float(geom_tol)
     op = assignment.op
     joint_perm = assignment.joint_perm
     bar_perm = assignment.bar_perm
+    if joint_perm is None or bar_perm is None:
+        raise ValueError("the operation needs its joint and bar permutations")
     P = f.coordinates - f.centroid()
     diam = f.diameter()
     scale = diam if diam > 0 else 1.0
     tol = rel * scale
-    if joint_perm is None:
-        joint_perm = _find_joint_permutation(P, op.matrix, tol)
-        if joint_perm is None:
-            raise ValueError("the isometry does not permute the joints of this framework")
-        bar_perm = _bar_permutation(f, joint_perm)
-        if bar_perm is None:
-            raise ValueError("the isometry does not permute the bars of this framework")
-    assert bar_perm is not None
 
     fixed_joints = tuple(i for i in range(f.joint_count) if joint_perm[i] == i)
     fixed_bars = tuple(b for b in range(f.bar_count) if bar_perm[b] == b)

@@ -350,26 +350,13 @@ def test_close_joints_trip_ambiguity_guard():
         detect_symmetries(f, geom_tol=1e-2)
 
 
-def test_bare_operation_counts(octahedron):
-    # a hand-built op with no precomputed permutations works if and only
-    # if it really is a symmetry of the framework
-    th = math.pi / 2
-    c4z = np.array(
-        [
-            [math.cos(th), -math.sin(th), 0.0],
-            [math.sin(th), math.cos(th), 0.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    bare = SymmetryAssignment(
-        op=classify_matrix(c4z, 3), joint_perm=None, bar_perm=None
-    )
-    uc = unshifted_counts(octahedron, bare)
-    assert (uc.joints_unshifted, uc.bars_unshifted) == (2, 0)
-
-    tetra = platonic("tetrahedron")
+def test_unshifted_counts_needs_permutations(octahedron):
+    # an operation without its permutations is refused, as in classify_group
+    c4 = next(a for a in detect_point_group(octahedron).elements if a.op.n == 4)
     with pytest.raises(ValueError):
-        unshifted_counts(tetra, bare)  # C4 is not a tetrahedral symmetry
+        unshifted_counts(octahedron, SymmetryAssignment(c4.op, None, None))
+    with pytest.raises(ValueError):
+        unshifted_counts(octahedron, SymmetryAssignment(c4.op, c4.joint_perm, None))
 
 
 def test_fixed_bar_tags_octahedron(octahedron):
