@@ -14,6 +14,7 @@ from isoframe.core import new_framework
 from isoframe.errors import ContinuousSymmetry, ToleranceAmbiguity
 from isoframe.symdetect import (
     SymmetryAssignment,
+    _find_joint_permutation,
     classify_matrix,
     detect_point_group,
     detect_symmetries,
@@ -348,6 +349,38 @@ def test_close_joints_trip_ambiguity_guard():
     )
     with pytest.raises(ToleranceAmbiguity):
         detect_symmetries(f, geom_tol=1e-2)
+
+
+# Joints on the x axis, mapped by the point reflection x -> -x.  Among
+# a, b, c, t: the images of a and b land 0.08 from t and of c nowhere;
+# the image of q lands 0 and 0.05 from s1 and s2, so it matches both.
+_a, _b, _c, _t = (-0.92, 0.0), (-1.08, 0.0), (5.0, 0.0), (1.0, 0.0)
+_q, _s1, _s2 = (-2.0, 0.0), (2.0, 0.0), (2.05, 0.0)
+_NONE = None
+_MANY = r"^the image of joint 1 matches 2 joints within tolerance 0\.1; "
+_TWICE = r"^two joints map onto joint 3 within tolerance 0\.1$"
+
+
+@pytest.mark.parametrize(
+    "points, outcome",
+    [
+        ([(0.0, 0.0), (-1.0, 0.0), (1.0, 0.0)], (0, 2, 1)),
+        # the first joint in id order with a problem decides the outcome
+        ([(0.0, 0.0), _c, _q, _s1, _s2], _NONE),
+        ([(0.0, 0.0), _q, _c, _s1, _s2], _MANY),
+        ([(0.0, 0.0), _q, _s1, _s2, _a, _b, _t], _MANY),
+        ([_a, _b, _c, _t, _q, _s1, _s2], _TWICE),
+        ([_c, _a, _b, _t], _NONE),
+    ],
+)
+def test_find_joint_permutation_outcomes(points, outcome):
+    P = np.array(points)
+    M = -np.eye(2)
+    if isinstance(outcome, str):
+        with pytest.raises(ToleranceAmbiguity, match=outcome):
+            _find_joint_permutation(P, M, 0.1)
+    else:
+        assert _find_joint_permutation(P, M, 0.1) == outcome
 
 
 def test_unshifted_counts_needs_permutations(octahedron):
