@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,9 +27,13 @@ from .errors import (
     UnknownBar,
 )
 
-# Joints closer than this (Euclidean, in model units) count as the same
-# point and are rejected at construction time.  Overridable per call.
-SEPARATION_TOL = 1e-9
+# Joints closer than this fraction of the framework diameter count as
+# the same point: construction rejects them, and a bar between them has
+# no direction.
+SEPARATION_TOL = 1e-12
+
+# Candidate pairs that pairs_within examines at once.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -97,16 +101,10 @@ class Framework:
     def diameter(self) -> float:
         """Largest inter-joint distance; 0.0 with fewer than two joints.
 
-        Computed on first use, a block of rows against the joints from
-        that block on at a time, and kept.
+        Computed on first use (new_framework computes it) and kept.
         """
         if self._diameter is None:
-            c = self._coords
-            d2max = 0.0
-            for lo in range(0, len(c), 64):
-                diff = c[lo : lo + 64, None, :] - c[None, lo:, :]
-                d2max = max(d2max, float((diff**2).sum(axis=2).max()))
-            object.__setattr__(self, "_diameter", math.sqrt(d2max))
+            object.__setattr__(self, "_diameter", _diameter(self._coords))
         return self._diameter
 
     def has_bar(self, u: int, v: int) -> bool:
@@ -135,12 +133,12 @@ def new_framework(
     dimension: int,
     positions: Sequence[Sequence[float]],
     bar_pairs: Iterable[Sequence[int]],
-    separation_tol: float = SEPARATION_TOL,
 ) -> Framework:
     """Validate and build a framework.
 
     Raises the specific error subclasses on bad input: wrong dimension,
-    non-finite coordinates, coincident joints, self-loops, duplicate or
+    non-finite coordinates, coincident joints (no farther apart than
+    SEPARATION_TOL times the diameter), self-loops, duplicate or
     dangling bars.
     """
     if dimension not in (2, 3):
@@ -157,15 +155,18 @@ def new_framework(
             raise NonFiniteEntry(f"joint {i} has a non-finite coordinate: {tup}")
         joints.append(Joint(i, tup))
 
-    coords = np.array([j.position for j in joints], dtype=float)
-    tol2 = separation_tol * separation_tol
-    close = _first_coincident_pair(coords.reshape(len(joints), dimension), tol2)
-    if close is not None:
-        raise DuplicateJoint(
-            f"joints {close[0]} and {close[1]} coincide within {separation_tol}"
-        )
-
     n = len(joints)
+    coords = np.array([j.position for j in joints], dtype=float).reshape(n, dimension)
+    diameter = _diameter(coords)
+    tol = SEPARATION_TOL * diameter
+    for a, b in pairs_within(coords, coords, tol):
+        # the first block holding a pair a < b holds the first such pair
+        if (a < b).any():
+            first = int((a * n + b)[a < b].min())
+            raise DuplicateJoint(
+                f"joints {first // n} and {first % n} coincide within {tol:g}"
+            )
+
     bars: list[Bar] = []
     seen: set[tuple[int, int]] = set()
     for k, pair in enumerate(bar_pairs):
@@ -183,37 +184,74 @@ def new_framework(
         seen.add(ends)
         bars.append(Bar(len(bars), ends))
 
-    return Framework(dimension, tuple(joints), tuple(bars))
+    f = Framework(dimension, tuple(joints), tuple(bars))
+    object.__setattr__(f, "_diameter", diameter)
+    return f
 
 
-def _first_coincident_pair(coords: np.ndarray, tol2: float) -> tuple[int, int] | None:
-    """First coinciding joint pair (a, b), a < b, in lexicographic order.
+def _diameter(coords: np.ndarray) -> float:
+    """Largest distance between two rows of coords; 0.0 with fewer than two.
 
-    Coinciding means a squared distance of at most tol2; None when no
-    pair coincides.  Sort and sweep: joints are sorted along the
-    coordinate of widest spread, and each is compared with its k-th
-    sorted successor for k = 1, 2, ... until no two joints k apart lie
-    within the tolerance along that coordinate, since joints farther
-    apart in the order are farther apart along it too.
+    Rows are scaled exactly, by the power of two that brings every entry
+    into [-1, 1], so that no square overflows.  A longest pair is at
+    least as long as the pairs from the row farthest from the bounding
+    box's centre, and no longer than two distances from that centre, so
+    only rows far enough out are compared: a block of them against the
+    rest from that block on at a time.
     """
-    n = len(coords)
-    if n < 2:
-        return None
-    first = n * n  # pair (a, b) has key a * n + b, below n * n
+    if len(coords) < 2:
+        return 0.0
+    exp = int(np.frexp(np.abs(coords).max())[1])
+    c = np.ldexp(coords, -exp)
+    r = np.sqrt(((c - (c.max(axis=0) + c.min(axis=0)) / 2) ** 2).sum(axis=1))
+    low = np.sqrt(((c - c[np.argmax(r)]) ** 2).sum(axis=1)).max()
+    c = c[r + r.max() >= low * (1.0 - 1e-9)]
+    d2max = 0.0
+    for lo in range(0, len(c), 64):
+        diff = c[lo : lo + 64, None, :] - c[None, lo:, :]
+        d2max = max(d2max, float((diff**2).sum(axis=2).max()))
     with np.errstate(over="ignore"):
-        axis = int(np.argmax(np.ptp(coords, axis=0)))
-        order = np.argsort(coords[:, axis], kind="stable")
-        pts = coords[order]
-        for k in range(1, n):
-            near = np.flatnonzero((pts[k:, axis] - pts[:-k, axis]) ** 2 <= tol2)
-            if near.size == 0:
-                break
-            hit = near[((pts[near + k] - pts[near]) ** 2).sum(axis=1) <= tol2]
-            if hit.size:
-                a = np.minimum(order[hit], order[hit + k])
-                b = np.maximum(order[hit], order[hit + k])
-                first = min(first, int((a * n + b).min()))
-    return None if first == n * n else divmod(first, n)
+        return float(np.ldexp(math.sqrt(d2max), exp))
+
+
+def pairs_within(
+    points: np.ndarray, queries: np.ndarray, tol: float
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Every (query, point) row index pair at Euclidean distance <= tol.
+
+    Sort and sweep: the points are sorted along their coordinate of
+    widest spread, and binary search finds, for each query, the window
+    of points within tol of it along that coordinate.  The window only
+    pre-filters; the distance decides.  Pairs come out in blocks of
+    consecutive queries, in query order, each block from at most
+    _BLOCK candidates (or one query's window), so memory stays linear
+    in the point count however large tol is.
+    """
+    if len(points) == 0:
+        return
+    with np.errstate(over="ignore"):
+        axis = int(np.argmax(np.ptp(points, axis=0)))
+        order = np.argsort(points[:, axis], kind="stable")
+        keys = points[order, axis]
+        q = queries[:, axis]
+        # widened so that rounding can only add candidates
+        pad = tol * (1.0 + 1e-9) + 4.0 * np.spacing(np.abs(q))
+        lo = np.searchsorted(keys, q - pad, side="left")
+        hi = np.searchsorted(keys, q + pad, side="right")
+        ends = np.concatenate(([0], np.cumsum(hi - lo)))
+        start = 0
+        while start < len(queries):
+            stop = int(np.searchsorted(ends, ends[start] + _BLOCK, "right")) - 1
+            stop = max(stop, start + 1)
+            width = hi[start:stop] - lo[start:stop]
+            qi = np.repeat(np.arange(start, stop), width)
+            pi = order[
+                np.arange(ends[start], ends[stop])
+                - np.repeat(ends[start:stop] - lo[start:stop], width)
+            ]
+            near = np.sqrt(((points[pi] - queries[qi]) ** 2).sum(axis=1)) <= tol
+            yield qi[near], pi[near]
+            start = stop
 
 
 def maxwell_count(f: Framework) -> int:

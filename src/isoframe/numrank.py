@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalInconsistency, NonFiniteEntry, ZeroLengthBar
-from .core import Framework
+from .core import SEPARATION_TOL, Framework
 
 # Singular values below DEFAULT_RANK_TOL * largest are treated as zero.
 DEFAULT_RANK_TOL = 1e-10
@@ -42,11 +42,12 @@ def build_system(f: Framework) -> EquilibriumSystem:
     coords = f.coordinates
     C = np.zeros((b, d * j))
     lengths = np.zeros(b)
+    floor = SEPARATION_TOL * f.diameter()
     for bar in f.bars:
         u, v = bar.ends
         diff = coords[u] - coords[v]
         length = float(np.linalg.norm(diff))
-        if length < 1e-12:
+        if length <= floor:
             # unreachable through new_framework, which rejects
             # coincident joints; kept for hand-built Framework objects
             raise ZeroLengthBar(f"bar {bar.id} between joints {u} and {v}")

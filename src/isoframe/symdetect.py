@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Framework
+from .core import Framework, pairs_within
 from .errors import (
     ContinuousSymmetry,
     InternalInconsistency,
@@ -376,29 +376,37 @@ def _matrices_for_images(
 def _find_joint_permutation(
     P: np.ndarray, M: np.ndarray, tol: float
 ) -> tuple[int, ...] | None:
+    """The joint that each joint's image under M lands on, within tol.
+
+    Joints are taken in id order up to the first whose image does not
+    land on exactly one joint that no earlier image took: None if its
+    image lands on no joint, ToleranceAmbiguity if on several or on a
+    taken one.
+    """
     j = P.shape[0]
-    images = P @ M.T
-    perm = [-1] * j
-    used = [False] * j
-    for i in range(j):
-        dists = np.linalg.norm(P - images[i], axis=1)
-        hits = np.flatnonzero(dists <= tol)
-        if hits.size == 0:
+    hits = np.zeros(j, dtype=np.intp)
+    perm = np.zeros(j, dtype=np.intp)
+    for q, p in pairs_within(P, P @ M.T, tol):
+        hits += np.bincount(q, minlength=j)
+        perm[q] = p
+    bad = np.flatnonzero(hits != 1)
+    stop = int(bad[0]) if bad.size else j
+    order = np.argsort(perm[:stop], kind="stable")
+    ranked = perm[order]
+    taken = order[1:][ranked[1:] == ranked[:-1]]
+    if taken.size:
+        raise ToleranceAmbiguity(
+            f"two joints map onto joint {perm[taken.min()]} within tolerance {tol:g}"
+        )
+    if stop < j:
+        if hits[stop] == 0:
             return None
-        if hits.size > 1:
-            raise ToleranceAmbiguity(
-                f"the image of joint {i} matches {hits.size} joints within "
-                f"tolerance {tol:g}; joints are too close together for this "
-                "tolerance"
-            )
-        target = int(hits[0])
-        if used[target]:
-            raise ToleranceAmbiguity(
-                f"two joints map onto joint {target} within tolerance {tol:g}"
-            )
-        used[target] = True
-        perm[i] = target
-    return tuple(perm)
+        raise ToleranceAmbiguity(
+            f"the image of joint {stop} matches {hits[stop]} joints within "
+            f"tolerance {tol:g}; joints are too close together for this "
+            "tolerance"
+        )
+    return tuple(perm.tolist())
 
 
 def _bar_permutation(f: Framework, joint_perm: tuple[int, ...]) -> tuple[int, ...] | None:

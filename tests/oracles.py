@@ -9,6 +9,7 @@ between the two is evidence, not tautology.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -70,6 +71,33 @@ def exact_rigidity_rank(
     positions: list[tuple[Fraction, ...]], edges: list[tuple[int, int]]
 ) -> int:
     return exact_rank(rigidity_rows_exact(positions, edges))
+
+
+# ---------------------------------------------------------------------------
+# point matching
+
+
+def _distance(p, q) -> float:
+    # squares as d * d, as numpy squares; Python's ** 2 may differ in the
+    # last bit
+    return math.sqrt(sum(d * d for d in (float(a) - float(b) for a, b in zip(p, q))))
+
+
+def pairs_within_bruteforce(points, queries, tol: float) -> list[tuple[int, int]]:
+    """Every (query, point) index pair at distance <= tol, all pairs tried."""
+    return [
+        (qi, pi)
+        for qi, q in enumerate(queries)
+        for pi, p in enumerate(points)
+        if _distance(p, q) <= tol
+    ]
+
+
+def diameter_bruteforce(points) -> float:
+    """Largest distance between two points, all pairs tried; 0.0 below two."""
+    return max(
+        (_distance(p, q) for p, q in itertools.combinations(points, 2)), default=0.0
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -49,8 +49,9 @@ def test_coordinates_are_read_only():
 
 
 def test_duplicate_joint_rejected():
+    # separation is measured in units of the diameter, here 1
     with pytest.raises(DuplicateJoint):
-        iso.new_framework(2, [(0.0, 0.0), (1e-12, 0.0)], [(0, 1)])
+        iso.new_framework(2, [(0.0, 0.0), (1e-14, 0.0), (0.0, 1.0)], [(0, 1)])
 
 
 def test_duplicate_joint_names_first_pair():
@@ -66,6 +67,7 @@ def test_far_apart_joints_do_not_overflow():
     # coincidence and no error
     f = iso.new_framework(2, [(1e200, 0.0), (-1e200, 0.0)], [(0, 1)])
     assert f.joint_count == 2
+    assert f.diameter() == 2e200
 
 
 def test_self_loop_rejected():
@@ -91,9 +93,27 @@ def test_non_finite_rejected():
 
 
 def test_zero_length_guard_is_separation_based():
-    # two joints closer than the separation tolerance collide
-    with pytest.raises((DuplicateJoint, ZeroLengthBar)):
-        iso.new_framework(3, [(0.0, 0.0, 0.0), (0.0, 0.0, 1e-13)], [(0, 1)])
+    # two joints closer than the separation tolerance collide, whether
+    # construction catches them or the rank step meets the bar between them
+    pts = [(0.0, 0.0, 0.0), (0.0, 0.0, 1e-14), (1.0, 0.0, 0.0)]
+    with pytest.raises(DuplicateJoint):
+        iso.new_framework(3, pts, [(0, 1)])
+    raw = iso.Framework(
+        3, tuple(iso.Joint(i, p) for i, p in enumerate(pts)), (iso.Bar(0, (0, 1)),)
+    )
+    with pytest.raises(ZeroLengthBar):
+        iso.build_system(raw)
+
+
+@pytest.mark.parametrize("scale", [1e-13, 1e-15])
+def test_uniform_shrink_keeps_verdict(octahedron, scale):
+    small = iso.new_framework(
+        3, octahedron.coordinates * scale, [b.ends for b in octahedron.bars]
+    )
+    group = iso.detect_point_group(small)
+    assert (group.schoenflies, group.order) == ("Oh", 48)
+    ks = iso.mobility(small)
+    assert (ks.m, ks.s) == (0, 0)
 
 
 def test_maxwell_count_3d(octahedron):

@@ -4,20 +4,26 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
+from isoframe import core
 from isoframe.chartables import CATALOG_2D, CATALOG_3D, character_table
 from isoframe.constructgen import cap_face, platonic, twisted_cap_all_faces
-from isoframe.core import from_json, new_framework, to_json
+from isoframe.core import from_json, new_framework, pairs_within, to_json
 from isoframe.laman import Graph, pebble_game_2_3, subgraph_maxwell_scan_3d
 from isoframe.maxwell import maxwell_count, maxwell_trace, two_cos
 from isoframe.numrank import mobility, nullspace_bases
 from isoframe.symdetect import detect_point_group
 
-from oracles import count_violations_bruteforce
+from oracles import (
+    count_violations_bruteforce,
+    diameter_bruteforce,
+    pairs_within_bruteforce,
+)
 
 
 @st.composite
@@ -146,13 +152,14 @@ def test_rigid_motion_equivariance_on_octahedron(angles, shift):
     assert (k.mechanisms, k.self_stresses) == (0, 0)
 
 
-@given(frameworks(dimension=2), st.floats(1e-3, 1e3))
+@given(frameworks(dimension=2), st.floats(-15.0, 15.0).map(lambda e: 10.0**e))
 @settings(max_examples=40, deadline=None)
 def test_rigid_motion_preserves_kinematics_2d(f, scale):
+    # the shift scales too: a fixed one would wipe out a tiny framework
     rot = _rotation(2, (0.7853981,))
     moved = new_framework(
         2,
-        [tuple(scale * (rot @ p) + np.array([2.5, -1.25])) for p in f.coordinates],
+        [tuple(scale * (rot @ p + np.array([2.5, -1.25]))) for p in f.coordinates],
         [b.ends for b in f.bars],
     )
     kf, kg = mobility(f), mobility(moved)
@@ -286,3 +293,64 @@ def test_rotation_character_bounds_and_symmetry(n, k):
     assert math.isclose(
         float(v), 2.0 * math.cos(2.0 * math.pi * k / n), abs_tol=1e-12
     )
+
+
+@st.composite
+def point_sets(draw, d: int, kind: str):
+    n = draw(st.integers(min_value=0, max_value=12))
+    if kind == "equal":
+        site = draw(st.tuples(*(st.integers(-3, 3) for _ in range(d))))
+        return np.array([site] * n, dtype=float).reshape(n, d)
+    # lattice sites share coordinates; "plane" pins the last one
+    sites = draw(
+        st.lists(st.tuples(*(st.integers(-3, 3) for _ in range(d))), min_size=n, max_size=n)
+    )
+    pts = np.array(sites, dtype=float).reshape(n, d)
+    if kind == "plane":
+        pts[:, -1] = 2.0
+    return pts
+
+
+@st.composite
+def matching_problems(draw):
+    d = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["lattice", "plane", "equal"]))
+    points = draw(point_sets(d, kind))
+    queries = points if draw(st.booleans()) else draw(point_sets(d, kind))
+    # lattice distances are square roots of integers, so these tolerances
+    # put many pairs exactly at tol; the scale makes them inexact
+    tol = draw(st.sampled_from([0.0, 0.5, 1.0, math.sqrt(2.0), 2.0, 3.0]))
+    scale = draw(st.sampled_from([1.0, 0.1, 1e-9, 1e9]))
+    block = draw(st.integers(min_value=1, max_value=40))
+    return points * scale, queries * scale, tol * scale, block
+
+
+@given(matching_problems())
+@settings(max_examples=300, deadline=None)
+def test_pairs_within_matches_bruteforce(problem):
+    points, queries, tol, block = problem
+    with mock.patch.object(core, "_BLOCK", block):
+        found = list(pairs_within(points, queries, tol))
+    q = np.concatenate([qi for qi, _ in found] or [np.zeros(0, int)])
+    p = np.concatenate([pi for _, pi in found] or [np.zeros(0, int)])
+    # blocks come in query order, which new_framework relies on
+    assert np.all(np.diff(q) >= 0)
+    assert sorted(zip(q.tolist(), p.tolist())) == pairs_within_bruteforce(
+        points, queries, tol
+    )
+
+
+@st.composite
+def float_points(draw):
+    # no entry so small that the oracle's unscaled squares underflow
+    d = draw(st.sampled_from([2, 3]))
+    x = st.floats(-1e3, 1e3).filter(lambda v: v == 0.0 or abs(v) > 1e-100)
+    rows = draw(st.lists(st.tuples(*(x for _ in range(d))), max_size=40))
+    return np.array(rows, dtype=float).reshape(len(rows), d)
+
+
+@given(float_points(), st.sampled_from([1.0, 1e-12, 1e12]))
+@settings(max_examples=200, deadline=None)
+def test_diameter_matches_bruteforce(points, scale):
+    # only rows far from the centre are compared; the longest pair must survive
+    assert core._diameter(points * scale) == diameter_bruteforce(points * scale)
