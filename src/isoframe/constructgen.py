@@ -55,8 +55,7 @@ def _as_face(f: Framework, face: Face | tuple[int, int, int]) -> Face:
             raise DegenerateFace(f"face edge ({u}, {v}) is not a bar")
     p = f.coordinates[list(ids)]
     area2 = float(np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0])))
-    scale = max(f.diameter(), 1.0)
-    if area2 <= 1e-12 * scale * scale:
+    if area2 <= 1e-12 * f.diameter() ** 2:
         raise DegenerateFace(f"face {ids} has no area")
     return Face(ids=(ids[0], ids[1], ids[2]))
 
@@ -71,7 +70,7 @@ def _face_frame(
     n = n / np.linalg.norm(n)
     outward = fc - f.centroid()
     side = float(n @ outward)
-    if abs(side) > 1e-9 * max(f.diameter(), 1.0):
+    if abs(side) > 1e-9 * f.diameter():
         if side < 0:
             n = -n
     else:
@@ -184,7 +183,7 @@ def cap_face(
     fa = _as_face(f, face)
     fc, n, _ = _face_frame(f, fa)
     h = float(apex_height)
-    if abs(h) <= 1e-9 * max(f.diameter(), 1.0):
+    if abs(h) <= 1e-9 * f.diameter():
         raise DegenerateFace(
             f"apex height {h} places the new joint in the plane of "
             f"face {fa.ids}"
@@ -233,7 +232,7 @@ def _stellation_height(f: Framework, faces: tuple[Face, ...]) -> float | None:
     neighbor_planes = _adjacent_face_planes(f, faces)
     if neighbor_planes is None:
         return None
-    diam = max(f.diameter(), 1.0)
+    diam = f.diameter()
     heights = []
     for fa in faces:
         fc, n, _ = _face_frame(f, fa)
@@ -323,7 +322,7 @@ def twisted_cap_all_faces(
     faces = all_faces(f)
     if not faces:
         raise DegenerateFace("the framework has no triangular faces to cap")
-    diam = max(f.diameter(), 1.0)
+    diam = f.diameter()
     if height is None:
         h = HEIGHT_FACTOR * float(
             np.mean([_face_frame(f, fa)[2] for fa in faces])
@@ -399,7 +398,7 @@ def hat_stack(
     fc, n, circum = _face_frame(f, fa)
     group = detect_point_group(f)
     center = f.centroid()
-    diam = max(f.diameter(), 1.0)
+    diam = f.diameter()
     rel = fc - center
     on_axis = False
     for el in group.elements:

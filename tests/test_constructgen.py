@@ -21,7 +21,7 @@ from isoframe.constructgen import (
     platonic,
     twisted_cap_all_faces,
 )
-from isoframe.core import maxwell_count
+from isoframe.core import maxwell_count, new_framework
 from isoframe.errors import DegenerateFace, DegenerateTwist, NotOnThreefoldAxis
 from isoframe.numrank import mobility
 from isoframe.symdetect import detect_point_group
@@ -300,3 +300,25 @@ def test_unknown_fixture_keys():
         fig2_examples("C7")
     with pytest.raises(ValueError, match="C4v"):
         counterexample_2d("C3")
+
+
+@pytest.mark.parametrize("scale", [1e-7, 1e7])
+def test_constructions_do_not_depend_on_scale(octahedron, scale):
+    scaled = new_framework(
+        3, octahedron.coordinates * scale, [b.ends for b in octahedron.bars]
+    )
+    builds = [
+        lambda f, s: cap_face(f, (0, 2, 4), 0.5 * s),
+        lambda f, s: cap_all_faces_symmetric(f),
+        lambda f, s: twisted_cap_all_faces(f),
+        lambda f, s: hat_stack(f, (0, 2, 4), 2),
+    ]
+    for build in builds:
+        a, b = build(octahedron, 1.0), build(scaled, scale)
+        ga, gb = detect_point_group(a), detect_point_group(b)
+        assert (b.joint_count, b.bar_count, gb.schoenflies, gb.order) == (
+            a.joint_count,
+            a.bar_count,
+            ga.schoenflies,
+            ga.order,
+        )
