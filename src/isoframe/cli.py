@@ -731,17 +731,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def finite(text: str) -> float:
+    if not math.isfinite(value := float(text)):
+        raise ValueError(text)
+    return value
+
+
 def _add_common(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--json", action="store_true", help="emit canonical JSON")
     sp.add_argument(
         "--tol-rank",
-        type=float,
+        type=finite,
         default=DEFAULT_RANK_TOL,
         help="relative singular-value cutoff for numeric rank",
     )
     sp.add_argument(
         "--tol-geom",
-        type=float,
+        type=finite,
         default=None,
         help="relative geometric tolerance for symmetry detection",
     )

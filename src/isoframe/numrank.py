@@ -60,6 +60,8 @@ def build_system(f: Framework) -> EquilibriumSystem:
 
 def _rank(sv: np.ndarray, tol: float) -> int:
     """How many of the descending singular values sv exceed tol * sv[0]."""
+    if not 0 < tol < 1:
+        raise ValueError(f"rank tolerance must lie in (0, 1), got {tol!r}")
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.sum(sv > tol * sv[0]))
@@ -79,9 +81,7 @@ def numeric_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> tuple[int, np.
     or no columns have rank 0 and an empty singular value list.
     """
     M = _finite(M)
-    if M.size == 0:
-        return 0, np.zeros(0)
-    sv = np.linalg.svd(M, compute_uv=False)
+    sv = np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
     return _rank(sv, tol), sv
 
 

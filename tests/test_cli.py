@@ -335,6 +335,29 @@ def test_usage_error_is_bad_input(tmp_path, capsys, argv):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "fixture, argv",
+    [
+        ("banana", ["analyze", "{path}", "--tol-rank", "0"]),
+        ("banana", ["analyze", "{path}", "--tol-rank", "-1"]),
+        ("octahedron", ["analyze", "{path}", "--tol-rank", "nan"]),
+        ("octahedron", ["analyze", "{path}", "--tol-rank", "inf"]),
+        ("octahedron", ["analyze", "{path}", "--tol-rank", "2"]),
+        ("octahedron", ["detect", "{path}", "--json", "--tol-rank", "nan"]),
+        ("octahedron", ["detect", "{path}", "--tol-geom", "-inf"]),
+    ],
+)
+def test_out_of_range_tolerance_is_bad_input(tmp_path, capsys, fixture, argv):
+    f = double_banana() if fixture == "banana" else platonic(fixture)
+    path = _write(tmp_path, f"{fixture}.json", f)
+    try:
+        code = main([a.format(path=path) for a in argv])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 3
+    assert capsys.readouterr().out == ""
+
+
 def test_shell_pipeline_generate_into_analyze(tmp_path):
     # the real stdin/stdout contract, end to end through a shell pipe
     proc = subprocess.run(

@@ -245,3 +245,14 @@ def test_random_generic_agreement_with_exact_oracle():
             2, [(float(x), float(y)) for x, y in coords], edges
         )
         assert mobility(f).rank == exact_rigidity_rank(coords, edges)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, 1.0, 2.0, float("nan"), float("inf")])
+def test_rank_tolerance_outside_unit_interval_refused(octahedron, tol):
+    with pytest.raises(ValueError, match="rank tolerance"):
+        mobility(octahedron, tol)
+    with pytest.raises(ValueError, match="rank tolerance"):
+        nullspace_bases(octahedron, tol)
+    # a framework without bars has nothing to rank, and is refused too
+    with pytest.raises(ValueError, match="rank tolerance"):
+        mobility(iso.new_framework(2, [(0.0, 0.0), (1.0, 0.0)], []), tol)
