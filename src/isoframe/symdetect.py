@@ -228,44 +228,29 @@ def classify_matrix(
     if dimension != 3:
         raise ValueError("only 2D and 3D isometries are supported")
 
-    if det > 0:
-        cos_a = min(1.0, max(-1.0, (float(np.trace(M)) - 1) / 2))
-        skew = np.array(
-            [M[2, 1] - M[1, 2], M[0, 2] - M[2, 0], M[1, 0] - M[0, 1]]
-        ) / 2
-        sin_a = float(np.linalg.norm(skew))
-        phi = math.atan2(sin_a, cos_a)
-        if phi <= angle_tol:
-            return IsometryOp("E", Mf)
-        if abs(phi - math.pi) <= angle_tol:
-            axis, _ = _canon_sign(_null_axis(M))
-            return IsometryOp("C", Mf, 2, 1, math.pi, tuple(float(c) for c in axis))
-        axis = skew / sin_a
-        axis, flipped = _canon_sign(axis)
-        if flipped:
-            phi = 2 * math.pi - phi
-        n, k = _angle_to_fraction(phi, angle_tol)
-        return IsometryOp("C", Mf, n, k, 2 * math.pi * k / n, tuple(float(c) for c in axis))
-
-    # improper: -M is proper; its angle psi gives i (psi=0), a mirror
-    # (psi=pi, plane normal = axis), or S with angle psi - pi
-    N = -M
-    cos_a = min(1.0, max(-1.0, (float(np.trace(N)) - 1) / 2))
-    skew = np.array([N[2, 1] - N[1, 2], N[0, 2] - N[2, 0], N[1, 0] - N[0, 1]]) / 2
+    # an improper M is -R for a proper R: R = E gives i, a half turn R a
+    # mirror (plane normal = axis), any other R an S with angle phi - pi
+    proper = det > 0
+    R = M if proper else -M
+    cos_a = min(1.0, max(-1.0, (float(np.trace(R)) - 1) / 2))
+    skew = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]) / 2
     sin_a = float(np.linalg.norm(skew))
-    psi = math.atan2(sin_a, cos_a)
-    if psi <= angle_tol:
-        return IsometryOp("i", Mf)
-    if abs(psi - math.pi) <= angle_tol:
-        normal, _ = _canon_sign(_null_axis(N))
-        return IsometryOp("sigma", Mf, 0, 0, 0.0, tuple(float(c) for c in normal))
-    axis = skew / sin_a
-    axis, flipped = _canon_sign(axis)
+    phi = math.atan2(sin_a, cos_a)
+    if phi <= angle_tol:
+        return IsometryOp("E" if proper else "i", Mf)
+    if abs(phi - math.pi) <= angle_tol:
+        axis = tuple(float(c) for c in _canon_sign(_null_axis(R))[0])
+        if proper:
+            return IsometryOp("C", Mf, 2, 1, math.pi, axis)
+        return IsometryOp("sigma", Mf, 0, 0, 0.0, axis)
+    axis, flipped = _canon_sign(skew / sin_a)
     if flipped:
-        psi = 2 * math.pi - psi
-    phi = (psi - math.pi) % (2 * math.pi)
+        phi = 2 * math.pi - phi
+    if not proper:
+        phi = (phi - math.pi) % (2 * math.pi)
     n, k = _angle_to_fraction(phi, angle_tol)
-    return IsometryOp("S", Mf, n, k, 2 * math.pi * k / n, tuple(float(c) for c in axis))
+    kind = "C" if proper else "S"
+    return IsometryOp(kind, Mf, n, k, 2 * math.pi * k / n, tuple(float(c) for c in axis))
 
 
 def _op_sort_key(op: IsometryOp):
@@ -960,6 +945,20 @@ def detect_point_group(
     return classify_group(assignments, match_tol=max(_MATCH_TOL, 10 * rel))
 
 
+def _off_axis(p: np.ndarray, axis: np.ndarray) -> float:
+    """Distance from p to the line through the center along a unit axis."""
+    return float(np.linalg.norm(p - (p @ axis) * axis))
+
+
+def _off_fixed_set(op: IsometryOp, dimension: int, p: np.ndarray) -> float:
+    """Distance from p to the points that op (not E) leaves in place."""
+    if op.kind in ("i", "S") or (op.kind == "C" and dimension == 2):
+        return float(np.linalg.norm(p))
+    if op.kind == "sigma" and dimension == 3:
+        return abs(float(p @ np.asarray(op.axis, float)))
+    return _off_axis(p, np.asarray(op.axis, float))
+
+
 def _fixed_tag_for_bar(
     f: Framework,
     P: np.ndarray,
@@ -968,84 +967,37 @@ def _fixed_tag_for_bar(
     joint_perm: tuple[int, ...],
     vtol: float,
 ) -> str:
+    """How a bar that op maps onto itself sits; a bug if it sits nowhere.
+
+    With its ends in place it lies along the axis or in the mirror.
+    With its ends swapped it is centered on the center, crosses a half
+    turn's axis or a mirror at right angles, or lies along an S axis.
+    """
     u, v = f.bars[bar_id].ends
     swapped = joint_perm[u] == v
-    pu, pv = P[u], P[v]
-    direction = pu - pv
-    mid = (pu + pv) / 2
-    kind = op.kind
-    if kind == "C":
-        if f.dimension == 2:
-            if op.n != 2:
-                raise InternalInconsistency(
-                    f"bar {bar_id} is fixed by a 2D rotation of order {op.n}"
-                )
-            if not swapped or float(np.linalg.norm(mid)) > vtol:
-                raise InternalInconsistency(
-                    f"bar {bar_id} fixed by C2 is not centered on the rotation center"
-                )
-            return "centered_at_origin"
-        axis = np.asarray(op.axis, float)
-        on_axis = lambda p: float(np.linalg.norm(p - (p @ axis) * axis)) <= vtol
-        if not swapped:
-            if on_axis(pu) and on_axis(pv):
-                return "along_axis"
-            raise InternalInconsistency(
-                f"bar {bar_id} has endpoints fixed by a rotation but off its axis"
-            )
-        if op.n != 2:
-            raise InternalInconsistency(
-                f"bar {bar_id} has endpoints swapped by a rotation of order {op.n} > 2"
-            )
-        if on_axis(mid) and abs(float(direction @ axis)) <= vtol:
-            return "perpendicular_to_axis"
-        raise InternalInconsistency(
-            f"bar {bar_id} fixed by C2 neither lies along nor crosses the axis"
-        )
-    if kind == "sigma":
-        if f.dimension == 2:
-            line = np.asarray(op.axis, float)
-            on_line = lambda p: float(np.linalg.norm(p - (p @ line) * line)) <= vtol
-            if not swapped:
-                if on_line(pu) and on_line(pv):
-                    return "in_plane"
-                raise InternalInconsistency(
-                    f"bar {bar_id} has endpoints fixed by a mirror but off its line"
-                )
-            if on_line(mid) and abs(float(direction @ line)) <= vtol:
-                return "perpendicular_to_plane"
-            raise InternalInconsistency(
-                f"bar {bar_id} fixed by a mirror neither lies on nor crosses its line"
-            )
-        normal = np.asarray(op.axis, float)
-        in_plane = lambda p: abs(float(p @ normal)) <= vtol
-        if not swapped:
-            if in_plane(pu) and in_plane(pv):
-                return "in_plane"
-            raise InternalInconsistency(
-                f"bar {bar_id} has endpoints fixed by a mirror but off its plane"
-            )
-        off_plane = np.linalg.norm(direction - (direction @ normal) * normal)
-        if in_plane(mid) and float(off_plane) <= vtol:
-            return "perpendicular_to_plane"
-        raise InternalInconsistency(
-            f"bar {bar_id} fixed by a mirror neither lies in nor crosses its plane"
-        )
-    if kind == "i":
-        if swapped and float(np.linalg.norm(mid)) <= vtol:
-            return "centered_at_origin"
-        raise InternalInconsistency(
-            f"bar {bar_id} fixed by inversion is not centered on the center"
-        )
-    if kind == "S":
-        axis = np.asarray(op.axis, float)
-        on_axis = lambda p: float(np.linalg.norm(p - (p @ axis) * axis)) <= vtol
-        if swapped and on_axis(pu) and on_axis(pv):
+    d, kind = f.dimension, op.kind
+    axis = None if op.axis is None else np.asarray(op.axis, float)
+    direction = P[u] - P[v]
+    fixed = lambda p: _off_fixed_set(op, d, p) <= vtol
+    if not swapped:
+        if (kind == "sigma" or (kind == "C" and d == 3)) and fixed(P[u]) and fixed(P[v]):
+            return "in_plane" if kind == "sigma" else "along_axis"
+    elif kind == "S":
+        if _off_axis(P[u], axis) <= vtol and _off_axis(P[v], axis) <= vtol:
             return "along_axis"
-        raise InternalInconsistency(
-            f"bar {bar_id} fixed by a rotoreflection does not lie along its axis"
-        )
-    raise InternalInconsistency(f"no fixed-bar geometry for kind {kind!r}")
+    elif fixed((P[u] + P[v]) / 2):
+        if kind == "i" or (kind == "C" and d == 2 and op.n == 2):
+            return "centered_at_origin"
+        if kind == "C" and op.n == 2 and abs(float(direction @ axis)) <= vtol:
+            return "perpendicular_to_axis"
+        if kind == "sigma" and d == 2 and abs(float(direction @ axis)) <= vtol:
+            return "perpendicular_to_plane"
+        if kind == "sigma" and d == 3 and _off_axis(direction, axis) <= vtol:
+            return "perpendicular_to_plane"
+    raise InternalInconsistency(
+        f"bar {bar_id}, fixed by {kind}{op.n or ''} with its ends "
+        f"{'swapped' if swapped else 'in place'}, sits where no such bar can"
+    )
 
 
 def unshifted_counts(
@@ -1077,19 +1029,7 @@ def unshifted_counts(
 
     # verify fixed joints sit on the invariant set
     for i in (fixed_joints if op.kind != "E" else ()):
-        p = P[i]
-        if op.kind == "C" and f.dimension == 3:
-            axis = np.asarray(op.axis, float)
-            err = float(np.linalg.norm(p - (p @ axis) * axis))
-        elif op.kind == "C":
-            err = float(np.linalg.norm(p))
-        elif op.kind == "sigma" and f.dimension == 3:
-            err = abs(float(p @ np.asarray(op.axis, float)))
-        elif op.kind == "sigma":
-            line = np.asarray(op.axis, float)
-            err = float(np.linalg.norm(p - (p @ line) * line))
-        else:  # i or S fix only the center
-            err = float(np.linalg.norm(p))
+        err = _off_fixed_set(op, f.dimension, P[i])
         if err > vtol:
             raise InternalInconsistency(
                 f"joint {i} is reported fixed but sits {err:g} off the invariant set"
