@@ -154,7 +154,7 @@ def platonic(name: str) -> Framework:
         )
     arr = np.asarray(pts)
     d2 = ((arr[:, None, :] - arr[None, :, :]) ** 2).sum(axis=2)
-    off = d2[d2 > 1e-12]
+    off = d2[d2 > 0.0]
     edge2 = off.min()
     pairs = [
         (i, j)
