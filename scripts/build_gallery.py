@@ -21,7 +21,6 @@ import os
 import pathlib
 import subprocess
 import sys
-from dataclasses import dataclass
 
 import isoframe
 from isoframe.constructgen import (
@@ -40,13 +39,6 @@ from isoframe.laman import pebble_game_2_3
 from isoframe.maxwell import maxwell_count
 from isoframe.numrank import mobility
 from isoframe.symdetect import detect_point_group
-
-
-@dataclass(frozen=True)
-class GalleryConfig:
-    out_dir: pathlib.Path
-    rank_tol: float = 1e-10
-    dry_run: bool = False
 
 
 def _gallery() -> dict[str, Framework]:
@@ -71,9 +63,9 @@ def _gallery() -> dict[str, Framework]:
     return items
 
 
-def _summarize(name: str, f: Framework, rank_tol: float) -> str:
+def _summarize(name: str, f: Framework) -> str:
     group = detect_point_group(f)
-    k = mobility(f, tol=rank_tol)
+    k = mobility(f)
     verdict = ""
     if f.dimension == 2:
         verdict = " " + pebble_game_2_3(f).verdict
@@ -115,23 +107,21 @@ def _write_reports(out_dir: pathlib.Path, name: str) -> None:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("-o", "--out", default="gallery", type=pathlib.Path)
-    parser.add_argument("--tol-rank", default=1e-10, type=float)
     parser.add_argument(
         "--dry-run", action="store_true", help="print the table, write nothing"
     )
     args = parser.parse_args(argv)
-    cfg = GalleryConfig(args.out, args.tol_rank, args.dry_run)
 
     items = _gallery()
-    if not cfg.dry_run:
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
+    if not args.dry_run:
+        args.out.mkdir(parents=True, exist_ok=True)
     for name, f in sorted(items.items()):
-        print(_summarize(name, f, cfg.rank_tol))
-        if not cfg.dry_run:
-            (cfg.out_dir / f"{name}.json").write_text(to_json(f))
-            _write_reports(cfg.out_dir, name)
-    if not cfg.dry_run:
-        print(f"\n{len(items)} frameworks written to {cfg.out_dir}/")
+        print(_summarize(name, f))
+        if not args.dry_run:
+            (args.out / f"{name}.json").write_text(to_json(f))
+            _write_reports(args.out, name)
+    if not args.dry_run:
+        print(f"\n{len(items)} frameworks written to {args.out}/")
     return 0
 
 

@@ -275,7 +275,7 @@ def reference_group(label: str, dimension: int = 3) -> PointGroupInfo:
         )
         for M in mats
     ]
-    info = classify_group(elements, match_tol=1e-6)
+    info = classify_group(elements)
     if info.schoenflies != label:
         raise InternalInconsistency(
             f"reference generators for {label} closed into {info.schoenflies}"

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Any
 
@@ -38,6 +39,7 @@ from .errors import (
     ParseError,
 )
 from .laman import (
+    SCAN_MAX_CAP,
     CountViolation,
     Graph,
     SparsityReport,
@@ -59,7 +61,7 @@ from .symdetect import (
     orbits,
 )
 
-REPORT_VERSION = 2
+REPORT_VERSION = 3
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -82,11 +84,6 @@ def _plain(obj: Any) -> Any:
     if isinstance(obj, np.ndarray):
         return [_plain(v) for v in obj.tolist()]
     raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
-
-
-def _emit_json(bundle: dict) -> None:
-    sys.stdout.write(json.dumps(_plain(bundle), indent=2, sort_keys=True))
-    sys.stdout.write("\n")
 
 
 def _read_json(path: str) -> Any:
@@ -146,52 +143,30 @@ def _load_graph(path: str) -> tuple[Graph, Framework | None]:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _dump_dot(path: str, *, dimension: int | None, joint_count: int,
-              pairs: list[tuple[int, int]],
-              coordinates: np.ndarray | None) -> None:
-    lines = ["graph isoframe {"]
-    head = f"  // {joint_count} joints, {len(pairs)} bars"
-    if dimension is not None:
-        head = f"  // dimension {dimension}, {joint_count} joints, {len(pairs)} bars"
-    lines.append(head)
-    for i in range(joint_count):
-        if coordinates is not None:
-            pos = ",".join(repr(float(x)) for x in coordinates[i])
+def _write_dot(path: str, g: Graph, f: Framework | None) -> None:
+    """A DOT description of g, with f's dimension and positions if given."""
+    head = f"{g.joint_count} joints, {len(g.edges)} bars"
+    if f is not None:
+        head = f"dimension {f.dimension}, {head}"
+    lines = ["graph isoframe {", f"  // {head}"]
+    for i in range(g.joint_count):
+        if f is not None:
+            pos = ",".join(repr(float(x)) for x in f.coordinates[i])
             lines.append(f'  {i} [pos="{pos}"];')
         else:
             lines.append(f"  {i};")
-    for u, v in pairs:
-        lines.append(f"  {u} -- {v};")
+    lines += [f"  {u} -- {v};" for u, v in g.edges]
     lines.append("}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _dump_dot_framework(path: str, f: Framework) -> None:
-    _dump_dot(
-        path,
-        dimension=f.dimension,
-        joint_count=f.joint_count,
-        pairs=[bar.ends for bar in f.bars],
-        coordinates=f.coordinates,
-    )
 
 
 # ---------------------------------------------------------------------------
 # report digests
 
 
-def _meta(path: str, args: argparse.Namespace, command: str) -> dict:
-    geom = DEFAULT_GEOM_TOL if args.tol_geom is None else args.tol_geom
-    return {
-        "report_version": REPORT_VERSION,
-        "command": command,
-        "input": path,
-        "tolerances": {
-            "rank": args.tol_rank,
-            "geometric_rel": geom,
-        },
-    }
+def _header(args: argparse.Namespace, path: str) -> dict:
+    return {"report_version": REPORT_VERSION, "command": args.command, "input": path}
 
 
 def _framework_digest(f: Framework) -> dict:
@@ -320,12 +295,21 @@ def _out_of_scope(f: Framework) -> dict:
     }
 
 
-def cmd_analyze(path: str, args: argparse.Namespace) -> tuple[dict, int]:
-    f = _load_framework(path)
+def _start(args: argparse.Namespace) -> tuple[Framework, dict]:
+    """Load the framework, write any DOT file, and begin the report."""
+    f = _load_framework(args.path)
     if args.dump_dot:
-        _dump_dot_framework(args.dump_dot, f)
-    bundle = _meta(path, args, "analyze")
+        _write_dot(args.dump_dot, Graph.from_framework(f), f)
+    bundle = _header(args, args.path)
+    bundle["tolerances"] = {"geometric_rel": args.tol_geom}
+    if "tol_rank" in args:  # analyze alone ranks
+        bundle["tolerances"]["rank"] = args.tol_rank
     bundle["framework"] = _framework_digest(f)
+    return f, bundle
+
+
+def cmd_analyze(args: argparse.Namespace) -> tuple[dict, int]:
+    f, bundle = _start(args)
     if not in_scope(f):
         bundle["verdict"] = _out_of_scope(f)
         return bundle, EXIT_SCOPE
@@ -333,7 +317,7 @@ def cmd_analyze(path: str, args: argparse.Namespace) -> tuple[dict, int]:
     group = detect_point_group(f, args.tol_geom)
     ks = mobility(f, tol=args.tol_rank)
     tv = maxwell_trace(f, group)
-    cond = isostatic_necessary(f, group, args.tol_geom)
+    cond = isostatic_necessary(f, group)
 
     bundle["group"] = _group_digest(group)
     bundle["kinematics"] = _kinematic_digest(ks)
@@ -400,14 +384,10 @@ def cmd_analyze(path: str, args: argparse.Namespace) -> tuple[dict, int]:
     return bundle, EXIT_PASS if ks.is_isostatic else EXIT_FAIL
 
 
-def cmd_detect(path: str, args: argparse.Namespace) -> tuple[dict, int]:
-    f = _load_framework(path)
-    if args.dump_dot:
-        _dump_dot_framework(args.dump_dot, f)
+def cmd_detect(args: argparse.Namespace) -> tuple[dict, int]:
+    f, bundle = _start(args)
     group = detect_point_group(f, args.tol_geom)
     parts = orbits(f, group)
-    bundle = _meta(path, args, "detect")
-    bundle["framework"] = _framework_digest(f)
     bundle["group"] = _group_digest(group)
     bundle["orbits"] = {
         "joint_orbits": [list(o) for o in parts.joint_orbits],
@@ -416,17 +396,13 @@ def cmd_detect(path: str, args: argparse.Namespace) -> tuple[dict, int]:
     return bundle, EXIT_PASS
 
 
-def cmd_check(path: str, args: argparse.Namespace) -> tuple[dict, int]:
-    f = _load_framework(path)
-    if args.dump_dot:
-        _dump_dot_framework(args.dump_dot, f)
-    bundle = _meta(path, args, "check")
-    bundle["framework"] = _framework_digest(f)
+def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
+    f, bundle = _start(args)
     if not in_scope(f):
         bundle["verdict"] = _out_of_scope(f)
         return bundle, EXIT_SCOPE
     group = detect_point_group(f, args.tol_geom)
-    cond = isostatic_necessary(f, group, args.tol_geom)
+    cond = isostatic_necessary(f, group)
     bundle["group"] = _group_digest(group)
     bundle["conditions"] = _condition_digest(cond)
     ok = cond.passed
@@ -466,21 +442,12 @@ def cmd_check(path: str, args: argparse.Namespace) -> tuple[dict, int]:
     return bundle, EXIT_PASS if ok else EXIT_FAIL
 
 
-def cmd_pebble(path: str, args: argparse.Namespace) -> tuple[dict, int]:
-    g, f = _load_graph(path)
+def cmd_pebble(args: argparse.Namespace) -> tuple[dict, int]:
+    g, f = _load_graph(args.path)
     if args.dump_dot:
-        if f is not None:
-            _dump_dot_framework(args.dump_dot, f)
-        else:
-            _dump_dot(
-                args.dump_dot,
-                dimension=None,
-                joint_count=g.joint_count,
-                pairs=list(g.edges),
-                coordinates=None,
-            )
+        _write_dot(args.dump_dot, g, f)
     sp = pebble_game_2_3(g)
-    bundle = _meta(path, args, "pebble")
+    bundle = _header(args, args.path)
     bundle["graph"] = {"joints": g.joint_count, "bars": len(g.edges)}
     bundle["sparsity"] = _sparsity_digest(sp)
     return bundle, EXIT_PASS if sp.verdict == "tight" else EXIT_FAIL
@@ -496,7 +463,8 @@ def _parse_face(text: str) -> tuple[int, int, int]:
     return parts  # type: ignore[return-value]
 
 
-def cmd_generate(args: argparse.Namespace) -> tuple[dict, int]:
+def cmd_generate(args: argparse.Namespace) -> tuple[dict | str, int]:
+    """Build a framework.  Without -o its JSON, not a report, owns stdout."""
     recipe = args.recipe
     needs_input = {
         "cap_face",
@@ -512,20 +480,17 @@ def cmd_generate(args: argparse.Namespace) -> tuple[dict, int]:
         seed_f = None
 
     if recipe == "platonic":
-        name = args.name or args.param
-        if not name:
+        if not args.param:
             raise ParseError("recipe platonic needs a solid name")
-        f = constructgen.platonic(name)
+        f = constructgen.platonic(args.param)
     elif recipe == "fig2_examples":
-        grp = args.group or args.param
-        if not grp:
+        if not args.param:
             raise ParseError("recipe fig2_examples needs a group name")
-        f = constructgen.fig2_examples(grp)
+        f = constructgen.fig2_examples(args.param)
     elif recipe == "counterexample_2d":
-        grp = args.group or args.param
-        if not grp:
+        if not args.param:
             raise ParseError("recipe counterexample_2d needs a group name")
-        f = constructgen.counterexample_2d(grp)
+        f = constructgen.counterexample_2d(args.param)
     elif recipe == "double_banana":
         f = constructgen.double_banana()
     elif recipe == "cap_face":
@@ -559,14 +524,12 @@ def cmd_generate(args: argparse.Namespace) -> tuple[dict, int]:
         )
 
     if args.dump_dot:
-        _dump_dot_framework(args.dump_dot, f)
-    payload = to_json(f)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(payload + "\n")
-    else:
-        sys.stdout.write(payload + "\n")
-    bundle = _meta(args.output or "-", args, "generate")
+        _write_dot(args.dump_dot, Graph.from_framework(f), f)
+    if not args.output:
+        return to_json(f), EXIT_PASS
+    with open(args.output, "w", encoding="utf-8") as fh:
+        fh.write(to_json(f) + "\n")
+    bundle = _header(args, args.output)
     bundle["recipe"] = recipe
     bundle["framework"] = _framework_digest(f)
     return bundle, EXIT_PASS
@@ -737,32 +700,54 @@ def finite(text: str) -> float:
     return value
 
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--json", action="store_true", help="emit canonical JSON")
-    sp.add_argument(
-        "--tol-rank",
+_FLAGS = {
+    "--json": dict(action="store_true", help="emit canonical JSON"),
+    "--tol-rank": dict(
         type=finite,
         default=DEFAULT_RANK_TOL,
         help="relative singular-value cutoff for numeric rank",
-    )
-    sp.add_argument(
-        "--tol-geom",
+    ),
+    "--tol-geom": dict(
         type=finite,
-        default=None,
+        default=DEFAULT_GEOM_TOL,
         help="relative geometric tolerance for symmetry detection",
-    )
-    sp.add_argument(
-        "--max-subgraph",
+    ),
+    "--max-subgraph": dict(
         type=int,
         default=8,
-        help="joint cap for the 3D subgraph counting screen",
-    )
-    sp.add_argument(
-        "--dump-dot",
+        choices=range(3, SCAN_MAX_CAP + 1),
+        metavar="N",
+        help=f"joint cap, 3 to {SCAN_MAX_CAP}, for the 3D subgraph screen",
+    ),
+    "--dump-dot": dict(
         metavar="PATH",
         default=None,
         help="also write a DOT graph description to PATH",
-    )
+    ),
+}
+_PATH = "framework JSON file, or - for stdin"
+
+# name: (runner, summary, help for its input path, the shared flags it reads)
+_COMMANDS = {
+    "analyze": (cmd_analyze, "full report on one framework", _PATH, tuple(_FLAGS)),
+    "detect": (
+        cmd_detect, "point group and orbits only", _PATH,
+        ("--json", "--tol-geom", "--dump-dot"),
+    ),
+    "check": (
+        cmd_check, "necessary counting conditions", _PATH,
+        ("--json", "--tol-geom", "--max-subgraph", "--dump-dot"),
+    ),
+    "pebble": (
+        cmd_pebble, "(2,3)-sparsity pebble game",
+        "framework JSON, or graph JSON with an integer joint count",
+        ("--json", "--dump-dot"),
+    ),
+    "generate": (
+        cmd_generate, "build fixtures and constructions", None,
+        ("--json", "--dump-dot"),
+    ),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -774,92 +759,64 @@ def _build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = p.add_subparsers(dest="command", required=True)
+    parsers = {}
+    for name, (run, summary, path_help, flags) in _COMMANDS.items():
+        sp = parsers[name] = sub.add_parser(name, help=summary)
+        sp.set_defaults(run=run)
+        if path_help:
+            sp.add_argument("path", help=path_help)
+        for flag in flags:
+            sp.add_argument(flag, **_FLAGS[flag])
 
-    sp = sub.add_parser("analyze", help="full report on one framework")
-    sp.add_argument("path", help="framework JSON file, or - for stdin")
-    _add_common(sp)
-
-    sp = sub.add_parser("detect", help="point group and orbits only")
-    sp.add_argument("path", help="framework JSON file, or - for stdin")
-    _add_common(sp)
-
-    sp = sub.add_parser("check", help="necessary counting conditions")
-    sp.add_argument("path", help="framework JSON file, or - for stdin")
-    sp.add_argument(
+    parsers["check"].add_argument(
         "--sufficient",
         action="store_true",
         help="also run the sufficiency pass (2D) or subgraph screen (3D)",
     )
-    _add_common(sp)
-
-    sp = sub.add_parser("pebble", help="(2,3)-sparsity pebble game")
-    sp.add_argument(
-        "path",
-        help="framework JSON, or graph JSON with an integer joint count",
-    )
-    _add_common(sp)
-
-    sp = sub.add_parser("generate", help="build fixtures and constructions")
+    sp = parsers["generate"]
     sp.add_argument("recipe", help="what to build")
     sp.add_argument(
         "param",
         nargs="?",
         default=None,
-        help="shorthand for --name or --group",
+        help="solid name (platonic) or group label (fig2_examples, "
+        "counterexample_2d)",
     )
     sp.add_argument("-i", "--input", default=None, help="seed framework JSON")
     sp.add_argument("-o", "--output", default=None, help="write JSON here")
-    sp.add_argument("--name", default=None, help="platonic solid name")
-    sp.add_argument("--group", default=None, help="fixture group label")
     sp.add_argument("--face", default=None, help="face ids like 0,1,2")
     sp.add_argument("--height", type=float, default=None)
     sp.add_argument("--twist-deg", type=float, default=None)
     sp.add_argument("--k", type=int, default=None, help="hat stack size")
     sp.add_argument("--first-height", type=float, default=None)
     sp.add_argument("--step", type=float, default=None)
-    _add_common(sp)
     return p
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
-            bundle, code = cmd_analyze(args.path, args)
-        elif args.command == "detect":
-            bundle, code = cmd_detect(args.path, args)
-        elif args.command == "check":
-            bundle, code = cmd_check(args.path, args)
-        elif args.command == "pebble":
-            bundle, code = cmd_pebble(args.path, args)
-        elif args.command == "generate":
-            bundle, code = cmd_generate(args)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise AssertionError(args.command)
+        report, code = args.run(args)
     except InternalInconsistency:
         raise
     except ContinuousSymmetry as exc:
         print(f"outside scope: {exc}", file=sys.stderr)
         return EXIT_SCOPE
-    except IsoframeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (IsoframeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
-    if args.command == "generate":
-        # without -o the framework JSON owns stdout; keep it pipeable
-        if args.output:
-            if args.json:
-                _emit_json(bundle)
-            else:
-                print(_render_text(bundle))
-        return code
-    if args.json:
-        _emit_json(bundle)
-    else:
-        print(_render_text(bundle))
+    if isinstance(report, dict) and args.json:
+        report = json.dumps(_plain(report), indent=2, sort_keys=True)
+    elif isinstance(report, dict):
+        report = _render_text(report)
+    try:
+        sys.stdout.write(report + "\n")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: what is still buffered goes to the null
+        # device, so that the interpreter's flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

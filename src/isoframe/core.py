@@ -189,20 +189,26 @@ def new_framework(
     return f
 
 
+def unit_scaled(coords: np.ndarray) -> tuple[np.ndarray, int]:
+    """coords times 2**-exp, and exp: the power of two that brings every
+    entry into [-1, 1].  The scaling is exact, so relative tests read as
+    in model units, and no square of a difference overflows."""
+    exp = int(np.frexp(np.abs(coords).max(initial=0.0))[1])
+    return np.ldexp(coords, -exp), exp
+
+
 def _diameter(coords: np.ndarray) -> float:
     """Largest distance between two rows of coords; 0.0 with fewer than two.
 
-    Rows are scaled exactly, by the power of two that brings every entry
-    into [-1, 1], so that no square overflows.  A longest pair is at
-    least as long as the pairs from the row farthest from the bounding
-    box's centre, and no longer than two distances from that centre, so
-    only rows far enough out are compared: a block of them against the
-    rest from that block on at a time.
+    Rows are scaled by unit_scaled, so that no square overflows.  A
+    longest pair is at least as long as the pairs from the row farthest
+    from the bounding box's centre, and no longer than two distances
+    from that centre, so only rows far enough out are compared: a block
+    of them against the rest from that block on at a time.
     """
     if len(coords) < 2:
         return 0.0
-    exp = int(np.frexp(np.abs(coords).max())[1])
-    c = np.ldexp(coords, -exp)
+    c, exp = unit_scaled(coords)
     r = np.sqrt(((c - (c.max(axis=0) + c.min(axis=0)) / 2) ** 2).sum(axis=1))
     low = np.sqrt(((c - c[np.argmax(r)]) ** 2).sum(axis=1)).max()
     c = c[r + r.max() >= low * (1.0 - 1e-9)]

@@ -31,10 +31,9 @@ from .maxwell import WHITELIST_2D, ConditionCheck, ConditionReport
 from .symdetect import PointGroupInfo
 
 _SCAN_BUDGET = 2_000_000
-_SCAN_MAX_CAP = 12
+SCAN_MAX_CAP = 12  # the largest cap subgraph_maxwell_scan_3d accepts
 
 _THEOREM_GROUPS = frozenset({"C1", "Cs", "C2", "C3"})
-_CONJECTURE_GROUPS = frozenset({"C2v", "C3v"})
 
 
 @dataclass(frozen=True)
@@ -360,10 +359,10 @@ def subgraph_maxwell_scan_3d(
     cap = int(max_subgraph_joints)
     if cap < 3:
         raise ValueError(f"cap {cap} is below the smallest meaningful subgraph")
-    if cap > _SCAN_MAX_CAP:
+    if cap > SCAN_MAX_CAP:
         raise CapExceeded(
             f"cap {cap} exceeds the exhaustive enumeration bound "
-            f"{_SCAN_MAX_CAP}"
+            f"{SCAN_MAX_CAP}"
         )
     n = f.joint_count
     adj = [0] * n

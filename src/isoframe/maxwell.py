@@ -500,25 +500,24 @@ def _checks_3d(
 
 
 def isostatic_necessary(
-    f: Framework,
-    group: PointGroupInfo | None = None,
-    geom_tol: float | None = None,
+    f: Framework, group: PointGroupInfo | None = None
 ) -> ConditionReport:
     """Evaluate every per-operation necessary condition for isostaticity.
 
-    All verdicts use exact integer arithmetic; rotation orders with an
-    irrational cosine get an explicit unsatisfiability note instead of
-    a floating-point comparison.  Failures are report content, never
-    exceptions.
+    Unshifted joints and bars are counted at the tolerance the group was
+    detected at.  All verdicts use exact integer arithmetic; rotation
+    orders with an irrational cosine get an explicit unsatisfiability
+    note instead of a floating-point comparison.  Failures are report
+    content, never exceptions.
     """
     if group is None:
-        group = detect_point_group(f, geom_tol)
+        group = detect_point_group(f)
     d = f.dimension
     j, b = f.joint_count, f.bar_count
     builder = _checks_2d if d == 2 else _checks_3d
     checks: list[ConditionCheck] = []
     for cls in group.classes:
-        counts = unshifted_counts(f, group.elements[cls.rep_id], geom_tol)
+        counts = unshifted_counts(f, group.elements[cls.rep_id], group.geom_tol)
         checks.extend(builder(cls.label, counts, j, b))
     notes: list[str] = []
     admissible_2d: bool | None = None

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalInconsistency, NonFiniteEntry, ZeroLengthBar
-from .core import SEPARATION_TOL, Framework
+from .core import SEPARATION_TOL, Framework, unit_scaled
 
 # Singular values below DEFAULT_RANK_TOL * largest are treated as zero.
 DEFAULT_RANK_TOL = 1e-10
@@ -39,10 +39,10 @@ class EquilibriumSystem:
 
 def build_system(f: Framework) -> EquilibriumSystem:
     d, j, b = f.dimension, f.joint_count, f.bar_count
-    coords = f.coordinates
+    coords, exp = unit_scaled(f.coordinates)
     C = np.zeros((b, d * j))
     lengths = np.zeros(b)
-    floor = SEPARATION_TOL * f.diameter()
+    floor = SEPARATION_TOL * np.ldexp(f.diameter(), -exp)
     for bar in f.bars:
         u, v = bar.ends
         diff = coords[u] - coords[v]
@@ -55,7 +55,7 @@ def build_system(f: Framework) -> EquilibriumSystem:
         C[bar.id, d * u : d * u + d] = unit
         C[bar.id, d * v : d * v + d] = -unit
         lengths[bar.id] = length
-    return EquilibriumSystem(C=C, lengths=lengths)
+    return EquilibriumSystem(C=C, lengths=np.ldexp(lengths, exp))
 
 
 def _rank(sv: np.ndarray, tol: float) -> int:

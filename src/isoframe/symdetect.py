@@ -29,7 +29,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Framework, pairs_within
+from .core import Framework, pairs_within, unit_scaled
 from .errors import (
     ContinuousSymmetry,
     InternalInconsistency,
@@ -122,7 +122,8 @@ class PointGroupInfo:
     mult_table[x, y] is the index of element x composed after y, and
     inverse[x] the index of the inverse.  classes are merged with their
     inverse classes so they align one-to-one with real character table
-    columns.
+    columns.  geom_tol is the relative geometric tolerance the group was
+    detected at, which the counts of unshifted joints and bars reuse.
     """
 
     schoenflies: str
@@ -131,6 +132,7 @@ class PointGroupInfo:
     elements: list[SymmetryAssignment]
     classes: list[ConjugacyClass]
     principal_axis: tuple[float, ...] | None
+    geom_tol: float
     mult_table: np.ndarray = field(repr=False)
     inverse: np.ndarray = field(repr=False)
 
@@ -359,14 +361,15 @@ def _matrices_for_images(
 
 
 def _find_joint_permutation(
-    P: np.ndarray, M: np.ndarray, tol: float
+    P: np.ndarray, M: np.ndarray, tol: float, exp: int = 0
 ) -> tuple[int, ...] | None:
     """The joint that each joint's image under M lands on, within tol.
 
     Joints are taken in id order up to the first whose image does not
     land on exactly one joint that no earlier image took: None if its
     image lands on no joint, ToleranceAmbiguity if on several or on a
-    taken one.
+    taken one.  Its message states tol * 2**exp, in model units when P
+    was scaled by core.unit_scaled.
     """
     j = P.shape[0]
     hits = np.zeros(j, dtype=np.intp)
@@ -379,16 +382,17 @@ def _find_joint_permutation(
     order = np.argsort(perm[:stop], kind="stable")
     ranked = perm[order]
     taken = order[1:][ranked[1:] == ranked[:-1]]
+    shown = float(np.ldexp(tol, exp))
     if taken.size:
         raise ToleranceAmbiguity(
-            f"two joints map onto joint {perm[taken.min()]} within tolerance {tol:g}"
+            f"two joints map onto joint {perm[taken.min()]} within tolerance {shown:g}"
         )
     if stop < j:
         if hits[stop] == 0:
             return None
         raise ToleranceAmbiguity(
             f"the image of joint {stop} matches {hits[stop]} joints within "
-            f"tolerance {tol:g}; joints are too close together for this "
+            f"tolerance {shown:g}; joints are too close together for this "
             "tolerance"
         )
     return tuple(perm.tolist())
@@ -427,9 +431,7 @@ def detect_symmetries(
         raise ContinuousSymmetry(
             "a framework with at most one joint has continuous point symmetry"
         )
-    P = f.coordinates - f.centroid()
-    diam = f.diameter()
-    scale = diam if diam > 0 else 1.0
+    P, scale, exp = _centred(f)
     tol = rel * scale
 
     sv = np.linalg.svd(P, compute_uv=False)
@@ -460,7 +462,7 @@ def detect_symmetries(
                 continue
             u, _, vt = np.linalg.svd(M)
             M = u @ vt
-            perm = _find_joint_permutation(P, M, tol)
+            perm = _find_joint_permutation(P, M, tol, exp)
             if perm is None:
                 continue
             bar_perm = _bar_permutation(f, perm)
@@ -826,18 +828,19 @@ def _class_label(key: ClassKey, size: int) -> str:
 
 def classify_group(
     elements: Sequence[SymmetryAssignment],
-    match_tol: float = 1e-5,
+    geom_tol: float | None = None,
 ) -> PointGroupInfo:
     """Close, verify, and name a finite set of isometries as a point group.
 
     The multiplication table comes from composing the exact joint
     permutations, each keyed with the sign of its determinant: when the
     joints span only a hyperplane, an element and its product with the
-    mirror in that hyperplane permute the joints alike.  Raises
+    mirror in that hyperplane permute the joints alike.  The group records
+    geom_tol, the relative tolerance of detect_symmetries.  Raises
     NotAGroup when the set is not closed or lacks the identity, and
-    UnrecognizedGroup when it does not match any supported Schoenflies
-    type.
+    UnrecognizedGroup when it does not match any supported type.
     """
+    rel = DEFAULT_GEOM_TOL if geom_tol is None else float(geom_tol)
     if not elements:
         raise NotAGroup("no elements supplied")
     assignments = sorted(elements, key=lambda a: _op_sort_key(a.op))
@@ -886,10 +889,10 @@ def classify_group(
                 f"{order}, expected {expected}"
             )
 
-    # axes inherit the matrix error, so compare them at a tolerance that
-    # scales with match_tol; 0.05 rad stays far below any genuine
+    # axes inherit the matrix error, which detection bounds by its
+    # identification tolerance; 0.05 rad stays far below any genuine
     # inter-axis angle in a finite point group at desk scale
-    axis_tol = min(0.05, max(1e-4, 5.0 * float(match_tol)))
+    axis_tol = min(0.05, max(1e-4, 5.0 * max(_MATCH_TOL, 10 * rel)))
 
     if dimension == 2:
         label, principal = _schoenflies_2d(ops)
@@ -931,6 +934,7 @@ def classify_group(
         elements=assignments,
         classes=classes,
         principal_axis=principal,
+        geom_tol=rel,
         mult_table=table,
         inverse=inverse,
     )
@@ -940,9 +944,14 @@ def detect_point_group(
     f: Framework, geom_tol: float | None = None
 ) -> PointGroupInfo:
     """Detect all symmetries of f and classify them as a point group."""
-    rel = DEFAULT_GEOM_TOL if geom_tol is None else float(geom_tol)
-    assignments = detect_symmetries(f, geom_tol)
-    return classify_group(assignments, match_tol=max(_MATCH_TOL, 10 * rel))
+    return classify_group(detect_symmetries(f, geom_tol), geom_tol)
+
+
+def _centred(f: Framework) -> tuple[np.ndarray, float, int]:
+    """Positions about the centroid and the diameter (or 1), as unit_scaled."""
+    c, exp = unit_scaled(f.coordinates)
+    diam = float(np.ldexp(f.diameter(), -exp))
+    return c - c.mean(axis=0), diam if diam > 0 else 1.0, exp
 
 
 def _off_axis(p: np.ndarray, axis: np.ndarray) -> float:
@@ -1018,21 +1027,19 @@ def unshifted_counts(
     bar_perm = assignment.bar_perm
     if joint_perm is None or bar_perm is None:
         raise ValueError("the operation needs its joint and bar permutations")
-    P = f.coordinates - f.centroid()
-    diam = f.diameter()
-    scale = diam if diam > 0 else 1.0
-    tol = rel * scale
+    P, scale, exp = _centred(f)
 
     fixed_joints = tuple(i for i in range(f.joint_count) if joint_perm[i] == i)
     fixed_bars = tuple(b for b in range(f.bar_count) if bar_perm[b] == b)
-    vtol = 10 * tol
+    vtol = 10 * (rel * scale)
 
     # verify fixed joints sit on the invariant set
     for i in (fixed_joints if op.kind != "E" else ()):
         err = _off_fixed_set(op, f.dimension, P[i])
         if err > vtol:
             raise InternalInconsistency(
-                f"joint {i} is reported fixed but sits {err:g} off the invariant set"
+                f"joint {i} is reported fixed but sits {np.ldexp(err, exp):g} "
+                "off the invariant set"
             )
 
     bar_tags: dict[int, str] = {}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 
@@ -35,7 +36,7 @@ def test_analyze_isostatic_json(tmp_path, capsys):
     code, out, _ = _run(capsys, ["analyze", path, "--json"])
     assert code == 0
     d = json.loads(out)
-    assert d["report_version"] == 2
+    assert d["report_version"] == 3
     assert d["command"] == "analyze"
     assert d["input"] == path
     assert d["group"]["schoenflies"] == "Oh"
@@ -316,14 +317,31 @@ def test_seed_and_tolerances_recorded(tmp_path, capsys):
     assert d["kinematics"]["rank_tolerance"] == 1e-8
 
 
+# each subcommand takes only the flags it reads; these it does not
+_UNREAD_FLAGS = [
+    ["detect", "{path}", "--tol-rank", "1e-8"],
+    ["detect", "{path}", "--max-subgraph", "6"],
+    ["check", "{path}", "--tol-rank", "1e-8"],
+    ["pebble", "{path}", "--tol-rank", "1e-8"],
+    ["pebble", "{path}", "--tol-geom", "1e-5"],
+    ["pebble", "{path}", "--max-subgraph", "6"],
+    ["generate", "platonic", "--name", "octahedron"],
+    ["generate", "fig2_examples", "--group", "C2"],
+    ["generate", "platonic", "octahedron", "--tol-geom", "1e-5"],
+]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["analyze", "{path}", "--seed", "42"],
         ["analyze"],
-        ["check", "{path}", "--tol-rank", "abc"],
+        ["check", "{path}", "--tol-geom", "abc"],
         [],
-    ],
+        ["analyze", "{path}", "--max-subgraph", "13"],
+        ["analyze", "{path}", "--max-subgraph", "2"],
+    ]
+    + _UNREAD_FLAGS,
 )
 def test_usage_error_is_bad_input(tmp_path, capsys, argv):
     # exit 2 means outside the supported scope, so argparse's own 2
@@ -336,6 +354,24 @@ def test_usage_error_is_bad_input(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, recorded",
+    [
+        (["analyze", "{path}"], {"geometric_rel": 1e-6, "rank": 1e-10}),
+        (["check", "{path}", "--tol-geom", "1e-5"], {"geometric_rel": 1e-5}),
+        (["detect", "{path}"], {"geometric_rel": 1e-6}),
+        (["pebble", "{path}"], None),
+        (["generate", "double_banana", "-o", "{path}.out"], None),
+    ],
+)
+def test_report_records_the_tolerances_its_command_reads(
+    tmp_path, capsys, argv, recorded
+):
+    path = _write(tmp_path, "tet.json", platonic("tetrahedron"))
+    _, out, _ = _run(capsys, [a.format(path=path) for a in argv] + ["--json"])
+    assert json.loads(out).get("tolerances") == recorded
+
+
+@pytest.mark.parametrize(
     "fixture, argv",
     [
         ("banana", ["analyze", "{path}", "--tol-rank", "0"]),
@@ -343,7 +379,7 @@ def test_usage_error_is_bad_input(tmp_path, capsys, argv):
         ("octahedron", ["analyze", "{path}", "--tol-rank", "nan"]),
         ("octahedron", ["analyze", "{path}", "--tol-rank", "inf"]),
         ("octahedron", ["analyze", "{path}", "--tol-rank", "2"]),
-        ("octahedron", ["detect", "{path}", "--json", "--tol-rank", "nan"]),
+        ("octahedron", ["check", "{path}", "--json", "--tol-geom", "nan"]),
         ("octahedron", ["detect", "{path}", "--tol-geom", "-inf"]),
     ],
 )
@@ -372,6 +408,25 @@ def test_shell_pipeline_generate_into_analyze(tmp_path):
     assert d["group"]["schoenflies"] == "Ih"
     assert d["input"] == "-"
     assert d["kinematics"]["isostatic"] is True
+
+
+def test_closed_stdout_is_not_an_error(tmp_path):
+    # the reader of stdout is gone before the report is written, as when
+    # `| head` has read all it wants
+    path = _write(tmp_path, "c1.json", fig2_examples("C1"))
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "isoframe.cli", "pebble", path, "--json"],
+            stdout=w,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 0  # the pebble verdict: tight
+    assert proc.stderr == ""
 
 
 def test_stdin_dash_reads_framework():

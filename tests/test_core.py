@@ -105,15 +105,18 @@ def test_zero_length_guard_is_separation_based():
         iso.build_system(raw)
 
 
-@pytest.mark.parametrize("scale", [1e-13, 1e-15])
+@pytest.mark.parametrize("scale", [1e-13, 1e-15, 1e160, 1e300])
 def test_uniform_shrink_keeps_verdict(octahedron, scale):
-    small = iso.new_framework(
-        3, octahedron.coordinates * scale, [b.ends for b in octahedron.bars]
-    )
-    group = iso.detect_point_group(small)
-    assert (group.schoenflies, group.order) == ("Oh", 48)
-    ks = iso.mobility(small)
-    assert (ks.m, ks.s) == (0, 0)
+    # group, order, m and s at unit scale; both pass the necessary counts
+    cases = [(octahedron, ("Oh", 48, 0, 0)), (iso.double_banana(), ("C1", 1, 1, 1))]
+    for f, verdict in cases:
+        small = iso.new_framework(
+            f.dimension, f.coordinates * scale, [b.ends for b in f.bars]
+        )
+        group = iso.detect_point_group(small)
+        ks = iso.mobility(small)
+        assert (group.schoenflies, group.order, ks.m, ks.s) == verdict
+        assert iso.isostatic_necessary(small, group).passed
 
 
 def test_maxwell_count_3d(octahedron):

@@ -12,6 +12,7 @@ from isoframe.chartables import CATALOG_2D, CATALOG_3D, reference_group
 from isoframe.constructgen import fig2_examples, platonic
 from isoframe.core import new_framework
 from isoframe.errors import ContinuousSymmetry, ToleranceAmbiguity
+from isoframe.maxwell import isostatic_necessary
 from isoframe.symdetect import (
     SymmetryAssignment,
     _find_joint_permutation,
@@ -328,6 +329,19 @@ def test_moderate_jitter_breaks_symmetry_at_default_tolerance(octahedron):
     # the same frame recovers full symmetry under a looser tolerance
     loose = detect_point_group(bumped, geom_tol=1e-3)
     assert loose.schoenflies == "Oh" and loose.order == 48
+
+
+def test_necessary_counts_read_the_group_tolerance(octahedron):
+    # at the default tolerance the jittered joints would sit off the
+    # invariant sets of the operations detected at 1e-3
+    rng = np.random.default_rng(8)
+    noise = rng.normal(size=(6, 3)) * 1e-4
+    bumped = new_framework(
+        3, octahedron.coordinates + noise, [b.ends for b in octahedron.bars]
+    )
+    loose = detect_point_group(bumped, geom_tol=1e-3)
+    assert loose.geom_tol == 1e-3
+    assert isostatic_necessary(bumped, loose).passed
 
 
 def test_continuous_symmetry_rejected():
