@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from isoframe.chartables import CATALOG_2D, CATALOG_3D, reference_group
-from isoframe.constructgen import fig2_examples, platonic
+from isoframe.constructgen import counterexample_2d, fig2_examples, platonic
 from isoframe.core import new_framework
 from isoframe.errors import ContinuousSymmetry, ToleranceAmbiguity
 from isoframe.maxwell import isostatic_necessary
@@ -434,3 +437,80 @@ def test_fixed_bar_tags_plane_fixtures():
     uc = unshifted_counts(f, mirror)
     assert uc.joints_unshifted == 2
     assert list(uc.bar_tags.values()) == ["in_plane"]
+
+
+def _prism(n, antiprism=False):
+    """Two unit n-gons at z = -0.7 and 0.7, the top one turned by pi/n for
+    an antiprism, with their rims and the bars between them."""
+    turn = math.pi / n if antiprism else 0.0
+    points = [
+        (math.cos(2 * math.pi * k / n + t), math.sin(2 * math.pi * k / n + t), z)
+        for z, t in ((-0.7, 0.0), (0.7, turn))
+        for k in range(n)
+    ]
+    bars = [(r + k, r + (k + 1) % n) for r in (0, n) for k in range(n)]
+    bars += [(k, n + k) for k in range(n)]
+    if antiprism:
+        bars += [((k + 1) % n, n + k) for k in range(n)]
+    return new_framework(3, points, bars)
+
+
+def _snapshot_shapes():
+    """The gallery, its planar fixtures in the plane z = 0 of space, and
+    prisms and antiprisms: every axial family with and without mirrors."""
+    path = Path(__file__).parents[1] / "scripts" / "build_gallery.py"
+    spec = importlib.util.spec_from_file_location("build_gallery", path)
+    gallery = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gallery)
+    shapes = dict(gallery._gallery())
+    planar = {n: fig2_examples(n) for n in ("C1", "C2", "C3", "Cs_perp", "Cs_in",
+                                            "C2v", "C3v_perp", "C3v_in")}
+    planar.update({n: counterexample_2d(n) for n in ("C4", "C5", "C6", "C4v")})
+    for name, f in planar.items():
+        flat = np.column_stack([f.coordinates, np.zeros(f.joint_count)])
+        shapes[f"flat3d_{name}"] = new_framework(3, flat, [b.ends for b in f.bars])
+    for n in range(3, 7):
+        shapes[f"prism_{n}"] = _prism(n)
+        shapes[f"antiprism_{n}"] = _prism(n, antiprism=True)
+    return shapes
+
+
+def _detected_summary(f):
+    g = detect_point_group(f)
+    return {
+        "schoenflies": g.schoenflies,
+        "order": g.order,
+        "principal_axis": None if g.principal_axis is None else list(g.principal_axis),
+        "classes": [[c.label, list(c.key)] for c in g.classes],
+    }
+
+
+# what detect_point_group reported on each snapshot shape; regenerate
+# with `python tests/test_symdetect.py` only for an intended change
+_DETECTED = Path(__file__).parent / "data" / "detected_groups.json"
+
+
+def test_detected_groups_match_snapshot():
+    want = json.loads(_DETECTED.read_text())
+    shapes = _snapshot_shapes()
+    assert sorted(shapes) == sorted(want)
+    for name, f in shapes.items():
+        got, exp = _detected_summary(f), want[name]
+        axis = got.pop("principal_axis")
+        exp_axis = exp.pop("principal_axis")
+        assert got == exp, name
+        if exp_axis is None:
+            assert axis is None, name
+        else:
+            assert axis == pytest.approx(exp_axis, abs=1e-9), name
+
+
+if __name__ == "__main__":
+    _DETECTED.write_text(
+        json.dumps(
+            {name: _detected_summary(f) for name, f in _snapshot_shapes().items()},
+            indent=1,
+            sort_keys=True,
+        )
+        + "\n"
+    )
