@@ -520,21 +520,11 @@ def _rows_product(info: PointGroupInfo) -> list[IrrepRow]:
     return rows
 
 
-def _rows_trivial(info: PointGroupInfo) -> list[IrrepRow]:
-    return [IrrepRow("A", 1, False, tuple(1.0 for _ in info.classes))]
-
-
 def _family(label: str, dimension: int) -> str:
-    if label == "C1":
-        return "trivial"
-    if label in ("Ci",):
-        return "product"
-    if label == "Cs":
+    if label in ("Ci", "Cs", "Th", "Oh", "Ih"):
         return "product"
     if label in ("T", "Td", "O", "I"):
         return "literal"
-    if label in ("Th", "Oh", "Ih"):
-        return "product"
     head, n, suffix = _parse_label(label)
     if head == "C" and suffix == "":
         return "cyclic"
@@ -579,9 +569,7 @@ def _verify_table(table: CharacterTable) -> None:
 
 def _table_from_info(info: PointGroupInfo) -> CharacterTable:
     family = _family(info.schoenflies, info.dimension)
-    if family == "trivial":
-        rows = _rows_trivial(info)
-    elif family == "cyclic":
+    if family == "cyclic":
         rows = _rows_cyclic(info)
     elif family == "dihedral":
         rows = _rows_dihedral(info)

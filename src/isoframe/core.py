@@ -101,6 +101,16 @@ class Framework:
     def diameter(self) -> float:
         """Largest inter-joint distance; 0.0 with fewer than two joints.
 
+        inf when it exceeds the largest float; scaled_diameter() does not.
+        """
+        d, exp = self.scaled_diameter()
+        with np.errstate(over="ignore"):
+            return float(np.ldexp(d, exp))
+
+    def scaled_diameter(self) -> tuple[float, int]:
+        """(d, exp): the diameter is d * 2**exp, d measured on the
+        coordinates as unit_scaled gives them, with its exp.
+
         Computed on first use (new_framework computes it) and kept.
         """
         if self._diameter is None:
@@ -157,14 +167,16 @@ def new_framework(
 
     n = len(joints)
     coords = np.array([j.position for j in joints], dtype=float).reshape(n, dimension)
-    diameter = _diameter(coords)
-    tol = SEPARATION_TOL * diameter
-    for a, b in pairs_within(coords, coords, tol):
+    d, exp = diameter = _diameter(coords)
+    scaled = np.ldexp(coords, -exp)
+    tol = SEPARATION_TOL * d
+    for a, b in pairs_within(scaled, scaled, tol):
         # the first block holding a pair a < b holds the first such pair
         if (a < b).any():
             first = int((a * n + b)[a < b].min())
             raise DuplicateJoint(
-                f"joints {first // n} and {first % n} coincide within {tol:g}"
+                f"joints {first // n} and {first % n} coincide within "
+                f"{float(np.ldexp(tol, exp)):g}"
             )
 
     bars: list[Bar] = []
@@ -197,18 +209,20 @@ def unit_scaled(coords: np.ndarray) -> tuple[np.ndarray, int]:
     return np.ldexp(coords, -exp), exp
 
 
-def _diameter(coords: np.ndarray) -> float:
-    """Largest distance between two rows of coords; 0.0 with fewer than two.
+def _diameter(coords: np.ndarray) -> tuple[float, int]:
+    """(d, exp): the largest distance between two rows of coords is
+    d * 2**exp, d measured on unit_scaled(coords) with its exp; d is 0.0
+    with fewer than two rows.
 
-    Rows are scaled by unit_scaled, so that no square overflows.  A
-    longest pair is at least as long as the pairs from the row farthest
-    from the bounding box's centre, and no longer than two distances
-    from that centre, so only rows far enough out are compared: a block
-    of them against the rest from that block on at a time.
+    No square of the scaled rows overflows, nor does d.  A longest pair
+    is at least as long as the pairs from the row farthest from the
+    bounding box's centre, and no longer than two distances from that
+    centre, so only rows far enough out are compared: a block of them
+    against the rest from that block on at a time.
     """
-    if len(coords) < 2:
-        return 0.0
     c, exp = unit_scaled(coords)
+    if len(c) < 2:
+        return 0.0, exp
     r = np.sqrt(((c - (c.max(axis=0) + c.min(axis=0)) / 2) ** 2).sum(axis=1))
     low = np.sqrt(((c - c[np.argmax(r)]) ** 2).sum(axis=1)).max()
     c = c[r + r.max() >= low * (1.0 - 1e-9)]
@@ -216,8 +230,7 @@ def _diameter(coords: np.ndarray) -> float:
     for lo in range(0, len(c), 64):
         diff = c[lo : lo + 64, None, :] - c[None, lo:, :]
         d2max = max(d2max, float((diff**2).sum(axis=2).max()))
-    with np.errstate(over="ignore"):
-        return float(np.ldexp(math.sqrt(d2max), exp))
+    return math.sqrt(d2max), exp
 
 
 def pairs_within(

@@ -42,7 +42,7 @@ def build_system(f: Framework) -> EquilibriumSystem:
     coords, exp = unit_scaled(f.coordinates)
     C = np.zeros((b, d * j))
     lengths = np.zeros(b)
-    floor = SEPARATION_TOL * np.ldexp(f.diameter(), -exp)
+    floor = SEPARATION_TOL * f.scaled_diameter()[0]
     for bar in f.bars:
         u, v = bar.ends
         diff = coords[u] - coords[v]
@@ -95,7 +95,8 @@ def rigid_body_basis(f: Framework) -> np.ndarray:
     d, j = f.dimension, f.joint_count
     # rotation fields grow with the coordinates; measured in units of the
     # diameter they rank under one cutoff with the unit translations
-    coords = (f.coordinates - f.centroid()) / (f.diameter() or 1.0)
+    coords, _ = unit_scaled(f.coordinates)
+    coords = (coords - coords.mean(axis=0)) / (f.scaled_diameter()[0] or 1.0)
     fields: list[np.ndarray] = []
     for axis in range(d):
         t = np.zeros((j, d))

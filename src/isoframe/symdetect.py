@@ -10,12 +10,15 @@ The pipeline:
 3. Enumerate candidate images of the basis (same shell, matching
    pairwise inner products), solve for the matrix, keep it when it is
    near-orthogonal, snap it to the nearest orthogonal matrix, and
-   verify it permutes the joints and the bars.
+   verify it permutes the joints and the bars.  A symmetry is its
+   joint permutation and the sign of its determinant; one candidate
+   is kept per such key.
 4. Classify verified matrices into E / C / S / sigma / i with exact
    rational rotation fractions, build the multiplication table by
    composing the joint permutations, compute conjugacy classes, merge
-   inverse-paired classes, and name the group on the Schoenflies
-   flowchart.
+   inverse-paired classes, and name the group and its classes on the
+   Schoenflies flowchart from the element kinds and that table alone.
+   Axes are read only to order two classes that no product tells apart.
 
 All geometric tolerances are relative to the framework diameter.
 """
@@ -42,11 +45,9 @@ from .errors import (
 # less than this fraction of the framework diameter.
 DEFAULT_GEOM_TOL = 1e-6
 
-# Matrices closer than this (max-abs difference) are the same operation.
-_MATCH_TOL = 1e-8
-
-# Matrices that agree to better than this but worse than the match
-# tolerance are reported as ambiguous rather than silently separated.
+# Two symmetries with different keys (joint permutation, determinant
+# sign) whose matrices agree to better than this (max-abs difference)
+# are reported as ambiguous rather than kept apart.
 _AMBIGUITY_GATE = 1e-4
 
 # Largest rotation order the angle snapper will recognize.
@@ -256,14 +257,7 @@ def classify_matrix(
 
 
 def _op_sort_key(op: IsometryOp):
-    ax = op.axis if op.axis is not None else ()
-    return (
-        _KIND_RANK[op.kind],
-        -op.n,
-        op.k,
-        round(op.angle, 9),
-        tuple(round(float(c), 9) for c in ax),
-    )
+    return (_KIND_RANK[op.kind], -op.n, op.k, round(op.angle, 9), _axis_tuple(op.axis))
 
 
 def _shells(norms: np.ndarray, tol: float) -> list[list[int]]:
@@ -454,8 +448,8 @@ def detect_symmetries(
     basis = _greedy_basis(P, shell_size, spanrank, tol)
     dot_tol = 4 * tol * scale
 
-    found: list[tuple[np.ndarray, tuple[int, ...], tuple[int, ...]]] = []
-    dedupe_tol = max(_MATCH_TOL, 10 * rel)
+    # a symmetry is its joint permutation and the sign of its determinant
+    found: dict[tuple[tuple[int, ...], bool], tuple[np.ndarray, tuple[int, ...]]] = {}
     for images in _candidate_images(P, basis, shell_of, dot_tol):
         for M in _matrices_for_images(P, basis, images, d):
             if np.abs(M.T @ M - np.eye(d)).max() > 0.05:
@@ -465,27 +459,23 @@ def detect_symmetries(
             perm = _find_joint_permutation(P, M, tol, exp)
             if perm is None:
                 continue
+            key = (perm, bool(np.linalg.det(M) > 0))
             bar_perm = _bar_permutation(f, perm)
-            if bar_perm is None:
+            if bar_perm is None or key in found:
                 continue
-            duplicate = False
-            for Mk, _, _ in found:
+            for Mk, _ in found.values():
                 gap = float(np.abs(M - Mk).max())
-                if gap <= dedupe_tol:
-                    duplicate = True
-                    break
                 if gap < _AMBIGUITY_GATE:
                     raise ToleranceAmbiguity(
-                        f"two candidate symmetries differ by {gap:g}, between "
-                        "the identification tolerance and the ambiguity gate"
+                        f"two candidate symmetries that move the joints "
+                        f"differently differ by only {gap:g}"
                     )
-            if not duplicate:
-                found.append((M, perm, bar_perm))
+            found[key] = (M, bar_perm)
 
     angle_tol = max(1e-6, 10 * rel)
     assignments = [
         SymmetryAssignment(classify_matrix(M, d, angle_tol), perm, bar_perm)
-        for M, perm, bar_perm in found
+        for (perm, _), (M, bar_perm) in found.items()
     ]
     assignments.sort(key=lambda a: _op_sort_key(a.op))
     if not assignments or assignments[0].op.kind != "E":
@@ -497,17 +487,6 @@ def _axis_tuple(axis: Sequence[float] | None) -> tuple[float, ...]:
     if axis is None:
         return ()
     return tuple(round(float(c), 9) for c in axis)
-
-
-def _parallel(a: Sequence[float], b: Sequence[float], tol: float = 1e-4) -> bool:
-    av, bv = np.asarray(a, float), np.asarray(b, float)
-    return min(
-        float(np.linalg.norm(av - bv)), float(np.linalg.norm(av + bv))
-    ) <= tol
-
-
-def _perpendicular(a: Sequence[float], b: Sequence[float], tol: float = 1e-4) -> bool:
-    return abs(float(np.dot(a, b))) <= tol
 
 
 def _expected_element_order(op: IsometryOp) -> int:
@@ -550,22 +529,6 @@ def _expected_group_order(label: str, dimension: int) -> int:
     raise UnrecognizedGroup(f"no expected order for label {label!r}")
 
 
-def _axis_groups(
-    ops: list[IsometryOp], axis_tol: float = 1e-4
-) -> list[tuple[np.ndarray, int]]:
-    """Group proper rotations by axis; return (axis, largest order) pairs."""
-    groups: list[tuple[np.ndarray, int]] = []
-    for op in ops:
-        axis = np.asarray(op.axis, float)
-        for idx, (gaxis, gorder) in enumerate(groups):
-            if _parallel(axis, gaxis, axis_tol):
-                groups[idx] = (gaxis, max(gorder, op.n))
-                break
-        else:
-            groups.append((axis, op.n))
-    return groups
-
-
 def _schoenflies_2d(ops: list[IsometryOp]) -> tuple[str, None]:
     rotations = sum(1 for op in ops if op.kind in ("E", "C"))
     mirrors = sum(1 for op in ops if op.kind == "sigma")
@@ -580,85 +543,88 @@ def _schoenflies_2d(ops: list[IsometryOp]) -> tuple[str, None]:
     return f"C{rotations}v", None
 
 
+def _powers(table: np.ndarray, x: int) -> set[int]:
+    """The elements x, x^2, ..., E of the cyclic group x generates."""
+    powers, cur = {0}, x
+    while cur != 0:
+        powers.add(cur)
+        cur = int(table[cur, x])
+    return powers
+
+
+def _principal_rotation(ops: list[IsometryOp], table: np.ndarray) -> int | None:
+    """r: the first proper rotation of the highest order, or None.
+
+    Among several half turns, r is the square of an S4 when there is one,
+    and otherwise the half turn with the largest axis tuple.
+    """
+    rotations = [x for x, op in enumerate(ops) if op.kind == "C"]
+    if not rotations:
+        return None
+    if ops[rotations[0]].n > 2 or len(rotations) == 1:
+        return rotations[0]
+    s4 = [x for x, op in enumerate(ops) if op.kind == "S" and op.n == 4]
+    if s4:
+        return int(table[s4[0], s4[0]])
+    return max(rotations, key=lambda x: _axis_tuple(ops[x].axis))
+
+
 def _schoenflies_3d(
-    ops: list[IsometryOp], axis_tol: float = 1e-4
-) -> tuple[str, tuple[float, ...] | None]:
-    proper = [op for op in ops if op.kind == "C"]
-    sigmas = [op for op in ops if op.kind == "sigma"]
-    sops = [op for op in ops if op.kind == "S"]
+    ops: list[IsometryOp], table: np.ndarray
+) -> tuple[str, int | None]:
+    """The label and the element whose axis is the principal axis.
+
+    Read from the element kinds and the multiplication table alone: a
+    half turn crosses the principal axis when it is no power of the
+    principal rotation r, and a mirror s is horizontal when s r is no
+    mirror.
+    """
+    rotations = lambda n: sum(1 for op in ops if op.kind == "C" and op.n == n)
+    mirrors = [x for x, op in enumerate(ops) if op.kind == "sigma"]
     has_i = any(op.kind == "i" for op in ops)
-    has_improper = bool(sigmas or sops) or has_i
+    has_improper = any(op.kind in ("i", "S", "sigma") for op in ops)
 
-    axes = _axis_groups(proper, axis_tol)
-    n_by_order = lambda n: sum(1 for _, o in axes if o == n)
-
-    if n_by_order(5) >= 2:
+    if rotations(5) >= 24:
         if has_improper and not has_i:
             raise UnrecognizedGroup("icosahedral rotations with impropers but no inversion")
         return ("Ih" if has_i else "I"), None
-    if n_by_order(4) >= 2:
+    if rotations(4) >= 6:
         if has_improper and not has_i:
             raise UnrecognizedGroup("octahedral rotations with impropers but no inversion")
         return ("Oh" if has_i else "O"), None
-    if n_by_order(3) >= 2:
-        if has_i:
-            return "Th", None
-        if has_improper:
-            return "Td", None
-        return "T", None
+    if rotations(3) >= 8:
+        return ("Th" if has_i else "Td" if has_improper else "T"), None
 
-    if not proper:
+    r = _principal_rotation(ops, table)
+    if r is None:
         if has_i:
             return "Ci", None
-        if sigmas:
-            normal, _ = _canon_sign(np.asarray(sigmas[0].axis, float))
-            return "Cs", tuple(float(c) for c in normal)
-        return "C1", None
+        return ("Cs", mirrors[0]) if mirrors else ("C1", None)
 
-    n_max = max(order for _, order in axes)
-    principal_candidates = [axis for axis, order in axes if order == n_max]
-    principal = None
-    if len(principal_candidates) > 1:
-        # a tie only happens for order 2; prefer an axis carrying an S4
-        for axis in principal_candidates:
-            if any(op.n == 4 and _parallel(op.axis, axis, axis_tol) for op in sops):
-                principal = axis
-                break
-        if principal is None:
-            principal = max(principal_candidates, key=lambda a: _axis_tuple(a))
-    else:
-        principal = principal_candidates[0]
-    principal_t = tuple(float(c) for c in principal)
-
-    perp_c2 = sum(
-        1
-        for axis, order in axes
-        if order == 2
-        and _perpendicular(axis, principal, axis_tol)
-        and not _parallel(axis, principal, axis_tol)
+    n, on_axis = ops[r].n, _powers(table, r)
+    crossing = sum(
+        1 for x, op in enumerate(ops) if op.kind == "C" and op.n == 2 and x not in on_axis
     )
-    horizontal = [s for s in sigmas if _parallel(s.axis, principal, axis_tol)]
-    vertical = [s for s in sigmas if _perpendicular(s.axis, principal, axis_tol)]
+    horizontal = [s for s in mirrors if ops[table[s, r]].kind != "sigma"]
+    vertical = len(mirrors) - len(horizontal)
 
-    if perp_c2 == n_max and n_max >= 2:
+    if crossing == n:
         if horizontal:
-            return f"D{n_max}h", principal_t
-        if len(vertical) == n_max:
-            return f"D{n_max}d", principal_t
-        if sigmas:
+            return f"D{n}h", r
+        if vertical == n:
+            return f"D{n}d", r
+        if mirrors:
             raise UnrecognizedGroup("dihedral rotations with an unfamiliar mirror set")
-        return f"D{n_max}", principal_t
+        return f"D{n}", r
     if horizontal:
-        return f"C{n_max}h", principal_t
-    if len(vertical) == n_max:
-        return f"C{n_max}v", principal_t
-    if sigmas:
+        return f"C{n}h", r
+    if vertical == n:
+        return f"C{n}v", r
+    if mirrors:
         raise UnrecognizedGroup("rotations with an unfamiliar mirror set")
-    if any(
-        op.n == 2 * n_max and _parallel(op.axis, principal, axis_tol) for op in sops
-    ):
-        return f"S{2 * n_max}", principal_t
-    return f"C{n_max}", principal_t
+    if any(op.kind == "S" and op.n == 2 * n for op in ops):
+        return f"S{2 * n}", r
+    return f"C{n}", r
 
 
 def _merged_classes(
@@ -712,45 +678,47 @@ def _assign_roles(
     label: str,
     dimension: int,
     ops: list[IsometryOp],
+    table: np.ndarray,
     merged: list[list[int]],
-    principal: tuple[float, ...] | None,
-    axis_tol: float = 1e-4,
+    r: int | None,
 ) -> list[str]:
+    """Class roles from the element kinds and the multiplication table.
+
+    r is the principal rotation of an axial group.  Axes only order two
+    classes that no product tells apart.
+    """
     cubic = label in ("T", "Td", "Th", "O", "Oh", "I", "Ih")
-    c4_axes = [op.axis for op in ops if op.kind == "C" and op.n == 4]
+    is_mirror = lambda x: ops[int(x)].kind == "sigma"
+    c4_squares = {int(table[x, x]) for x, op in enumerate(ops) if op.kind == "C" and op.n == 4}
+    inversion = next((x for x, op in enumerate(ops) if op.kind == "i"), None)
+    on_axis = _powers(table, r) if r is not None else set()
     roles = [""] * len(merged)
     alt_classes: list[int] = []
     v_classes: list[int] = []
 
     for ci, members in enumerate(merged):
-        reps = [ops[m] for m in members]
-        kind, n, _ = _class_geometry_key(reps)
+        x = members[0]
+        kind, n, _ = _class_geometry_key([ops[m] for m in members])
         if kind in ("E", "i", "S"):
             continue
         if kind == "C":
             if cubic:
                 if n == 2 and label in ("O", "Oh"):
-                    on_c4 = any(_parallel(reps[0].axis, a, axis_tol) for a in c4_axes)
-                    roles[ci] = "" if on_c4 else "alt"
+                    roles[ci] = "" if x in c4_squares else "alt"
                 continue
-            if dimension == 2:
+            if dimension == 2 or x in on_axis:
                 continue
-            if principal is None:
-                raise InternalInconsistency("axial group without a principal axis")
-            if _parallel(reps[0].axis, principal, axis_tol):
-                continue
-            if n == 2 and _perpendicular(reps[0].axis, principal, axis_tol):
+            if n == 2:
                 alt_classes.append(ci)
                 continue
-            raise InternalInconsistency("rotation axis neither on nor across the principal axis")
+            raise InternalInconsistency("rotation off the principal axis that is no half turn")
         # mirrors
         if label == "Cs" and dimension == 3:
             roles[ci] = "h"
         elif label == "Th":
             roles[ci] = "h"
         elif label == "Oh":
-            on_c4 = any(_parallel(reps[0].axis, a, axis_tol) for a in c4_axes)
-            roles[ci] = "h" if on_c4 else "d"
+            roles[ci] = "h" if int(table[inversion, x]) in c4_squares else "d"
         elif label == "Td":
             roles[ci] = "d"
         elif label in ("I", "Ih"):
@@ -760,15 +728,12 @@ def _assign_roles(
                 roles[ci] = "v"
             else:
                 v_classes.append(ci)
+        elif not is_mirror(table[x, r]):
+            roles[ci] = "h"
+        elif label.endswith("d"):
+            roles[ci] = "d"
         else:
-            if principal is None:
-                raise InternalInconsistency("mirror in a group without a principal axis")
-            if _parallel(reps[0].axis, principal, axis_tol):
-                roles[ci] = "h"
-            elif label.endswith("d"):
-                roles[ci] = "d"
-            else:
-                v_classes.append(ci)
+            v_classes.append(ci)
 
     def class_max_axis(ci: int) -> tuple[float, ...]:
         return max(_axis_tuple(ops[m].axis) for m in merged[ci])
@@ -787,14 +752,11 @@ def _assign_roles(
         if len(v_classes) == 1:
             roles[v_classes[0]] = "v"
         elif label.startswith("D") and alt_classes:
-            # the "v" mirrors are those whose planes contain the alt axes;
-            # a plane contains an axis when its normal is perpendicular to it
-            alt_axis = ops[merged[alt_classes[0]][0]].axis
+            # the "v" mirrors contain the first crossing axis: their
+            # product with its half turn is a mirror
+            c = merged[alt_classes[0]][0]
             first = v_classes[0]
-            contains = any(
-                _perpendicular(ops[m].axis, alt_axis, axis_tol)
-                for m in merged[first]
-            )
+            contains = any(is_mirror(table[m, c]) for m in merged[first])
             roles[first] = "v" if contains else "v2"
             roles[v_classes[1]] = "v2" if contains else "v"
         else:
@@ -835,8 +797,12 @@ def classify_group(
     The multiplication table comes from composing the exact joint
     permutations, each keyed with the sign of its determinant: when the
     joints span only a hyperplane, an element and its product with the
-    mirror in that hyperplane permute the joints alike.  The group records
-    geom_tol, the relative tolerance of detect_symmetries.  Raises
+    mirror in that hyperplane permute the joints alike.  The label, the
+    principal axis and the class roles are read from the element kinds
+    and that table: with r the principal rotation, a half turn crosses
+    the principal axis when it is no power of r, and a mirror s is
+    horizontal when s r is no mirror.  The group records geom_tol, the
+    relative tolerance of detect_symmetries.  Raises
     NotAGroup when the set is not closed or lacks the identity, and
     UnrecognizedGroup when it does not match any supported type.
     """
@@ -889,15 +855,10 @@ def classify_group(
                 f"{order}, expected {expected}"
             )
 
-    # axes inherit the matrix error, which detection bounds by its
-    # identification tolerance; 0.05 rad stays far below any genuine
-    # inter-axis angle in a finite point group at desk scale
-    axis_tol = min(0.05, max(1e-4, 5.0 * max(_MATCH_TOL, 10 * rel)))
-
     if dimension == 2:
-        label, principal = _schoenflies_2d(ops)
+        label, axis_id = _schoenflies_2d(ops)
     else:
-        label, principal = _schoenflies_3d(ops, axis_tol)
+        label, axis_id = _schoenflies_3d(ops, table)
     expected_order = _expected_group_order(label, dimension)
     if expected_order != g:
         raise UnrecognizedGroup(
@@ -906,7 +867,7 @@ def classify_group(
         )
 
     merged = _merged_classes(table, inverse)
-    roles = _assign_roles(label, dimension, ops, merged, principal, axis_tol)
+    roles = _assign_roles(label, dimension, ops, table, merged, axis_id)
     classes: list[ConjugacyClass] = []
     for members, role in zip(merged, roles):
         kind, n, k = _class_geometry_key([ops[m] for m in members])
@@ -933,7 +894,7 @@ def classify_group(
         order=g,
         elements=assignments,
         classes=classes,
-        principal_axis=principal,
+        principal_axis=None if axis_id is None else ops[axis_id].axis,
         geom_tol=rel,
         mult_table=table,
         inverse=inverse,
@@ -950,7 +911,7 @@ def detect_point_group(
 def _centred(f: Framework) -> tuple[np.ndarray, float, int]:
     """Positions about the centroid and the diameter (or 1), as unit_scaled."""
     c, exp = unit_scaled(f.coordinates)
-    diam = float(np.ldexp(f.diameter(), -exp))
+    diam = f.scaled_diameter()[0]
     return c - c.mean(axis=0), diam if diam > 0 else 1.0, exp
 
 
@@ -1060,33 +1021,25 @@ def unshifted_counts(
 
 
 def orbits(f: Framework, group: PointGroupInfo) -> OrbitPartition:
-    """Joint and bar orbits under the group action, via union-find."""
+    """Joint and bar orbits under the group action.
 
-    def find(parent: list[int], x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    The elements form a group, so the orbit of x is its image under every
+    element.  Orbits come ordered by their smallest member.
+    """
+    if any(a.joint_perm is None or a.bar_perm is None for a in group.elements):
+        raise ValueError("group elements lack permutations; detect them on a framework")
 
-    def union(parent: list[int], a: int, b: int) -> None:
-        ra, rb = find(parent, a), find(parent, b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+    def collect(perms: list[tuple[int, ...]], count: int) -> tuple[tuple[int, ...], ...]:
+        out: list[tuple[int, ...]] = []
+        seen: set[int] = set()
+        for x in range(count):
+            if x not in seen:
+                orbit = sorted({p[x] for p in perms})
+                seen.update(orbit)
+                out.append(tuple(orbit))
+        return tuple(out)
 
-    jp = list(range(f.joint_count))
-    bp = list(range(f.bar_count))
-    for a in group.elements:
-        if a.joint_perm is None or a.bar_perm is None:
-            raise ValueError("group elements lack permutations; detect them on a framework")
-        for i, img in enumerate(a.joint_perm):
-            union(jp, i, img)
-        for b, img in enumerate(a.bar_perm):
-            union(bp, b, img)
-
-    def collect(parent: list[int]) -> tuple[tuple[int, ...], ...]:
-        buckets: dict[int, list[int]] = {}
-        for x in range(len(parent)):
-            buckets.setdefault(find(parent, x), []).append(x)
-        return tuple(tuple(sorted(v)) for _, v in sorted(buckets.items()))
-
-    return OrbitPartition(joint_orbits=collect(jp), bar_orbits=collect(bp))
+    return OrbitPartition(
+        joint_orbits=collect([a.joint_perm for a in group.elements], f.joint_count),
+        bar_orbits=collect([a.bar_perm for a in group.elements], f.bar_count),
+    )

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
 import pytest
 
+import isoframe
 from isoframe.cli import main
 from isoframe.constructgen import (
     counterexample_2d,
@@ -17,6 +19,15 @@ from isoframe.constructgen import (
     platonic,
 )
 from isoframe.core import from_json, new_framework, to_json
+
+
+def _child_env():
+    """This environment with the package's src dir on PYTHONPATH, so that a
+    child interpreter imports the same isoframe without an install."""
+    env = dict(os.environ)
+    src = str(pathlib.Path(isoframe.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def _write(tmp_path, name, f):
@@ -400,6 +411,7 @@ def test_shell_pipeline_generate_into_analyze(tmp_path):
         f"{sys.executable} -m isoframe.cli generate platonic icosahedron | "
         f"{sys.executable} -m isoframe.cli analyze - --json",
         shell=True,
+        env=_child_env(),
         capture_output=True,
         text=True,
     )
@@ -421,6 +433,7 @@ def test_closed_stdout_is_not_an_error(tmp_path):
             [sys.executable, "-m", "isoframe.cli", "pebble", path, "--json"],
             stdout=w,
             stderr=subprocess.PIPE,
+            env=_child_env(),
             text=True,
         )
     finally:
@@ -433,6 +446,7 @@ def test_stdin_dash_reads_framework():
     proc = subprocess.run(
         [sys.executable, "-m", "isoframe.cli", "pebble", "-", "--json"],
         input=to_json(fig2_examples("C3v_in")),
+        env=_child_env(),
         capture_output=True,
         text=True,
     )

@@ -105,13 +105,18 @@ def test_zero_length_guard_is_separation_based():
         iso.build_system(raw)
 
 
-@pytest.mark.parametrize("scale", [1e-13, 1e-15, 1e160, 1e300])
+@pytest.mark.parametrize("scale", [1e-13, 1e-15, 1e160, 1e300, 1e308])
 def test_uniform_shrink_keeps_verdict(octahedron, scale):
-    # group, order, m and s at unit scale; both pass the necessary counts
-    cases = [(octahedron, ("Oh", 48, 0, 0)), (iso.double_banana(), ("C1", 1, 1, 1))]
-    for f, verdict in cases:
+    # group, order, m and s at unit scale; both pass the necessary counts.
+    # At the largest scales the diameters (2e308, 1.8e308) exceed the
+    # largest float; the banana's coordinates reach 1.8, so it stops at 5e307
+    cases = [
+        (octahedron, scale, ("Oh", 48, 0, 0)),
+        (iso.double_banana(), min(scale, 5e307), ("C1", 1, 1, 1)),
+    ]
+    for f, factor, verdict in cases:
         small = iso.new_framework(
-            f.dimension, f.coordinates * scale, [b.ends for b in f.bars]
+            f.dimension, f.coordinates * factor, [b.ends for b in f.bars]
         )
         group = iso.detect_point_group(small)
         ks = iso.mobility(small)

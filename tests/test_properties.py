@@ -353,4 +353,5 @@ def float_points(draw):
 @settings(max_examples=200, deadline=None)
 def test_diameter_matches_bruteforce(points, scale):
     # only rows far from the centre are compared; the longest pair must survive
-    assert core._diameter(points * scale) == diameter_bruteforce(points * scale)
+    d, exp = core._diameter(points * scale)
+    assert np.ldexp(d, exp) == diameter_bruteforce(points * scale)

@@ -485,6 +485,26 @@ def _detected_summary(f):
     }
 
 
+def test_loose_tolerance_keeps_the_sixfold_rotation():
+    # at 0.09 a sixfold turn differs from E by 0.87, once inside the merge
+    # of candidates with close matrices that made this C3
+    g = detect_point_group(counterexample_2d("C6"), geom_tol=0.09)
+    assert (g.schoenflies, g.order) == ("C6", 6)
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-4])
+def test_loose_tolerance_names_the_hexagonal_prism(jitter):
+    # a merge of close matrices made the clean prism D3h and dropped the
+    # identity of the jittered one (InternalInconsistency)
+    f = _prism(6)
+    noise = np.random.default_rng(0).normal(scale=jitter, size=f.coordinates.shape)
+    moved = new_framework(
+        3, f.coordinates + noise * f.diameter(), [b.ends for b in f.bars]
+    )
+    g = detect_point_group(moved, geom_tol=0.09)
+    assert (g.schoenflies, g.order) == ("D6h", 24)
+
+
 # what detect_point_group reported on each snapshot shape; regenerate
 # with `python tests/test_symdetect.py` only for an intended change
 _DETECTED = Path(__file__).parent / "data" / "detected_groups.json"
