@@ -34,9 +34,10 @@ from .symdetect import (
     ClassKey,
     PointGroupInfo,
     SymmetryAssignment,
-    _expected_element_order,
     _find_joint_permutation,
+    _key_order,
     _parse_label,
+    _powers,
     classify_group,
     classify_matrix,
 )
@@ -263,18 +264,16 @@ def _close_under_multiplication(
 def reference_group(label: str, dimension: int = 3) -> PointGroupInfo:
     """A concrete realization of the group from reference generators.
 
-    Each element carries its permutation of the free orbit.
+    Each element carries its permutation of the free orbit, which gives
+    its order.
     """
     label = canonical_label(label)
     mats, orbit = _close_under_multiplication(_generators(label, dimension), dimension)
-    elements = [
-        SymmetryAssignment(
-            classify_matrix(M, dimension),
-            _find_joint_permutation(orbit, M, 1e-6),
-            None,
-        )
-        for M in mats
-    ]
+    elements = []
+    for M in mats:
+        perm = _find_joint_permutation(orbit, M, 1e-6)
+        op = classify_matrix(M, dimension, _key_order(perm, np.linalg.det(M) > 0))
+        elements.append(SymmetryAssignment(op, perm, None))
     info = classify_group(elements)
     if info.schoenflies != label:
         raise InternalInconsistency(
@@ -297,7 +296,7 @@ def _discrete_logs(info: PointGroupInfo, members: list[int], gen: int) -> dict[i
 
 def _rows_cyclic(info: PointGroupInfo) -> list[IrrepRow]:
     m = info.order
-    gens = [i for i, a in enumerate(info.elements) if _expected_element_order(a.op) == m]
+    gens = [i for i in range(m) if len(_powers(info.mult_table, i)) == m]
     if not gens:
         raise InternalInconsistency(f"{info.schoenflies} is not cyclic")
     logs = _discrete_logs(info, list(range(m)), min(gens))
@@ -330,7 +329,7 @@ def _rows_dihedral(info: PointGroupInfo) -> list[IrrepRow]:
         raise InternalInconsistency(
             f"{info.schoenflies} did not split evenly into an axis half and flips"
         )
-    gens = [i for i in half if _expected_element_order(info.elements[i].op) == m]
+    gens = [i for i in half if len(_powers(info.mult_table, i)) == m]
     if not gens:
         raise InternalInconsistency(
             f"the axis half of {info.schoenflies} is not cyclic"

@@ -13,12 +13,16 @@ The pipeline:
    verify it permutes the joints and the bars.  A symmetry is its
    joint permutation and the sign of its determinant; one candidate
    is kept per such key.
-4. Classify verified matrices into E / C / S / sigma / i with exact
-   rational rotation fractions, build the multiplication table by
-   composing the joint permutations, compute conjugacy classes, merge
-   inverse-paired classes, and name the group and its classes on the
-   Schoenflies flowchart from the element kinds and that table alone.
-   Axes are read only to order two classes that no product tells apart.
+4. Read each symmetry's order from its key: the smallest power of the
+   joint permutation that is the identity, doubled when it is odd and
+   the symmetry improper.  Classify the matrix into E / C_n^k / S_n^k /
+   sigma / i from that order and the determinant sign; only k, the
+   nearest multiple of 2*pi/n, is read from the measured angle.  Build
+   the multiplication table by composing the joint permutations,
+   compute conjugacy classes, merge inverse-paired classes, and name the
+   group and its classes on the Schoenflies flowchart from the element
+   kinds and that table alone.  Axes are read only to order two classes
+   that no product tells apart.
 
 All geometric tolerances are relative to the framework diameter.
 """
@@ -27,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -50,9 +53,6 @@ DEFAULT_GEOM_TOL = 1e-6
 # are reported as ambiguous rather than kept apart.
 _AMBIGUITY_GATE = 1e-4
 
-# Largest rotation order the angle snapper will recognize.
-_MAX_ROTATION_DENOM = 24
-
 _KIND_RANK = {"E": 0, "C": 1, "i": 2, "S": 3, "sigma": 4}
 _ROLE_RANK = {"": 0, "h": 1, "v": 2, "v2": 3, "d": 4, "alt": 5, "alt2": 6}
 
@@ -61,8 +61,8 @@ _ROLE_RANK = {"": 0, "h": 1, "v": 2, "v2": 3, "d": 4, "alt": 5, "alt2": 6}
 class IsometryOp:
     """One orthogonal map about the centroid, classified by type.
 
-    kind is "E", "C", "S", "sigma", or "i".  For C and S the angle is
-    2*pi*k/n with 1 <= k < n and gcd(k, n) = 1.  axis holds the
+    kind is "E", "C", "S", "sigma", or "i".  For C and S the rotation
+    angle is 2*pi*k/n with 1 <= k < n and gcd(k, n) = 1.  axis holds the
     rotation axis for 3D C and S, the unit plane normal for a 3D
     mirror, the unit mirror line direction for a 2D mirror, and None
     otherwise.  Axes are sign-canonicalized: the first component larger
@@ -73,7 +73,6 @@ class IsometryOp:
     matrix: np.ndarray = field(repr=False, compare=False)
     n: int = 0
     k: int = 0
-    angle: float = 0.0
     axis: tuple[float, ...] | None = None
 
 
@@ -178,15 +177,29 @@ def _canon_sign(v: np.ndarray) -> tuple[np.ndarray, bool]:
     return v, False
 
 
-def _angle_to_fraction(angle: float, angle_tol: float) -> tuple[int, int]:
-    frac = Fraction(angle / (2 * math.pi)).limit_denominator(_MAX_ROTATION_DENOM)
-    n, k = frac.denominator, frac.numerator
-    if k < 1 or k >= n or abs(angle - 2 * math.pi * k / n) > angle_tol:
-        raise UnrecognizedGroup(
-            f"rotation angle {angle:.9f} is not a multiple of 2*pi/n "
-            f"for any n up to {_MAX_ROTATION_DENOM}"
+def _key_order(perm: Sequence[int], proper: bool) -> int:
+    """The order of the symmetry keyed by perm and its determinant sign.
+
+    The smallest power of perm that is the identity, doubled when it is
+    odd and the symmetry improper: that power then fixes every joint yet
+    has determinant -1, so it is the mirror in the joints' hyperplane.
+    """
+    identity = list(range(len(perm)))
+    order, cur = 1, list(perm)
+    while cur != identity:
+        cur, order = [perm[c] for c in cur], order + 1
+    return order if proper or order % 2 == 0 else 2 * order
+
+
+def _rotation_multiple(angle: float, n: int) -> int:
+    """k, the multiple of 2*pi/n nearest to angle, when it is coprime to n."""
+    k = round(angle * n / (2 * math.pi)) % n
+    if math.gcd(k, n) != 1:
+        raise ToleranceAmbiguity(
+            f"a symmetry of order {n} turns by {angle:.9f}, nearest to "
+            f"{k} * 2*pi/{n}, which has a smaller order"
         )
-    return n, k
+    return k
 
 
 def _null_axis(M: np.ndarray) -> np.ndarray:
@@ -203,61 +216,67 @@ def _frozen(M: np.ndarray) -> np.ndarray:
     return out
 
 
-def classify_matrix(
-    M: np.ndarray, dimension: int, angle_tol: float = 1e-6
-) -> IsometryOp:
-    """Classify an orthogonal matrix as E, C, S, sigma, or i."""
+def classify_matrix(M: np.ndarray, dimension: int, order: int) -> IsometryOp:
+    """Classify an orthogonal matrix of the given order as E, C, S, sigma or i.
+
+    The kind follows from the order and the determinant sign: order 1 is
+    E; an improper order 2 is i when the trace is near -3 and sigma
+    otherwise; any other order m is C_m when proper and S_m when
+    improper, except that an improper m = 2 mod 4 is S_(m/2) when the
+    nearest multiple of 2*pi/m to its rotation angle is even.  k is the
+    nearest multiple of 2*pi/n to the angle; ToleranceAmbiguity when it
+    is not coprime to n.
+    """
     M = np.asarray(M, dtype=float)
     if M.shape != (dimension, dimension):
         raise ValueError(f"expected a {dimension}x{dimension} matrix, got {M.shape}")
+    if dimension not in (2, 3):
+        raise ValueError("only 2D and 3D isometries are supported")
     if np.abs(M.T @ M - np.eye(dimension)).max() > 1e-6:
         raise ValueError("matrix is not orthogonal")
     Mf = _frozen(M)
     det = float(np.linalg.det(M))
+    proper = det > 0
+    if order < 1 or (not proper and order % 2):
+        raise ValueError(f"no isometry of determinant {det:+.0f} has order {order}")
+    if order == 1:
+        return IsometryOp("E", Mf)
 
     if dimension == 2:
-        if det > 0:
-            theta = math.atan2(M[1, 0], M[0, 0]) % (2 * math.pi)
-            if min(theta, 2 * math.pi - theta) <= angle_tol:
-                return IsometryOp("E", Mf)
-            n, k = _angle_to_fraction(theta, angle_tol)
-            return IsometryOp("C", Mf, n, k, 2 * math.pi * k / n, None)
-        # reflection across the line at angle a: entries are cos 2a, sin 2a
-        half = math.atan2(M[1, 0], M[0, 0]) / 2
-        line = np.array([math.cos(half), math.sin(half)])
-        line, _ = _canon_sign(line)
-        return IsometryOp("sigma", Mf, 0, 0, 0.0, tuple(float(c) for c in line))
-
-    if dimension != 3:
-        raise ValueError("only 2D and 3D isometries are supported")
+        if not proper:
+            # reflection across the line at angle a: entries are cos 2a, sin 2a
+            half = math.atan2(M[1, 0], M[0, 0]) / 2
+            line, _ = _canon_sign(np.array([math.cos(half), math.sin(half)]))
+            return IsometryOp("sigma", Mf, 0, 0, tuple(float(c) for c in line))
+        theta = math.atan2(M[1, 0], M[0, 0])
+        return IsometryOp("C", Mf, order, _rotation_multiple(theta, order), None)
 
     # an improper M is -R for a proper R: R = E gives i, a half turn R a
     # mirror (plane normal = axis), any other R an S with angle phi - pi
-    proper = det > 0
     R = M if proper else -M
+    if order == 2:
+        if not proper and float(np.trace(M)) < -1:
+            return IsometryOp("i", Mf)
+        axis = tuple(float(c) for c in _canon_sign(_null_axis(R))[0])
+        if proper:
+            return IsometryOp("C", Mf, 2, 1, axis)
+        return IsometryOp("sigma", Mf, 0, 0, axis)
     cos_a = min(1.0, max(-1.0, (float(np.trace(R)) - 1) / 2))
     skew = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]) / 2
     sin_a = float(np.linalg.norm(skew))
-    phi = math.atan2(sin_a, cos_a)
-    if phi <= angle_tol:
-        return IsometryOp("E" if proper else "i", Mf)
-    if abs(phi - math.pi) <= angle_tol:
-        axis = tuple(float(c) for c in _canon_sign(_null_axis(R))[0])
-        if proper:
-            return IsometryOp("C", Mf, 2, 1, math.pi, axis)
-        return IsometryOp("sigma", Mf, 0, 0, 0.0, axis)
+    phi = math.atan2(sin_a, cos_a) - (0 if proper else math.pi)
+    n = order
+    if not proper and order % 4 == 2 and round(phi * order / (2 * math.pi)) % 2 == 0:
+        n = order // 2
+    k = _rotation_multiple(phi, n)
     axis, flipped = _canon_sign(skew / sin_a)
     if flipped:
-        phi = 2 * math.pi - phi
-    if not proper:
-        phi = (phi - math.pi) % (2 * math.pi)
-    n, k = _angle_to_fraction(phi, angle_tol)
-    kind = "C" if proper else "S"
-    return IsometryOp(kind, Mf, n, k, 2 * math.pi * k / n, tuple(float(c) for c in axis))
+        k = n - k
+    return IsometryOp("C" if proper else "S", Mf, n, k, tuple(float(c) for c in axis))
 
 
 def _op_sort_key(op: IsometryOp):
-    return (_KIND_RANK[op.kind], -op.n, op.k, round(op.angle, 9), _axis_tuple(op.axis))
+    return (_KIND_RANK[op.kind], -op.n, op.k, _axis_tuple(op.axis))
 
 
 def _shells(norms: np.ndarray, tol: float) -> list[list[int]]:
@@ -472,10 +491,9 @@ def detect_symmetries(
                     )
             found[key] = (M, bar_perm)
 
-    angle_tol = max(1e-6, 10 * rel)
     assignments = [
-        SymmetryAssignment(classify_matrix(M, d, angle_tol), perm, bar_perm)
-        for (perm, _), (M, bar_perm) in found.items()
+        SymmetryAssignment(classify_matrix(M, d, _key_order(perm, proper)), perm, bar_perm)
+        for (perm, proper), (M, bar_perm) in found.items()
     ]
     assignments.sort(key=lambda a: _op_sort_key(a.op))
     if not assignments or assignments[0].op.kind != "E":
@@ -487,16 +505,6 @@ def _axis_tuple(axis: Sequence[float] | None) -> tuple[float, ...]:
     if axis is None:
         return ()
     return tuple(round(float(c), 9) for c in axis)
-
-
-def _expected_element_order(op: IsometryOp) -> int:
-    if op.kind == "E":
-        return 1
-    if op.kind in ("sigma", "i"):
-        return 2
-    if op.kind == "C":
-        return op.n
-    return op.n if op.n % 2 == 0 else 2 * op.n
 
 
 def _parse_label(label: str) -> tuple[str, int, str]:
@@ -842,18 +850,6 @@ def classify_group(
         raise NotAGroup("the identity is not among the elements")
     # distinct invertible keys make every row a permutation of 0..g-1
     inverse = np.argmin(table, axis=1)
-
-    for i, op in enumerate(ops):
-        order, cur = 1, i
-        while cur != 0:
-            cur = int(table[cur, i])
-            order += 1
-        expected = _expected_element_order(op)
-        if order != expected:
-            raise UnrecognizedGroup(
-                f"element {i} classified as {op.kind}{op.n or ''} has order "
-                f"{order}, expected {expected}"
-            )
 
     if dimension == 2:
         label, axis_id = _schoenflies_2d(ops)

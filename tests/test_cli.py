@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -169,6 +170,21 @@ def test_check_exit_codes(tmp_path, capsys):
     assert d["conditions"]["passed"] is False
     failed = [c for c in d["conditions"]["checks"] if not c["passed"]]
     assert {c["equation_id"] for c in failed} == {"2D:E", "2D:Cn", "2D:C2"}
+
+
+@pytest.mark.parametrize("n", [25, 30])
+def test_check_wheel_with_many_spokes(tmp_path, capsys, n):
+    # a hub, an n-gon rim and n spokes; the rotation order is read from
+    # the joint permutation, with no cap on n
+    rim = [(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n)]
+    bars = [(0, k) for k in range(1, n + 1)] + [(k, k % n + 1) for k in range(1, n + 1)]
+    path = _write(tmp_path, "wheel.json", new_framework(2, [(0.0, 0.0)] + rim, bars))
+    code, out, _ = _run(capsys, ["check", path, "--json"])
+    assert code == 1
+    d = json.loads(out)
+    assert (d["group"]["schoenflies"], d["group"]["order"]) == (f"C{n}v", 2 * n)
+    failed = {c["equation_id"] for c in d["conditions"]["checks"] if not c["passed"]}
+    assert "2D:Cn" in failed
 
 
 def test_check_sufficient_flag(tmp_path, capsys):

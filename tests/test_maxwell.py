@@ -55,16 +55,16 @@ def test_two_cos_exact_and_irrational():
 
 def test_gamma_rigid_body_3d_frozen():
     cases = [
-        (np.eye(3), (3, 3)),
-        (_rot3(math.pi), (-1, -1)),
-        (_rot3(2 * math.pi / 3), (0, 0)),
-        (_rot3(math.pi / 2), (1, 1)),
-        (np.diag([1.0, 1.0, -1.0]), (1, -1)),
-        (-np.eye(3), (-3, 3)),
-        (_rot3(math.pi / 2) @ np.diag([1.0, 1.0, -1.0]), (-1, 1)),  # S4
+        (np.eye(3), 1, (3, 3)),
+        (_rot3(math.pi), 2, (-1, -1)),
+        (_rot3(2 * math.pi / 3), 3, (0, 0)),
+        (_rot3(math.pi / 2), 4, (1, 1)),
+        (np.diag([1.0, 1.0, -1.0]), 2, (1, -1)),
+        (-np.eye(3), 2, (-3, 3)),
+        (_rot3(math.pi / 2) @ np.diag([1.0, 1.0, -1.0]), 4, (-1, 1)),  # S4
     ]
-    for M, want in cases:
-        op = classify_matrix(M, 3)
+    for M, order, want in cases:
+        op = classify_matrix(M, 3, order)
         txyz, trot = gamma_rigid_body(op, 3)
         assert (txyz, trot) == want
         assert isinstance(txyz, int) and isinstance(trot, int)
@@ -73,13 +73,13 @@ def test_gamma_rigid_body_3d_frozen():
 def test_gamma_rigid_body_2d_frozen():
     c, s = math.cos(2 * math.pi / 3), math.sin(2 * math.pi / 3)
     cases = [
-        (np.eye(2), (2, 1)),
-        (-np.eye(2), (-2, 1)),
-        (np.array([[c, -s], [s, c]]), (-1, 1)),
-        (np.diag([1.0, -1.0]), (0, -1)),
+        (np.eye(2), 1, (2, 1)),
+        (-np.eye(2), 2, (-2, 1)),
+        (np.array([[c, -s], [s, c]]), 3, (-1, 1)),
+        (np.diag([1.0, -1.0]), 2, (0, -1)),
     ]
-    for M, want in cases:
-        op = classify_matrix(M, 2)
+    for M, order, want in cases:
+        op = classify_matrix(M, 2, order)
         assert gamma_rigid_body(op, 2) == want
 
 

@@ -10,12 +10,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from isoframe.chartables import CATALOG_2D, CATALOG_3D, reference_group
-from isoframe.constructgen import counterexample_2d, fig2_examples, platonic
+from isoframe.chartables import CATALOG_2D, CATALOG_3D, _rotation_about, reference_group
+from isoframe.constructgen import counterexample_2d, double_banana, fig2_examples, platonic
 from isoframe.core import new_framework
 from isoframe.errors import ContinuousSymmetry, ToleranceAmbiguity
-from isoframe.maxwell import isostatic_necessary
+from isoframe.maxwell import isostatic_necessary, maxwell_trace
 from isoframe.symdetect import (
     SymmetryAssignment,
     _find_joint_permutation,
@@ -146,7 +148,7 @@ def test_plane_fixture_groups(key, label, order):
 
 
 def test_classify_matrix_3d_kinds():
-    ident = classify_matrix(np.eye(3), 3)
+    ident = classify_matrix(np.eye(3), 3, 1)
     assert ident.kind == "E"
 
     th = 2 * math.pi / 5
@@ -157,22 +159,58 @@ def test_classify_matrix_3d_kinds():
             [0.0, 0.0, 1.0],
         ]
     )
-    c5 = classify_matrix(rot, 3)
+    c5 = classify_matrix(rot, 3, 5)
     assert (c5.kind, c5.n, c5.k) == ("C", 5, 1)
     assert c5.axis is not None
     assert np.allclose(np.abs(c5.axis), [0, 0, 1])
 
     s4 = classify_matrix(
-        np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]), 3
+        np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]), 3, 4
     )
     assert (s4.kind, s4.n) == ("S", 4)
 
-    mirror = classify_matrix(np.diag([1.0, 1.0, -1.0]), 3)
+    mirror = classify_matrix(np.diag([1.0, 1.0, -1.0]), 3, 2)
     assert mirror.kind == "sigma"
     assert np.allclose(np.abs(mirror.axis), [0, 0, 1])  # plane normal
 
-    inv = classify_matrix(-np.eye(3), 3)
+    inv = classify_matrix(-np.eye(3), 3, 2)
     assert inv.kind == "i"
+
+    # a half turn is no primitive multiple of a quarter turn
+    with pytest.raises(ToleranceAmbiguity):
+        classify_matrix(np.diag([-1.0, -1.0, 1.0]), 3, 4)
+
+
+@given(
+    st.tuples(*(st.floats(-1.0, 1.0) for _ in range(3))),
+    st.integers(2, 60),
+    st.integers(0, 59),
+    st.booleans(),
+)
+@example((0.0, 0.0, 1.0), 3, 0, False)  # S3, order 6
+@example((0.0, 0.0, 1.0), 6, 0, False)  # S6, order 6
+@example((0.3, 0.1, 0.9), 2, 0, False)  # i
+@example((0.3, 0.1, 0.9), 1, 0, False)  # sigma
+@settings(max_examples=200, deadline=None)
+def test_classify_matrix_reads_kind_and_fraction_from_the_order(axis, n, pick, proper):
+    assume(np.linalg.norm(axis) > 0.1)
+    a = np.asarray(axis) / np.linalg.norm(axis)
+    coprime = [k for k in range(n) if math.gcd(k, n) == 1]
+    k = coprime[pick % len(coprime)]
+    M = _rotation_about(a, 2 * math.pi * k / n)
+    if not proper:
+        M = M @ (np.eye(3) - 2 * np.outer(a, a))
+    order = n if proper or n % 2 == 0 else 2 * n
+    op = classify_matrix(M, 3, order)
+    if proper:
+        want = ("C", n, k)
+    else:
+        want = {1: ("sigma", 0, 0), 2: ("i", 0, 0)}.get(n, ("S", n, k))
+    if op.kind in ("C", "S") and float(np.dot(op.axis, a)) < 0:
+        want = (want[0], n, n - k)  # the axis was turned round
+    assert (op.kind, op.n, op.k) == want
+    if op.kind != "i":
+        assert abs(abs(float(np.dot(op.axis, a))) - 1) < 1e-9
 
 
 def test_classify_matrix_2d_kinds():
@@ -180,20 +218,20 @@ def test_classify_matrix_2d_kinds():
     rot = np.array(
         [[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]]
     )
-    c3 = classify_matrix(rot, 2)
+    c3 = classify_matrix(rot, 2, 3)
     assert (c3.kind, c3.n, c3.k) == ("C", 3, 1)
 
-    flip_y = classify_matrix(np.diag([1.0, -1.0]), 2)
+    flip_y = classify_matrix(np.diag([1.0, -1.0]), 2, 2)
     assert flip_y.kind == "sigma"
     assert np.allclose(np.abs(flip_y.axis), [1, 0])  # mirror line direction
 
-    half_turn = classify_matrix(-np.eye(2), 2)
+    half_turn = classify_matrix(-np.eye(2), 2, 2)
     assert (half_turn.kind, half_turn.n) == ("C", 2)
 
     with pytest.raises(ValueError):
-        classify_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]), 2)  # not orthogonal
+        classify_matrix(np.array([[1.0, 1.0], [0.0, 1.0]]), 2, 1)  # not orthogonal
     with pytest.raises(ValueError):
-        classify_matrix(np.eye(3), 2)  # wrong shape
+        classify_matrix(np.eye(3), 2, 1)  # wrong shape
 
 
 def _group_under_test(name):
@@ -492,17 +530,72 @@ def test_loose_tolerance_keeps_the_sixfold_rotation():
     assert (g.schoenflies, g.order) == ("C6", 6)
 
 
+_LOOSE_SHAPES = {
+    "prism_6": (lambda: _prism(6), "D6h", 24),
+    "antiprism_6": (lambda: _prism(6, antiprism=True), "D6d", 24),
+    "icosahedron": (lambda: platonic("icosahedron"), "Ih", 120),
+}
+
+
 @pytest.mark.parametrize("jitter", [0.0, 1e-4])
-def test_loose_tolerance_names_the_hexagonal_prism(jitter):
+@pytest.mark.parametrize("shape", sorted(_LOOSE_SHAPES))
+def test_loose_tolerance_names_the_group(shape, jitter):
     # a merge of close matrices made the clean prism D3h and dropped the
-    # identity of the jittered one (InternalInconsistency)
-    f = _prism(6)
+    # identity of the jittered one (InternalInconsistency); angles snapped
+    # within 0.9 rad made the antiprism's S12 an i and an icosahedral
+    # C5^2 a C2 (UnrecognizedGroup)
+    build, label, order = _LOOSE_SHAPES[shape]
+    f = build()
     noise = np.random.default_rng(0).normal(scale=jitter, size=f.coordinates.shape)
     moved = new_framework(
         3, f.coordinates + noise * f.diameter(), [b.ends for b in f.bars]
     )
     g = detect_point_group(moved, geom_tol=0.09)
-    assert (g.schoenflies, g.order) == ("D6h", 24)
+    assert (g.schoenflies, g.order) == (label, order)
+
+
+def _relabelled(f, rng):
+    """f with its joints renumbered, its bars shuffled and their ends swapped."""
+    perm = list(range(f.joint_count))
+    rng.shuffle(perm)
+    coords = [None] * f.joint_count
+    for i, p in enumerate(perm):
+        coords[p] = f.coordinates[i]
+    bars = [(perm[v], perm[u]) if rng.random() < 0.5 else (perm[u], perm[v])
+            for u, v in (b.ends for b in f.bars)]
+    rng.shuffle(bars)
+    return new_framework(f.dimension, coords, bars)
+
+
+_RELABEL_SHAPES = {
+    "icosahedron": lambda: platonic("icosahedron"),
+    "antiprism_5": lambda: _prism(5, antiprism=True),
+    "C3v_in": lambda: fig2_examples("C3v_in"),
+    "C2v": lambda: fig2_examples("C2v"),
+    "double_banana": double_banana,
+}
+
+
+def _symmetric_summary(f):
+    g = detect_point_group(f)
+    return (
+        g.schoenflies,
+        [(c.key, c.size) for c in g.classes],
+        maxwell_trace(f, g).values,
+        isostatic_necessary(f, g).passed,
+    )
+
+
+@pytest.mark.parametrize("shape", sorted(_RELABEL_SHAPES))
+@given(rng=st.randoms(use_true_random=False))
+@settings(max_examples=8, deadline=None)
+def test_relabelling_keeps_group_classes_and_traces(shape, rng):
+    f = _RELABEL_SHAPES[shape]()
+    label, classes, trace, necessary = _symmetric_summary(f)
+    got = _symmetric_summary(_relabelled(f, rng))
+    assert got[:2] == (label, classes)
+    assert got[2] == pytest.approx(trace, abs=1e-9)
+    assert got[3] == necessary
 
 
 # what detect_point_group reported on each snapshot shape; regenerate
