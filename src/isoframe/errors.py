@@ -58,9 +58,11 @@ class ParseError(IsoframeError):
 
 
 class ToleranceAmbiguity(IsoframeError):
-    """Two candidate isometries agree to within the gray zone between the
-    dedup tolerance and the match tolerance, so the group order is not
-    well defined at the requested precision."""
+    """The geometric tolerance does not settle the symmetry group: either
+    distinct answers lie within it (two joints, or two candidate
+    symmetries, closer than it can tell apart), or noise about its size
+    lets some symmetries through and not others, so that the symmetries
+    found do not form a group."""
 
 
 class ContinuousSymmetry(IsoframeError):

@@ -504,11 +504,11 @@ def isostatic_necessary(
 ) -> ConditionReport:
     """Evaluate every per-operation necessary condition for isostaticity.
 
-    Unshifted joints and bars are counted at the tolerance the group was
-    detected at.  All verdicts use exact integer arithmetic; rotation
-    orders with an irrational cosine get an explicit unsatisfiability
-    note instead of a floating-point comparison.  Failures are report
-    content, never exceptions.
+    Unshifted joints and bars are counted from the group's permutations,
+    not from coordinates.  All verdicts use exact integer arithmetic;
+    rotation orders with an irrational cosine get an explicit
+    unsatisfiability note instead of a floating-point comparison.
+    Failures are report content, never exceptions.
     """
     if group is None:
         group = detect_point_group(f)
@@ -517,7 +517,7 @@ def isostatic_necessary(
     builder = _checks_2d if d == 2 else _checks_3d
     checks: list[ConditionCheck] = []
     for cls in group.classes:
-        counts = unshifted_counts(f, group.elements[cls.rep_id], group.geom_tol)
+        counts = unshifted_counts(f, group.elements[cls.rep_id])
         checks.extend(builder(cls.label, counts, j, b))
     notes: list[str] = []
     admissible_2d: bool | None = None

@@ -23,6 +23,9 @@ The pipeline:
    group and its classes on the Schoenflies flowchart from the element
    kinds and that table alone.  Axes are read only to order two classes
    that no product tells apart.
+5. Count the joints and bars each operation leaves in place, and tag
+   how each fixed bar sits, from the permutations alone: detection is
+   the last step that reads coordinates.
 
 All geometric tolerances are relative to the framework diameter.
 """
@@ -122,8 +125,8 @@ class PointGroupInfo:
     mult_table[x, y] is the index of element x composed after y, and
     inverse[x] the index of the inverse.  classes are merged with their
     inverse classes so they align one-to-one with real character table
-    columns.  geom_tol is the relative geometric tolerance the group was
-    detected at, which the counts of unshifted joints and bars reuse.
+    columns.  Nothing downstream of the group reads coordinates again,
+    so it carries no tolerance.
     """
 
     schoenflies: str
@@ -132,7 +135,6 @@ class PointGroupInfo:
     elements: list[SymmetryAssignment]
     classes: list[ConjugacyClass]
     principal_axis: tuple[float, ...] | None
-    geom_tol: float
     mult_table: np.ndarray = field(repr=False)
     inverse: np.ndarray = field(repr=False)
 
@@ -147,8 +149,8 @@ class PointGroupInfo:
 class UnshiftedCounts:
     """Joints and bars left in place by one symmetry operation.
 
-    bar_tags records, for each fixed bar, how it sits relative to the
-    invariant set of the operation.
+    bar_tags records, for each fixed bar of an operation other than E,
+    how it sits relative to the operation's invariant set.
     """
 
     kind: str
@@ -444,7 +446,9 @@ def detect_symmetries(
         raise ContinuousSymmetry(
             "a framework with at most one joint has continuous point symmetry"
         )
-    P, scale, exp = _centred(f)
+    coords, exp = unit_scaled(f.coordinates)
+    P = coords - coords.mean(axis=0)
+    scale = f.scaled_diameter()[0] or 1.0
     tol = rel * scale
 
     sv = np.linalg.svd(P, compute_uv=False)
@@ -796,10 +800,7 @@ def _class_label(key: ClassKey, size: int) -> str:
     return f"{size}{name}" if size > 1 else name
 
 
-def classify_group(
-    elements: Sequence[SymmetryAssignment],
-    geom_tol: float | None = None,
-) -> PointGroupInfo:
+def classify_group(elements: Sequence[SymmetryAssignment]) -> PointGroupInfo:
     """Close, verify, and name a finite set of isometries as a point group.
 
     The multiplication table comes from composing the exact joint
@@ -809,12 +810,10 @@ def classify_group(
     principal axis and the class roles are read from the element kinds
     and that table: with r the principal rotation, a half turn crosses
     the principal axis when it is no power of r, and a mirror s is
-    horizontal when s r is no mirror.  The group records geom_tol, the
-    relative tolerance of detect_symmetries.  Raises
-    NotAGroup when the set is not closed or lacks the identity, and
-    UnrecognizedGroup when it does not match any supported type.
+    horizontal when s r is no mirror.  Raises NotAGroup when the set is
+    not closed or lacks the identity, and UnrecognizedGroup when it
+    does not match any supported type.
     """
-    rel = DEFAULT_GEOM_TOL if geom_tol is None else float(geom_tol)
     if not elements:
         raise NotAGroup("no elements supplied")
     assignments = sorted(elements, key=lambda a: _op_sort_key(a.op))
@@ -891,7 +890,6 @@ def classify_group(
         elements=assignments,
         classes=classes,
         principal_axis=None if axis_id is None else ops[axis_id].axis,
-        geom_tol=rel,
         mult_table=table,
         inverse=inverse,
     )
@@ -900,109 +898,65 @@ def classify_group(
 def detect_point_group(
     f: Framework, geom_tol: float | None = None
 ) -> PointGroupInfo:
-    """Detect all symmetries of f and classify them as a point group."""
-    return classify_group(detect_symmetries(f, geom_tol), geom_tol)
+    """Detect all symmetries of f and classify them as a point group.
 
-
-def _centred(f: Framework) -> tuple[np.ndarray, float, int]:
-    """Positions about the centroid and the diameter (or 1), as unit_scaled."""
-    c, exp = unit_scaled(f.coordinates)
-    diam = f.scaled_diameter()[0]
-    return c - c.mean(axis=0), diam if diam > 0 else 1.0, exp
-
-
-def _off_axis(p: np.ndarray, axis: np.ndarray) -> float:
-    """Distance from p to the line through the center along a unit axis."""
-    return float(np.linalg.norm(p - (p @ axis) * axis))
-
-
-def _off_fixed_set(op: IsometryOp, dimension: int, p: np.ndarray) -> float:
-    """Distance from p to the points that op (not E) leaves in place."""
-    if op.kind in ("i", "S") or (op.kind == "C" and dimension == 2):
-        return float(np.linalg.norm(p))
-    if op.kind == "sigma" and dimension == 3:
-        return abs(float(p @ np.asarray(op.axis, float)))
-    return _off_axis(p, np.asarray(op.axis, float))
-
-
-def _fixed_tag_for_bar(
-    f: Framework,
-    P: np.ndarray,
-    op: IsometryOp,
-    bar_id: int,
-    joint_perm: tuple[int, ...],
-    vtol: float,
-) -> str:
-    """How a bar that op maps onto itself sits; a bug if it sits nowhere.
-
-    With its ends in place it lies along the axis or in the mirror.
-    With its ends swapped it is centered on the center, crosses a half
-    turn's axis or a mirror at right angles, or lies along an S axis.
+    A detected set that is not closed raises ToleranceAmbiguity, not
+    NotAGroup: the tolerance let some symmetries through and not others.
     """
-    u, v = f.bars[bar_id].ends
-    swapped = joint_perm[u] == v
-    d, kind = f.dimension, op.kind
-    axis = None if op.axis is None else np.asarray(op.axis, float)
-    direction = P[u] - P[v]
-    fixed = lambda p: _off_fixed_set(op, d, p) <= vtol
-    if not swapped:
-        if (kind == "sigma" or (kind == "C" and d == 3)) and fixed(P[u]) and fixed(P[v]):
-            return "in_plane" if kind == "sigma" else "along_axis"
-    elif kind == "S":
-        if _off_axis(P[u], axis) <= vtol and _off_axis(P[v], axis) <= vtol:
-            return "along_axis"
-    elif fixed((P[u] + P[v]) / 2):
-        if kind == "i" or (kind == "C" and d == 2 and op.n == 2):
-            return "centered_at_origin"
-        if kind == "C" and op.n == 2 and abs(float(direction @ axis)) <= vtol:
-            return "perpendicular_to_axis"
-        if kind == "sigma" and d == 2 and abs(float(direction @ axis)) <= vtol:
-            return "perpendicular_to_plane"
-        if kind == "sigma" and d == 3 and _off_axis(direction, axis) <= vtol:
-            return "perpendicular_to_plane"
-    raise InternalInconsistency(
-        f"bar {bar_id}, fixed by {kind}{op.n or ''} with its ends "
-        f"{'swapped' if swapped else 'in place'}, sits where no such bar can"
-    )
+    elements = detect_symmetries(f, geom_tol)
+    try:
+        return classify_group(elements)
+    except NotAGroup as exc:
+        rel = DEFAULT_GEOM_TOL if geom_tol is None else float(geom_tol)
+        raise ToleranceAmbiguity(
+            f"the symmetries found at geom_tol {rel:g} do not form a group "
+            f"({exc}); some land within that tolerance and others do not"
+        ) from exc
 
 
-def unshifted_counts(
-    f: Framework,
-    assignment: SymmetryAssignment,
-    geom_tol: float | None = None,
-) -> UnshiftedCounts:
-    """Count and locate the joints and bars one operation leaves in place.
+# (kind, dimension, ends swapped) -> where a bar that the operation maps
+# onto itself lies; a C swaps a bar's ends only as a half turn, keyed C2
+_FIXED_BAR_TAGS = {
+    ("sigma", 2, False): "in_plane",
+    ("sigma", 3, False): "in_plane",
+    ("C", 3, False): "along_axis",
+    ("sigma", 2, True): "perpendicular_to_plane",
+    ("sigma", 3, True): "perpendicular_to_plane",
+    ("S", 3, True): "along_axis",
+    ("i", 3, True): "centered_at_origin",
+    ("C2", 2, True): "centered_at_origin",
+    ("C2", 3, True): "perpendicular_to_axis",
+}
 
-    The assignment must carry its joint and bar permutations, as
-    detected ones do.  Every fixed item is verified to sit on the
-    operation's invariant set; a failure there means the permutation and
-    the geometry disagree, which is a bug, not bad input.
+
+def unshifted_counts(f: Framework, assignment: SymmetryAssignment) -> UnshiftedCounts:
+    """Count and tag the joints and bars one operation leaves in place.
+
+    Reads the assignment's joint and bar permutations, which detected
+    ones carry, and no coordinates.  A fixed bar's tag follows from the
+    operation's kind, the dimension and whether the bar's ends are
+    swapped (_FIXED_BAR_TAGS).  A pair no isometry can produce, such as
+    a rotation of order 3 swapping two joints, which would then fix
+    both, raises InternalInconsistency: the permutation is wrong.
     """
-    rel = DEFAULT_GEOM_TOL if geom_tol is None else float(geom_tol)
-    op = assignment.op
-    joint_perm = assignment.joint_perm
-    bar_perm = assignment.bar_perm
+    op, joint_perm, bar_perm = assignment.op, assignment.joint_perm, assignment.bar_perm
     if joint_perm is None or bar_perm is None:
         raise ValueError("the operation needs its joint and bar permutations")
-    P, scale, exp = _centred(f)
-
     fixed_joints = tuple(i for i in range(f.joint_count) if joint_perm[i] == i)
     fixed_bars = tuple(b for b in range(f.bar_count) if bar_perm[b] == b)
-    vtol = 10 * (rel * scale)
-
-    # verify fixed joints sit on the invariant set
-    for i in (fixed_joints if op.kind != "E" else ()):
-        err = _off_fixed_set(op, f.dimension, P[i])
-        if err > vtol:
-            raise InternalInconsistency(
-                f"joint {i} is reported fixed but sits {np.ldexp(err, exp):g} "
-                "off the invariant set"
-            )
 
     bar_tags: dict[int, str] = {}
-    if op.kind != "E":
-        for b in fixed_bars:
-            bar_tags[b] = _fixed_tag_for_bar(f, P, op, b, joint_perm, vtol)
+    for b in fixed_bars if op.kind != "E" else ():
+        u, v = f.bars[b].ends
+        swapped = joint_perm[u] == v
+        kind = f"C{op.n}" if op.kind == "C" and swapped else op.kind
+        tag = _FIXED_BAR_TAGS.get((kind, f.dimension, swapped))
+        if tag is None:
+            raise InternalInconsistency(
+                f"bar {b} is fixed by {kind} in {f.dimension}D with its ends "
+                f"{'swapped' if swapped else 'in place'}, which no isometry does"
+            )
+        bar_tags[b] = tag
 
     return UnshiftedCounts(
         kind=op.kind,

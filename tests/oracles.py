@@ -136,6 +136,55 @@ def brute_fixed_counts(
     return jf, bf
 
 
+def _eigenspace(matrix: np.ndarray, value: float, tol: float = 1e-2) -> np.ndarray:
+    """Orthonormal rows spanning the eigenspace of matrix for value (+-1)."""
+    _, sv, vt = np.linalg.svd(matrix - value * np.eye(matrix.shape[0]))
+    return vt[sv <= tol]
+
+
+def _off(space: np.ndarray, p: np.ndarray) -> float:
+    """Distance from p to the span of the orthonormal rows of space."""
+    return float(np.linalg.norm(p - space.T @ (space @ p)))
+
+
+def geometric_fixed_items(
+    coords: np.ndarray,
+    edges: list[tuple[int, int]],
+    matrix: np.ndarray,
+    tol: float,
+) -> tuple[tuple[int, ...], dict[int, str]]:
+    """(fixed joint ids, {bar id: tag}) of one isometry, from geometry.
+
+    F and A are the eigenspaces of the matrix for 1 and -1, about the
+    centroid.  A joint is fixed when it lies in F (within tol).  A bar
+    lies in place when both ends lie in F, and is reversed when its
+    midpoint lies in F and its direction in A.  Tags come from the
+    dimensions of F and A; the identity tags nothing.
+    """
+    rel = coords - coords.mean(axis=0)
+    d = matrix.shape[0]
+    fixed, flipped = _eigenspace(matrix, 1.0), _eigenspace(matrix, -1.0)
+    dims = (len(fixed), len(flipped))
+    joints = tuple(i for i, p in enumerate(rel) if _off(fixed, p) <= tol)
+    if dims[0] == d:
+        return joints, {}
+    tags: dict[int, str] = {}
+    for b, (u, v) in enumerate(edges):
+        if u in joints and v in joints:
+            tags[b] = {1: "along_axis", d - 1: "in_plane"}[dims[0]]
+        elif (
+            _off(fixed, (rel[u] + rel[v]) / 2) <= tol
+            and _off(flipped, rel[u] - rel[v]) <= tol
+        ):
+            tags[b] = {
+                (0, d): "centered_at_origin",
+                (0, 1): "along_axis",
+                (1, 2): "perpendicular_to_axis",
+                (d - 1, 1): "perpendicular_to_plane",
+            }[dims]
+    return joints, tags
+
+
 def assembled_trace(
     coords: np.ndarray,
     edges: list[tuple[int, int]],

@@ -231,6 +231,17 @@ def test_cube_fails_the_right_equations():
     assert verdicts["3D:i"] == [True]  # no bar is centred on the origin
 
 
+def test_axial_bar_fails_the_c2_perpendicular_check(octahedron):
+    # a bar joining two poles lies along the C2 = C4^2 axis it makes
+    # principal, where no bar fixed by a half turn may lie
+    edges = [b.ends for b in octahedron.bars] + [(4, 5)]
+    rep = isostatic_necessary(new_framework(3, octahedron.coordinates, edges))
+    assert rep.schoenflies == "D4h"
+    (perp,) = [c for c in rep.checks if (c.class_label, c.eq_id) == ("C2", "3D:C2-perp")]
+    assert perp.inputs == {"b_2": 1, "b_along_axis": 1}
+    assert not perp.passed
+
+
 _FROZEN_COUNTEREXAMPLES = {
     # per-class trace, irrep decomposition, eq verdicts per eq_id
     "C4": ((-1, -1, -1), [("A", -1)], {"2D:E": [False], "2D:Cn": [False], "2D:C2": [False]}),

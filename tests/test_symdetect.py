@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from isoframe.chartables import CATALOG_2D, CATALOG_3D, _rotation_about, reference_group
 from isoframe.constructgen import counterexample_2d, double_banana, fig2_examples, platonic
 from isoframe.core import new_framework
-from isoframe.errors import ContinuousSymmetry, ToleranceAmbiguity
+from isoframe.errors import ContinuousSymmetry, InternalInconsistency, ToleranceAmbiguity
 from isoframe.maxwell import isostatic_necessary, maxwell_trace
 from isoframe.symdetect import (
     SymmetryAssignment,
@@ -28,7 +28,7 @@ from isoframe.symdetect import (
     unshifted_counts,
 )
 
-from oracles import brute_fixed_counts
+from oracles import brute_fixed_counts, geometric_fixed_items
 
 # Per-class (label, joints unshifted, bars unshifted), in detected class
 # order.  Frozen from an independent brute-force pass: apply each class
@@ -372,17 +372,30 @@ def test_moderate_jitter_breaks_symmetry_at_default_tolerance(octahedron):
     assert loose.schoenflies == "Oh" and loose.order == 48
 
 
-def test_necessary_counts_read_the_group_tolerance(octahedron):
-    # at the default tolerance the jittered joints would sit off the
-    # invariant sets of the operations detected at 1e-3
+def test_necessary_counts_pass_on_a_loosely_detected_group(octahedron):
+    # the counts come from the permutations, which hold although the
+    # jittered joints sit off the invariant sets at the default tolerance
     rng = np.random.default_rng(8)
     noise = rng.normal(size=(6, 3)) * 1e-4
     bumped = new_framework(
         3, octahedron.coordinates + noise, [b.ends for b in octahedron.bars]
     )
     loose = detect_point_group(bumped, geom_tol=1e-3)
-    assert loose.geom_tol == 1e-3
     assert isostatic_necessary(bumped, loose).passed
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_unclosed_symmetries_blame_the_tolerance(tetrahedron, seed):
+    # noise the size of geom_tol lets some symmetries through and not
+    # others, so the set found is not closed: the tolerance is to blame
+    noise = np.random.default_rng(seed).normal(size=(4, 3)) * 1e-3
+    bumped = new_framework(
+        3,
+        tetrahedron.coordinates + noise * tetrahedron.diameter(),
+        [b.ends for b in tetrahedron.bars],
+    )
+    with pytest.raises(ToleranceAmbiguity, match=r"geom_tol 0\.001 .*not in the set"):
+        detect_point_group(bumped, geom_tol=1e-3)
 
 
 def test_continuous_symmetry_rejected():
@@ -477,6 +490,70 @@ def test_fixed_bar_tags_plane_fixtures():
     assert list(uc.bar_tags.values()) == ["in_plane"]
 
 
+_Z = (0.0, 0.0, 1.0)
+_MIRROR_2D, _MIRROR_3D = np.diag([1.0, -1.0]), np.diag([1.0, 1.0, -1.0])
+_HALF_TURN_3D = np.diag([-1.0, -1.0, 1.0])
+_QUARTER_TURN_2D = np.array([[0.0, -1.0], [1.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "matrix, order, swapped, tag",
+    [
+        pytest.param(_MIRROR_2D, 2, False, "in_plane", id="sigma-2D-kept"),
+        pytest.param(_MIRROR_3D, 2, False, "in_plane", id="sigma-3D-kept"),
+        pytest.param(_rotation_about(_Z, math.pi / 2), 4, False, "along_axis", id="C4-3D-kept"),
+        pytest.param(_HALF_TURN_3D, 2, False, "along_axis", id="C2-3D-kept"),
+        pytest.param(_MIRROR_2D, 2, True, "perpendicular_to_plane", id="sigma-2D-swapped"),
+        pytest.param(_MIRROR_3D, 2, True, "perpendicular_to_plane", id="sigma-3D-swapped"),
+        pytest.param(_rotation_about(_Z, math.pi / 2) @ _MIRROR_3D, 4, True, "along_axis",
+                     id="S4-3D-swapped"),
+        pytest.param(-np.eye(3), 2, True, "centered_at_origin", id="i-3D-swapped"),
+        pytest.param(-np.eye(2), 2, True, "centered_at_origin", id="C2-2D-swapped"),
+        pytest.param(_HALF_TURN_3D, 2, True, "perpendicular_to_axis", id="C2-3D-swapped"),
+        # no isometry fixes a bar these ways
+        pytest.param(_rotation_about(_Z, 2 * math.pi / 3), 3, True, None, id="C3-3D-swapped"),
+        pytest.param(_QUARTER_TURN_2D, 4, False, None, id="C4-2D-kept"),
+        pytest.param(-np.eye(2), 2, False, None, id="C2-2D-kept"),
+        pytest.param(_QUARTER_TURN_2D, 4, True, None, id="C4-2D-swapped"),
+        pytest.param(-np.eye(3), 2, False, None, id="i-3D-kept"),
+        pytest.param(_rotation_about(_Z, math.pi / 2) @ _MIRROR_3D, 4, False, None,
+                     id="S4-3D-kept"),
+    ],
+)
+def test_fixed_bar_tag_table(matrix, order, swapped, tag):
+    # unshifted_counts reads the permutations only, so two joints and a
+    # bar anywhere stand for any bar that the operation maps onto itself
+    d = matrix.shape[0]
+    f = new_framework(d, np.eye(d)[:2], [(0, 1)])
+    a = SymmetryAssignment(classify_matrix(matrix, d, order), (1, 0) if swapped else (0, 1), (0,))
+    if tag is None:
+        with pytest.raises(InternalInconsistency):
+            unshifted_counts(f, a)
+    else:
+        uc = unshifted_counts(f, a)
+        assert (uc.bar_tags, uc.joints_unshifted) == ({0: tag}, 0 if swapped else 2)
+
+
+def _assert_counts_match_geometry(f, group, tol, name):
+    edges = [b.ends for b in f.bars]
+    for x, a in enumerate(group.elements):
+        uc = unshifted_counts(f, a)
+        joints, tags = geometric_fixed_items(f.coordinates, edges, a.op.matrix, tol)
+        assert (uc.fixed_joint_ids, uc.bar_tags) == (joints, tags), (name, x)
+
+
+def test_unshifted_counts_match_the_geometry_on_snapshot_shapes():
+    for name, f in _snapshot_shapes().items():
+        _assert_counts_match_geometry(f, detect_point_group(f), 1e-6 * f.diameter(), name)
+
+
+def _jittered(f, jitter):
+    noise = np.random.default_rng(0).normal(scale=jitter, size=f.coordinates.shape)
+    return new_framework(
+        f.dimension, f.coordinates + noise * f.diameter(), [b.ends for b in f.bars]
+    )
+
+
 def _prism(n, antiprism=False):
     """Two unit n-gons at z = -0.7 and 0.7, the top one turned by pi/n for
     an antiprism, with their rims and the bars between them."""
@@ -545,13 +622,24 @@ def test_loose_tolerance_names_the_group(shape, jitter):
     # within 0.9 rad made the antiprism's S12 an i and an icosahedral
     # C5^2 a C2 (UnrecognizedGroup)
     build, label, order = _LOOSE_SHAPES[shape]
-    f = build()
-    noise = np.random.default_rng(0).normal(scale=jitter, size=f.coordinates.shape)
-    moved = new_framework(
-        3, f.coordinates + noise * f.diameter(), [b.ends for b in f.bars]
-    )
-    g = detect_point_group(moved, geom_tol=0.09)
+    g = detect_point_group(_jittered(build(), jitter), geom_tol=0.09)
     assert (g.schoenflies, g.order) == (label, order)
+
+
+@pytest.mark.parametrize(
+    "build, jitter, geom_tol",
+    [pytest.param(lambda: platonic("octahedron"), 1e-4, 1e-3, id="octahedron-0.0001")]
+    + [
+        pytest.param(_LOOSE_SHAPES[shape][0], jitter, 0.09, id=f"{shape}-{jitter}")
+        for shape in sorted(_LOOSE_SHAPES)
+        for jitter in (0.0, 1e-4)
+    ],
+)
+def test_unshifted_counts_match_the_geometry_at_loose_tolerance(build, jitter, geom_tol):
+    f = _jittered(build(), jitter)
+    g = detect_point_group(f, geom_tol=geom_tol)
+    assert g.order > 1
+    _assert_counts_match_geometry(f, g, geom_tol * f.diameter(), f"jitter {jitter}")
 
 
 def _relabelled(f, rng):
