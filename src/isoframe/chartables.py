@@ -239,7 +239,8 @@ def _close_under_multiplication(
     """
     point = _FREE_POINT[:d]
     elems: list[np.ndarray] = [np.eye(d)]
-    orbit: list[np.ndarray] = [point]
+    orbit = np.empty((1000, d))
+    orbit[0] = point
     frontier = [np.eye(d)]
     while frontier:
         new: list[np.ndarray] = []
@@ -247,17 +248,17 @@ def _close_under_multiplication(
             for B in gens:
                 prod = A @ B
                 image = prod @ point
-                if any(float(np.abs(image - q).max()) <= 1e-6 for q in orbit):
+                if np.abs(orbit[: len(elems)] - image).max(axis=1).min() <= 1e-6:
                     continue
-                elems.append(prod)
-                orbit.append(image)
-                new.append(prod)
-                if len(elems) > 1000:
+                if len(elems) == len(orbit):
                     raise InternalInconsistency(
                         "group closure did not terminate; bad reference generators"
                     )
+                orbit[len(elems)] = image
+                elems.append(prod)
+                new.append(prod)
         frontier = new
-    return elems, np.stack(orbit)
+    return elems, orbit[: len(elems)].copy()
 
 
 @lru_cache(maxsize=None)

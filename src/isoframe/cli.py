@@ -705,7 +705,9 @@ _FLAGS = {
     "--tol-rank": dict(
         type=finite,
         default=DEFAULT_RANK_TOL,
-        help="relative singular-value cutoff for numeric rank",
+        help="relative singular-value cutoff for numeric rank; joints "
+        "peeled before the SVD count exactly, so at loose cutoffs the "
+        "rank can exceed a dense SVD's",
     ),
     "--tol-geom": dict(
         type=finite,

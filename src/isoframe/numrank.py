@@ -10,11 +10,27 @@ rigid-body motions, states of self-stress in null(C.T).
 Rank is decided once, on C, by the relative cutoff in `_rank`.  Every
 row of C has unit norm, so the decision does not depend on how widely
 the bar lengths are spread.
+
+Before the SVD, `_peel` reverses Henneberg's vertex addition (Tay &
+Whiteley 1985, "Generating isostatic frameworks"): a joint whose k <= d
+live bars have well-conditioned unit directions meets only those k rows
+of C, so it adds exactly k to the rank and is set aside.  The dense SVD
+ranks only the core that is left, against the cutoff of the whole C.  A
+framework grown by vertex additions peels to an empty core; one grown
+by edge splits keeps every joint in it.
+
+At loose tolerances the two can part: the peel counts each
+well-conditioned joint exactly, where an SVD of all of C can drop the
+small singular values that build up along a long chain.  A 120-joint
+planar chain at tolerance 1e-2 has rank 2j - 3 here, and less by a
+dense SVD.  At the default tolerance they agree.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,48 +39,73 @@ from .core import SEPARATION_TOL, Framework, unit_scaled
 
 # Singular values below DEFAULT_RANK_TOL * largest are treated as zero.
 DEFAULT_RANK_TOL = 1e-10
+# power-iteration steps for the largest singular value of C
+_POWER_STEPS = 12
 
 
 @dataclass(frozen=True)
 class EquilibriumSystem:
     """One framework's first-order behavior as a single matrix.
 
-    C is the compatibility matrix of unit bar directions (its transpose
-    is the equilibrium matrix); lengths[i] is the length of bar i.
+    Bar i joins ends[i, 0] to ends[i, 1] along the unit direction
+    units[i] and has length lengths[i].  C is the compatibility matrix
+    of those directions (its transpose is the equilibrium matrix), built
+    on first use.
     """
 
-    C: np.ndarray
+    ends: np.ndarray
+    units: np.ndarray
     lengths: np.ndarray
+    joint_count: int
+
+    @cached_property
+    def C(self) -> np.ndarray:
+        return _assemble(self.ends, self.units, self.joint_count)
+
+
+def _assemble(ends: np.ndarray, units: np.ndarray, joint_count: int) -> np.ndarray:
+    """The compatibility matrix of bars with these ends and directions."""
+    b, d = units.shape
+    C = np.zeros((b, d * joint_count))
+    rows = np.arange(b)[:, None]
+    C[rows, d * ends[:, :1] + np.arange(d)] = units
+    C[rows, d * ends[:, 1:] + np.arange(d)] = -units
+    return C
 
 
 def build_system(f: Framework) -> EquilibriumSystem:
-    d, j, b = f.dimension, f.joint_count, f.bar_count
     coords, exp = unit_scaled(f.coordinates)
-    C = np.zeros((b, d * j))
-    lengths = np.zeros(b)
-    floor = SEPARATION_TOL * f.scaled_diameter()[0]
-    for bar in f.bars:
-        u, v = bar.ends
-        diff = coords[u] - coords[v]
-        length = float(np.linalg.norm(diff))
-        if length <= floor:
-            # unreachable through new_framework, which rejects
-            # coincident joints; kept for hand-built Framework objects
-            raise ZeroLengthBar(f"bar {bar.id} between joints {u} and {v}")
-        unit = diff / length
-        C[bar.id, d * u : d * u + d] = unit
-        C[bar.id, d * v : d * v + d] = -unit
-        lengths[bar.id] = length
-    return EquilibriumSystem(C=C, lengths=np.ldexp(lengths, exp))
+    ends = np.array([bar.ends for bar in f.bars], dtype=np.intp).reshape(-1, 2)
+    diff = coords[ends[:, 0]] - coords[ends[:, 1]]
+    lengths = np.linalg.norm(diff, axis=1)
+    short = np.flatnonzero(lengths <= SEPARATION_TOL * f.scaled_diameter()[0])
+    if short.size:
+        # unreachable through new_framework, which rejects coincident
+        # joints; kept for hand-built Framework objects
+        u, v = ends[short[0]]
+        raise ZeroLengthBar(f"bar {f.bars[short[0]].id} between joints {u} and {v}")
+    units = diff / lengths[:, None]
+    if not np.all(np.isfinite(units)):
+        raise NonFiniteEntry("bar directions contain NaN or infinite entries")
+    return EquilibriumSystem(
+        ends=ends, units=units, lengths=np.ldexp(lengths, exp), joint_count=f.joint_count
+    )
 
 
-def _rank(sv: np.ndarray, tol: float) -> int:
-    """How many of the descending singular values sv exceed tol * sv[0]."""
+def _check_tolerance(tol: float) -> None:
     if not 0 < tol < 1:
         raise ValueError(f"rank tolerance must lie in (0, 1), got {tol!r}")
-    if sv.size == 0 or sv[0] == 0.0:
+
+
+def _rank(sv: np.ndarray, tol: float, top: float | None = None) -> int:
+    """How many of the singular values sv exceed tol * top; top is the
+    largest singular value of the matrix ranked, sv[0] by default."""
+    _check_tolerance(tol)
+    if top is None:
+        top = sv[0] if sv.size else 0.0
+    if top == 0.0:
         return 0
-    return int(np.sum(sv > tol * sv[0]))
+    return int(np.sum(sv > tol * top))
 
 
 def _finite(M: np.ndarray) -> np.ndarray:
@@ -83,6 +124,129 @@ def numeric_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> tuple[int, np.
     M = _finite(M)
     sv = np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
     return _rank(sv, tol), sv
+
+
+def _peel(
+    system: EquilibriumSystem, d: int, floor: float
+) -> tuple[list[int], list[list[int]], np.ndarray]:
+    """Set aside the joints that add a known amount to the rank of C.
+
+    A joint whose k <= d live bars have unit directions U (k x d) with
+    smallest singular value at least `floor`, read from the k x k Gram
+    matrix U U^T, meets only those k rows of C, and they are independent:
+    it adds exactly k to the rank.  Its bars die with it, and the next
+    joint is tried.  Dropping bars never worsens a joint's conditioning,
+    so which joints peel does not depend on the order they are tried in.
+
+    Returns the peeled joints in peel order, the live bars of each when
+    it was peeled, and a mask of the bars left in the core.
+    """
+    ends = system.ends.tolist()
+    incident: list[list[int]] = [[] for _ in range(system.joint_count)]
+    for i, (u, v) in enumerate(ends):
+        incident[u].append(i)
+        incident[v].append(i)
+    degree = [len(bars) for bars in incident]
+    live = [True] * len(ends)
+    peeled = [False] * system.joint_count
+    todo = [v for v, k in enumerate(degree) if k <= d]
+    order: list[int] = []
+    blocks: list[list[int]] = []
+    while todo:
+        v = todo.pop()
+        if peeled[v]:
+            continue
+        bars = [i for i in incident[v] if live[i]]
+        if len(bars) > 1:
+            U = system.units[bars]
+            if np.linalg.eigvalsh(U @ U.T)[0] < floor * floor:
+                continue
+        peeled[v] = True
+        order.append(v)
+        blocks.append(bars)
+        for i in bars:
+            live[i] = False
+            w = ends[i][0] + ends[i][1] - v
+            degree[w] -= 1
+            if degree[w] <= d:
+                todo.append(w)
+    return order, blocks, np.array(live, dtype=bool)
+
+
+def _largest_singular_value(system: EquilibriumSystem, start: np.ndarray) -> float:
+    """Power iteration on C.T @ C over the bar arrays, never forming C.
+
+    The start is the dilation field (the joint coordinates), whose image
+    under C is the bar lengths, so the estimate does not depend on how
+    joints and bars are labelled.  It is a lower bound, close to the
+    largest singular value after _POWER_STEPS steps.
+    """
+    a, b = system.ends.T
+    units, j = system.units, system.joint_count
+
+    def image(x: np.ndarray) -> np.ndarray:  # C @ x
+        return np.einsum("ij,ij->i", units, x[a] - x[b])
+
+    if not len(units):
+        return 0.0
+    x = start
+    for _ in range(_POWER_STEPS):
+        loads = units * image(x)[:, None]
+        x = np.stack(
+            [np.bincount(a, w, j) - np.bincount(b, w, j) for w in loads.T], axis=1
+        )
+        norm = np.linalg.norm(x)
+        if norm == 0.0:
+            return 0.0
+        x /= norm
+    return float(np.linalg.norm(image(x)))
+
+
+@dataclass(frozen=True)
+class _Reduced:
+    """C split into its peeled joints and a core ranked by SVD."""
+
+    system: EquilibriumSystem
+    order: list[int]  # peeled joints, in peel order
+    blocks: list[list[int]]  # the live bars of each when it was peeled
+    core_joints: np.ndarray
+    core_bars: np.ndarray
+    core_rank: int
+    rank: int  # of all of C
+    sv: np.ndarray  # of the core
+    u: np.ndarray | None = None
+    vt: np.ndarray | None = None
+
+
+def _reduce(f: Framework, tol: float, vectors: bool) -> _Reduced:
+    """Peel, then rank the core by SVD against the cutoff of all of C.
+
+    When nothing peels the core is C itself, and its largest singular
+    value is the one the cutoff needs; otherwise power iteration on the
+    whole C supplies it.
+    """
+    _check_tolerance(tol)
+    system = build_system(f)
+    order, blocks, live = _peel(system, f.dimension, max(1e-3, math.sqrt(tol)))
+    core_joints = np.setdiff1d(np.arange(f.joint_count), order)
+    core_bars = np.flatnonzero(live)
+    if order:
+        where = np.zeros(f.joint_count, dtype=np.intp)
+        where[core_joints] = np.arange(core_joints.size)
+        core = _assemble(where[system.ends[core_bars]], system.units[core_bars], core_joints.size)
+    else:
+        core = system.C
+    u = vt = None
+    if vectors:
+        u, sv, vt = np.linalg.svd(core, full_matrices=True)
+    else:
+        sv = np.linalg.svd(core, compute_uv=False) if core.size else np.zeros(0)
+    top = sv[0] if sv.size else 0.0
+    if order:
+        top = max(top, _largest_singular_value(system, unit_scaled(f.coordinates)[0]))
+    core_rank = _rank(sv, tol, top)
+    rank = f.bar_count - core_bars.size + core_rank
+    return _Reduced(system, order, blocks, core_joints, core_bars, core_rank, rank, sv, u, vt)
 
 
 def rigid_body_basis(f: Framework) -> np.ndarray:
@@ -126,6 +290,8 @@ class KinematicSummary:
 
     mechanisms = d*j - rank - rigid_body_dim, self_stresses = b - rank;
     both exact integers once the rank is fixed by the tolerance.
+    peeled_joints joints were set aside before the SVD, and
+    singular_values are those of the core that was left.
     """
 
     dimension: int
@@ -136,6 +302,7 @@ class KinematicSummary:
     mechanisms: int
     self_stresses: int
     tolerance_used: float
+    peeled_joints: int
     singular_values: np.ndarray = field(repr=False, compare=False)
 
     @property
@@ -153,19 +320,49 @@ class KinematicSummary:
 
 def mobility(f: Framework, tol: float = DEFAULT_RANK_TOL) -> KinematicSummary:
     """Rank C and report mechanism/self-stress counts."""
-    rank, sv = numeric_rank(build_system(f).C, tol)
+    red = _reduce(f, tol, vectors=False)
     rb = rigid_body_dimension(f)
     return KinematicSummary(
         dimension=f.dimension,
         joint_count=f.joint_count,
         bar_count=f.bar_count,
-        rank=rank,
+        rank=red.rank,
         rigid_body_dim=rb,
-        mechanisms=f.dimension * f.joint_count - rank - rb,
-        self_stresses=f.bar_count - rank,
+        mechanisms=f.dimension * f.joint_count - red.rank - rb,
+        self_stresses=f.bar_count - red.rank,
         tolerance_used=tol,
-        singular_values=sv,
+        peeled_joints=len(red.order),
+        singular_values=red.sv,
     )
+
+
+def _kernel(red: _Reduced, d: int) -> np.ndarray:
+    """Orthonormal rows spanning null(C).
+
+    The core's kernel, extended to the peeled joints in reverse peel
+    order.  At joint v, whose live bars i went to joints w_i, each vector
+    takes the least-norm x_v with u_i . x_v = u_i . x_(w_i); each of the
+    d - k directions no bar of v sees starts a new vector there.
+    """
+    system = red.system
+    core_null = red.vt[red.core_rank :]
+    X = np.zeros((d * system.joint_count - red.rank, system.joint_count, d))
+    X[: len(core_null)][:, red.core_joints] = core_null.reshape(
+        len(core_null), red.core_joints.size, d
+    )
+    count = len(core_null)
+    for v, bars in zip(reversed(red.order), reversed(red.blocks)):
+        k = len(bars)
+        U = system.units[bars]
+        q, r = np.linalg.qr(U.T, mode="complete")
+        if k:
+            others = system.ends[bars].sum(axis=1) - v
+            rhs = np.einsum("kd,nkd->nk", U, X[:count, others])
+            X[:count, v] = np.linalg.solve(r[:k].T, rhs.T).T @ q[:, :k].T
+        X[count : count + d - k, v] = q[:, k:].T
+        count += d - k
+    q, _ = np.linalg.qr(X.reshape(len(X), -1).T)
+    return q.T
 
 
 def nullspace_bases(
@@ -176,14 +373,16 @@ def nullspace_bases(
     Returns (stress_basis, mechanism_basis): stress rows have length b
     and satisfy C.T @ sigma ~ 0; mechanism rows have length d*j, lie in
     null(C), and are orthogonal to every rigid-body field.  Both come
-    from one full SVD of C, ranked as mobility() ranks it.
+    from the full SVD of the core, ranked as mobility() ranks it: a
+    self-stress is zero on every peeled bar, and a mechanism extends to
+    the peeled joints one small solve at a time.
     """
-    C = _finite(build_system(f).C)
+    red = _reduce(f, tol, vectors=True)
+    C = red.system.C
     b, n = C.shape
-    u, sv, vt = np.linalg.svd(C, full_matrices=True)
-    rank = _rank(sv, tol)
-    stress = u[:, rank:].T
-    kernel = vt[rank:]
+    stress = np.zeros((red.core_bars.size - red.core_rank, b))
+    stress[:, red.core_bars] = red.u[:, red.core_rank :].T
+    kernel = _kernel(red, f.dimension)
     rb = rigid_body_basis(f)
     # project rigid-body motions out of the kernel, then re-orthonormalize;
     # singular values near 1 survive, near 0 were pure rigid-body content
@@ -193,7 +392,7 @@ def nullspace_bases(
         mech = vt2[sv2 > 0.5]
     else:
         mech = np.zeros((0, n))
-    expected = n - rank - rb.shape[0]
+    expected = n - red.rank - rb.shape[0]
     if mech.shape[0] != expected:
         raise InternalInconsistency(
             f"mechanism basis has {mech.shape[0]} rows, expected {expected}"

@@ -317,3 +317,40 @@ def random_rational_config(
         )
         for _ in range(joint_count)
     ]
+
+
+def henneberg_graph(
+    rng, dimension: int, joint_count: int, split_share: float
+) -> list[tuple[int, int]]:
+    """A generically isostatic graph in dimension 2 or 3, grown from a
+    triangle by Henneberg moves.
+
+    Each new joint w either joins `dimension` earlier joints drawn at
+    random (vertex addition, type I) or, with probability `split_share`
+    once there are enough joints, replaces a random bar uv by bars from
+    w to u, v and the dimension - 1 other joints of least degree, ties
+    broken at random (edge split, type II).  Either move adds
+    `dimension` bars, so the graph has d j - d(d+1)/2 of them.
+    """
+    d = dimension
+    edges = {(0, 1), (0, 2), (1, 2)}
+    degree = [2, 2, 2] + [0] * (joint_count - 3)
+    for w in range(3, joint_count):
+        if w > d and rng.random() < split_share:
+            u, v = rng.choice(sorted(edges))
+            edges.remove((u, v))
+            degree[u] -= 1
+            degree[v] -= 1
+            rest = sorted(
+                (x for x in range(w) if x not in (u, v)),
+                key=lambda x: (degree[x], rng.random()),
+            )
+            parents = [u, v] + rest[: d - 1]
+        else:
+            parents = rng.sample(range(w), d)
+        for x in parents:
+            edges.add((x, w))
+            degree[x] += 1
+        degree[w] = len(parents)
+    assert len(edges) == d * joint_count - d * (d + 1) // 2
+    return sorted(edges)

@@ -24,7 +24,7 @@ from isoframe.numrank import (
     rigid_body_basis,
     rigid_body_dimension,
 )
-from oracles import exact_rigidity_rank
+from oracles import exact_rigidity_rank, henneberg_graph
 
 
 def to_fractions(f):
@@ -256,3 +256,87 @@ def test_rank_tolerance_outside_unit_interval_refused(octahedron, tol):
     # a framework without bars has nothing to rank, and is refused too
     with pytest.raises(ValueError, match="rank tolerance"):
         mobility(iso.new_framework(2, [(0.0, 0.0), (1.0, 0.0)], []), tol)
+
+
+def planar_chain(j, seed=0):
+    """Joint k joins k-1 and k-2, zigzagging along a jittered strip."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(j)
+    coords = np.stack([k / 2.0, (k % 2).astype(float)], axis=1)
+    coords += rng.uniform(-0.15, 0.15, (j, 2))
+    bars = [(0, 1), (0, 2), (1, 2)]
+    bars += [(k - 2, k) for k in range(3, j)] + [(k - 1, k) for k in range(3, j)]
+    return iso.new_framework(2, coords.tolist(), bars)
+
+
+def test_long_chain_peels_every_joint():
+    # each joint of a vertex-addition chain has two well-conditioned
+    # bars once the joints after it are gone, so no SVD of C is needed
+    f = planar_chain(2000)
+    ks = mobility(f)
+    assert ks.peeled_joints == 2000
+    assert ks.singular_values.size == 0
+    assert (ks.rank, ks.m, ks.s) == (2 * 2000 - 3, 0, 0)
+
+
+def test_edge_split_graph_peels_none():
+    rng = random.Random(5)
+    edges = henneberg_graph(rng, 2, 200, split_share=1.0)
+    degree = np.bincount(np.array(edges).ravel(), minlength=200)
+    assert degree.min() == 3
+    coords = np.random.default_rng(5).uniform(-1.0, 1.0, (200, 2))
+    f = iso.new_framework(2, coords.tolist(), edges)
+    ks = mobility(f)
+    assert ks.peeled_joints == 0
+    # the core is all of C
+    rank, sv = numeric_rank(build_system(f).C)
+    assert np.array_equal(ks.singular_values, sv)
+    assert (ks.rank, ks.m, ks.s) == (rank, 0, 0) == (2 * 200 - 3, 0, 0)
+    stress, mech = nullspace_bases(f)
+    assert (stress.shape[0], mech.shape[0]) == (0, 0)
+
+
+def test_collinear_degree_two_joint_is_not_peeled():
+    # a braced quadrilateral (every joint of degree 3) and joint 4, hung on
+    # joints 0 and 1 by two bars: it is the only joint that could peel
+    quad = [(0.0, 0.0), (2.0, 0.0), (2.2, 1.7), (-0.1, 1.5)]
+    bars = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 3), (0, 4), (1, 4)]
+    for apex, peeled, counts in (((1.0, 0.0), 0, (6, 1, 2)), ((0.9, -1.3), 1, (7, 0, 1))):
+        f = iso.new_framework(2, quad + [apex], bars)
+        ks = mobility(f)
+        assert ks.peeled_joints == peeled
+        # on the line through 0 and 1 the two bars are parallel, and the
+        # SVD of the core sees the rank drop that a dense SVD sees
+        exact = exact_rigidity_rank(to_fractions(f), [b.ends for b in f.bars])
+        assert ks.rank == numeric_rank(build_system(f).C)[0] == exact
+        assert (ks.rank, ks.m, ks.s) == counts
+        stress, mech = nullspace_bases(f)
+        assert (mech.shape[0], stress.shape[0]) == (ks.m, ks.s)
+
+
+def test_loose_tolerance_keeps_the_exact_rank_of_a_chain():
+    # the chain's smallest singular value is ~1e-3 of its largest: an SVD
+    # of all of C at 1e-2 drops three, the peel counts every joint exactly
+    f = planar_chain(120)
+    ks = mobility(f, tol=1e-2)
+    assert ks.peeled_joints == 120
+    assert (ks.rank, ks.m, ks.s) == (237, 0, 0)
+    assert numeric_rank(build_system(f).C, 1e-2)[0] < 237
+    # at 1e-3 and below the two agree
+    for tol in (1e-3, 1e-6, DEFAULT_RANK_TOL):
+        assert mobility(f, tol).rank == numeric_rank(build_system(f).C, tol)[0] == 237
+    stress, mech = nullspace_bases(f, tol=1e-2)
+    assert (stress.shape[0], mech.shape[0]) == (0, 0)
+
+
+def test_build_system_matches_the_row_definition(banana):
+    sys_ = build_system(banana)
+    coords = banana.coordinates
+    for bar in banana.bars:
+        u, v = bar.ends
+        diff = coords[u] - coords[v]
+        row = np.zeros(3 * banana.joint_count)
+        row[3 * u : 3 * u + 3] = diff / np.linalg.norm(diff)
+        row[3 * v : 3 * v + 3] = -diff / np.linalg.norm(diff)
+        assert np.allclose(sys_.C[bar.id], row, atol=1e-15)
+        assert sys_.lengths[bar.id] == pytest.approx(np.linalg.norm(diff))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import random
 from unittest import mock
 
 import numpy as np
@@ -16,12 +17,13 @@ from isoframe.constructgen import cap_face, platonic, twisted_cap_all_faces
 from isoframe.core import from_json, new_framework, pairs_within, to_json
 from isoframe.laman import Graph, pebble_game_2_3, subgraph_maxwell_scan_3d
 from isoframe.maxwell import maxwell_count, maxwell_trace, two_cos
-from isoframe.numrank import mobility, nullspace_bases
+from isoframe.numrank import build_system, mobility, nullspace_bases, numeric_rank
 from isoframe.symdetect import detect_point_group
 
 from oracles import (
     count_violations_bruteforce,
     diameter_bruteforce,
+    henneberg_graph,
     pairs_within_bruteforce,
 )
 
@@ -99,6 +101,52 @@ def test_signed_count_matches_rank_on_spanning_geometry(f):
     k = mobility(f)
     assert k.mechanisms - k.self_stresses == maxwell_count(f)
     assert k.rigid_body_dim == (3 if f.dimension == 2 else 6)
+
+
+@st.composite
+def henneberg_frameworks(draw):
+    """Henneberg I/II mixes, perhaps one bar off, relabelled and shuffled;
+    with `flat`, the last joint sits at the centroid of its first d
+    neighbours, so its bars to them are dependent."""
+    d = draw(st.sampled_from([2, 3]))
+    j = draw(st.integers(d + 2, 14))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = henneberg_graph(rng, d, j, draw(st.sampled_from([0.0, 0.5, 1.0])))
+    parents = sorted(u for u, v in edges if v == j - 1)[:d]
+    change = draw(st.sampled_from(["none", "add", "remove"]))
+    if change == "remove":
+        edges.remove(rng.choice(edges))
+    elif change == "add":
+        absent = [(u, v) for u in range(j) for v in range(u + 1, j) if (u, v) not in edges]
+        edges.append(rng.choice(absent))
+    coords = np.array([[rng.uniform(-1.0, 1.0) for _ in range(d)] for _ in range(j)])
+    if draw(st.booleans()):
+        coords[j - 1] = coords[parents].mean(axis=0)
+    perm = list(range(j))
+    rng.shuffle(perm)
+    joints = np.empty_like(coords)
+    joints[perm] = coords
+    bars = [(perm[v], perm[u]) if rng.random() < 0.5 else (perm[u], perm[v]) for u, v in edges]
+    rng.shuffle(bars)
+    return new_framework(d, joints.tolist(), bars), new_framework(d, coords.tolist(), edges)
+
+
+@given(henneberg_frameworks())
+@settings(max_examples=80, deadline=None)
+def test_peeled_rank_matches_dense_rank(pair):
+    f, unlabelled = pair
+    k = mobility(f)
+    rank, _ = numeric_rank(build_system(f).C)
+    d, j, b = f.dimension, f.joint_count, f.bar_count
+    assert (k.rank, k.mechanisms, k.self_stresses) == (
+        rank,
+        d * j - rank - k.rigid_body_dim,
+        b - rank,
+    )
+    stress, mech = nullspace_bases(f)
+    assert (mech.shape[0], stress.shape[0]) == (k.mechanisms, k.self_stresses)
+    # which joints peel does not depend on the labels
+    assert mobility(unlabelled).peeled_joints == k.peeled_joints
 
 
 def _rotation(dim: int, params: tuple[float, ...]) -> np.ndarray:
