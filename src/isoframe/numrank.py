@@ -23,7 +23,9 @@ At loose tolerances the two can part: the peel counts each
 well-conditioned joint exactly, where an SVD of all of C can drop the
 small singular values that build up along a long chain.  A 120-joint
 planar chain at tolerance 1e-2 has rank 2j - 3 here, and less by a
-dense SVD.  At the default tolerance they agree.
+dense SVD.  So can a C whose smallest singular value is below the
+cutoff while no joint is ill-conditioned.  At the default tolerance
+the two agree on every gallery fixture and benchmark input.
 """
 
 from __future__ import annotations

@@ -105,9 +105,9 @@ def test_signed_count_matches_rank_on_spanning_geometry(f):
 
 @st.composite
 def henneberg_frameworks(draw):
-    """Henneberg I/II mixes, perhaps one bar off, relabelled and shuffled;
-    with `flat`, the last joint sits at the centroid of its first d
-    neighbours, so its bars to them are dependent."""
+    """Henneberg I/II mixes, perhaps one bar off, relabelled and shuffled,
+    with the unlabelled original.  In some, the last joint sits at the
+    centroid of its first d neighbours, so its bars to them are dependent."""
     d = draw(st.sampled_from([2, 3]))
     j = draw(st.integers(d + 2, 14))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
