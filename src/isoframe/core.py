@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -271,6 +271,52 @@ def pairs_within(
             near = np.sqrt(((points[pi] - queries[qi]) ** 2).sum(axis=1)) <= tol
             yield qi[near], pi[near]
             start = stop
+
+
+def peel_low_degree(
+    joint_count: int,
+    ends: Sequence[Sequence[int]],
+    d: int,
+    accept: Callable[[list[int]], bool] | None = None,
+) -> tuple[list[int], list[list[int]], list[bool]]:
+    """Henneberg's vertex addition run in reverse.
+
+    Repeatedly set aside a joint with at most d live bars, when `accept`
+    (if given) takes the list of its live bar ids; its bars die with it,
+    and its neighbours are tried again once their own live degree has
+    dropped to d.  A joint that `accept` refuses is tried again each
+    time it loses another bar.
+
+    Returns the peeled joints in peel order, the live bars of each when
+    it was peeled, and which bars are left live: the core.
+    """
+    incident: list[list[int]] = [[] for _ in range(joint_count)]
+    for i, (u, v) in enumerate(ends):
+        incident[u].append(i)
+        incident[v].append(i)
+    degree = [len(bars) for bars in incident]
+    live = [True] * len(ends)
+    peeled = [False] * joint_count
+    todo = [v for v, k in enumerate(degree) if k <= d]
+    order: list[int] = []
+    blocks: list[list[int]] = []
+    while todo:
+        v = todo.pop()
+        if peeled[v]:
+            continue
+        bars = [i for i in incident[v] if live[i]]
+        if accept is not None and not accept(bars):
+            continue
+        peeled[v] = True
+        order.append(v)
+        blocks.append(bars)
+        for i in bars:
+            live[i] = False
+            w = ends[i][0] + ends[i][1] - v
+            degree[w] -= 1
+            if degree[w] <= d:
+                todo.append(w)
+    return order, blocks, live
 
 
 def maxwell_count(f: Framework) -> int:

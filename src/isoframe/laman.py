@@ -2,8 +2,13 @@
 
 A generic 2D framework is isostatic exactly when its graph is
 (2,3)-tight: b = 2j - 3 and no subset of bars spans fewer than the
-count allows.  The pebble game decides that in O(j*b) without
-enumerating subsets.  With symmetry, tightness plus a handful of
+count allows.  The pebble game decides that without enumerating
+subsets.  It first peels the joints of at most 2 bars, repeatedly, and
+places their bars with no search; only the core that is left, where
+every joint keeps 3 or more bars, pays the O(j*b) pebble searches.  A
+graph grown by vertex additions peels to nothing.  Edge-split graphs
+keep their whole core, and so does the span of a chain between the
+ends of one added bar.  With symmetry, tightness plus a handful of
 fixed-component counts upgrades the necessary conditions to sufficient
 ones for some groups; those verdicts carry their epistemic status,
 because for the reflection-rich groups the sufficiency is conjectured,
@@ -19,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import Framework
+from .core import Framework, peel_low_degree
 from .errors import (
     CapExceeded,
     DanglingEndpoint,
@@ -211,18 +216,39 @@ def pebble_game_2_3(
     Bars are offered in id order; a bar is placed when 4 pebbles can be
     gathered on its endpoints.  The first rejected bar stops the game
     and its reachability region becomes the dependence witness.
-    on_move, when given, is called after every completed move so tests
-    can audit the invariant.
+    on_move, when given, is called after every placed bar (and once at
+    the start) so tests can audit the invariant.
+
+    First the joints of at most 2 bars are peeled, repeatedly
+    (`peel_low_degree`).  Every (2,3)-circuit has minimum degree 3, so a
+    bar that leaves with a peeled joint lies in no circuit and is never
+    rejected: it is placed at once, its tail at that joint and paid
+    from the joint's own 2 pebbles.  No core joint gets an edge directed
+    into a peeled one, so no search from the core enters one; only the
+    core's bars gather pebbles.  The report is the plain game's: at the
+    first rejected bar k, bars 0..k-1 are placed, and the witness is the
+    smallest joint set that holds both ends of k and spans 2|S| - 3 of
+    them, which those bars alone decide.
     """
     graph = Graph.from_framework(g) if isinstance(g, Framework) else g
     j = graph.joint_count
     if j < 2:
         raise ValueError(f"the pebble game needs at least 2 joints, got {j}")
+    tails: list[int | None] = [None] * len(graph.edges)
+    order, blocks, _ = peel_low_degree(j, graph.edges, 2)
+    for v, bars in zip(order, blocks):
+        for bar_id in bars:
+            tails[bar_id] = v
     state = PebbleState(j)
     if on_move is not None:
         on_move(state)
     for bar_id, (u, v) in enumerate(graph.edges):
-        if not state.gather(u, v):
+        tail = tails[bar_id]
+        if tail is not None:
+            state.place(tail, u + v - tail)
+        elif state.gather(u, v):
+            state.place(u, v)
+        else:
             region = state.failure_region(u, v)
             js = len(region)
             # every offered bar so far was placed, so the induced bars
@@ -244,7 +270,6 @@ def pebble_game_2_3(
                 witness_joint_total=js,
                 witness_bar_total=bs,
             )
-        state.place(u, v)
         if on_move is not None:
             on_move(state)
     free = sum(state.pebbles)

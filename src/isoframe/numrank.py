@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InternalInconsistency, NonFiniteEntry, ZeroLengthBar
-from .core import SEPARATION_TOL, Framework, unit_scaled
+from .core import SEPARATION_TOL, Framework, peel_low_degree, unit_scaled
 
 # Singular values below DEFAULT_RANK_TOL * largest are treated as zero.
 DEFAULT_RANK_TOL = 1e-10
@@ -130,7 +130,7 @@ def numeric_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> tuple[int, np.
 
 def _peel(
     system: EquilibriumSystem, d: int, floor: float
-) -> tuple[list[int], list[list[int]], np.ndarray]:
+) -> tuple[list[int], list[list[int]], list[bool]]:
     """Set aside the joints that add a known amount to the rank of C.
 
     A joint whose k <= d live bars have unit directions U (k x d) with
@@ -141,38 +141,16 @@ def _peel(
     so which joints peel does not depend on the order they are tried in.
 
     Returns the peeled joints in peel order, the live bars of each when
-    it was peeled, and a mask of the bars left in the core.
+    it was peeled, and which bars are left in the core.
     """
-    ends = system.ends.tolist()
-    incident: list[list[int]] = [[] for _ in range(system.joint_count)]
-    for i, (u, v) in enumerate(ends):
-        incident[u].append(i)
-        incident[v].append(i)
-    degree = [len(bars) for bars in incident]
-    live = [True] * len(ends)
-    peeled = [False] * system.joint_count
-    todo = [v for v, k in enumerate(degree) if k <= d]
-    order: list[int] = []
-    blocks: list[list[int]] = []
-    while todo:
-        v = todo.pop()
-        if peeled[v]:
-            continue
-        bars = [i for i in incident[v] if live[i]]
-        if len(bars) > 1:
-            U = system.units[bars]
-            if np.linalg.eigvalsh(U @ U.T)[0] < floor * floor:
-                continue
-        peeled[v] = True
-        order.append(v)
-        blocks.append(bars)
-        for i in bars:
-            live[i] = False
-            w = ends[i][0] + ends[i][1] - v
-            degree[w] -= 1
-            if degree[w] <= d:
-                todo.append(w)
-    return order, blocks, np.array(live, dtype=bool)
+
+    def accept(bars: list[int]) -> bool:
+        if len(bars) <= 1:
+            return True
+        U = system.units[bars]
+        return np.linalg.eigvalsh(U @ U.T)[0] >= floor * floor
+
+    return peel_low_degree(system.joint_count, system.ends.tolist(), d, accept)
 
 
 def _largest_singular_value(system: EquilibriumSystem, start: np.ndarray) -> float:

@@ -8,6 +8,7 @@ between the two is evidence, not tautology.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -267,6 +268,96 @@ def count_violations_bruteforce(
         if slack < 0:
             out.append((subset, slack))
     return out
+
+
+def pebble_game_plain(
+    joint_count: int, edges: list[tuple[int, int]]
+) -> dict:
+    """The (2,3) pebble game with bars offered in id order and no peel.
+
+    Each missing pebble is fetched by a breadth-first search along the
+    placed edges.  A rejected bar's witness is every joint reachable
+    from its two ends, which then hold the region's only 3 pebbles.
+    Returns the fields of a SparsityReport.
+    """
+    pebbles = [2] * joint_count
+    heads: list[list[int]] = [[] for _ in range(joint_count)]
+
+    def fetch(root: int, blocked: int) -> bool:
+        came_from = {root: root, blocked: blocked}
+        queue = collections.deque([root])
+        while queue:
+            x = queue.popleft()
+            for y in heads[x]:
+                if y in came_from:
+                    continue
+                came_from[y] = x
+                if pebbles[y]:
+                    pebbles[y] -= 1
+                    pebbles[root] += 1
+                    while y != root:
+                        x = came_from[y]
+                        heads[x].remove(y)
+                        heads[y].append(x)
+                        y = x
+                    return True
+                queue.append(y)
+        return False
+
+    report = {
+        "joint_count": joint_count,
+        "bar_count": len(edges),
+        "witness_joint_ids": (),
+        "witness_bar_ids": (),
+        "witness_joint_total": 0,
+        "witness_bar_total": 0,
+    }
+    for k, (u, v) in enumerate(edges):
+        while pebbles[u] + pebbles[v] < 4:
+            if not (pebbles[u] < 2 and fetch(u, v)) and not (
+                pebbles[v] < 2 and fetch(v, u)
+            ):
+                break
+        if pebbles[u] + pebbles[v] < 4:
+            region = {u, v}
+            stack = [u, v]
+            while stack:
+                for y in heads[stack.pop()]:
+                    if y not in region:
+                        region.add(y)
+                        stack.append(y)
+            bars = tuple(
+                i for i, (a, b) in enumerate(edges[: k + 1]) if {a, b} <= region
+            )
+            return {
+                **report,
+                "verdict": "dependent",
+                "free_pebbles": sum(pebbles),
+                "witness_joint_ids": tuple(sorted(region)),
+                "witness_bar_ids": bars,
+                "witness_joint_total": len(region),
+                "witness_bar_total": len(bars),
+            }
+        tail = u if pebbles[u] else v
+        pebbles[tail] -= 1
+        heads[tail].append(u + v - tail)
+    free = sum(pebbles)
+    verdict = "tight" if free == 3 else "independent-but-underbraced"
+    return {**report, "verdict": verdict, "free_pebbles": free}
+
+
+def three_core(joint_count: int, edges: list[tuple[int, int]]) -> set[int]:
+    """The joints left after deleting joints of degree <= 2 until none is left."""
+    alive = set(range(joint_count))
+    while True:
+        low = {
+            x
+            for x in alive
+            if sum(1 for u, v in edges if x in (u, v) and {u, v} <= alive) <= 2
+        }
+        if not low:
+            return alive
+        alive -= low
 
 
 # ---------------------------------------------------------------------------

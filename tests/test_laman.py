@@ -35,6 +35,7 @@ from isoframe.numrank import mobility
 from oracles import (
     connected_induced_subgraphs_bruteforce,
     count_violations_bruteforce,
+    henneberg_graph,
     henneberg_tight_graph,
     laman_verdict_bruteforce,
     random_count_graph,
@@ -267,8 +268,74 @@ def test_scan_guards():
 
 
 def test_pebble_long_strip_in_shuffled_order():
-    # a triangle strip is tight; shuffled insertion forces long pebble paths
+    # a triangle strip is tight; every joint peels, so no bar searches
     j = 4000
     edges = [(0, 1)] + [e for k in range(2, j) for e in ((k - 2, k), (k - 1, k))]
     random.Random(0).shuffle(edges)
     assert pebble_game_2_3(Graph(j, tuple(edges))).verdict == "tight"
+
+
+def _count_pulls(monkeypatch) -> list[int]:
+    calls = [0]
+    pull = laman.PebbleState._pull_pebble
+
+    def counted(state, root, blocked):
+        calls[0] += 1
+        return pull(state, root, blocked)
+
+    monkeypatch.setattr(laman.PebbleState, "_pull_pebble", counted)
+    return calls
+
+
+def test_pebble_long_ring_in_shuffled_order(monkeypatch):
+    # the strip closed by a bar between its ends: no joint has degree
+    # below 3, so nothing peels, and shuffled insertion forces pebble
+    # paths longer than the interpreter's default recursion limit
+    j = 4000
+    edges = [(0, 1)] + [e for k in range(2, j) for e in ((k - 2, k), (k - 1, k))]
+    edges.append((0, j - 1))
+    random.Random(0).shuffle(edges)
+    calls = _count_pulls(monkeypatch)
+    rep = pebble_game_2_3(Graph(j, tuple(edges)))
+    assert calls[0] > 0
+    assert rep.verdict == "dependent"
+    assert rep.witness_joint_ids == tuple(range(j))
+    assert rep.witness_bar_ids == tuple(range(len(edges)))
+    assert rep.free_pebbles == 3
+
+
+def test_vertex_addition_graph_needs_no_search(monkeypatch):
+    # every joint of a Henneberg I graph peels, relabelled and shuffled
+    # or not, so every bar is placed without a single pebble search
+    rng = random.Random(13)
+    j = 4000
+    edges = henneberg_graph(rng, 2, j, 0.0)
+    perm = list(range(j))
+    rng.shuffle(perm)
+    edges = [tuple(sorted((perm[u], perm[v]))) for u, v in edges]
+    rng.shuffle(edges)
+    calls = _count_pulls(monkeypatch)
+    assert pebble_game_2_3(Graph(j, tuple(edges))).verdict == "tight"
+    assert calls[0] == 0
+
+
+def test_k33_keeps_its_core_and_is_tight(monkeypatch):
+    # every joint has degree 3, so nothing peels and the core searches
+    edges = tuple((u, v) for u in range(3) for v in range(3, 6))
+    calls = _count_pulls(monkeypatch)
+    assert pebble_game_2_3(Graph(6, edges)).verdict == "tight"
+    assert calls[0] > 0
+
+
+def test_k4_witness_excludes_its_peeled_triangle_strip():
+    # K4 on joints 0..3 with a strip of triangles hanging off its edge
+    # (2, 3): joint k >= 4 joins k - 2 and k - 1.  The strip peels; the
+    # K4's last bar is the first rejected, and its witness is the K4
+    k4 = list(itertools.combinations(range(4), 2))
+    strip = [(2, 4), (3, 4)] + [e for k in range(5, 10) for e in ((k - 2, k), (k - 1, k))]
+    rep = pebble_game_2_3(Graph(10, tuple(k4[:3] + strip + k4[3:])))
+    assert rep.verdict == "dependent"
+    assert rep.witness_joint_ids == (0, 1, 2, 3)
+    assert rep.witness_bar_ids == (0, 1, 2, 15, 16, 17)
+    # 17 bars placed on 10 joints
+    assert rep.free_pebbles == 3

@@ -25,6 +25,8 @@ from oracles import (
     diameter_bruteforce,
     henneberg_graph,
     pairs_within_bruteforce,
+    pebble_game_plain,
+    three_core,
 )
 
 
@@ -255,6 +257,48 @@ def test_pebble_bookkeeping_never_leaks(g):
     if report.verdict == "dependent":
         jt, bt = report.witness_joint_total, report.witness_bar_total
         assert bt > 2 * jt - 3
+
+
+@st.composite
+def henneberg_bare_graphs(draw):
+    """2D Henneberg I/II mixes with j <= 60, tight or one or two bars
+    added or one removed, relabelled and in shuffled bar order."""
+    j = draw(st.integers(4, 60))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    edges = henneberg_graph(rng, 2, j, draw(st.sampled_from([0.0, 0.3, 1.0])))
+    change = draw(st.sampled_from([0, 1, 2, -1]))
+    if change < 0:
+        edges.remove(rng.choice(edges))
+    else:
+        absent = [(u, v) for u in range(j) for v in range(u + 1, j) if (u, v) not in edges]
+        edges += rng.sample(absent, min(change, len(absent)))
+    perm = list(range(j))
+    rng.shuffle(perm)
+    edges = [tuple(sorted((perm[u], perm[v]))) for u, v in edges]
+    rng.shuffle(edges)
+    return Graph(j, tuple(edges))
+
+
+@st.composite
+def random_bare_graphs(draw):
+    """Random graphs on j joints with j..3j bars, in random bar order."""
+    j = draw(st.integers(4, 30))
+    pairs = [(a, b) for a in range(j) for b in range(a + 1, j)]
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    b = draw(st.integers(j, min(3 * j, len(pairs))))
+    return Graph(j, tuple(rng.sample(pairs, b)))
+
+
+@given(st.one_of(bare_graphs(), henneberg_bare_graphs(), random_bare_graphs()))
+@settings(max_examples=150, deadline=None)
+def test_peeled_pebble_game_matches_plain_game(g):
+    report = pebble_game_2_3(g)
+    assert dataclasses.asdict(report) == pebble_game_plain(g.joint_count, list(g.edges))
+    core_joints = three_core(g.joint_count, list(g.edges))
+    order, _, _ = core.peel_low_degree(g.joint_count, g.edges, 2)
+    assert set(order) == set(range(g.joint_count)) - core_joints
+    if report.verdict == "dependent":
+        assert set(report.witness_joint_ids) <= core_joints
 
 
 @st.composite
