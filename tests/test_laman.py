@@ -305,8 +305,8 @@ def test_pebble_long_ring_in_shuffled_order(monkeypatch):
 
 
 def test_vertex_addition_graph_needs_no_search(monkeypatch):
-    # every joint of a Henneberg I graph peels, relabelled and shuffled
-    # or not, so every bar is placed without a single pebble search
+    # every joint of a Henneberg I graph peels, whatever its labels and
+    # bar order, so every bar is placed without a pebble search
     rng = random.Random(13)
     j = 4000
     edges = henneberg_graph(rng, 2, j, 0.0)
