@@ -58,6 +58,8 @@ from .laman import (
     PebbleState,
     SparsityReport,
     SymmetricLamanReport,
+    count_screen_3d,
+    generic_rank,
     pebble_game_2_3,
     subgraph_maxwell_scan_3d,
     symmetric_laman,
@@ -129,6 +131,7 @@ __all__ = [
     # sparsity
     "Graph", "PebbleState", "SparsityReport", "SymmetricLamanReport", "CountViolation",
     "pebble_game_2_3", "symmetric_laman", "subgraph_maxwell_scan_3d",
+    "count_screen_3d", "generic_rank",
     # generators
     "Face", "all_faces", "platonic", "cap_face", "cap_all_faces_symmetric",
     "twisted_cap_all_faces", "hat_stack", "fig2_examples",

@@ -43,8 +43,8 @@ from .laman import (
     CountViolation,
     Graph,
     SparsityReport,
+    count_screen_3d,
     pebble_game_2_3,
-    subgraph_maxwell_scan_3d,
     symmetric_laman,
 )
 from .maxwell import (
@@ -61,7 +61,7 @@ from .symdetect import (
     orbits,
 )
 
-REPORT_VERSION = 3
+REPORT_VERSION = 4
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -347,7 +347,7 @@ def cmd_analyze(args: argparse.Namespace) -> tuple[dict, int]:
     else:
         cap = min(args.max_subgraph, f.joint_count)
         try:
-            violations = subgraph_maxwell_scan_3d(f, max_subgraph_joints=cap)
+            violations = count_screen_3d(f, cap)
             if violations:
                 verdict = (
                     f"counting screen found {len(violations)} overbraced "
@@ -427,7 +427,7 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
                 ok = False
         else:
             cap = min(args.max_subgraph, f.joint_count)
-            violations = subgraph_maxwell_scan_3d(f, max_subgraph_joints=cap)
+            violations = count_screen_3d(f, cap)
             bundle["sufficiency"] = {
                 "passed": None,
                 "epistemic": "necessary-only",

@@ -12,17 +12,23 @@ ends of one added bar.  With symmetry, tightness plus a handful of
 fixed-component counts upgrades the necessary conditions to sufficient
 ones for some groups; those verdicts carry their epistemic status,
 because for the reflection-rich groups the sufficiency is conjectured,
-not proved.  In 3D no counting characterization exists, so the best
-cheap certificate is an exhaustive scan of small connected subgraphs
-for count violations.  It keeps joint sets as int bitmasks, so each
-visited subgraph costs a few integer operations: its bar count is
-carried over from its parent, and bar ids are listed only for hits.
+not proved.  In 3D no counting characterization exists.  The count
+screen first ranks the rigidity matrix exactly over GF(p) at random
+points: when every bar is independent there, no joint set can span
+more bars than its count allows, so the screen is clean without a
+scan.  Only a graph whose bars are dependent there is scanned, over
+its small connected subgraphs.  The scan keeps joint sets as int
+bitmasks, so each visited subgraph costs a few integer operations: its
+bar count is carried over from its parent, and bar ids are listed only
+for hits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from .core import Framework, peel_low_degree
 from .errors import (
@@ -37,6 +43,8 @@ from .symdetect import PointGroupInfo
 
 _SCAN_BUDGET = 2_000_000
 SCAN_MAX_CAP = 12  # the largest cap subgraph_maxwell_scan_3d accepts
+_PRIME = 2**31 - 1  # products of two residues stay below 2**62
+_RANK_SEED = 1  # generic_rank draws its points from this seed
 
 _THEOREM_GROUPS = frozenset({"C1", "Cs", "C2", "C3"})
 
@@ -379,16 +387,7 @@ def subgraph_maxwell_scan_3d(
     bar count is its parent's plus the popcount of the new joint's
     adjacency inside the parent, and bar ids are listed only for hits.
     """
-    if f.dimension != 3:
-        raise ValueError("the subgraph count scan applies to 3D frameworks")
-    cap = int(max_subgraph_joints)
-    if cap < 3:
-        raise ValueError(f"cap {cap} is below the smallest meaningful subgraph")
-    if cap > SCAN_MAX_CAP:
-        raise CapExceeded(
-            f"cap {cap} exceeds the exhaustive enumeration bound "
-            f"{SCAN_MAX_CAP}"
-        )
+    cap = _checked_cap(f, max_subgraph_joints)
     n = f.joint_count
     adj = [0] * n
     for u, v in (bar.ends for bar in f.bars):
@@ -441,6 +440,84 @@ def subgraph_maxwell_scan_3d(
 
     violations.sort(key=lambda c: (c.joint_total, c.joint_ids))
     return violations
+
+
+def _checked_cap(f: Framework, max_subgraph_joints: int) -> int:
+    if f.dimension != 3:
+        raise ValueError("the subgraph count scan applies to 3D frameworks")
+    cap = int(max_subgraph_joints)
+    if cap < 3:
+        raise ValueError(f"cap {cap} is below the smallest meaningful subgraph")
+    if cap > SCAN_MAX_CAP:
+        raise CapExceeded(
+            f"cap {cap} exceeds the exhaustive enumeration bound "
+            f"{SCAN_MAX_CAP}"
+        )
+    return cap
+
+
+def count_screen_3d(f: Framework, cap: int) -> list[CountViolation]:
+    """The 3D count screen up to cap joints, scanning only when it must.
+
+    When b <= 3j - 6 and the bars are independent at random points of
+    GF(p)^3 (`generic_rank`), they are independent at generic real
+    points, so every joint set S with |S| >= 3 spans at most 3|S| - 6
+    bars: the result is [], exactly what a completed scan returns.
+    Otherwise it is subgraph_maxwell_scan_3d(f, cap), CapExceeded
+    included.  The random points decide only whether the scan is
+    skipped, never what is reported.
+    """
+    cap = _checked_cap(f, cap)
+    b = f.bar_count
+    if b <= 3 * f.joint_count - 6 and generic_rank(Graph.from_framework(f), 3) == b:
+        return []
+    return subgraph_maxwell_scan_3d(f, cap)
+
+
+def generic_rank(g: Graph, d: int) -> int:
+    """Rank of g's rigidity matrix in dimension d, exactly, over GF(p).
+
+    The joints sit at seeded random points of GF(p)^d, p = 2^31 - 1,
+    and the integer rigidity matrix is row-reduced in numpy int64.
+    Every product of two residues is below 2^62, so nothing overflows
+    and no float is involved.  A nonzero minor mod p is a nonzero
+    integer, so the result never exceeds the generic rank over the
+    reals; it falls below it only when the points are unlucky, with
+    probability at most b/p (Schwartz-Zippel on a b x b minor).
+    """
+    j, b = g.joint_count, len(g.edges)
+    if b == 0:
+        return 0
+    points = np.random.default_rng(_RANK_SEED).integers(0, _PRIME, size=(j, d))
+    u, v = np.array(g.edges).T
+    diff = (points[u] - points[v]) % _PRIME
+    rows = np.arange(b)
+    m = np.zeros((b, j, d), dtype=np.int64)
+    m[rows, u] = diff
+    m[rows, v] = (_PRIME - diff) % _PRIME
+    return _rank_mod_p(m.reshape(b, j * d))
+
+
+def _rank_mod_p(m: np.ndarray) -> int:
+    """Rank of an int64 matrix of residues mod _PRIME; m is overwritten."""
+    rank = 0
+    for c in range(m.shape[1]):
+        live = rank + np.flatnonzero(m[rank:, c])
+        if live.size == 0:
+            continue
+        pivot = live[0]
+        if pivot != rank:
+            m[[rank, pivot]] = m[[pivot, rank]]
+        m[rank, c:] = m[rank, c:] * pow(int(m[rank, c]), -1, _PRIME) % _PRIME
+        below = live[1:]
+        if below.size:
+            m[below, c:] = (
+                m[below, c:] - np.outer(m[below, c], m[rank, c:])
+            ) % _PRIME
+        rank += 1
+        if rank == m.shape[0]:
+            break
+    return rank
 
 
 def _bits(mask: int) -> list[int]:

@@ -18,6 +18,7 @@ from isoframe.constructgen import (
     double_banana,
     fig2_examples,
     platonic,
+    twisted_cap_all_faces,
 )
 from isoframe.core import from_json, new_framework, to_json
 
@@ -48,7 +49,7 @@ def test_analyze_isostatic_json(tmp_path, capsys):
     code, out, _ = _run(capsys, ["analyze", path, "--json"])
     assert code == 0
     d = json.loads(out)
-    assert d["report_version"] == 3
+    assert d["report_version"] == 4
     assert d["command"] == "analyze"
     assert d["input"] == path
     assert d["group"]["schoenflies"] == "Oh"
@@ -115,6 +116,38 @@ def test_analyze_flexible_banana_exits_1(tmp_path, capsys):
     assert d["verdict"]["necessary"] is True  # counts alone cannot see it
     assert d["screen_violations"] == []
     assert "up to 8 joints" in d["verdict"]["sufficiency"]["verdict"]
+
+
+_TWISTED_72 = {
+    "icosahedron_twisted": None,  # the default twist
+    "icosahedron_twisted_36deg": math.pi / 5,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TWISTED_72))
+def test_check_sufficient_decides_the_j72_screen(tmp_path, capsys, name):
+    # j = 72 is past the scan's subgraph budget; the bars are generically
+    # independent, so the screen is clean without a scan
+    angle = _TWISTED_72[name]
+    ico = platonic("icosahedron")
+    f = twisted_cap_all_faces(ico) if angle is None else twisted_cap_all_faces(ico, angle)
+    path = _write(tmp_path, f"{name}.json", f)
+    code, out, _ = _run(capsys, ["check", path, "--sufficient", "--json"])
+    assert code == 0
+    d = json.loads(out)
+    assert d["framework"]["joints"] == 72
+    assert d["sufficiency"]["screen_violations"] == []
+    assert d["sufficiency"]["passed"] is None
+    assert d["verdict"]["passed"] is True
+
+
+def test_analyze_reports_a_clean_j72_screen(tmp_path, capsys):
+    path = _write(tmp_path, "tw.json", twisted_cap_all_faces(platonic("icosahedron")))
+    code, out, _ = _run(capsys, ["analyze", path, "--json"])
+    assert code == 0
+    d = json.loads(out)
+    assert d["screen_violations"] == []
+    assert d["verdict"]["sufficiency"]["verdict"] == "counting screen clean up to 8 joints"
 
 
 def test_analyze_out_of_scope_exits_2(tmp_path, capsys):

@@ -1,10 +1,12 @@
-"""Pebble game, symmetric sufficiency check, 3D subgraph count scan."""
+"""Pebble game, symmetric sufficiency check, generic rank over GF(p), 3D
+subgraph count scan and count screen."""
 
 from __future__ import annotations
 
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from isoframe import laman
@@ -25,6 +27,8 @@ from isoframe.errors import (
 )
 from isoframe.laman import (
     Graph,
+    count_screen_3d,
+    generic_rank,
     pebble_game_2_3,
     subgraph_maxwell_scan_3d,
     symmetric_laman,
@@ -265,6 +269,89 @@ def test_scan_guards():
         subgraph_maxwell_scan_3d(f, max_subgraph_joints=13)
     with pytest.raises(ValueError):
         subgraph_maxwell_scan_3d(fig2_examples("C1"))
+
+
+def test_generic_rank_of_the_double_banana_is_one_short():
+    f = double_banana()
+    assert (f.joint_count, f.bar_count) == (8, 18)
+    assert generic_rank(Graph.from_framework(f), 3) == 17
+
+
+def test_generic_rank_of_small_graphs():
+    k4 = Graph(4, tuple(itertools.combinations(range(4), 2)))
+    assert generic_rank(k4, 3) == 6
+    assert generic_rank(k4, 2) == 5  # one over 2j - 3
+    assert generic_rank(Graph(3, ()), 3) == 0
+    octa = Graph.from_framework(platonic("octahedron"))
+    assert generic_rank(octa, 3) == 12
+    assert generic_rank(octa, 2) == 9  # 2j - 3: the 2D count caps it
+
+
+def test_rank_mod_p_at_the_largest_residue_does_not_overflow():
+    # (p - 1)^2 is near 2^62: a float would round it, an unreduced int64
+    # product of three residues would wrap
+    p = laman._PRIME
+    top = p - 1
+    assert top * top < 2**62
+    rows = [[top, top, 0], [top, 1, 0], [0, 0, top]]
+    # det = top * (1 - top) * top = (-1)(2)(-1) = 2 mod p
+    assert laman._rank_mod_p(np.array(rows, dtype=np.int64)) == 3
+    # the second row is -1 times the first mod p
+    rows = [[top, top, 0], [1, 1, 0], [0, top, top]]
+    assert laman._rank_mod_p(np.array(rows, dtype=np.int64)) == 2
+    assert laman._rank_mod_p(np.full((4, 5), top, dtype=np.int64)) == 1
+    assert laman._rank_mod_p(np.diag([top] * 5).astype(np.int64)) == 5
+    assert laman._rank_mod_p(np.zeros((3, 4), dtype=np.int64)) == 0
+
+
+def _k5_with_pendant_triangle(perm):
+    edges = list(itertools.combinations(range(5), 2)) + [(4, 5), (4, 6), (5, 6)]
+    edges = sorted(tuple(sorted((perm[u], perm[v]))) for u, v in edges)
+    pts = [(t, t * t, t**3) for t in range(7)]
+    return new_framework(3, pts, edges)
+
+
+def test_count_screen_never_certifies_k5_with_a_pendant_triangle():
+    # b = 13 <= 3j - 6 = 15, yet K5 carries one bar over its count, so
+    # the rank falls short and the scan must run and find it
+    rng = random.Random(5)
+    for _ in range(6):
+        perm = list(range(7))
+        rng.shuffle(perm)
+        f = _k5_with_pendant_triangle(perm)
+        assert generic_rank(Graph.from_framework(f), 3) == 12
+        hits = count_screen_3d(f, 7)
+        assert hits == subgraph_maxwell_scan_3d(f, 7)
+        assert [(h.joint_ids, h.slack) for h in hits] == [
+            (tuple(sorted(perm[:5])), -1)
+        ]
+
+
+def test_count_screen_skips_the_scan_only_on_independent_bars(monkeypatch):
+    calls = []
+
+    def scan(f, cap):
+        calls.append(f.joint_count)
+        return subgraph_maxwell_scan_3d(f, cap)
+
+    monkeypatch.setattr(laman, "subgraph_maxwell_scan_3d", scan)
+    ico = platonic("icosahedron")
+    assert count_screen_3d(ico, 8) == []
+    assert count_screen_3d(cap_all_faces_symmetric(ico), 8) == []
+    assert calls == []
+    # rank 17 of 18: the scan runs, and finds nothing within the cap
+    assert count_screen_3d(double_banana(), 8) == []
+    assert calls == [8]
+
+
+def test_count_screen_guards_match_the_scan():
+    f = platonic("icosahedron")
+    with pytest.raises(ValueError):
+        count_screen_3d(f, 2)
+    with pytest.raises(CapExceeded):
+        count_screen_3d(f, 13)
+    with pytest.raises(ValueError):
+        count_screen_3d(fig2_examples("C1"), 8)
 
 
 def test_pebble_long_strip_in_shuffled_order():

@@ -1,4 +1,5 @@
-"""Randomized invariants: serialization, relabeling, motions, pebbles, 3D scan."""
+"""Randomized invariants: serialization, relabeling, motions, pebbles,
+generic rank, 3D scan and count screen."""
 
 from __future__ import annotations
 
@@ -15,7 +16,13 @@ from isoframe import core
 from isoframe.chartables import CATALOG_2D, CATALOG_3D, character_table
 from isoframe.constructgen import cap_face, platonic, twisted_cap_all_faces
 from isoframe.core import from_json, new_framework, pairs_within, to_json
-from isoframe.laman import Graph, pebble_game_2_3, subgraph_maxwell_scan_3d
+from isoframe.laman import (
+    Graph,
+    count_screen_3d,
+    generic_rank,
+    pebble_game_2_3,
+    subgraph_maxwell_scan_3d,
+)
 from isoframe.maxwell import maxwell_count, maxwell_trace, two_cos
 from isoframe.numrank import build_system, mobility, nullspace_bases, numeric_rank
 from isoframe.symdetect import detect_point_group
@@ -23,9 +30,11 @@ from isoframe.symdetect import detect_point_group
 from oracles import (
     count_violations_bruteforce,
     diameter_bruteforce,
+    exact_rigidity_rank,
     henneberg_graph,
     pairs_within_bruteforce,
     pebble_game_plain,
+    random_rational_config,
     three_core,
 )
 
@@ -325,6 +334,54 @@ def test_subgraph_scan_matches_bruteforce(case):
         want.append((joint_ids, bar_ids, len(joint_ids), len(bar_ids), slack))
     target(float(len(want)))  # steer towards graphs with many violations
     got = [dataclasses.astuple(v) for v in subgraph_maxwell_scan_3d(f, cap)]
+    assert got == want
+
+
+@st.composite
+def graphs_3d(draw):
+    """Random graphs on 3..10 joints, from sparse to nearly complete."""
+    j = draw(st.integers(min_value=3, max_value=10))
+    density = draw(st.floats(0.1, 0.9))
+    pairs = [(a, b) for a in range(j) for b in range(a + 1, j)]
+    coins = draw(st.lists(st.floats(0, 1), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(j, tuple(p for p, c in zip(pairs, coins) if c < density))
+
+
+@given(graphs_3d(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_generic_rank_matches_exact_rank_in_3d(g, seed):
+    # the larger of two rational draws, so one unlucky draw cannot fail;
+    # a seeded Random, since hypothesis's own randoms shrink to zeros
+    rng = random.Random(seed)
+    want = max(
+        exact_rigidity_rank(random_rational_config(rng, g.joint_count, 3), list(g.edges))
+        for _ in range(2)
+    )
+    assert generic_rank(g, 3) == want
+
+
+@given(st.one_of(henneberg_bare_graphs(), random_bare_graphs()))
+@settings(max_examples=100, deadline=None)
+def test_generic_rank_is_full_exactly_when_the_pebble_game_says_tight(g):
+    j, b = g.joint_count, len(g.edges)
+    verdict = pebble_game_2_3(g).verdict
+    rank = generic_rank(g, 2)
+    assert (rank == b == 2 * j - 3) == (verdict == "tight")
+    assert (rank == b) == (verdict != "dependent")
+
+
+@given(graphs_3d())
+@settings(max_examples=60, deadline=None)
+def test_count_screen_matches_bruteforce(g):
+    j, edges = g.joint_count, list(g.edges)
+    f = new_framework(3, [(t, t * t, t**3) for t in range(j)], edges)
+    want = []
+    for joint_ids, slack in count_violations_bruteforce(j, edges, j):
+        bar_ids = tuple(
+            k for k, (u, v) in enumerate(edges) if u in joint_ids and v in joint_ids
+        )
+        want.append((joint_ids, bar_ids, len(joint_ids), len(bar_ids), slack))
+    got = [dataclasses.astuple(v) for v in count_screen_3d(f, j)]
     assert got == want
 
 
