@@ -1,0 +1,142 @@
+"""Detection outcomes over a jitter sweep, pinned in a snapshot.
+
+Each gallery fixture is jittered at several noise levels, by two seeded
+draws at each level above 0, and detected at a tight and a loose
+geometric tolerance.  An outcome is either the group label, the class
+labels and a digest of each element's kind, n, k, joint permutation and
+bar permutation, or the exception type and message.  Matrices and axes
+are left out: their last bits depend on the BLAS.
+
+The suite leaves out the slowest cases (_in_suite).
+`python tests/test_detection_sweep.py` checks every case, and
+`python tests/test_detection_sweep.py --write` regenerates the snapshot,
+only for an intended change.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import importlib.util
+import json
+import sys
+import zlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from isoframe.core import new_framework
+from isoframe.errors import IsoframeError
+from isoframe.symdetect import detect_point_group
+
+NOISES = (0.0, 1e-6, 1e-4, 1e-3, 1e-2)
+DRAWS = (0, 1)
+GEOM_TOLS = (1e-3, 0.09)
+_SNAPSHOT = Path(__file__).parent / "data" / "detection_outcomes.json"
+
+
+def _gallery():
+    path = Path(__file__).parents[1] / "scripts" / "build_gallery.py"
+    spec = importlib.util.spec_from_file_location("build_gallery", path)
+    gallery = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gallery)
+    return gallery._gallery()
+
+
+def case_id(name: str, noise: float, draw: int, geom_tol: float) -> str:
+    return f"{name}|{noise:g}|{draw}|{geom_tol:g}"
+
+
+def _jitters():
+    return [(noise, draw) for noise in NOISES for draw in (DRAWS if noise else DRAWS[:1])]
+
+
+def _jittered(name, f, noise, draw):
+    rng = np.random.default_rng([zlib.crc32(name.encode()), draw])
+    shift = rng.normal(scale=noise, size=f.coordinates.shape) * f.diameter()
+    return new_framework(f.dimension, f.coordinates + shift, [b.ends for b in f.bars])
+
+
+def _element_digest(a) -> str:
+    text = repr((a.op.kind, a.op.n, a.op.k, a.joint_perm, a.bar_perm))
+    return hashlib.sha256(text.encode()).hexdigest()[:10]
+
+
+def outcome(f, geom_tol: float) -> dict:
+    try:
+        g = detect_point_group(f, geom_tol=geom_tol)
+    except IsoframeError as exc:
+        return {"error": type(exc).__name__, "message": str(exc)}
+    return {
+        "group": g.schoenflies,
+        "classes": [c.label for c in g.classes],
+        "elements": [_element_digest(a) for a in g.elements],
+    }
+
+
+def sweep(ids=None) -> dict[str, dict]:
+    """The outcome of every case, or of the cases named in ids."""
+    out = {}
+    for name, f in _gallery().items():
+        for noise, draw in _jitters():
+            jittered = None
+            for geom_tol in GEOM_TOLS:
+                cid = case_id(name, noise, draw, geom_tol)
+                if ids is not None and cid not in ids:
+                    continue
+                if jittered is None:
+                    jittered = _jittered(name, f, noise, draw)
+                out[cid] = outcome(jittered, geom_tol)
+    return out
+
+
+# The suite checks every case but the j = 72 twists at the loose
+# tolerance, which take most of the sweep's time; of those it keeps the
+# one that raises ToleranceAmbiguity.
+_SLOW = ("icosahedron_twisted", "icosahedron_twisted_36deg")
+_SLOW_KEPT = case_id("icosahedron_twisted", 1e-2, 1, 0.09)
+
+
+def _in_suite(cid: str) -> bool:
+    name, _, _, geom_tol = cid.split("|")
+    return name not in _SLOW or float(geom_tol) < 0.09 or cid == _SLOW_KEPT
+
+
+@pytest.fixture(scope="module")
+def snapshot():
+    return json.loads(_SNAPSHOT.read_text())
+
+
+def test_snapshot_covers_the_whole_sweep(snapshot):
+    want = {
+        case_id(name, noise, draw, geom_tol)
+        for name in _gallery()
+        for noise, draw in _jitters()
+        for geom_tol in GEOM_TOLS
+    }
+    assert set(snapshot) == want
+    messages = [o["message"] for o in snapshot.values() if o.get("error") == "ToleranceAmbiguity"]
+    assert any("do not form a group" in m for m in messages)
+    assert any("matches 2 joints" in m for m in messages)
+    assert snapshot[_SLOW_KEPT]["error"] == "ToleranceAmbiguity"
+
+
+def test_detection_outcomes_match_snapshot(snapshot):
+    ids = {cid for cid in snapshot if _in_suite(cid)}
+    got = sweep(ids)
+    assert sorted(got) == sorted(ids)
+    for cid in sorted(ids):
+        assert got[cid] == snapshot[cid], cid
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] == ["--write"]:
+        _SNAPSHOT.write_text(json.dumps(sweep(), indent=0, sort_keys=True) + "\n")
+    else:
+        want = json.loads(_SNAPSHOT.read_text())
+        got = sweep()
+        bad = sorted(cid for cid in want if got.get(cid) != want[cid])
+        print(f"{len(want) - len(bad)} of {len(want)} cases match the snapshot")
+        for cid in bad:
+            print("differs:", cid)
+        sys.exit(1 if bad else 0)
