@@ -34,8 +34,8 @@ from .symdetect import (
     ClassKey,
     PointGroupInfo,
     SymmetryAssignment,
-    _find_joint_permutation,
     _key_order,
+    _matched_permutations,
     _parse_label,
     _powers,
     classify_group,
@@ -271,8 +271,7 @@ def reference_group(label: str, dimension: int = 3) -> PointGroupInfo:
     label = canonical_label(label)
     mats, orbit = _close_under_multiplication(_generators(label, dimension), dimension)
     elements = []
-    for M in mats:
-        perm = _find_joint_permutation(orbit, M, 1e-6)
+    for M, (perm, _) in zip(mats, _matched_permutations(orbit, np.array(mats), 1e-6)):
         op = classify_matrix(M, dimension, _key_order(perm, np.linalg.det(M) > 0))
         elements.append(SymmetryAssignment(op, perm, None))
     info = classify_group(elements)

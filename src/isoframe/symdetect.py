@@ -8,11 +8,16 @@ The pipeline:
 2. Pick a well-conditioned spanning basis of joint positions, greedily
    preferring joints whose shells are small.
 3. Enumerate candidate images of the basis (same shell, matching
-   pairwise inner products), solve for the matrix, keep it when it is
-   near-orthogonal, snap it to the nearest orthogonal matrix, and
-   verify it permutes the joints and the bars.  A symmetry is its
-   joint permutation and the sign of its determinant; one candidate
-   is kept per such key.
+   pairwise inner products), all partial images a level at a time.
+   Then, in blocks of at most core._BLOCK joint images, solve every
+   candidate's matrix against the basis, inverted once, keep the
+   near-orthogonal ones, snap them to the nearest orthogonal matrices
+   by one batched SVD, land all their joint images through one
+   core.pairs_within call, and look every bar permutation up in the
+   sorted bar-end codes.  The candidates are then taken in order.  A
+   symmetry is its joint permutation and the sign of its determinant;
+   one candidate is kept per such key, and a new key whose matrix lies
+   within _AMBIGUITY_GATE of a kept one is ambiguous.
 4. Read each symmetry's order from its key: the smallest power of the
    joint permutation that is the identity, doubled when it is odd and
    the symmetry improper.  Classify the matrix into E / C_n^k / S_n^k /
@@ -34,11 +39,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .core import Framework, pairs_within, unit_scaled
+from .core import _BLOCK, Framework, pairs_within, unit_scaled
 from .errors import (
     ContinuousSymmetry,
     InternalInconsistency,
@@ -182,14 +187,17 @@ def _canon_sign(v: np.ndarray) -> tuple[np.ndarray, bool]:
 def _key_order(perm: Sequence[int], proper: bool) -> int:
     """The order of the symmetry keyed by perm and its determinant sign.
 
-    The smallest power of perm that is the identity, doubled when it is
-    odd and the symmetry improper: that power then fixes every joint yet
-    has determinant -1, so it is the mirror in the joints' hyperplane.
+    The smallest power of perm that is the identity, the lcm of its
+    cycle lengths, doubled when it is odd and the symmetry improper: that
+    power then fixes every joint yet has determinant -1, so it is the
+    mirror in the joints' hyperplane.
     """
-    identity = list(range(len(perm)))
-    order, cur = 1, list(perm)
-    while cur != identity:
-        cur, order = [perm[c] for c in cur], order + 1
+    order, seen = 1, [False] * len(perm)
+    for start in range(len(perm)):
+        length, x = 0, start
+        while not seen[x]:
+            seen[x], x, length = True, perm[x], length + 1
+        order = math.lcm(order, max(length, 1))
     return order if proper or order % 2 == 0 else 2 * order
 
 
@@ -321,110 +329,170 @@ def _candidate_images(
     basis: list[int],
     shell_of: dict[int, list[int]],
     dot_tol: float,
-) -> list[tuple[int, ...]]:
-    r = len(basis)
-    gram = np.array([[float(P[a] @ P[b]) for b in basis] for a in basis])
-    results: list[tuple[int, ...]] = []
+) -> np.ndarray:
+    """Every image of the basis that keeps each basis joint in its shell
+    and each inner product within dot_tol, one row of joint ids each.
 
-    def rec(level: int, chosen: list[int]) -> None:
-        if level == r:
-            results.append(tuple(chosen))
-            return
-        for m in shell_of[basis[level]]:
-            if m in chosen:
-                continue
-            if abs(float(P[m] @ P[m]) - gram[level, level]) > dot_tol:
-                continue
-            if any(
-                abs(float(P[chosen[a]] @ P[m]) - gram[a, level]) > dot_tol
-                for a in range(level)
-            ):
-                continue
-            chosen.append(m)
-            rec(level + 1, chosen)
-            chosen.pop()
-
-    rec(0, [])
-    return results
-
-
-def _matrices_for_images(
-    P: np.ndarray, basis: list[int], images: tuple[int, ...], d: int
-) -> list[np.ndarray]:
-    B = np.column_stack([P[i] for i in basis])
-    Bp = np.column_stack([P[m] for m in images])
-    if len(basis) == d:
-        try:
-            inv = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            return []
-        return [Bp @ inv]
-    # rank-deficient span: extend with the normal direction, both signs
-    if d == 3:
-        normal = np.cross(B[:, 0], B[:, 1])
-    else:
-        normal = np.array([-B[1, 0], B[0, 0]])
-    nn = float(np.linalg.norm(normal))
-    if nn == 0.0:
-        return []
-    normal = normal / nn
-    try:
-        inv = np.linalg.inv(np.column_stack([B, normal]))
-    except np.linalg.LinAlgError:
-        return []
-    return [np.column_stack([Bp, sgn * normal]) @ inv for sgn in (1.0, -1.0)]
-
-
-def _find_joint_permutation(
-    P: np.ndarray, M: np.ndarray, tol: float, exp: int = 0
-) -> tuple[int, ...] | None:
-    """The joint that each joint's image under M lands on, within tol.
-
-    Joints are taken in id order up to the first whose image does not
-    land on exactly one joint that no earlier image took: None if its
-    image lands on no joint, ToleranceAmbiguity if on several or on a
-    taken one.  Its message states tol * 2**exp, in model units when P
-    was scaled by core.unit_scaled.
+    Rows grow a level at a time, all partial rows at once (in chunks of
+    at most _BLOCK inner products), and come in the lexicographic order
+    of their joints' places in the shells.
     """
-    j = P.shape[0]
-    hits = np.zeros(j, dtype=np.intp)
-    perm = np.zeros(j, dtype=np.intp)
-    for q, p in pairs_within(P, P @ M.T, tol):
-        hits += np.bincount(q, minlength=j)
-        perm[q] = p
+    gram = P[basis] @ P[basis].T
+    rows = np.zeros((1, 0), dtype=np.intp)
+    for level, b in enumerate(basis):
+        shell = np.array(shell_of[b], dtype=np.intp)
+        Q = P[shell]
+        fits = np.abs((Q * Q).sum(axis=1) - gram[level, level]) <= dot_tol
+        step = max(1, _BLOCK // (len(shell) * max(level, 1)))
+        grown = []
+        for lo in range(0, max(len(rows), 1), step):
+            part = rows[lo : lo + step]
+            dots = np.abs(P[part] @ Q.T - gram[:level, level, None]) <= dot_tol
+            ok = fits & dots.all(axis=1) & (part[:, :, None] != shell).all(axis=1)
+            k, m = np.nonzero(ok)
+            grown.append(np.column_stack([part[k], shell[m]]))
+        rows = np.concatenate(grown)
+    return rows
+
+
+def _isometries(
+    P: np.ndarray,
+    basis: list[int],
+    images: np.ndarray,
+    tol: float,
+    exp: int,
+    ends: np.ndarray,
+) -> Iterator[tuple[np.ndarray, bool, tuple[int, ...] | None, tuple[int, ...] | None]]:
+    """Yield each candidate's matrix, whether it is proper, and its joint
+    and bar permutations (_matched_permutations), in candidate order.
+
+    The basis matrix B is the same for every candidate, so it is
+    inverted once.  When the basis spans only a hyperplane, it is
+    extended by its unit normal and each image of the basis gives two
+    candidates in turn, sending the normal to +normal and to -normal.
+    Candidates go in blocks of at most _BLOCK // j images of the basis:
+    each block is solved, kept where near-orthogonal, snapped to the
+    nearest orthogonal matrices by one batched SVD, and matched.
+    """
+    j, d = P.shape
+    B = P[basis].T
+    normal = None
+    if len(basis) < d:
+        # rank-deficient span: extend with the normal direction, both signs
+        normal = np.cross(B[:, 0], B[:, 1]) if d == 3 else np.array([-B[1, 0], B[0, 0]])
+        nn = float(np.linalg.norm(normal))
+        if nn == 0.0:
+            return
+        normal = normal / nn
+        B = np.column_stack([B, normal])
+    try:
+        inv = np.linalg.inv(B)
+    except np.linalg.LinAlgError:
+        return
+    step = max(1, _BLOCK // j)
+    for lo in range(0, len(images), step):
+        Bp = np.ascontiguousarray(P[images[lo : lo + step]].transpose(0, 2, 1))
+        if normal is not None:
+            signed = np.tile(np.stack([normal, -normal]), (len(Bp), 1))[:, :, None]
+            Bp = np.concatenate([np.repeat(Bp, 2, axis=0), signed], axis=2)
+        Ms = Bp @ inv
+        Ms = Ms[np.abs(Ms.transpose(0, 2, 1) @ Ms - np.eye(d)).max(axis=(1, 2)) <= 0.05]
+        u, _, vt = np.linalg.svd(Ms)
+        Ms = u @ vt
+        proper = np.linalg.det(Ms) > 0
+        for M, sign, perms in zip(Ms, proper, _matched_permutations(P, Ms, tol, exp, ends)):
+            yield M, bool(sign), *perms
+
+
+def _raise_if_ambiguous(hits: np.ndarray, landed: np.ndarray, tol: float, exp: int) -> None:
+    """Check one matrix whose joint images do not land one to one.
+
+    hits[q] counts the joints that the image of joint q lands on, and
+    landed[q] is one of them.  Joints are taken in id order up to the
+    first whose image does not land on exactly one joint that no earlier
+    image took.  The matrix is no symmetry when that image lands on no
+    joint; ToleranceAmbiguity is raised when it lands on several or on a
+    taken one.  Its message states tol * 2**exp, in model units when the
+    points were scaled by core.unit_scaled.
+    """
     bad = np.flatnonzero(hits != 1)
-    stop = int(bad[0]) if bad.size else j
-    order = np.argsort(perm[:stop], kind="stable")
-    ranked = perm[order]
+    stop = int(bad[0]) if bad.size else len(hits)
+    order = np.argsort(landed[:stop], kind="stable")
+    ranked = landed[order]
     taken = order[1:][ranked[1:] == ranked[:-1]]
     shown = float(np.ldexp(tol, exp))
     if taken.size:
         raise ToleranceAmbiguity(
-            f"two joints map onto joint {perm[taken.min()]} within tolerance {shown:g}"
+            f"two joints map onto joint {landed[taken.min()]} within tolerance {shown:g}"
         )
-    if stop < j:
-        if hits[stop] == 0:
-            return None
+    if hits[stop] > 1:
         raise ToleranceAmbiguity(
             f"the image of joint {stop} matches {hits[stop]} joints within "
             f"tolerance {shown:g}; joints are too close together for this "
             "tolerance"
         )
-    return tuple(perm.tolist())
 
 
-def _bar_permutation(f: Framework, joint_perm: tuple[int, ...]) -> tuple[int, ...] | None:
-    perm: list[int] = []
-    for bar in f.bars:
-        u, v = bar.ends
-        image = (joint_perm[u], joint_perm[v])
-        if image[0] > image[1]:
-            image = (image[1], image[0])
-        bid = f.pair_to_bar.get(image)
-        if bid is None:
-            return None
-        perm.append(bid)
-    return tuple(perm)
+def _matched_permutations(
+    P: np.ndarray,
+    Ms: np.ndarray,
+    tol: float,
+    exp: int = 0,
+    ends: np.ndarray | None = None,
+) -> Iterator[tuple[tuple[int, ...] | None, tuple[int, ...] | None]]:
+    """Yield the joint and bar permutation of each matrix of the stack Ms.
+
+    The joints' images are matched in blocks of matrices, at most
+    _BLOCK images to a block and one pairs_within call per block, so
+    memory stays linear in the joint count.  A matrix whose images land
+    one to one on the joints gets that permutation; any other gets None,
+    once _raise_if_ambiguous has checked it when it is reached.  ends
+    holds each bar's sorted ends; a bar permutation sends
+    each bar to the bar between its ends' images, and is None when one
+    of those is no bar, or when no ends are given.
+    """
+    j, d = P.shape
+    if ends is not None:
+        codes = ends[:, 0] * j + ends[:, 1]
+        by_code = np.argsort(codes)
+        codes = codes[by_code]
+    # one int object per id, shared by every permutation
+    ids = list(range(max(j, 0 if ends is None else len(ends))))
+    step = max(1, _BLOCK // j)
+    for lo in range(0, len(Ms), step):
+        block = Ms[lo : lo + step]
+        n = len(block) * j
+        hits = np.zeros(n, dtype=np.intp)
+        landed = np.zeros(n, dtype=np.intp)
+        for q, p in pairs_within(P, (P @ block.transpose(0, 2, 1)).reshape(n, d), tol):
+            hits += np.bincount(q, minlength=n)
+            landed[q] = p
+        hits, landed = hits.reshape(-1, j), landed.reshape(-1, j)
+        clean = (hits == 1).all(axis=1) & (np.sort(landed, axis=1) == np.arange(j)).all(axis=1)
+        bars_ok = np.zeros(len(block), dtype=bool)
+        if ends is not None:
+            u, v = landed[:, ends[:, 0]], landed[:, ends[:, 1]]
+            image = np.minimum(u, v) * j + np.maximum(u, v)
+            at = np.minimum(np.searchsorted(codes, image), max(len(codes) - 1, 0))
+            bars_ok = (codes[at] == image).all(axis=1)
+            bar_rows = by_code[at]
+        for i in range(len(block)):
+            if not clean[i]:
+                _raise_if_ambiguous(hits[i], landed[i], tol, exp)
+                yield None, None
+            else:
+                bar_perm = None
+                if bars_ok[i]:
+                    bar_perm = tuple(map(ids.__getitem__, bar_rows[i].tolist()))
+                yield tuple(map(ids.__getitem__, landed[i].tolist())), bar_perm
+
+
+def _find_joint_permutation(
+    P: np.ndarray, M: np.ndarray, tol: float, exp: int = 0
+) -> tuple[int, ...] | None:
+    """The joint that each joint's image under M lands on, within tol:
+    None when M is no symmetry (see _raise_if_ambiguous)."""
+    return next(_matched_permutations(P, M[None], tol, exp))[0]
 
 
 def detect_symmetries(
@@ -471,29 +539,29 @@ def detect_symmetries(
     basis = _greedy_basis(P, shell_size, spanrank, tol)
     dot_tol = 4 * tol * scale
 
+    images = _candidate_images(P, basis, shell_of, dot_tol)
+    ends = np.array([bar.ends for bar in f.bars], dtype=np.intp).reshape(-1, 2)
+
     # a symmetry is its joint permutation and the sign of its determinant
     found: dict[tuple[tuple[int, ...], bool], tuple[np.ndarray, tuple[int, ...]]] = {}
-    for images in _candidate_images(P, basis, shell_of, dot_tol):
-        for M in _matrices_for_images(P, basis, images, d):
-            if np.abs(M.T @ M - np.eye(d)).max() > 0.05:
-                continue
-            u, _, vt = np.linalg.svd(M)
-            M = u @ vt
-            perm = _find_joint_permutation(P, M, tol, exp)
-            if perm is None:
-                continue
-            key = (perm, bool(np.linalg.det(M) > 0))
-            bar_perm = _bar_permutation(f, perm)
-            if bar_perm is None or key in found:
-                continue
-            for Mk, _ in found.values():
-                gap = float(np.abs(M - Mk).max())
-                if gap < _AMBIGUITY_GATE:
-                    raise ToleranceAmbiguity(
-                        f"two candidate symmetries that move the joints "
-                        f"differently differ by only {gap:g}"
-                    )
-            found[key] = (M, bar_perm)
+    kept = np.empty((8, d, d))
+    for M, proper, perm, bar_perm in _isometries(P, basis, images, tol, exp, ends):
+        if perm is None:
+            continue
+        key = (perm, proper)
+        if bar_perm is None or key in found:
+            continue
+        gaps = np.abs(kept[: len(found)] - M).max(axis=(1, 2))
+        close = np.flatnonzero(gaps < _AMBIGUITY_GATE)
+        if close.size:
+            raise ToleranceAmbiguity(
+                f"two candidate symmetries that move the joints "
+                f"differently differ by only {gaps[close[0]]:g}"
+            )
+        if len(found) == len(kept):
+            kept = np.concatenate([kept, kept])
+        kept[len(found)] = M
+        found[key] = (M, bar_perm)
 
     assignments = [
         SymmetryAssignment(classify_matrix(M, d, _key_order(perm, proper)), perm, bar_perm)
@@ -800,6 +868,21 @@ def _class_label(key: ClassKey, size: int) -> str:
     return f"{size}{name}" if size > 1 else name
 
 
+def _hash_weights(j: int) -> np.ndarray:
+    """Fixed odd int64 weights of the j entries and the sign of a row:
+    splitmix64 of 1..j+1, so that no linear pattern of the entries
+    cancels."""
+    z = np.arange(1, j + 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return (z ^ (z >> np.uint64(31)) | np.uint64(1)).view(np.int64)
+
+
+def _row_hashes(perms: np.ndarray, signs: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """One int64 per (permutation, sign) row, wrapping on overflow."""
+    return perms @ weights[:-1] + signs * weights[-1]
+
+
 def classify_group(elements: Sequence[SymmetryAssignment]) -> PointGroupInfo:
     """Close, verify, and name a finite set of isometries as a point group.
 
@@ -828,23 +911,39 @@ def classify_group(elements: Sequence[SymmetryAssignment]) -> PointGroupInfo:
     if any(a.joint_perm is None for a in assignments):
         raise ValueError("every element needs its joint permutation")
     perms = np.array([a.joint_perm for a in assignments], dtype=np.int64)
-    signs = [1 if op.kind in ("E", "C") else -1 for op in ops]
-    index = {(p.tobytes(), sg): x for x, (p, sg) in enumerate(zip(perms, signs))}
-    if len(index) != g:
-        raise ToleranceAmbiguity(
-            "two elements with the same determinant sign permute the joints alike"
-        )
+    signs = np.array([1 if op.kind in ("E", "C") else -1 for op in ops], dtype=np.int64)
+    weights = _hash_weights(perms.shape[1])
+    hashes = _row_hashes(perms, signs, weights)
+    by_hash = np.argsort(hashes, kind="stable")
+    sorted_hashes = hashes[by_hash]
+    tied = np.flatnonzero(sorted_hashes[1:] == sorted_hashes[:-1])
+    if tied.size:
+        rows = by_hash[np.union1d(tied, tied + 1)]
+        if len({(perms[x].tobytes(), signs[x]) for x in rows}) < len(rows):
+            raise ToleranceAmbiguity(
+                "two elements with the same determinant sign permute the joints alike"
+            )
 
+    # each product row is looked up by its hash and confirmed in full,
+    # so a hash collision can only send it to the slow scan of its ties
     table = np.zeros((g, g), dtype=int)
     for x in range(g):
-        prods = perms[x][perms]
-        for y in range(g):
-            t = index.get((prods[y].tobytes(), signs[x] * signs[y]))
-            if t is None:
+        prods, prod_signs = perms[x][perms], signs[x] * signs
+        h = _row_hashes(prods, prod_signs, weights)
+        at = by_hash[np.minimum(np.searchsorted(sorted_hashes, h), g - 1)]
+        ok = (hashes[at] == h) & (signs[at] == prod_signs) & (perms[at] == prods).all(axis=1)
+        for y in np.flatnonzero(~ok):
+            lo, hi = (np.searchsorted(sorted_hashes, h[y], side) for side in ("left", "right"))
+            match = [
+                t for t in by_hash[lo:hi]
+                if signs[t] == prod_signs[y] and (perms[t] == prods[y]).all()
+            ]
+            if not match:
                 raise NotAGroup(
                     f"the product of elements {x} and {y} is not in the set"
                 )
-            table[x, y] = t
+            at[y] = match[0]
+        table[x] = at
     if table[0].tolist() != list(range(g)):
         raise NotAGroup("the identity is not among the elements")
     # distinct invertible keys make every row a permutation of 0..g-1

@@ -137,6 +137,16 @@ def brute_fixed_counts(
     return jf, bf
 
 
+def permutation_order_bruteforce(perm: list[int]) -> int:
+    """The smallest m >= 1 with perm composed m times the identity,
+    found by composing until it is."""
+    identity = list(range(len(perm)))
+    order, cur = 1, list(perm)
+    while cur != identity:
+        cur, order = [perm[c] for c in cur], order + 1
+    return order
+
+
 def _eigenspace(matrix: np.ndarray, value: float, tol: float = 1e-2) -> np.ndarray:
     """Orthonormal rows spanning the eigenspace of matrix for value (+-1)."""
     _, sv, vt = np.linalg.svd(matrix - value * np.eye(matrix.shape[0]))

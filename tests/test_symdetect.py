@@ -16,11 +16,19 @@ from hypothesis import strategies as st
 from isoframe.chartables import CATALOG_2D, CATALOG_3D, _rotation_about, reference_group
 from isoframe.constructgen import counterexample_2d, double_banana, fig2_examples, platonic
 from isoframe.core import new_framework
-from isoframe.errors import ContinuousSymmetry, InternalInconsistency, ToleranceAmbiguity
+from isoframe import symdetect
+from isoframe.errors import (
+    ContinuousSymmetry,
+    InternalInconsistency,
+    NotAGroup,
+    ToleranceAmbiguity,
+)
 from isoframe.maxwell import isostatic_necessary, maxwell_trace
 from isoframe.symdetect import (
     SymmetryAssignment,
     _find_joint_permutation,
+    _key_order,
+    classify_group,
     classify_matrix,
     detect_point_group,
     detect_symmetries,
@@ -28,7 +36,7 @@ from isoframe.symdetect import (
     unshifted_counts,
 )
 
-from oracles import brute_fixed_counts, geometric_fixed_items
+from oracles import brute_fixed_counts, geometric_fixed_items, permutation_order_bruteforce
 
 # Per-class (label, joints unshifted, bars unshifted), in detected class
 # order.  Frozen from an independent brute-force pass: apply each class
@@ -449,6 +457,67 @@ def test_find_joint_permutation_outcomes(points, outcome):
             _find_joint_permutation(P, M, 0.1)
     else:
         assert _find_joint_permutation(P, M, 0.1) == outcome
+
+
+@given(
+    perm=st.integers(1, 40).flatmap(lambda j: st.permutations(range(j))),
+    proper=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_key_order_matches_powering(perm, proper):
+    m = permutation_order_bruteforce(perm)
+    want = m if proper or m % 2 == 0 else 2 * m
+    assert _key_order(tuple(perm), proper) == want
+
+
+def _ring(n):
+    """n joints evenly on the unit circle, each tied to the next: C_nv."""
+    points = [(math.cos(2 * math.pi * k / n), math.sin(2 * math.pi * k / n)) for k in range(n)]
+    return new_framework(2, points, [(k, (k + 1) % n) for k in range(n)])
+
+
+def test_square_without_bars_has_empty_bar_permutations():
+    f = new_framework(2, [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)], [])
+    g = detect_point_group(f)
+    assert (g.schoenflies, g.order) == ("C4v", 8)
+    assert [a.bar_perm for a in g.elements] == [()] * 8
+    assert sorted(a.joint_perm for a in g.elements) == sorted(
+        tuple((s * i + t) % 4 for i in range(4)) for s in (1, -1) for t in range(4)
+    )
+
+
+def test_ring_of_200_is_c200v_across_two_matching_blocks():
+    # 2 x 200 candidates x 200 joints = 80,000 images, more than one block
+    g = detect_point_group(_ring(200))
+    assert (g.schoenflies, g.order) == ("C200v", 400)
+    rotations = []
+    for n in sorted({200 // math.gcd(k, 200) for k in range(1, 100)}, reverse=True):
+        rotations += [f"2C{n}" + (f"^{k}" if k > 1 else "")
+                      for k in range(1, n // 2 + (n % 2)) if math.gcd(k, n) == 1]
+    assert [c.label for c in g.classes] == (
+        ["E"] + rotations + ["C2", "100sigma_v", "100sigma_v'"]
+    )
+    assert all(sorted(a.bar_perm) == list(range(200)) for a in g.elements)
+
+
+def _not_a_group(elements):
+    with pytest.raises(NotAGroup) as caught:
+        classify_group(elements)
+    return str(caught.value)
+
+
+def test_cayley_table_does_not_trust_the_row_hash(octahedron, monkeypatch):
+    # with every weight 1 the hash of a permutation is its entry sum, the
+    # same for all: each product is then found by its full row alone
+    elements = detect_point_group(octahedron).elements
+    table = classify_group(elements).mult_table
+    unclosed = [a for a in elements if (a.op.kind, a.op.n) != ("C", 4)]
+    message = _not_a_group(unclosed)
+    monkeypatch.setattr(symdetect, "_hash_weights", lambda j: np.ones(j + 1, dtype=np.int64))
+    assert np.array_equal(classify_group(elements).mult_table, table)
+    assert _not_a_group(unclosed) == message
+    with pytest.raises(ToleranceAmbiguity, match="permute the joints alike"):
+        classify_group(elements + elements[1:2])
 
 
 def test_unshifted_counts_needs_permutations(octahedron):
