@@ -194,10 +194,12 @@ def _key_order(perm: Sequence[int], proper: bool) -> int:
     """
     order, seen = 1, [False] * len(perm)
     for start in range(len(perm)):
+        if seen[start]:
+            continue
         length, x = 0, start
         while not seen[x]:
             seen[x], x, length = True, perm[x], length + 1
-        order = math.lcm(order, max(length, 1))
+        order = math.lcm(order, length)
     return order if proper or order % 2 == 0 else 2 * order
 
 
@@ -444,10 +446,10 @@ def _matched_permutations(
 
     The joints' images are matched in blocks of matrices, at most
     _BLOCK images to a block and one pairs_within call per block, so
-    memory stays linear in the joint count.  A matrix whose images land
-    one to one on the joints gets that permutation; any other gets None,
-    once _raise_if_ambiguous has checked it when it is reached.  ends
-    holds each bar's sorted ends; a bar permutation sends
+    memory does not grow with the number of matrices.  A matrix whose
+    images land one to one on the joints gets that permutation; any
+    other gets None, once _raise_if_ambiguous has checked it when it is
+    reached.  ends holds each bar's sorted ends; a bar permutation sends
     each bar to the bar between its ends' images, and is None when one
     of those is no bar, or when no ends are given.
     """
@@ -552,11 +554,10 @@ def detect_symmetries(
         if bar_perm is None or key in found:
             continue
         gaps = np.abs(kept[: len(found)] - M).max(axis=(1, 2))
-        close = np.flatnonzero(gaps < _AMBIGUITY_GATE)
-        if close.size:
+        if found and gaps.min() < _AMBIGUITY_GATE:
             raise ToleranceAmbiguity(
-                f"two candidate symmetries that move the joints "
-                f"differently differ by only {gaps[close[0]]:g}"
+                f"two candidate symmetries that move the joints differently "
+                f"differ by only {gaps[np.argmax(gaps < _AMBIGUITY_GATE)]:g}"
             )
         if len(found) == len(kept):
             kept = np.concatenate([kept, kept])
