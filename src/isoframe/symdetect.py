@@ -246,11 +246,17 @@ def classify_matrix(M: np.ndarray, dimension: int, order: int) -> IsometryOp:
         raise ValueError("only 2D and 3D isometries are supported")
     if np.abs(M.T @ M - np.eye(dimension)).max() > 1e-6:
         raise ValueError("matrix is not orthogonal")
-    Mf = _frozen(M)
     det = float(np.linalg.det(M))
     proper = det > 0
     if order < 1 or (not proper and order % 2):
         raise ValueError(f"no isometry of determinant {det:+.0f} has order {order}")
+    return _classify_isometry(M, dimension, order, proper)
+
+
+def _classify_isometry(M: np.ndarray, dimension: int, order: int, proper: bool) -> IsometryOp:
+    """classify_matrix for an orthogonal M whose order and determinant
+    sign are known to agree, as they do for a detected symmetry."""
+    Mf = _frozen(M)
     if order == 1:
         return IsometryOp("E", Mf)
 
@@ -448,10 +454,11 @@ def _matched_permutations(
     _BLOCK images to a block and one pairs_within call per block, so
     memory does not grow with the number of matrices.  A matrix whose
     images land one to one on the joints gets that permutation; any
-    other gets None, once _raise_if_ambiguous has checked it when it is
-    reached.  ends holds each bar's sorted ends; a bar permutation sends
-    each bar to the bar between its ends' images, and is None when one
-    of those is no bar, or when no ends are given.
+    other gets None.  When an image of it lands on several joints, or
+    two on one joint, _raise_if_ambiguous checks it as it is reached.
+    ends holds each bar's sorted ends; a bar permutation sends each bar
+    to the bar between its ends' images, and is None when one of those
+    is no bar, or when no ends are given.
     """
     j, d = P.shape
     if ends is not None:
@@ -465,12 +472,15 @@ def _matched_permutations(
         block = Ms[lo : lo + step]
         n = len(block) * j
         hits = np.zeros(n, dtype=np.intp)
-        landed = np.zeros(n, dtype=np.intp)
+        # an image that lands on no joint keeps an id of its own, below 0
+        landed = -1 - np.arange(n)
         for q, p in pairs_within(P, (P @ block.transpose(0, 2, 1)).reshape(n, d), tol):
             hits += np.bincount(q, minlength=n)
             landed[q] = p
         hits, landed = hits.reshape(-1, j), landed.reshape(-1, j)
-        clean = (hits == 1).all(axis=1) & (np.sort(landed, axis=1) == np.arange(j)).all(axis=1)
+        ranked = np.sort(landed, axis=1)
+        twice = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1) | (hits > 1).any(axis=1)
+        clean = (hits == 1).all(axis=1) & ~twice
         bars_ok = np.zeros(len(block), dtype=bool)
         if ends is not None:
             u, v = landed[:, ends[:, 0]], landed[:, ends[:, 1]]
@@ -480,7 +490,8 @@ def _matched_permutations(
             bar_rows = by_code[at]
         for i in range(len(block)):
             if not clean[i]:
-                _raise_if_ambiguous(hits[i], landed[i], tol, exp)
+                if twice[i]:
+                    _raise_if_ambiguous(hits[i], landed[i], tol, exp)
                 yield None, None
             else:
                 bar_perm = None
@@ -565,7 +576,9 @@ def detect_symmetries(
         found[key] = (M, bar_perm)
 
     assignments = [
-        SymmetryAssignment(classify_matrix(M, d, _key_order(perm, proper)), perm, bar_perm)
+        SymmetryAssignment(
+            _classify_isometry(M, d, _key_order(perm, proper), proper), perm, bar_perm
+        )
         for (perm, proper), (M, bar_perm) in found.items()
     ]
     assignments.sort(key=lambda a: _op_sort_key(a.op))
