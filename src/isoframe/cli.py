@@ -20,11 +20,11 @@ import os
 import sys
 from typing import Any
 
-import numpy as np
-
 from . import constructgen
 from .core import (
     Framework,
+    bar_ends,
+    check_json_rows,
     from_json_dict,
     in_scope,
     maxwell_count,
@@ -69,23 +69,6 @@ EXIT_SCOPE = 2
 EXIT_INPUT = 3
 
 
-def _plain(obj: Any) -> Any:
-    """Recursively coerce report values into JSON-native types."""
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
-
-
 def _read_json(path: str) -> Any:
     """The parsed JSON of a file, or of stdin for "-"."""
     if path == "-":
@@ -110,13 +93,11 @@ def _load_graph(path: str) -> tuple[Graph, Framework | None]:
     """A graph for the pebble game: a framework file, or one without
     coordinates ("joints" may be a plain count)."""
     data = _read_json(path)
-    if isinstance(data, dict) and isinstance(
-        data.get("joints"), (list, tuple)
-    ):
-        f = from_json_dict(data)
-        return Graph.from_framework(f), f
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object")
+    if isinstance(data.get("joints"), list):
+        f = from_json_dict(data)
+        return Graph.from_framework(f), f
     count = data.get("joints", data.get("joint_count"))
     if not isinstance(count, int) or isinstance(count, bool):
         raise ParseError(
@@ -125,22 +106,8 @@ def _load_graph(path: str) -> tuple[Graph, Framework | None]:
     raw = data.get("bars")
     if not isinstance(raw, list):
         raise ParseError(f"{path}: 'bars' must be a list of id pairs")
-    edges = []
-    for k, item in enumerate(raw):
-        if (
-            not isinstance(item, (list, tuple))
-            or len(item) != 2
-            or not all(isinstance(e, int) and not isinstance(e, bool) for e in item)
-        ):
-            raise ParseError(f"{path}: bar {k} is not a pair of joint ids")
-        u, v = item
-        edges.append((min(u, v), max(u, v)))
-    try:
-        return Graph(joint_count=count, edges=tuple(edges)), None
-    except IsoframeError:
-        raise
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    check_json_rows(raw, int, "bar")
+    return Graph(count, tuple(bar_ends(count, raw))), None
 
 
 def _write_dot(path: str, g: Graph, f: Framework | None) -> None:
@@ -795,8 +762,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+_PARSER = _build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         report, code = args.run(args)
     except InternalInconsistency:
@@ -809,7 +779,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
 
     if isinstance(report, dict) and args.json:
-        report = json.dumps(_plain(report), indent=2, sort_keys=True)
+        report = json.dumps(report, indent=2, sort_keys=True)
     elif isinstance(report, dict):
         report = _render_text(report)
     try:

@@ -179,8 +179,22 @@ def new_framework(
                 f"{float(np.ldexp(tol, exp)):g}"
             )
 
-    bars: list[Bar] = []
-    seen: set[tuple[int, int]] = set()
+    bars = tuple(Bar(k, ends) for k, ends in enumerate(bar_ends(n, bar_pairs)))
+    f = Framework(dimension, tuple(joints), bars)
+    object.__setattr__(f, "_diameter", diameter)
+    return f
+
+
+def bar_ends(
+    joint_count: int, bar_pairs: Iterable[Sequence[int]]
+) -> list[tuple[int, int]]:
+    """The ends of each bar, low id first.
+
+    Raises ParseError for a bar without exactly two ids, SelfLoop,
+    DanglingEndpoint for an id outside 0..joint_count-1, and DuplicateBar
+    for a pair already seen in either orientation.
+    """
+    seen: dict[tuple[int, int], None] = {}
     for k, pair in enumerate(bar_pairs):
         pair = list(pair)
         if len(pair) != 2:
@@ -188,17 +202,13 @@ def new_framework(
         u, v = int(pair[0]), int(pair[1])
         if u == v:
             raise SelfLoop(f"bar {k} connects joint {u} to itself")
-        if not (0 <= u < n and 0 <= v < n):
+        if not (0 <= u < joint_count and 0 <= v < joint_count):
             raise DanglingEndpoint(f"bar {k} references missing joint in ({u}, {v})")
         ends = (min(u, v), max(u, v))
         if ends in seen:
             raise DuplicateBar(f"bar {k} duplicates pair {ends}")
-        seen.add(ends)
-        bars.append(Bar(len(bars), ends))
-
-    f = Framework(dimension, tuple(joints), tuple(bars))
-    object.__setattr__(f, "_diameter", diameter)
-    return f
+        seen[ends] = None
+    return list(seen)
 
 
 def unit_scaled(coords: np.ndarray) -> tuple[np.ndarray, int]:
@@ -376,6 +386,16 @@ def to_json(f: Framework) -> str:
     return json.dumps(to_json_dict(f), sort_keys=True)
 
 
+def check_json_rows(rows: list, types: type | tuple[type, ...], what: str) -> None:
+    """ParseError at the first row that is not a list of `types` values;
+    bools are refused, though bool is a subclass of int."""
+    for row in rows:
+        if not isinstance(row, list) or not all(
+            isinstance(x, types) and not isinstance(x, bool) for x in row
+        ):
+            raise ParseError(f"bad {what} row: {row!r}")
+
+
 def from_json_dict(data: object) -> Framework:
     if not isinstance(data, dict):
         raise ParseError(f"expected a JSON object, got {type(data).__name__}")
@@ -389,16 +409,8 @@ def from_json_dict(data: object) -> Framework:
     bars = data["bars"]
     if not isinstance(joints, list) or not isinstance(bars, list):
         raise ParseError("joints and bars must be lists")
-    for row in joints:
-        if not isinstance(row, list) or not all(
-            isinstance(x, (int, float)) and not isinstance(x, bool) for x in row
-        ):
-            raise ParseError(f"bad joint row: {row!r}")
-    for row in bars:
-        if not isinstance(row, list) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in row
-        ):
-            raise ParseError(f"bad bar row: {row!r}")
+    check_json_rows(joints, (int, float), "joint")
+    check_json_rows(bars, int, "bar")
     return new_framework(dim, joints, bars)
 
 

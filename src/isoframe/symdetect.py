@@ -500,14 +500,6 @@ def _matched_permutations(
                 yield tuple(map(ids.__getitem__, landed[i].tolist())), bar_perm
 
 
-def _find_joint_permutation(
-    P: np.ndarray, M: np.ndarray, tol: float, exp: int = 0
-) -> tuple[int, ...] | None:
-    """The joint that each joint's image under M lands on, within tol:
-    None when M is no symmetry (see _raise_if_ambiguous)."""
-    return next(_matched_permutations(P, M[None], tol, exp))[0]
-
-
 def detect_symmetries(
     f: Framework, geom_tol: float | None = None
 ) -> list[SymmetryAssignment]:

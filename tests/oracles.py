@@ -3,7 +3,9 @@
 Everything here is deliberately naive: exact rational Gaussian
 elimination, nearest-point matching, full subset enumeration.  The
 implementations share no code with the package so that agreement
-between the two is evidence, not tautology.
+between the two is evidence, not tautology.  find_joint_permutation
+alone is no oracle: it is the one-matrix entry to the package's matcher
+that only tests use.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from isoframe.symdetect import _matched_permutations
 
 
 # ---------------------------------------------------------------------------
@@ -455,3 +459,11 @@ def henneberg_graph(
         degree[w] = len(parents)
     assert len(edges) == d * joint_count - d * (d + 1) // 2
     return sorted(edges)
+
+
+def find_joint_permutation(
+    P: np.ndarray, M: np.ndarray, tol: float, exp: int = 0
+) -> tuple[int, ...] | None:
+    """The joint that each joint's image under M lands on, within tol:
+    None when M is no symmetry (see symdetect._raise_if_ambiguous)."""
+    return next(_matched_permutations(P, M[None], tol, exp))[0]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import sys
 import pytest
 
 import isoframe
+from isoframe import cli
 from isoframe.cli import main
 from isoframe.constructgen import (
     counterexample_2d,
@@ -501,3 +503,138 @@ def test_stdin_dash_reads_framework():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["sparsity"]["verdict"] == "tight"
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    # main() parses with the one parser built at import, and a flag given
+    # to one call does not carry over to the next
+    def rebuilt():
+        raise AssertionError("main() built a second parser")
+
+    monkeypatch.setattr(cli, "_build_parser", rebuilt)
+    path = _write(tmp_path, "c3.json", fig2_examples("C3"))
+    _, out, _ = _run(capsys, ["check", path, "--sufficient", "--json"])
+    assert "sufficiency" in json.loads(out)
+    _, out, _ = _run(capsys, ["check", path, "--json"])
+    assert "sufficiency" not in json.loads(out)
+
+    _, out, _ = _run(capsys, ["analyze", path, "--tol-rank", "1e-8", "--json"])
+    assert json.loads(out)["tolerances"]["rank"] == 1e-8
+    _, out, _ = _run(capsys, ["analyze", path, "--json"])
+    d = json.loads(out)
+    assert d["tolerances"]["rank"] == 1e-10
+    assert d["kinematics"]["rank_tolerance"] == 1e-10
+
+
+def _foreign_values(obj, where="report"):
+    """Where obj holds a dict key that is no str, or a leaf that is no
+    str, int, float, bool or None.  Types are compared exactly, so a
+    numpy scalar counts as foreign even where it subclasses float."""
+    if type(obj) is dict:
+        for k, v in obj.items():
+            if type(k) is not str:
+                yield f"{where}: key {k!r}"
+            yield from _foreign_values(v, f"{where}.{k}")
+    elif type(obj) in (list, tuple):
+        for i, v in enumerate(obj):
+            yield from _foreign_values(v, f"{where}[{i}]")
+    elif type(obj) not in (str, int, float, bool, type(None)):
+        yield f"{where}: {type(obj).__name__}"
+
+
+_K4_GRAPH = {"joints": 4, "bars": [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]}
+
+
+@pytest.mark.parametrize(
+    "fixture, argv, want_code",
+    [
+        ("C3", ["analyze"], 0),
+        ("C3", ["check", "--sufficient"], 0),
+        ("C3", ["detect"], 0),
+        ("C6", ["analyze"], 1),
+        ("C6", ["check", "--sufficient"], 1),
+        ("banana", ["analyze"], 1),
+        ("banana", ["check", "--sufficient"], 0),
+        ("banana", ["detect"], 0),
+        ("triangle3d", ["analyze"], 2),
+        ("k4", ["pebble"], 1),
+        (None, ["generate", "double_banana", "-o"], 0),
+    ],
+)
+def test_every_report_is_json_native(tmp_path, fixture, argv, want_code):
+    # the reports go to json.dumps as they are, so a numpy value that
+    # slipped into a digest would fail or print differently
+    frameworks = {
+        "C3": lambda: fig2_examples("C3"),
+        "C6": lambda: counterexample_2d("C6"),
+        "banana": double_banana,
+        "triangle3d": lambda: new_framework(
+            3, [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.3, 0.9, 0.1)], [(0, 1), (0, 2), (1, 2)]
+        ),
+    }
+    path = tmp_path / "input.json"
+    if fixture == "k4":
+        path.write_text(json.dumps(_K4_GRAPH))
+    elif fixture is not None:
+        path.write_text(to_json(frameworks[fixture]()))
+    args = cli._PARSER.parse_args(argv + [str(path)])
+    bundle, code = args.run(args)
+    assert code == want_code
+    assert list(_foreign_values(bundle)) == []
+
+
+@pytest.mark.parametrize(
+    "bars",
+    [
+        [[1, 1]],  # a self-loop
+        [[0, 3]],  # an id past the last joint
+        [[0, -1]],
+        [[0, 1], [0, 1]],  # a repeated bar
+        [[0, 1], [1, 0]],  # the same bar, reversed
+        [[0, True]],
+        [[0, 1.0]],
+        [[0, 1, 2]],
+        [[0]],
+        {"0": [0, 1]},  # bars that are no list
+        [[0, 1], 2],
+    ],
+)
+def test_pebble_rejects_a_bad_bare_graph(tmp_path, capsys, bars):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"joints": 3, "bars": bars}))
+    code, out, err = _run(capsys, ["pebble", str(path), "--json"])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ")
+
+
+# Every option string and positional argument of each subcommand, as the
+# parser holds them.  A new flag, or one a subcommand no longer reads,
+# has to change this table.
+_CLI_SURFACE = {
+    "isoframe": ["--help", "-h", "command"],
+    "analyze": [
+        "--dump-dot", "--help", "--json", "--max-subgraph", "--tol-geom",
+        "--tol-rank", "-h", "path",
+    ],
+    "detect": ["--dump-dot", "--help", "--json", "--tol-geom", "-h", "path"],
+    "check": [
+        "--dump-dot", "--help", "--json", "--max-subgraph", "--sufficient",
+        "--tol-geom", "-h", "path",
+    ],
+    "pebble": ["--dump-dot", "--help", "--json", "-h", "path"],
+    "generate": [
+        "--dump-dot", "--face", "--first-height", "--height", "--help",
+        "--input", "--json", "--k", "--output", "--step", "--twist-deg",
+        "-h", "-i", "-o", "param", "recipe",
+    ],
+}
+
+
+def test_cli_surface_is_pinned():
+    def surface(parser):
+        return sorted(s for a in parser._actions for s in a.option_strings or [a.dest])
+
+    (sub,) = [a for a in cli._PARSER._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {"isoframe": surface(cli._PARSER)}
+    got.update((name, surface(p)) for name, p in sub.choices.items())
+    assert got == _CLI_SURFACE

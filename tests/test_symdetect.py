@@ -26,7 +26,6 @@ from isoframe.errors import (
 from isoframe.maxwell import isostatic_necessary, maxwell_trace
 from isoframe.symdetect import (
     SymmetryAssignment,
-    _find_joint_permutation,
     _key_order,
     classify_group,
     classify_matrix,
@@ -37,6 +36,7 @@ from isoframe.symdetect import (
 )
 
 from oracles import brute_fixed_counts, geometric_fixed_items, permutation_order_bruteforce
+from oracles import find_joint_permutation as _find_joint_permutation
 
 # Per-class (label, joints unshifted, bars unshifted), in detected class
 # order.  Frozen from an independent brute-force pass: apply each class
