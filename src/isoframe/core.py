@@ -199,12 +199,12 @@ def bar_ends(
         pair = list(pair)
         if len(pair) != 2:
             raise ParseError(f"bar {k} must have exactly two endpoints, got {pair!r}")
-        u, v = int(pair[0]), int(pair[1])
+        u, v = map(int, pair)
         if u == v:
             raise SelfLoop(f"bar {k} connects joint {u} to itself")
         if not (0 <= u < joint_count and 0 <= v < joint_count):
             raise DanglingEndpoint(f"bar {k} references missing joint in ({u}, {v})")
-        ends = (min(u, v), max(u, v))
+        ends = (u, v) if u < v else (v, u)
         if ends in seen:
             raise DuplicateBar(f"bar {k} duplicates pair {ends}")
         seen[ends] = None
