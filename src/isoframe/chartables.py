@@ -34,12 +34,12 @@ from .symdetect import (
     ClassKey,
     PointGroupInfo,
     SymmetryAssignment,
+    _classify_isometries,
     _key_order,
     _matched_permutations,
     _parse_label,
     _powers,
     classify_group,
-    classify_matrix,
 )
 
 GROUP_ALIASES = {
@@ -270,11 +270,12 @@ def reference_group(label: str, dimension: int = 3) -> PointGroupInfo:
     """
     label = canonical_label(label)
     mats, orbit = _close_under_multiplication(_generators(label, dimension), dimension)
-    elements = []
-    for M, (perm, _) in zip(mats, _matched_permutations(orbit, np.array(mats), 1e-6)):
-        op = classify_matrix(M, dimension, _key_order(perm, np.linalg.det(M) > 0))
-        elements.append(SymmetryAssignment(op, perm, None))
-    info = classify_group(elements)
+    mats = np.array(mats)
+    perms = [perm for perm, _ in _matched_permutations(orbit, mats, 1e-6)]
+    proper = np.linalg.det(mats) > 0
+    orders = [_key_order(perm, sign) for perm, sign in zip(perms, proper)]
+    ops = _classify_isometries(mats, dimension, orders, proper)
+    info = classify_group([SymmetryAssignment(op, perm, None) for op, perm in zip(ops, perms)])
     if info.schoenflies != label:
         raise InternalInconsistency(
             f"reference generators for {label} closed into {info.schoenflies}"

@@ -23,7 +23,6 @@ from typing import Any
 from . import constructgen
 from .core import (
     Framework,
-    bar_ends,
     check_json_rows,
     from_json_dict,
     in_scope,
@@ -107,7 +106,7 @@ def _load_graph(path: str) -> tuple[Graph, Framework | None]:
     if not isinstance(raw, list):
         raise ParseError(f"{path}: 'bars' must be a list of id pairs")
     check_json_rows(raw, int, "bar")
-    return Graph(count, tuple(bar_ends(count, raw))), None
+    return Graph.from_pairs(count, raw), None
 
 
 def _write_dot(path: str, g: Graph, f: Framework | None) -> None:

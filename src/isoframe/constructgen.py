@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import statistics
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,7 +254,8 @@ def _stellation_height(f: Framework, faces: tuple[Face, ...]) -> float | None:
         heights.append(h)
     if max(heights) - min(heights) > 1e-8 * diam:
         return None
-    return float(np.median(heights))
+    # the same float np.median gives, without importing numpy.ma
+    return statistics.median(heights)
 
 
 def cap_all_faces_symmetric(

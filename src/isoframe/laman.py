@@ -26,7 +26,7 @@ for hits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -49,7 +49,9 @@ class Graph:
 
     Edges are stored sorted, low id first, mirroring how bars come out
     of a framework, so edge index k of a framework-derived graph is bar
-    id k.  Construction checks the edges by core.bar_ends.
+    id k.  Construction checks the edges by core.bar_ends; from_pairs
+    and from_framework check them once, or not at all when a framework's
+    bars have been checked already.
     """
 
     joint_count: int
@@ -61,11 +63,21 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) must be stored low id first")
 
     @classmethod
+    def _checked(cls, joint_count: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
+        """A graph on edges that core.bar_ends has checked and sorted."""
+        graph = object.__new__(cls)
+        graph.__dict__.update(joint_count=joint_count, edges=edges)
+        return graph
+
+    @classmethod
+    def from_pairs(cls, joint_count: int, pairs: Iterable[Sequence[int]]) -> "Graph":
+        """A graph on id pairs in either orientation, stored low id first."""
+        return cls._checked(joint_count, tuple(bar_ends(joint_count, pairs)))
+
+    @classmethod
     def from_framework(cls, f: Framework) -> "Graph":
-        return cls(
-            joint_count=f.joint_count,
-            edges=tuple(bar.ends for bar in f.bars),
-        )
+        # new_framework has checked the bars and stored them low id first
+        return cls._checked(f.joint_count, tuple(bar.ends for bar in f.bars))
 
 
 class PebbleState:

@@ -20,11 +20,12 @@ The pipeline:
    within _AMBIGUITY_GATE of a kept one is ambiguous.
 4. Read each symmetry's order from its key: the smallest power of the
    joint permutation that is the identity, doubled when it is odd and
-   the symmetry improper.  Classify the matrix into E / C_n^k / S_n^k /
-   sigma / i from that order and the determinant sign; only k, the
-   nearest multiple of 2*pi/n, is read from the measured angle.  Build
-   the multiplication table by composing the joint permutations,
-   compute conjugacy classes, merge inverse-paired classes, and name the
+   the symmetry improper.  Classify all matrices at once into E /
+   C_n^k / S_n^k / sigma / i from that order and the determinant sign;
+   only k, the nearest multiple of 2*pi/n, is read from the measured
+   angle.  Build the multiplication table from each element's images of
+   a base, checking closure in full on generators only; take every
+   conjugate in one gather, merge inverse-paired classes, and name the
    group and its classes on the Schoenflies flowchart from the element
    kinds and that table alone.  Axes are read only to order two classes
    that no product tells apart.
@@ -38,7 +39,9 @@ All geometric tolerances are relative to the framework diameter.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -82,6 +85,13 @@ class IsometryOp:
     n: int = 0
     k: int = 0
     axis: tuple[float, ...] | None = None
+
+    @cached_property
+    def sort_key(self) -> tuple:
+        """The canonical element order: by kind, higher n first, then k and
+        the axis rounded to 9 decimals."""
+        axis = () if self.axis is None else tuple(round(float(c), 9) for c in self.axis)
+        return (_KIND_RANK[self.kind], -self.n, self.k, axis)
 
 
 @dataclass(frozen=True)
@@ -174,14 +184,13 @@ class OrbitPartition:
     bar_orbits: tuple[tuple[int, ...], ...]
 
 
-def _canon_sign(v: np.ndarray) -> tuple[np.ndarray, bool]:
-    """Flip v so its first significantly nonzero component is positive."""
-    for c in v:
-        if abs(c) > 1e-7:
-            if c < 0:
-                return -v, True
-            return v, False
-    return v, False
+def _canon_signs(V: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flip each row of V so its first significantly nonzero entry is
+    positive; also return which rows were flipped."""
+    big = np.abs(V) > 1e-7
+    lead = V[np.arange(len(V)), np.argmax(big, axis=1)]
+    flipped = big.any(axis=1) & (lead < 0)
+    return np.where(flipped[:, None], -V, V), flipped
 
 
 def _key_order(perm: Sequence[int], proper: bool) -> int:
@@ -203,29 +212,10 @@ def _key_order(perm: Sequence[int], proper: bool) -> int:
     return order if proper or order % 2 == 0 else 2 * order
 
 
-def _rotation_multiple(angle: float, n: int) -> int:
-    """k, the multiple of 2*pi/n nearest to angle, when it is coprime to n."""
-    k = round(angle * n / (2 * math.pi)) % n
-    if math.gcd(k, n) != 1:
-        raise ToleranceAmbiguity(
-            f"a symmetry of order {n} turns by {angle:.9f}, nearest to "
-            f"{k} * 2*pi/{n}, which has a smaller order"
-        )
-    return k
-
-
-def _null_axis(M: np.ndarray) -> np.ndarray:
-    """Unit vector spanning the fixed space of M, for M with a 1-eigenvalue."""
-    _, sv, vt = np.linalg.svd(M - np.eye(M.shape[0]))
-    if sv[-1] > 1e-4:
-        raise InternalInconsistency("expected a fixed direction, found none")
-    return vt[-1]
-
-
-def _frozen(M: np.ndarray) -> np.ndarray:
-    out = np.array(M, dtype=float)
-    out.setflags(write=False)
-    return out
+def _atan2(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """math.atan2 entry by entry: numpy's vectorized arctan2 may differ
+    in the last bit, and axes are reported to full precision."""
+    return np.array(list(map(math.atan2, y.tolist(), x.tolist())), dtype=float)
 
 
 def classify_matrix(M: np.ndarray, dimension: int, order: int) -> IsometryOp:
@@ -250,51 +240,78 @@ def classify_matrix(M: np.ndarray, dimension: int, order: int) -> IsometryOp:
     proper = det > 0
     if order < 1 or (not proper and order % 2):
         raise ValueError(f"no isometry of determinant {det:+.0f} has order {order}")
-    return _classify_isometry(M, dimension, order, proper)
+    return _classify_isometries(M[None], dimension, [order], np.array([proper]))[0]
 
 
-def _classify_isometry(M: np.ndarray, dimension: int, order: int, proper: bool) -> IsometryOp:
-    """classify_matrix for an orthogonal M whose order and determinant
-    sign are known to agree, as they do for a detected symmetry."""
-    Mf = _frozen(M)
-    if order == 1:
-        return IsometryOp("E", Mf)
+def _classify_isometries(
+    Ms: np.ndarray, dimension: int, orders: Sequence[int], proper: np.ndarray
+) -> list[IsometryOp]:
+    """classify_matrix, in one pass, for a stack of orthogonal matrices
+    whose orders and determinant signs are known to agree, as they do
+    for detected symmetries.
 
-    if dimension == 2:
-        if not proper:
-            # reflection across the line at angle a: entries are cos 2a, sin 2a
-            half = math.atan2(M[1, 0], M[0, 0]) / 2
-            line, _ = _canon_sign(np.array([math.cos(half), math.sin(half)]))
-            return IsometryOp("sigma", Mf, 0, 0, tuple(float(c) for c in line))
-        theta = math.atan2(M[1, 0], M[0, 0])
-        return IsometryOp("C", Mf, order, _rotation_multiple(theta, order), None)
-
-    # an improper M is -R for a proper R: R = E gives i, a half turn R a
-    # mirror (plane normal = axis), any other R an S with angle phi - pi
-    R = M if proper else -M
-    if order == 2:
-        if not proper and float(np.trace(M)) < -1:
-            return IsometryOp("i", Mf)
-        axis = tuple(float(c) for c in _canon_sign(_null_axis(R))[0])
-        if proper:
-            return IsometryOp("C", Mf, 2, 1, axis)
-        return IsometryOp("sigma", Mf, 0, 0, axis)
-    cos_a = min(1.0, max(-1.0, (float(np.trace(R)) - 1) / 2))
-    skew = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]]) / 2
-    sin_a = float(np.linalg.norm(skew))
-    phi = math.atan2(sin_a, cos_a) - (0 if proper else math.pi)
-    n = order
-    if not proper and order % 4 == 2 and round(phi * order / (2 * math.pi)) % 2 == 0:
-        n = order // 2
-    k = _rotation_multiple(phi, n)
-    axis, flipped = _canon_sign(skew / sin_a)
-    if flipped:
-        k = n - k
-    return IsometryOp("C" if proper else "S", Mf, n, k, tuple(float(c) for c in axis))
-
-
-def _op_sort_key(op: IsometryOp):
-    return (_KIND_RANK[op.kind], -op.n, op.k, _axis_tuple(op.axis))
+    The axes of all 3D half turns and mirrors come from one batched SVD.
+    Each op holds a read-only view of the stack.  The first matrix, in
+    stack order, that cannot be classified raises.
+    """
+    Ms = np.array(Ms, dtype=float)
+    Ms.setflags(write=False)
+    g, d = len(Ms), dimension
+    order = np.array(orders, dtype=np.int64).reshape(g)
+    proper = np.asarray(proper, dtype=bool).reshape(g)
+    axes = np.full((g, d), np.nan)
+    no_axis, flipped = np.zeros(g, dtype=bool), np.zeros(g, dtype=bool)
+    if d == 2:
+        angle = _atan2(Ms[:, 1, 0], Ms[:, 0, 0])
+        mirror, inversion, turn = ~proper, np.zeros(g, dtype=bool), proper & (order > 1)
+        # reflection across the line at angle a: entries are cos 2a, sin 2a
+        half = (angle[mirror] / 2).tolist()
+        line = np.array([list(map(math.cos, half)), list(map(math.sin, half))])
+        axes[mirror] = _canon_signs(line.T.reshape(-1, 2))[0]
+        has_axis = mirror
+    else:
+        # an improper M is -R for a proper R: R = E gives i, a half turn R
+        # a mirror (plane normal = axis), any other R an S with angle phi - pi
+        R = np.where(proper[:, None, None], Ms, -Ms)
+        inversion = ~proper & (order == 2) & (np.trace(Ms, axis1=1, axis2=2) < -1)
+        half_turn = (order == 2) & ~inversion
+        mirror, turn = half_turn & ~proper, order > 2
+        _, sv, vt = np.linalg.svd(R[half_turn] - np.eye(3))
+        no_axis[half_turn] = sv[:, -1] > 1e-4
+        axes[half_turn] = _canon_signs(vt[:, -1])[0]
+        cos_a = np.clip((np.trace(R, axis1=1, axis2=2) - 1) / 2, -1.0, 1.0)
+        skew = np.stack(
+            [R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0], R[:, 1, 0] - R[:, 0, 1]], axis=1
+        ) / 2
+        # one dot product per row, as np.linalg.norm takes it for one vector
+        sin_a = np.sqrt((skew[:, None, :] @ skew[:, :, None])[:, 0, 0])
+        angle = _atan2(sin_a, cos_a) - np.where(proper, 0.0, math.pi)
+        with np.errstate(invalid="ignore", divide="ignore"):  # raised below
+            axes[turn], flipped[turn] = _canon_signs(skew[turn] / sin_a[turn, None])
+        has_axis = half_turn | turn
+    # an improper order m = 2 mod 4 is S_(m/2) when the nearest multiple of
+    # 2*pi/m to its angle is even; k is the nearest multiple of 2*pi/n
+    n = np.where(mirror | inversion | (order == 1), 0, order)
+    whole = np.rint(angle * order / (2 * math.pi)).astype(np.int64)
+    n[turn & ~proper & (order % 4 == 2) & (whole % 2 == 0)] //= 2
+    k = np.rint(angle * n / (2 * math.pi)).astype(np.int64) % np.maximum(n, 1)
+    bad = np.flatnonzero(turn & (np.gcd(k, n) != 1) | no_axis)
+    if bad.size:
+        x = int(bad[0])
+        if no_axis[x]:
+            raise InternalInconsistency("expected a fixed direction, found none")
+        raise ToleranceAmbiguity(
+            f"a symmetry of order {n[x]} turns by {angle[x]:.9f}, nearest to "
+            f"{k[x]} * 2*pi/{n[x]}, which has a smaller order"
+        )
+    k = np.where(turn, np.where(flipped, n - k, k), n == 2)
+    kinds = np.select([order == 1, inversion, mirror, proper], ["E", "i", "sigma", "C"], "S")
+    return [
+        IsometryOp(kind, M, nx, kx, tuple(axis) if on else None)
+        for kind, M, nx, kx, axis, on in zip(
+            kinds.tolist(), Ms, n.tolist(), k.tolist(), axes.tolist(), has_axis.tolist()
+        )
+    ]
 
 
 def _shells(norms: np.ndarray, tol: float) -> list[list[int]]:
@@ -333,10 +350,7 @@ def _greedy_basis(
 
 
 def _candidate_images(
-    P: np.ndarray,
-    basis: list[int],
-    shell_of: dict[int, list[int]],
-    dot_tol: float,
+    P: np.ndarray, basis: list[int], shell_of: dict[int, list[int]], dot_tol: float
 ) -> np.ndarray:
     """Every image of the basis that keeps each basis joint in its shell
     and each inner product within dot_tol, one row of joint ids each.
@@ -364,12 +378,7 @@ def _candidate_images(
 
 
 def _isometries(
-    P: np.ndarray,
-    basis: list[int],
-    images: np.ndarray,
-    tol: float,
-    exp: int,
-    ends: np.ndarray,
+    P: np.ndarray, basis: list[int], images: np.ndarray, tol: float, exp: int, ends: np.ndarray
 ) -> Iterator[tuple[np.ndarray, bool, tuple[int, ...] | None, tuple[int, ...] | None]]:
     """Yield each candidate's matrix, whether it is proper, and its joint
     and bar permutations (_matched_permutations), in candidate order.
@@ -442,11 +451,7 @@ def _raise_if_ambiguous(hits: np.ndarray, landed: np.ndarray, tol: float, exp: i
 
 
 def _matched_permutations(
-    P: np.ndarray,
-    Ms: np.ndarray,
-    tol: float,
-    exp: int = 0,
-    ends: np.ndarray | None = None,
+    P: np.ndarray, Ms: np.ndarray, tol: float, exp: int = 0, ends: np.ndarray | None = None
 ) -> Iterator[tuple[tuple[int, ...] | None, tuple[int, ...] | None]]:
     """Yield the joint and bar permutation of each matrix of the stack Ms.
 
@@ -500,9 +505,7 @@ def _matched_permutations(
                 yield tuple(map(ids.__getitem__, landed[i].tolist())), bar_perm
 
 
-def detect_symmetries(
-    f: Framework, geom_tol: float | None = None
-) -> list[SymmetryAssignment]:
+def detect_symmetries(f: Framework, geom_tol: float | None = None) -> list[SymmetryAssignment]:
     """All point symmetries of the framework, identity included.
 
     geom_tol is relative to the framework diameter; positions matching
@@ -535,10 +538,7 @@ def detect_symmetries(
 
     norms = np.linalg.norm(P, axis=1)
     shells = _shells(norms, tol)
-    shell_of: dict[int, list[int]] = {}
-    for shell in shells:
-        for i in shell:
-            shell_of[i] = shell
+    shell_of = {i: shell for shell in shells for i in shell}
     shell_size = {i: len(shell_of[i]) for i in range(j)}
 
     basis = _greedy_basis(P, shell_size, spanrank, tol)
@@ -547,8 +547,9 @@ def detect_symmetries(
     images = _candidate_images(P, basis, shell_of, dot_tol)
     ends = np.array([bar.ends for bar in f.bars], dtype=np.intp).reshape(-1, 2)
 
-    # a symmetry is its joint permutation and the sign of its determinant
-    found: dict[tuple[tuple[int, ...], bool], tuple[np.ndarray, tuple[int, ...]]] = {}
+    # a symmetry is its joint permutation and the sign of its determinant;
+    # kept[x] is the matrix of the x-th key found
+    found: dict[tuple[tuple[int, ...], bool], tuple[int, ...]] = {}
     kept = np.empty((8, d, d))
     for M, proper, perm, bar_perm in _isometries(P, basis, images, tol, exp, ends):
         if perm is None:
@@ -565,36 +566,27 @@ def detect_symmetries(
         if len(found) == len(kept):
             kept = np.concatenate([kept, kept])
         kept[len(found)] = M
-        found[key] = (M, bar_perm)
+        found[key] = bar_perm
 
+    proper = np.array([sign for _, sign in found], dtype=bool)
+    orders = [_key_order(perm, sign) for perm, sign in found]
+    ops = _classify_isometries(kept[: len(found)], d, orders, proper)
     assignments = [
-        SymmetryAssignment(
-            _classify_isometry(M, d, _key_order(perm, proper), proper), perm, bar_perm
-        )
-        for (perm, proper), (M, bar_perm) in found.items()
+        SymmetryAssignment(op, perm, bar_perm)
+        for op, ((perm, _), bar_perm) in zip(ops, found.items())
     ]
-    assignments.sort(key=lambda a: _op_sort_key(a.op))
+    assignments.sort(key=lambda a: a.op.sort_key)
     if not assignments or assignments[0].op.kind != "E":
         raise InternalInconsistency("the identity was not among the detected symmetries")
     return assignments
 
 
-def _axis_tuple(axis: Sequence[float] | None) -> tuple[float, ...]:
-    if axis is None:
-        return ()
-    return tuple(round(float(c), 9) for c in axis)
-
-
 def _parse_label(label: str) -> tuple[str, int, str]:
     """Split an axial label into (head letter, n, suffix)."""
-    head, rest = label[0], label[1:]
-    digits = ""
-    while rest and rest[0].isdigit():
-        digits += rest[0]
-        rest = rest[1:]
-    if not digits:
+    parts = re.match(r"(.)(\d+)(.*)", label)
+    if not parts:
         raise UnrecognizedGroup(f"cannot parse group label {label!r}")
-    return head, int(digits), rest
+    return parts[1], int(parts[2]), parts[3]
 
 
 def _expected_group_order(label: str, dimension: int) -> int:
@@ -606,13 +598,10 @@ def _expected_group_order(label: str, dimension: int) -> int:
     if label in fixed:
         return fixed[label]
     head, n, suffix = _parse_label(label)
-    if head == "C":
-        return n if suffix == "" else 2 * n
-    if head == "S":
-        return n
-    if head == "D":
-        return 2 * n if suffix == "" else 4 * n
-    raise UnrecognizedGroup(f"no expected order for label {label!r}")
+    if head not in ("C", "S", "D"):
+        raise UnrecognizedGroup(f"no expected order for label {label!r}")
+    # D doubles C_n by crossing half turns, and a C or D suffix by mirrors
+    return n * (2 if head == "D" else 1) * (2 if suffix and head != "S" else 1)
 
 
 def _schoenflies_2d(ops: list[IsometryOp]) -> tuple[str, None]:
@@ -652,12 +641,10 @@ def _principal_rotation(ops: list[IsometryOp], table: np.ndarray) -> int | None:
     s4 = [x for x, op in enumerate(ops) if op.kind == "S" and op.n == 4]
     if s4:
         return int(table[s4[0], s4[0]])
-    return max(rotations, key=lambda x: _axis_tuple(ops[x].axis))
+    return max(rotations, key=lambda x: ops[x].sort_key[3])
 
 
-def _schoenflies_3d(
-    ops: list[IsometryOp], table: np.ndarray
-) -> tuple[str, int | None]:
+def _schoenflies_3d(ops: list[IsometryOp], table: np.ndarray) -> tuple[str, int | None]:
     """The label and the element whose axis is the principal axis.
 
     Read from the element kinds and the multiplication table alone: a
@@ -713,65 +700,44 @@ def _schoenflies_3d(
     return f"C{n}", r
 
 
-def _merged_classes(
-    table: np.ndarray, inverse: np.ndarray
-) -> list[list[int]]:
-    g = table.shape[0]
-    class_of = [-1] * g
-    raw: list[list[int]] = []
-    for i in range(g):
-        if class_of[i] >= 0:
-            continue
-        members = {int(table[table[a, i], inverse[a]]) for a in range(g)}
-        idx = len(raw)
-        raw.append(sorted(members))
-        for m in members:
-            class_of[m] = idx
-    merged: list[list[int]] = []
-    seen: set[int] = set()
-    for ci, members in enumerate(raw):
-        if ci in seen:
-            continue
-        inv_ci = class_of[int(inverse[members[0]])]
-        if inv_ci == ci:
-            merged.append(members)
-            seen.add(ci)
-        else:
-            merged.append(sorted(set(members) | set(raw[inv_ci])))
-            seen.add(ci)
-            seen.add(inv_ci)
-    return merged
+def _merged_classes(table: np.ndarray, inverse: np.ndarray) -> list[list[int]]:
+    """Conjugacy classes merged with their inverse classes, each sorted,
+    ordered by their smallest member.
+
+    Every conjugate a i a^-1 comes from one gather; the smallest
+    conjugate of i, or of its inverse when that is smaller, names i's
+    merged class.
+    """
+    least = table[table, inverse[:, None]].min(axis=0)
+    return _parts(np.minimum(least, least[inverse]))
+
+
+def _parts(least: np.ndarray) -> list[list[int]]:
+    """The ids 0, 1, ... grouped by their entry of least, in its order;
+    each part ascending."""
+    ids = np.argsort(least, kind="stable")
+    cuts = (np.flatnonzero(np.diff(least[ids])) + 1).tolist()
+    ids = ids.tolist()
+    return [ids[a:b] for a, b in zip([0, *cuts], [*cuts, len(ids)])] if ids else []
 
 
 def _class_geometry_key(ops: list[IsometryOp]) -> tuple[str, int, int]:
-    kinds = {op.kind for op in ops}
-    if len(kinds) != 1:
-        raise InternalInconsistency("mixed kinds inside one conjugacy class")
-    kind = kinds.pop()
-    if kind in ("E", "i", "sigma"):
-        return kind, 0, 0
-    ns = {op.n for op in ops}
-    if len(ns) != 1:
-        raise InternalInconsistency("mixed rotation orders inside one conjugacy class")
-    n = ns.pop()
-    ks = {min(op.k, n - op.k) for op in ops}
-    if len(ks) != 1:
-        raise InternalInconsistency("mixed rotation fractions inside one merged class")
-    return kind, n, ks.pop()
+    """The kind, n and min(k, n - k) that every member of a merged class shares."""
+    keys = {(op.kind, op.n, min(op.k, op.n - op.k)) for op in ops}
+    if len(keys) != 1:
+        raise InternalInconsistency(f"one merged conjugacy class mixes {sorted(keys)}")
+    return keys.pop()
 
 
 def _assign_roles(
-    label: str,
-    dimension: int,
-    ops: list[IsometryOp],
-    table: np.ndarray,
-    merged: list[list[int]],
-    r: int | None,
+    label: str, dimension: int, ops: list[IsometryOp], table: np.ndarray,
+    merged: list[list[int]], geometry: list[tuple[str, int, int]], r: int | None,
 ) -> list[str]:
     """Class roles from the element kinds and the multiplication table.
 
-    r is the principal rotation of an axial group.  Axes only order two
-    classes that no product tells apart.
+    geometry holds each class's _class_geometry_key, and r is the
+    principal rotation of an axial group.  Axes only order two classes
+    that no product tells apart.
     """
     cubic = label in ("T", "Td", "Th", "O", "Oh", "I", "Ih")
     is_mirror = lambda x: ops[int(x)].kind == "sigma"
@@ -782,9 +748,8 @@ def _assign_roles(
     alt_classes: list[int] = []
     v_classes: list[int] = []
 
-    for ci, members in enumerate(merged):
+    for ci, (members, (kind, n, _)) in enumerate(zip(merged, geometry)):
         x = members[0]
-        kind, n, _ = _class_geometry_key([ops[m] for m in members])
         if kind in ("E", "i", "S"):
             continue
         if kind == "C":
@@ -799,9 +764,7 @@ def _assign_roles(
                 continue
             raise InternalInconsistency("rotation off the principal axis that is no half turn")
         # mirrors
-        if label == "Cs" and dimension == 3:
-            roles[ci] = "h"
-        elif label == "Th":
+        if label == "Th" or (label == "Cs" and dimension == 3):
             roles[ci] = "h"
         elif label == "Oh":
             roles[ci] = "h" if int(table[inversion, x]) in c4_squares else "d"
@@ -822,15 +785,12 @@ def _assign_roles(
             v_classes.append(ci)
 
     def class_max_axis(ci: int) -> tuple[float, ...]:
-        return max(_axis_tuple(ops[m].axis) for m in merged[ci])
+        return max(ops[m].sort_key[3] for m in merged[ci])
 
-    if alt_classes:
-        if len(alt_classes) > 2:
-            raise InternalInconsistency("more than two classes of crossing twofold axes")
-        for rank, ci in enumerate(
-            sorted(alt_classes, key=class_max_axis, reverse=True)
-        ):
-            roles[ci] = "alt" if rank == 0 else "alt2"
+    if len(alt_classes) > 2:
+        raise InternalInconsistency("more than two classes of crossing twofold axes")
+    for role, ci in zip(("alt", "alt2"), sorted(alt_classes, key=class_max_axis, reverse=True)):
+        roles[ci] = role
 
     if v_classes:
         if len(v_classes) > 2:
@@ -846,56 +806,115 @@ def _assign_roles(
             roles[first] = "v" if contains else "v2"
             roles[v_classes[1]] = "v2" if contains else "v"
         else:
-            ordered = sorted(v_classes, key=class_max_axis, reverse=True)
-            roles[ordered[0]] = "v"
-            roles[ordered[1]] = "v2"
+            for role, ci in zip(("v", "v2"), sorted(v_classes, key=class_max_axis, reverse=True)):
+                roles[ci] = role
     return roles
 
 
 def _class_label(key: ClassKey, size: int) -> str:
-    if key.kind == "E":
-        return "E"
-    if key.kind == "i":
-        return "i"
-    if key.kind == "sigma":
-        name = "sigma" + (f"_{key.role}" if key.role in ("h", "d") else "")
-        if key.role == "v":
-            name = "sigma_v"
-        elif key.role == "v2":
-            name = "sigma_v'"
+    if key.kind in ("E", "i"):
+        name = key.kind
+    elif key.kind == "sigma":
+        name = "sigma" + {"h": "_h", "d": "_d", "v": "_v", "v2": "_v'"}.get(key.role, "")
     else:
-        name = f"{key.kind}{key.n}"
-        if key.k > 1:
-            name += f"^{key.k}"
-        if key.role == "alt":
-            name += "'"
-        elif key.role == "alt2":
-            name += "''"
+        name = f"{key.kind}{key.n}" + (f"^{key.k}" if key.k > 1 else "")
+        name += {"alt": "'", "alt2": "''"}.get(key.role, "")
     return f"{size}{name}" if size > 1 else name
 
 
-def _hash_weights(j: int) -> np.ndarray:
-    """Fixed odd int64 weights of the j entries and the sign of a row:
-    splitmix64 of 1..j+1, so that no linear pattern of the entries
-    cancels."""
-    z = np.arange(1, j + 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return (z ^ (z >> np.uint64(31)) | np.uint64(1)).view(np.int64)
+def _base(perms: np.ndarray, signs: np.ndarray) -> list[int]:
+    """Joints whose images, with the determinant sign, tell every element
+    apart: a base (Sims 1970).  Each is picked greedily, the joint whose
+    image tells the most elements apart; ToleranceAmbiguity when two
+    elements have the same key."""
+    g, j = perms.shape
+    # with an index array asked for, np.unique does not import numpy.ma
+    codes, rank = np.unique(signs < 0, return_inverse=True)
+    told, base = len(codes), []
+    while told < g:
+        # rank < g, so no code overflows
+        told_by = 1 + (np.diff(np.sort(rank * j + perms.T, axis=1), axis=1) != 0).sum(axis=1)
+        if told_by.max(initial=told) == told:
+            raise ToleranceAmbiguity(
+                "two elements with the same determinant sign permute the joints alike"
+            )
+        base.append(int(np.argmax(told_by)))
+        codes, rank = np.unique(rank * j + perms[:, base[-1]], return_inverse=True)
+        told = len(codes)
+    return base
 
 
-def _row_hashes(perms: np.ndarray, signs: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """One int64 per (permutation, sign) row, wrapping on overflow."""
-    return perms @ weights[:-1] + signs * weights[-1]
+def _cayley_table(perms: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The multiplication table of the keyed elements, x composed after y.
+
+    Each element is keyed by its determinant sign and its images of a
+    base, packed into an int64 code, so the table is one gather of the
+    products' base images and a lookup of their codes.  Keys that tell a
+    group's elements apart fix its products, so closure is checked in
+    full only on generators that reach every element from E.  A set that
+    fails raises _missing_product.
+    """
+    g, j = perms.shape
+    base = _base(perms, signs)
+    images = perms[:, perms[:, base]]
+    codes = (signs < 0).astype(np.int64)
+    table = (signs[:, None] * signs < 0).astype(np.int64)
+    for level in range(max(len(base), 1)):
+        if base:
+            codes = codes * j + perms[:, base[level]]
+            table = table * j + images[:, :, level]
+        # rename each code by an element that has it, and a code that none
+        # has by g, so codes stay below g + 1; at the end the element is
+        # the only one with its code
+        name = np.full((g + 1) * max(j, 2), g)
+        name[codes] = np.arange(g)
+        codes, table = name[codes], name[table]
+    if (table < g).all() and (table[0] == np.arange(g)).all():
+        gens = _generators(table)
+        at = table[:, gens]
+        if (perms[at] == perms[:, perms[gens]]).all() and (
+            signs[at] == signs[:, None] * signs[gens]
+        ).all():
+            return table
+    raise _missing_product(perms, signs)
+
+
+def _generators(table: np.ndarray) -> list[int]:
+    """Elements that reach every element from E by right multiplication,
+    by table: each the first element that the earlier ones do not reach,
+    so that, in a group, each at least doubles the reached subgroup."""
+    reached, gens = np.zeros(len(table), dtype=bool), []
+    reached[0] = True
+    while not reached.all():
+        gens.append(int(np.argmin(reached)))
+        frontier = np.flatnonzero(reached)
+        while frontier.size:
+            new = np.zeros_like(reached)
+            new[table[frontier[:, None], gens]] = True
+            frontier = np.flatnonzero(new & ~reached)
+            reached |= new
+    return gens
+
+
+def _missing_product(perms: np.ndarray, signs: np.ndarray) -> NotAGroup:
+    """The error for keyed elements that form no group: the first product,
+    row by row, that is not among them, or else the missing identity."""
+    have = {(row.tobytes(), s) for row, s in zip(perms, signs.tolist())}
+    sign = signs.tolist()
+    for x in range(len(perms)):
+        for y, row in enumerate(perms[x][perms]):
+            if (row.tobytes(), sign[x] * sign[y]) not in have:
+                return NotAGroup(f"the product of elements {x} and {y} is not in the set")
+    return NotAGroup("the identity is not among the elements")
 
 
 def classify_group(elements: Sequence[SymmetryAssignment]) -> PointGroupInfo:
     """Close, verify, and name a finite set of isometries as a point group.
 
-    The multiplication table comes from composing the exact joint
-    permutations, each keyed with the sign of its determinant: when the
-    joints span only a hyperplane, an element and its product with the
-    mirror in that hyperplane permute the joints alike.  The label, the
+    The multiplication table comes from the exact joint permutations,
+    each keyed with the sign of its determinant (_cayley_table): when
+    the joints span only a hyperplane, an element and its product with
+    the mirror in that hyperplane permute the joints alike.  The label, the
     principal axis and the class roles are read from the element kinds
     and that table: with r the principal rotation, a half turn crosses
     the principal axis when it is no power of r, and a mirror s is
@@ -905,7 +924,7 @@ def classify_group(elements: Sequence[SymmetryAssignment]) -> PointGroupInfo:
     """
     if not elements:
         raise NotAGroup("no elements supplied")
-    assignments = sorted(elements, key=lambda a: _op_sort_key(a.op))
+    assignments = sorted(elements, key=lambda a: a.op.sort_key)
     dims = {a.op.matrix.shape[0] for a in assignments}
     if len(dims) != 1:
         raise ValueError("elements mix dimensions")
@@ -918,40 +937,7 @@ def classify_group(elements: Sequence[SymmetryAssignment]) -> PointGroupInfo:
         raise ValueError("every element needs its joint permutation")
     perms = np.array([a.joint_perm for a in assignments], dtype=np.int64)
     signs = np.array([1 if op.kind in ("E", "C") else -1 for op in ops], dtype=np.int64)
-    weights = _hash_weights(perms.shape[1])
-    hashes = _row_hashes(perms, signs, weights)
-    by_hash = np.argsort(hashes, kind="stable")
-    sorted_hashes = hashes[by_hash]
-    tied = np.flatnonzero(sorted_hashes[1:] == sorted_hashes[:-1])
-    if tied.size:
-        rows = by_hash[np.union1d(tied, tied + 1)]
-        if len({(perms[x].tobytes(), signs[x]) for x in rows}) < len(rows):
-            raise ToleranceAmbiguity(
-                "two elements with the same determinant sign permute the joints alike"
-            )
-
-    # each product row is looked up by its hash and confirmed in full,
-    # so a hash collision can only send it to the slow scan of its ties
-    table = np.zeros((g, g), dtype=int)
-    for x in range(g):
-        prods, prod_signs = perms[x][perms], signs[x] * signs
-        h = _row_hashes(prods, prod_signs, weights)
-        at = by_hash[np.minimum(np.searchsorted(sorted_hashes, h), g - 1)]
-        ok = (hashes[at] == h) & (signs[at] == prod_signs) & (perms[at] == prods).all(axis=1)
-        for y in np.flatnonzero(~ok):
-            lo, hi = (np.searchsorted(sorted_hashes, h[y], side) for side in ("left", "right"))
-            match = [
-                t for t in by_hash[lo:hi]
-                if signs[t] == prod_signs[y] and (perms[t] == prods[y]).all()
-            ]
-            if not match:
-                raise NotAGroup(
-                    f"the product of elements {x} and {y} is not in the set"
-                )
-            at[y] = match[0]
-        table[x] = at
-    if table[0].tolist() != list(range(g)):
-        raise NotAGroup("the identity is not among the elements")
+    table = _cayley_table(perms, signs)
     # distinct invertible keys make every row a permutation of 0..g-1
     inverse = np.argmin(table, axis=1)
 
@@ -967,10 +953,10 @@ def classify_group(elements: Sequence[SymmetryAssignment]) -> PointGroupInfo:
         )
 
     merged = _merged_classes(table, inverse)
-    roles = _assign_roles(label, dimension, ops, table, merged, axis_id)
+    geometry = [_class_geometry_key([ops[m] for m in members]) for members in merged]
+    roles = _assign_roles(label, dimension, ops, table, merged, geometry, axis_id)
     classes: list[ConjugacyClass] = []
-    for members, role in zip(merged, roles):
-        kind, n, k = _class_geometry_key([ops[m] for m in members])
+    for members, (kind, n, k), role in zip(merged, geometry, roles):
         key = ClassKey(kind, n, k, role)
         classes.append(
             ConjugacyClass(
@@ -1000,9 +986,7 @@ def classify_group(elements: Sequence[SymmetryAssignment]) -> PointGroupInfo:
     )
 
 
-def detect_point_group(
-    f: Framework, geom_tol: float | None = None
-) -> PointGroupInfo:
+def detect_point_group(f: Framework, geom_tol: float | None = None) -> PointGroupInfo:
     """Detect all symmetries of f and classify them as a point group.
 
     A detected set that is not closed raises ToleranceAmbiguity, not
@@ -1079,20 +1063,15 @@ def orbits(f: Framework, group: PointGroupInfo) -> OrbitPartition:
     """Joint and bar orbits under the group action.
 
     The elements form a group, so the orbit of x is its image under every
-    element.  Orbits come ordered by their smallest member.
+    element, and its smallest image names it.  Orbits come ordered by
+    their smallest member.
     """
     if any(a.joint_perm is None or a.bar_perm is None for a in group.elements):
         raise ValueError("group elements lack permutations; detect them on a framework")
 
     def collect(perms: list[tuple[int, ...]], count: int) -> tuple[tuple[int, ...], ...]:
-        out: list[tuple[int, ...]] = []
-        seen: set[int] = set()
-        for x in range(count):
-            if x not in seen:
-                orbit = sorted({p[x] for p in perms})
-                seen.update(orbit)
-                out.append(tuple(orbit))
-        return tuple(out)
+        least = np.array(perms, dtype=np.intp).reshape(len(perms), count).min(axis=0)
+        return tuple(map(tuple, _parts(least)))
 
     return OrbitPartition(
         joint_orbits=collect([a.joint_perm for a in group.elements], f.joint_count),

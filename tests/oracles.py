@@ -467,3 +467,39 @@ def find_joint_permutation(
     """The joint that each joint's image under M lands on, within tol:
     None when M is no symmetry (see symdetect._raise_if_ambiguous)."""
     return next(_matched_permutations(P, M[None], tol, exp))[0]
+
+
+# ---------------------------------------------------------------------------
+# group structure by full composition
+
+
+def cayley_table(perms, signs) -> list[list[int | None]]:
+    """table[x][y]: the element that x composed after y is, found by
+    comparing the full permutation and determinant sign of every product
+    with those of every element; None when it is none of them."""
+    keyed = [(tuple(p), s) for p, s in zip(perms, signs)]
+    table = []
+    for p, s in keyed:
+        row = []
+        for q, t in keyed:
+            product = (tuple(p[i] for i in q), s * t)
+            row.append(next((z for z, key in enumerate(keyed) if key == product), None))
+        table.append(row)
+    return table
+
+
+def inverses(table: list[list[int]]) -> list[int]:
+    """The inverse of each element: the y with x y the identity."""
+    identity = next(e for e, row in enumerate(table) if row == list(range(len(table))))
+    return [row.index(identity) for row in table]
+
+
+def merged_conjugacy_classes(table: list[list[int]]) -> set[tuple[int, ...]]:
+    """Each conjugacy class joined with the class of its inverses."""
+    inverse = inverses(table)
+    classes = set()
+    for x in range(len(table)):
+        conjugates = {table[table[a][x]][inverse[a]] for a in range(len(table))}
+        conjugates |= {inverse[c] for c in conjugates}
+        classes.add(tuple(sorted(conjugates)))
+    return classes

@@ -607,6 +607,44 @@ def test_pebble_rejects_a_bad_bare_graph(tmp_path, capsys, bars):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "bars,message",
+    [
+        ([[1, 1]], "bar 0 connects joint 1 to itself"),
+        ([[0, 3]], "bar 0 references missing joint in (0, 3)"),
+        ([[0, 1], [1, 0]], "bar 1 duplicates pair (0, 1)"),
+        ([[0, True]], "bad bar row: [0, True]"),
+        ([[0, 1, 2]], "bar 0 must have exactly two endpoints, got [0, 1, 2]"),
+        ([[0, 1], 2], "bad bar row: 2"),
+    ],
+)
+def test_pebble_bare_graph_errors_name_the_bar(tmp_path, capsys, bars, message):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"joints": 3, "bars": bars}))
+    code, out, err = _run(capsys, ["pebble", str(path), "--json"])
+    assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+def test_bare_graph_loader_checks_the_bars_once(tmp_path, capsys, monkeypatch):
+    from isoframe import core, laman
+
+    calls = []
+    real = core.bar_ends
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for module in (core, laman, cli):
+        monkeypatch.setattr(module, "bar_ends", counted, raising=False)
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"joints": 4, "bars": [[1, 0], [0, 2], [3, 0], [1, 2], [3, 1]]}))
+    code, out, _ = _run(capsys, ["pebble", str(path), "--json"])
+    assert code == 0
+    assert json.loads(out)["sparsity"]["verdict"] == "tight"
+    assert len(calls) == 1
+
+
 # Every option string and positional argument of each subcommand, as the
 # parser holds them.  A new flag, or one a subcommand no longer reads,
 # has to change this table.

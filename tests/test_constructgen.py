@@ -4,10 +4,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import isoframe
 from isoframe.constructgen import (
     _adjacent_face_planes,
     _stellation_height,
@@ -103,6 +108,24 @@ def test_stellation_heights_frozen(tetrahedron, octahedron, icosahedron):
     assert h_oct == pytest.approx(2 / math.sqrt(3), abs=1e-12)
     h_ico = _stellation_height(icosahedron, all_faces(icosahedron))
     assert h_ico == pytest.approx(0.2714863789094012, abs=1e-12)
+
+
+def test_capping_and_ranking_do_not_import_numpy_ma():
+    # numpy.ma costs a fresh process tens of milliseconds to import, and
+    # np.median, np.setdiff1d and a bare np.unique import it when called
+    src = str(pathlib.Path(isoframe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = (
+        "import sys\n"
+        "from isoframe.constructgen import cap_all_faces_symmetric, platonic\n"
+        "from isoframe.numrank import mobility\n"
+        "f = cap_all_faces_symmetric(platonic('icosahedron'))\n"
+        "print(f.joint_count, mobility(f).mechanisms, 'numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["32", "0", "False"]
 
 
 def test_stellated_apexes_sit_on_adjacent_planes(octahedron):

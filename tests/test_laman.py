@@ -139,6 +139,26 @@ def test_graph_from_framework_keeps_bar_ids():
     assert g.edges == tuple(b.ends for b in f.bars)
 
 
+def test_graph_from_framework_does_not_check_the_bars_again(monkeypatch):
+    # new_framework has checked the bars and stored them low id first
+    f = fig2_examples("C3")
+
+    def refuse(*args):
+        raise AssertionError("the bars were checked again")
+
+    monkeypatch.setattr(laman, "bar_ends", refuse)
+    assert Graph.from_framework(f).edges == tuple(b.ends for b in f.bars)
+    with pytest.raises(AssertionError):
+        Graph(3, ((0, 1),))
+
+
+def test_graph_from_pairs_stores_low_id_first():
+    g = Graph.from_pairs(4, [[1, 0], (2, 3), [3, 0]])
+    assert (g.joint_count, g.edges) == (4, ((0, 1), (2, 3), (0, 3)))
+    with pytest.raises(DuplicateBar):
+        Graph.from_pairs(3, [[0, 1], [1, 0]])
+
+
 @pytest.mark.parametrize(
     "key,epistemic",
     [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import json
 import math
@@ -36,6 +37,7 @@ from isoframe.symdetect import (
 )
 
 from oracles import brute_fixed_counts, geometric_fixed_items, permutation_order_bruteforce
+from oracles import cayley_table, inverses, merged_conjugacy_classes
 from oracles import find_joint_permutation as _find_joint_permutation
 
 # Per-class (label, joints unshifted, bars unshifted), in detected class
@@ -506,18 +508,79 @@ def _not_a_group(elements):
     return str(caught.value)
 
 
-def test_cayley_table_does_not_trust_the_row_hash(octahedron, monkeypatch):
-    # with every weight 1 the hash of a permutation is its entry sum, the
-    # same for all: each product is then found by its full row alone
+def test_cayley_table_does_not_trust_the_row_hash(octahedron):
+    # swapping two entries of one element's permutation leaves the images
+    # of some base alone, whichever base is picked, so the table is found
+    # from base images and only the full check on generators can refuse it
     elements = detect_point_group(octahedron).elements
     table = classify_group(elements).mult_table
     unclosed = [a for a in elements if (a.op.kind, a.op.n) != ("C", 4)]
     message = _not_a_group(unclosed)
-    monkeypatch.setattr(symdetect, "_hash_weights", lambda j: np.ones(j + 1, dtype=np.int64))
+    keys = {(a.joint_perm, a.op.kind in ("E", "C")) for a in elements}
+    x = elements[1]
+    for p in range(octahedron.joint_count):
+        for q in range(p):
+            perm = list(x.joint_perm)
+            perm[p], perm[q] = perm[q], perm[p]
+            edited = list(elements)
+            edited[1] = SymmetryAssignment(x.op, tuple(perm), x.bar_perm)
+            twin = (tuple(perm), x.op.kind in ("E", "C")) in keys
+            with pytest.raises(ToleranceAmbiguity if twin else NotAGroup):
+                classify_group(edited)
     assert np.array_equal(classify_group(elements).mult_table, table)
     assert _not_a_group(unclosed) == message
     with pytest.raises(ToleranceAmbiguity, match="permute the joints alike"):
         classify_group(elements + elements[1:2])
+
+
+def test_ring_of_500_is_c500v():
+    g = detect_point_group(_ring(500))
+    assert (g.schoenflies, g.order) == ("C500v", 1000)
+    rotations = []
+    for n in sorted({500 // math.gcd(k, 500) for k in range(1, 250)}, reverse=True):
+        rotations += [f"2C{n}" + (f"^{k}" if k > 1 else "")
+                      for k in range(1, n // 2 + (n % 2)) if math.gcd(k, n) == 1]
+    assert [c.label for c in g.classes] == (
+        ["E"] + rotations + ["C2", "250sigma_v", "250sigma_v'"]
+    )
+
+
+def _keyed(elements):
+    return [a.joint_perm for a in elements], [1 if a.op.kind in ("E", "C") else -1 for a in elements]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle_groups():
+    """The snapshot shapes' groups and every reference group, by name."""
+    groups = {name: detect_point_group(f) for name, f in _snapshot_shapes().items()}
+    for dimension, catalog in ((2, CATALOG_2D), (3, CATALOG_3D)):
+        groups.update({f"{label} ({dimension}D)": reference_group(label, dimension)
+                       for label in catalog})
+    return groups
+
+
+def test_group_structure_matches_full_composition():
+    groups = _oracle_groups()
+    assert len(groups) == 49 + len(CATALOG_2D) + len(CATALOG_3D)
+    for name, g in groups.items():
+        table = cayley_table(*_keyed(g.elements))
+        assert g.mult_table.tolist() == table, name
+        assert g.inverse.tolist() == inverses(table), name
+        assert {c.member_ids for c in g.classes} == merged_conjugacy_classes(table), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_unclosed_subsets_name_the_first_missing_product(data):
+    groups = _oracle_groups()
+    g = groups[data.draw(st.sampled_from(sorted(groups)))]
+    keep = data.draw(st.lists(st.booleans(), min_size=g.order - 1, max_size=g.order - 1))
+    subset = [g.elements[0]] + [a for a, k in zip(g.elements[1:], keep) if k]
+    table = cayley_table(*_keyed(subset))
+    missing = next(((x, y) for x, row in enumerate(table)
+                    for y, z in enumerate(row) if z is None), None)
+    assume(missing is not None)
+    assert _not_a_group(subset) == "the product of elements %d and %d is not in the set" % missing
 
 
 def test_unshifted_counts_needs_permutations(octahedron):
