@@ -273,8 +273,7 @@ def reference_group(label: str, dimension: int = 3) -> PointGroupInfo:
     mats = np.array(mats)
     perms = [perm for perm, _ in _matched_permutations(orbit, mats, 1e-6)]
     proper = np.linalg.det(mats) > 0
-    orders = [_key_order(perm, sign) for perm, sign in zip(perms, proper)]
-    ops = _classify_isometries(mats, dimension, orders, proper)
+    ops = _classify_isometries(mats, dimension, list(map(_key_order, perms, proper)), proper)
     info = classify_group([SymmetryAssignment(op, perm, None) for op, perm in zip(ops, perms)])
     if info.schoenflies != label:
         raise InternalInconsistency(

@@ -49,9 +49,8 @@ class Graph:
 
     Edges are stored sorted, low id first, mirroring how bars come out
     of a framework, so edge index k of a framework-derived graph is bar
-    id k.  Construction checks the edges by core.bar_ends; from_pairs
-    and from_framework check them once, or not at all when a framework's
-    bars have been checked already.
+    id k.  Construction checks the edges by core.bar_ends, and
+    from_framework trusts the bars that new_framework has checked.
     """
 
     joint_count: int
@@ -76,7 +75,6 @@ class Graph:
 
     @classmethod
     def from_framework(cls, f: Framework) -> "Graph":
-        # new_framework has checked the bars and stored them low id first
         return cls._checked(f.joint_count, tuple(bar.ends for bar in f.bars))
 
 

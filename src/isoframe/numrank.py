@@ -208,10 +208,7 @@ def _reduce(f: Framework, tol: float, vectors: bool) -> _Reduced:
     _check_tolerance(tol)
     system = build_system(f)
     order, blocks, live = _peel(system, f.dimension, max(1e-3, math.sqrt(tol)))
-    # a mask, not np.setdiff1d, whose np.unique imports numpy.ma
-    unpeeled = np.ones(f.joint_count, dtype=bool)
-    unpeeled[order] = False
-    core_joints = np.flatnonzero(unpeeled)
+    core_joints = np.delete(np.arange(f.joint_count), order)  # np.setdiff1d imports numpy.ma
     core_bars = np.flatnonzero(live)
     if order:
         where = np.zeros(f.joint_count, dtype=np.intp)

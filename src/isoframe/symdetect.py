@@ -350,7 +350,10 @@ def _greedy_basis(
 
 
 def _candidate_images(
-    P: np.ndarray, basis: list[int], shell_of: dict[int, list[int]], dot_tol: float
+    P: np.ndarray,
+    basis: list[int],
+    shell_of: dict[int, list[int]],
+    dot_tol: float,
 ) -> np.ndarray:
     """Every image of the basis that keeps each basis joint in its shell
     and each inner product within dot_tol, one row of joint ids each.
@@ -378,7 +381,12 @@ def _candidate_images(
 
 
 def _isometries(
-    P: np.ndarray, basis: list[int], images: np.ndarray, tol: float, exp: int, ends: np.ndarray
+    P: np.ndarray,
+    basis: list[int],
+    images: np.ndarray,
+    tol: float,
+    exp: int,
+    ends: np.ndarray,
 ) -> Iterator[tuple[np.ndarray, bool, tuple[int, ...] | None, tuple[int, ...] | None]]:
     """Yield each candidate's matrix, whether it is proper, and its joint
     and bar permutations (_matched_permutations), in candidate order.
@@ -450,8 +458,29 @@ def _raise_if_ambiguous(hits: np.ndarray, landed: np.ndarray, tol: float, exp: i
         )
 
 
+def _raise_if_close(kept: np.ndarray) -> None:
+    """ToleranceAmbiguity for the first matrix that lies within
+    _AMBIGUITY_GATE (max-abs) of an earlier one, naming the gap to the
+    first such; the matrices are compared in blocks of rows."""
+    step = max(1, _BLOCK // max(kept.size, 1))
+    for lo in range(1, len(kept), step):
+        gaps = np.abs(kept[lo : lo + step, None] - kept[None, : lo + step]).max(axis=(2, 3))
+        later = np.arange(lo, lo + len(gaps))[:, None] > np.arange(gaps.shape[1])
+        close = (gaps < _AMBIGUITY_GATE) & later
+        if close.any():
+            a = int(np.argmax(close.any(axis=1)))
+            raise ToleranceAmbiguity(
+                f"two candidate symmetries that move the joints differently "
+                f"differ by only {gaps[a, np.argmax(close[a])]:g}"
+            )
+
+
 def _matched_permutations(
-    P: np.ndarray, Ms: np.ndarray, tol: float, exp: int = 0, ends: np.ndarray | None = None
+    P: np.ndarray,
+    Ms: np.ndarray,
+    tol: float,
+    exp: int = 0,
+    ends: np.ndarray | None = None,
 ) -> Iterator[tuple[tuple[int, ...] | None, tuple[int, ...] | None]]:
     """Yield the joint and bar permutation of each matrix of the stack Ms.
 
@@ -505,7 +534,9 @@ def _matched_permutations(
                 yield tuple(map(ids.__getitem__, landed[i].tolist())), bar_perm
 
 
-def detect_symmetries(f: Framework, geom_tol: float | None = None) -> list[SymmetryAssignment]:
+def detect_symmetries(
+    f: Framework, geom_tol: float | None = None
+) -> list[SymmetryAssignment]:
     """All point symmetries of the framework, identity included.
 
     geom_tol is relative to the framework diameter; positions matching
@@ -550,27 +581,21 @@ def detect_symmetries(f: Framework, geom_tol: float | None = None) -> list[Symme
     # a symmetry is its joint permutation and the sign of its determinant;
     # kept[x] is the matrix of the x-th key found
     found: dict[tuple[tuple[int, ...], bool], tuple[int, ...]] = {}
-    kept = np.empty((8, d, d))
-    for M, proper, perm, bar_perm in _isometries(P, basis, images, tol, exp, ends):
-        if perm is None:
-            continue
-        key = (perm, proper)
-        if bar_perm is None or key in found:
-            continue
-        gaps = np.abs(kept[: len(found)] - M).max(axis=(1, 2))
-        if found and gaps.min() < _AMBIGUITY_GATE:
-            raise ToleranceAmbiguity(
-                f"two candidate symmetries that move the joints differently "
-                f"differ by only {gaps[np.argmax(gaps < _AMBIGUITY_GATE)]:g}"
-            )
-        if len(found) == len(kept):
-            kept = np.concatenate([kept, kept])
-        kept[len(found)] = M
-        found[key] = bar_perm
+    kept: list[np.ndarray] = []
+    try:
+        for M, proper, perm, bar_perm in _isometries(P, basis, images, tol, exp, ends):
+            if perm is not None and bar_perm is not None and (perm, proper) not in found:
+                found[perm, proper] = bar_perm
+                kept.append(M)
+    finally:
+        # keys found before a candidate that raised are checked first,
+        # as they were reached first
+        kept = np.array(kept).reshape(-1, d, d)
+        _raise_if_close(kept)
 
     proper = np.array([sign for _, sign in found], dtype=bool)
     orders = [_key_order(perm, sign) for perm, sign in found]
-    ops = _classify_isometries(kept[: len(found)], d, orders, proper)
+    ops = _classify_isometries(kept, d, orders, proper)
     assignments = [
         SymmetryAssignment(op, perm, bar_perm)
         for op, ((perm, _), bar_perm) in zip(ops, found.items())
@@ -644,7 +669,9 @@ def _principal_rotation(ops: list[IsometryOp], table: np.ndarray) -> int | None:
     return max(rotations, key=lambda x: ops[x].sort_key[3])
 
 
-def _schoenflies_3d(ops: list[IsometryOp], table: np.ndarray) -> tuple[str, int | None]:
+def _schoenflies_3d(
+    ops: list[IsometryOp], table: np.ndarray
+) -> tuple[str, int | None]:
     """The label and the element whose axis is the principal axis.
 
     Read from the element kinds and the multiplication table alone: a
@@ -822,53 +849,38 @@ def _class_label(key: ClassKey, size: int) -> str:
     return f"{size}{name}" if size > 1 else name
 
 
-def _base(perms: np.ndarray, signs: np.ndarray) -> list[int]:
-    """Joints whose images, with the determinant sign, tell every element
-    apart: a base (Sims 1970).  Each is picked greedily, the joint whose
-    image tells the most elements apart; ToleranceAmbiguity when two
-    elements have the same key."""
-    g, j = perms.shape
-    # with an index array asked for, np.unique does not import numpy.ma
-    codes, rank = np.unique(signs < 0, return_inverse=True)
-    told, base = len(codes), []
-    while told < g:
-        # rank < g, so no code overflows
-        told_by = 1 + (np.diff(np.sort(rank * j + perms.T, axis=1), axis=1) != 0).sum(axis=1)
-        if told_by.max(initial=told) == told:
-            raise ToleranceAmbiguity(
-                "two elements with the same determinant sign permute the joints alike"
-            )
-        base.append(int(np.argmax(told_by)))
-        codes, rank = np.unique(rank * j + perms[:, base[-1]], return_inverse=True)
-        told = len(codes)
-    return base
-
-
 def _cayley_table(perms: np.ndarray, signs: np.ndarray) -> np.ndarray:
     """The multiplication table of the keyed elements, x composed after y.
 
     Each element is keyed by its determinant sign and its images of a
-    base, packed into an int64 code, so the table is one gather of the
-    products' base images and a lookup of their codes.  Keys that tell a
-    group's elements apart fix its products, so closure is checked in
-    full only on generators that reach every element from E.  A set that
-    fails raises _missing_product.
+    base (Sims 1970): joints picked greedily, each the one whose image
+    tells the most elements apart, until every element has its own key.
+    The key packs into an int64 code a digit at a time, and the codes of
+    all products are packed alongside from a gather of their images, so
+    the table is read off the codes.  Keys that tell a group's elements
+    apart fix its products, so closure is checked in full only on
+    generators that reach every element from E.  A set that fails raises
+    _missing_product, and two elements with one key ToleranceAmbiguity.
     """
     g, j = perms.shape
-    base = _base(perms, signs)
-    images = perms[:, perms[:, base]]
     codes = (signs < 0).astype(np.int64)
     table = (signs[:, None] * signs < 0).astype(np.int64)
-    for level in range(max(len(base), 1)):
-        if base:
-            codes = codes * j + perms[:, base[level]]
-            table = table * j + images[:, :, level]
+    while True:
         # rename each code by an element that has it, and a code that none
-        # has by g, so codes stay below g + 1; at the end the element is
-        # the only one with its code
+        # has by g, so that codes stay below g + 1
         name = np.full((g + 1) * max(j, 2), g)
         name[codes] = np.arange(g)
         codes, table = name[codes], name[table]
+        told = int((codes == np.arange(g)).sum())
+        if told == g:
+            break
+        told_by = 1 + (np.diff(np.sort(codes * j + perms.T, axis=1), axis=1) != 0).sum(axis=1)
+        if told_by.max(initial=told) == told:
+            raise ToleranceAmbiguity(
+                "two elements with the same determinant sign permute the joints alike"
+            )
+        b = int(np.argmax(told_by))
+        codes, table = codes * j + perms[:, b], table * j + perms[:, perms[:, b]]
     if (table < g).all() and (table[0] == np.arange(g)).all():
         gens = _generators(table)
         at = table[:, gens]
@@ -986,7 +998,9 @@ def classify_group(elements: Sequence[SymmetryAssignment]) -> PointGroupInfo:
     )
 
 
-def detect_point_group(f: Framework, geom_tol: float | None = None) -> PointGroupInfo:
+def detect_point_group(
+    f: Framework, geom_tol: float | None = None
+) -> PointGroupInfo:
     """Detect all symmetries of f and classify them as a point group.
 
     A detected set that is not closed raises ToleranceAmbiguity, not

@@ -583,6 +583,54 @@ def test_unclosed_subsets_name_the_first_missing_product(data):
     assert _not_a_group(subset) == "the product of elements %d and %d is not in the set" % missing
 
 
+def test_close_symmetries_are_ambiguous_in_candidate_order(octahedron, monkeypatch):
+    # a new key whose matrix lies within 1e-4 of a kept one is ambiguous,
+    # unless a candidate reached before it raised first
+    e, c4 = detect_symmetries(octahedron)[:2]
+    first = (e.op.matrix, True, e.joint_perm, e.bar_perm)
+    twin = (e.op.matrix + 5e-5, True, c4.joint_perm, c4.bar_perm)
+    late = ToleranceAmbiguity("a later candidate lands on two joints")
+
+    def candidates(*items):
+        def fake(*args):
+            for item in items:
+                if isinstance(item, Exception):
+                    raise item
+                yield item
+
+        monkeypatch.setattr(symdetect, "_isometries", fake)
+
+    candidates(first, twin, late)
+    with pytest.raises(ToleranceAmbiguity, match="differ by only 5e-05"):
+        detect_symmetries(octahedron)
+    candidates(first, late, twin)
+    with pytest.raises(ToleranceAmbiguity, match="a later candidate"):
+        detect_symmetries(octahedron)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_close_matrices_are_found_block_by_block(seed, monkeypatch):
+    # the first matrix near an earlier one, and the gap to the first such,
+    # as a loop over the matrices in order finds them
+    rng = np.random.default_rng(seed)
+    kept = rng.normal(size=(40, 3, 3))
+    for a in rng.choice(np.arange(5, 40), size=3, replace=False):
+        scale = rng.choice([6e-5, 1.5e-4])
+        kept[a] = kept[rng.integers(a)] + rng.uniform(-scale, scale, size=(3, 3))
+    want = None
+    for a in range(1, len(kept)):
+        gaps = np.abs(kept[:a] - kept[a]).max(axis=(1, 2))
+        if gaps.min() < 1e-4:
+            want = f"differ by only {gaps[np.argmax(gaps < 1e-4)]:g}"
+            break
+    monkeypatch.setattr(symdetect, "_BLOCK", 9 * 40 * 3)
+    if want is None:
+        symdetect._raise_if_close(kept)
+    else:
+        with pytest.raises(ToleranceAmbiguity, match=want):
+            symdetect._raise_if_close(kept)
+
+
 def test_unshifted_counts_needs_permutations(octahedron):
     # an operation without its permutations is refused, as in classify_group
     c4 = next(a for a in detect_point_group(octahedron).elements if a.op.n == 4)
