@@ -736,16 +736,11 @@ def _merged_classes(table: np.ndarray, inverse: np.ndarray) -> list[list[int]]:
     merged class.
     """
     least = table[table, inverse[:, None]].min(axis=0)
-    return _parts(np.minimum(least, least[inverse]))
-
-
-def _parts(least: np.ndarray) -> list[list[int]]:
-    """The ids 0, 1, ... grouped by their entry of least, in its order;
-    each part ascending."""
-    ids = np.argsort(least, kind="stable")
-    cuts = (np.flatnonzero(np.diff(least[ids])) + 1).tolist()
-    ids = ids.tolist()
-    return [ids[a:b] for a, b in zip([0, *cuts], [*cuts, len(ids)])] if ids else []
+    least = np.minimum(least, least[inverse])
+    members = np.argsort(least, kind="stable")
+    cuts = (np.flatnonzero(np.diff(least[members])) + 1).tolist()
+    members = members.tolist()
+    return [members[a:b] for a, b in zip([0, *cuts], [*cuts, len(members)])]
 
 
 def _class_geometry_key(ops: list[IsometryOp]) -> tuple[str, int, int]:
@@ -1077,15 +1072,20 @@ def orbits(f: Framework, group: PointGroupInfo) -> OrbitPartition:
     """Joint and bar orbits under the group action.
 
     The elements form a group, so the orbit of x is its image under every
-    element, and its smallest image names it.  Orbits come ordered by
-    their smallest member.
+    element.  Orbits come ordered by their smallest member.
     """
     if any(a.joint_perm is None or a.bar_perm is None for a in group.elements):
         raise ValueError("group elements lack permutations; detect them on a framework")
 
     def collect(perms: list[tuple[int, ...]], count: int) -> tuple[tuple[int, ...], ...]:
-        least = np.array(perms, dtype=np.intp).reshape(len(perms), count).min(axis=0)
-        return tuple(map(tuple, _parts(least)))
+        out: list[tuple[int, ...]] = []
+        seen: set[int] = set()
+        for x in range(count):
+            if x not in seen:
+                orbit = sorted({p[x] for p in perms})
+                seen.update(orbit)
+                out.append(tuple(orbit))
+        return tuple(out)
 
     return OrbitPartition(
         joint_orbits=collect([a.joint_perm for a in group.elements], f.joint_count),
