@@ -461,17 +461,22 @@ def _raise_if_ambiguous(hits: np.ndarray, landed: np.ndarray, tol: float, exp: i
 def _raise_if_close(kept: np.ndarray) -> None:
     """ToleranceAmbiguity for the first matrix that lies within
     _AMBIGUITY_GATE (max-abs) of an earlier one, naming the gap to the
-    first such; the matrices are compared in blocks of rows."""
-    step = max(1, _BLOCK // max(kept.size, 1))
-    for lo in range(1, len(kept), step):
-        gaps = np.abs(kept[lo : lo + step, None] - kept[None, : lo + step]).max(axis=(2, 3))
-        later = np.arange(lo, lo + len(gaps))[:, None] > np.arange(gaps.shape[1])
-        close = (gaps < _AMBIGUITY_GATE) & later
-        if close.any():
-            a = int(np.argmax(close.any(axis=1)))
+    first such.  A gap below the gate needs a squared distance below m
+    gate^2 for m entries, so only such pairs, found a block of rows at a
+    time from one matrix product, are compared entry by entry."""
+    X = kept.reshape(len(kept), kept[0].size if len(kept) else 0)
+    sq = (X * X).sum(axis=1)
+    step = max(1, _BLOCK // max(len(X), 1))
+    for lo in range(1, len(X), step):
+        hi = min(lo + step, len(X))
+        d2 = sq[lo:hi, None] + sq[:hi] - 2 * X[lo:hi] @ X[:hi].T
+        near = d2 < X.shape[1] * _AMBIGUITY_GATE**2 + 1e-12
+        a, b = np.nonzero(near & (np.arange(lo, hi)[:, None] > np.arange(hi)))
+        gaps = np.abs(X[lo + a] - X[b]).max(axis=1)
+        if (gaps < _AMBIGUITY_GATE).any():
             raise ToleranceAmbiguity(
                 f"two candidate symmetries that move the joints differently "
-                f"differ by only {gaps[a, np.argmax(close[a])]:g}"
+                f"differ by only {gaps[np.argmax(gaps < _AMBIGUITY_GATE)]:g}"
             )
 
 
@@ -889,17 +894,17 @@ def _cayley_table(perms: np.ndarray, signs: np.ndarray) -> np.ndarray:
 def _generators(table: np.ndarray) -> list[int]:
     """Elements that reach every element from E by right multiplication,
     by table: each the first element that the earlier ones do not reach,
-    so that, in a group, each at least doubles the reached subgroup."""
-    reached, gens = np.zeros(len(table), dtype=bool), []
-    reached[0] = True
-    while not reached.all():
-        gens.append(int(np.argmin(reached)))
-        frontier = np.flatnonzero(reached)
-        while frontier.size:
-            new = np.zeros_like(reached)
-            new[table[frontier[:, None], gens]] = True
-            frontier = np.flatnonzero(new & ~reached)
-            reached |= new
+    so that, in a group, each at least doubles the reached subgroup.  The
+    walk is plain Python, a few steps per element, over their columns."""
+    reached, gens, columns, frontier = [True] + [False] * (len(table) - 1), [], [], [0]
+    while frontier or not all(reached):
+        if not frontier:
+            gens.append(reached.index(False))
+            columns.append(table[:, gens[-1]].tolist())
+            frontier = [x for x, hit in enumerate(reached) if hit]
+        frontier = [y for y in {c[x] for c in columns for x in frontier} if not reached[y]]
+        for y in frontier:
+            reached[y] = True
     return gens
 
 

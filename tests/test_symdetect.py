@@ -623,7 +623,7 @@ def test_close_matrices_are_found_block_by_block(seed, monkeypatch):
         if gaps.min() < 1e-4:
             want = f"differ by only {gaps[np.argmax(gaps < 1e-4)]:g}"
             break
-    monkeypatch.setattr(symdetect, "_BLOCK", 9 * 40 * 3)
+    monkeypatch.setattr(symdetect, "_BLOCK", 40 * 3)
     if want is None:
         symdetect._raise_if_close(kept)
     else:
