@@ -11,14 +11,16 @@ classes, their ClassKey roles and its multiplication table.  Matrices
 only generate the reference groups, whose elements are told apart by
 their images of a point that no element fixes; no matrix is matched
 against another.  By family: a cyclic group takes its rows from
-discrete logarithms along a generator; a dihedral-type group from its
-cyclic axis half, the classes of role ""; a direct product H x {E, w},
-w a central improper element, from the rows of H, the group of its own
-proper elements; T, Td, O and I are literals.  Every table is
-self-checked against the row orthogonality relations.  A merged pair
-row has self-norm 2 * |G| instead of |G|; decompose() accounts for that
-by returning the pair multiplicity doubled, which conveniently equals
-the stored row dimension on the regular representation.
+discrete logarithms along a generator; T, Td, O and I are literals;
+the others extend the table of an index-2 subgroup, classified as a
+group of its own (_half).  A dihedral-type group extends its cyclic
+axis half, the classes of role ""; a direct product H x {E, w}, w a
+central improper element, extends H, the group of its own proper
+elements.  Every table is self-checked against the row orthogonality
+relations.  A merged pair row has self-norm 2 * |G| instead of |G|;
+decompose() accounts for that by returning the pair multiplicity
+doubled, which conveniently equals the stored row dimension on the
+regular representation.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -38,7 +41,6 @@ from .symdetect import (
     _key_order,
     _matched_permutations,
     _parse_label,
-    _powers,
     classify_group,
 )
 
@@ -239,26 +241,21 @@ def _close_under_multiplication(
     """
     point = _FREE_POINT[:d]
     elems: list[np.ndarray] = [np.eye(d)]
-    orbit = np.empty((1000, d))
-    orbit[0] = point
-    frontier = [np.eye(d)]
-    while frontier:
-        new: list[np.ndarray] = []
-        for A in frontier:
-            for B in gens:
-                prod = A @ B
-                image = prod @ point
-                if np.abs(orbit[: len(elems)] - image).max(axis=1).min() <= 1e-6:
-                    continue
-                if len(elems) == len(orbit):
-                    raise InternalInconsistency(
-                        "group closure did not terminate; bad reference generators"
-                    )
-                orbit[len(elems)] = image
-                elems.append(prod)
-                new.append(prod)
-        frontier = new
-    return elems, orbit[: len(elems)].copy()
+    orbit = point[None, :]
+    # elems grows as it is walked, so the walk is breadth first
+    for A in elems:
+        for B in gens:
+            prod = A @ B
+            image = prod @ point
+            if np.abs(orbit - image).max(axis=1).min() <= 1e-6:
+                continue
+            if len(elems) == 1000:
+                raise InternalInconsistency(
+                    "group closure did not terminate; bad reference generators"
+                )
+            orbit = np.vstack([orbit, image])
+            elems.append(prod)
+    return elems, orbit
 
 
 @lru_cache(maxsize=None)
@@ -282,24 +279,19 @@ def reference_group(label: str, dimension: int = 3) -> PointGroupInfo:
     return info
 
 
-def _discrete_logs(info: PointGroupInfo, members: list[int], gen: int) -> dict[int, int]:
-    m = len(members)
-    logs: dict[int, int] = {}
-    cur = 0
-    for p in range(m):
-        logs[cur] = p
-        cur = int(info.mult_table[cur, gen])
-    if cur != 0 or set(logs) != set(members):
-        raise InternalInconsistency("discrete logarithm walk did not cover the cyclic half")
-    return logs
-
-
 def _rows_cyclic(info: PointGroupInfo) -> list[IrrepRow]:
     m = info.order
-    gens = [i for i in range(m) if len(_powers(info.mult_table, i)) == m]
-    if not gens:
+    for gen in range(m):
+        # discrete logarithms along gen, which generates when they cover the group
+        logs: dict[int, int] = {}
+        cur = 0
+        for p in range(m):
+            logs[cur] = p
+            cur = int(info.mult_table[cur, gen])
+        if len(logs) == m:
+            break
+    else:
         raise InternalInconsistency(f"{info.schoenflies} is not cyclic")
-    logs = _discrete_logs(info, list(range(m)), min(gens))
     reps = [cls.rep_id for cls in info.classes]
     rows = [IrrepRow("A", 1, False, tuple(1.0 for _ in reps))]
     if m % 2 == 0:
@@ -314,81 +306,62 @@ def _rows_cyclic(info: PointGroupInfo) -> list[IrrepRow]:
     return rows
 
 
+def _half(info: PointGroupInfo, members: list[int]) -> tuple[CharacterTable, dict[int, int]]:
+    """The table of the subgroup on members, and each member's column in it.
+
+    The subgroup is classified as a group of its own; its elements, like
+    those of any reference group, are told apart by their permutation.
+    """
+    half = classify_group([info.elements[x] for x in members])
+    column = {
+        half.elements[y].joint_perm: ci
+        for ci, cls in enumerate(half.classes)
+        for y in cls.member_ids
+    }
+    return _table_from_info(half), {x: column[info.elements[x].joint_perm] for x in members}
+
+
+# how a 1D row of the axis half extends over the one or two flip classes
+_FLIP_VALUES = {
+    "A": (("A1", (1.0, 1.0)), ("A2", (-1.0, -1.0))),
+    "B": (("B1", (1.0, -1.0)), ("B2", (-1.0, 1.0))),
+}
+
+
 def _rows_dihedral(info: PointGroupInfo) -> list[IrrepRow]:
-    """Rows of a dihedral-type group from its cyclic axis half.
+    """Rows of a dihedral-type group, extended from its cyclic axis half.
 
     The axis half is the classes of role "": the identity and the
     rotations and rotoreflections about the principal axis.  Every other
-    class is a class of flips.
+    class is a class of flips.  Each 1D row of the half splits in two
+    (_FLIP_VALUES); each pair row becomes one real 2D row, 0 on the flips.
     """
-    half_classes = [ci for ci, c in enumerate(info.classes) if c.key.role == ""]
     flip_classes = [ci for ci, c in enumerate(info.classes) if c.key.role != ""]
-    half = [i for ci in half_classes for i in info.classes[ci].member_ids]
-    m = len(half)
-    if 2 * m != info.order:
+    members = [x for c in info.classes if c.key.role == "" for x in c.member_ids]
+    if 2 * len(members) != info.order:
         raise InternalInconsistency(
             f"{info.schoenflies} did not split evenly into an axis half and flips"
         )
-    gens = [i for i in half if len(_powers(info.mult_table, i)) == m]
-    if not gens:
+    half_table, column = _half(info, members)
+    if _rows_builder(half_table.schoenflies) is not _rows_cyclic:
         raise InternalInconsistency(
             f"the axis half of {info.schoenflies} is not cyclic"
         )
-    logs = _discrete_logs(info, half, min(gens))
-    if len(flip_classes) not in (1, 2):
+    if len(flip_classes) != 2 - half_table.order % 2:
         raise InternalInconsistency(
             f"{info.schoenflies} has {len(flip_classes)} flip classes"
         )
-    ncls = len(info.classes)
-
-    def build(half_fn, flip_vals: dict[int, float]) -> tuple[float, ...]:
-        vals = [0.0] * ncls
-        for ci in half_classes:
-            vals[ci] = half_fn(logs[info.classes[ci].rep_id])
-        for ci in flip_classes:
-            vals[ci] = flip_vals[ci]
-        return tuple(vals)
-
-    rows = [
-        IrrepRow("A1", 1, False, build(lambda p: 1.0, {ci: 1.0 for ci in flip_classes})),
-        IrrepRow("A2", 1, False, build(lambda p: 1.0, {ci: -1.0 for ci in flip_classes})),
-    ]
-    if m % 2 == 0:
-        if len(flip_classes) != 2:
-            raise InternalInconsistency(
-                f"{info.schoenflies} should have two flip classes for even order"
+    renames = {"A1": "A", "A2": "B1", "B1": "B2", "B2": "B3"} if info.schoenflies == "D2" else {}
+    rows: list[IrrepRow] = []
+    for hrow in half_table.rows:
+        for name, flip_vals in _FLIP_VALUES.get(hrow.name, ((hrow.name, (0.0, 0.0)),)):
+            vals = tuple(
+                hrow.values[column[c.rep_id]]
+                if c.key.role == ""
+                else flip_vals[flip_classes.index(ci)]
+                for ci, c in enumerate(info.classes)
             )
-        first, second = flip_classes
-        rows.append(
-            IrrepRow(
-                "B1", 1, False,
-                build(lambda p: float((-1) ** p), {first: 1.0, second: -1.0}),
-            )
-        )
-        rows.append(
-            IrrepRow(
-                "B2", 1, False,
-                build(lambda p: float((-1) ** p), {first: -1.0, second: 1.0}),
-            )
-        )
-    pair_count = (m + 1) // 2 - 1
-    for l in range(1, pair_count + 1):
-        name = "E" if pair_count == 1 else f"E{l}"
-        rows.append(
-            IrrepRow(
-                name, 2, False,
-                build(
-                    lambda p, l=l: 2 * math.cos(2 * math.pi * l * p / m),
-                    {ci: 0.0 for ci in flip_classes},
-                ),
-            )
-        )
-    if info.schoenflies == "D2":
-        renames = {"A1": "A", "A2": "B1", "B1": "B2", "B2": "B3"}
-        rows = [
-            IrrepRow(renames.get(r.name, r.name), r.dim, r.paired, r.values)
-            for r in rows
-        ]
+            rows.append(IrrepRow(renames.get(name, name), hrow.dim, False, vals))
     return rows
 
 
@@ -477,37 +450,19 @@ def _rows_product(info: PointGroupInfo) -> list[IrrepRow]:
     class of proper elements is a class of H, and an improper element r
     takes the H-class of w r.
     """
-    ops = [a.op for a in info.elements]
-    inv_ids = [i for i, op in enumerate(ops) if op.kind == "i"]
-    if inv_ids:
-        w = inv_ids[0]
-        suffix_even, suffix_odd = "g", "u"
+    kinds = [a.op.kind for a in info.elements]
+    if "i" in kinds:
+        w, suffix_even, suffix_odd = kinds.index("i"), "g", "u"
+    elif "sigma" in kinds:
+        w, suffix_even, suffix_odd = kinds.index("sigma"), "'", "''"
     else:
-        sig_ids = [i for i, op in enumerate(ops) if op.kind == "sigma"]
-        if not sig_ids:
-            raise InternalInconsistency(
-                f"{info.schoenflies} has no central improper element"
-            )
-        w = min(sig_ids)
-        suffix_even, suffix_odd = "'", "''"
-
-    def proper(x: int) -> bool:
-        return ops[x].kind in ("E", "C")
-
-    half_info = classify_group([a for x, a in enumerate(info.elements) if proper(x)])
-    half_table = _table_from_info(half_info)
-    # proper elements are told apart by their permutation alone
-    half_class = {
-        half_info.elements[x].joint_perm: ci
-        for ci, cls in enumerate(half_info.classes)
-        for x in cls.member_ids
-    }
-    column_map: list[tuple[int, bool]] = []
-    for cls in info.classes:
-        r = cls.rep_id
-        h = r if proper(r) else int(info.mult_table[w, r])
-        column_map.append((half_class[info.elements[h].joint_perm], proper(r)))
-
+        raise InternalInconsistency(f"{info.schoenflies} has no central improper element")
+    proper = [kind in ("E", "C") for kind in kinds]
+    half_table, column = _half(info, [x for x in range(info.order) if proper[x]])
+    column_map = [
+        (column[r if proper[r] else int(info.mult_table[w, r])], proper[r])
+        for r in (cls.rep_id for cls in info.classes)
+    ]
     rows: list[IrrepRow] = []
     for parity, suffix in ((1.0, suffix_even), (-1.0, suffix_odd)):
         for hrow in half_table.rows:
@@ -519,26 +474,27 @@ def _rows_product(info: PointGroupInfo) -> list[IrrepRow]:
     return rows
 
 
-def _family(label: str, dimension: int) -> str:
+def _rows_builder(label: str) -> Callable[[PointGroupInfo], list[IrrepRow]]:
+    """The rows function of the label's family."""
     if label in ("Ci", "Cs", "Th", "Oh", "Ih"):
-        return "product"
+        return _rows_product
     if label in ("T", "Td", "O", "I"):
-        return "literal"
+        return _rows_literal
     head, n, suffix = _parse_label(label)
     if head == "C" and suffix == "":
-        return "cyclic"
+        return _rows_cyclic
     if head == "C" and suffix == "v":
-        return "dihedral"
+        return _rows_dihedral
     if head == "C" and suffix == "h":
-        return "product"
+        return _rows_product
     if head == "S":
-        return "cyclic" if n % 4 == 0 else "product"
+        return _rows_cyclic if n % 4 == 0 else _rows_product
     if head == "D" and suffix == "":
-        return "dihedral"
+        return _rows_dihedral
     if head == "D" and suffix == "d":
-        return "dihedral" if n % 2 == 0 else "product"
+        return _rows_dihedral if n % 2 == 0 else _rows_product
     if head == "D" and suffix == "h":
-        return "product"
+        return _rows_product
     raise UnrecognizedGroup(f"{label} is not a supported point group")
 
 
@@ -567,15 +523,7 @@ def _verify_table(table: CharacterTable) -> None:
 
 
 def _table_from_info(info: PointGroupInfo) -> CharacterTable:
-    family = _family(info.schoenflies, info.dimension)
-    if family == "cyclic":
-        rows = _rows_cyclic(info)
-    elif family == "dihedral":
-        rows = _rows_dihedral(info)
-    elif family == "literal":
-        rows = _rows_literal(info)
-    else:
-        rows = _rows_product(info)
+    rows = _rows_builder(info.schoenflies)(info)
     table = CharacterTable(
         schoenflies=info.schoenflies,
         dimension=info.dimension,

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .chartables import _rot2
 from .core import Framework, maxwell_count, new_framework
 from .errors import (
     DegenerateFace,
@@ -398,23 +399,15 @@ def hat_stack(
         return f
     fa = _as_face(f, axis_face)
     fc, n, circum = _face_frame(f, fa)
-    group = detect_point_group(f)
-    center = f.centroid()
     diam = f.diameter()
-    rel = fc - center
-    on_axis = False
-    for el in group.elements:
-        op = el.op
-        if op.kind != "C" or op.n != 3 or op.axis is None:
-            continue
-        axis = np.asarray(op.axis)
-        if abs(abs(float(axis @ n)) - 1.0) > 1e-6:
-            continue
-        lateral = np.linalg.norm(rel - float(rel @ axis) * axis)
-        if lateral <= 1e-6 * diam:
-            on_axis = True
-            break
-    if not on_axis:
+    # a threefold rotation that turns the face onto itself has its axis
+    # through the face's centroid, along its normal
+    if not any(
+        el.op.kind == "C"
+        and el.op.n == 3
+        and {el.joint_perm[i] for i in fa.ids} == set(fa.ids)
+        for el in detect_point_group(f).elements
+    ):
         raise NotOnThreefoldAxis(
             f"face {fa.ids} is not centred on a threefold axis of the "
             "framework"
@@ -427,11 +420,6 @@ def hat_stack(
     new_positions = [tuple(fc + (h0 + i * dh) * n) for i in range(k)]
     new_pairs = [(c, base + i) for i in range(k) for c in fa.ids]
     return _append(f, new_positions, new_pairs)
-
-
-def _rot2(theta: float) -> np.ndarray:
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
 
 
 def _orbit2(seed: tuple[float, float], mats: list[np.ndarray]) -> list[tuple[float, float]]:

@@ -13,8 +13,11 @@ trace vectors onto irreducible characters for reporting.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .chartables import CharacterTable, reference_group, table_for_group
 from .core import Framework, maxwell_count
@@ -168,22 +171,20 @@ def gamma_rigid_body(
     raise ValueError(f"unknown operation kind {op.kind!r}")
 
 
-def _fixed_count(perm: tuple[int, ...] | None, what: str) -> int:
-    if perm is None:
-        raise ValueError(f"group element carries no {what} permutation")
-    return sum(1 for i, img in enumerate(perm) if img == i)
-
-
 def _permutation_trace(
     group: PointGroupInfo, selector
 ) -> tuple[int, ...]:
     """Fixed-point counts per class, verified constant across each class."""
+    perms = [selector(a) for a in group.elements]
+    if any(perm is None for perm in perms):
+        raise ValueError("group element carries no joint/bar permutation")
+    n = len(perms[0])
+    # stacked once per group; fromiter reads the tuples faster than np.array
+    stacked = np.fromiter(itertools.chain.from_iterable(perms), np.intp, group.order * n)
+    fixed = (stacked.reshape(group.order, n) == np.arange(n)).sum(axis=1).tolist()
     values = []
     for cls in group.classes:
-        counts = {
-            _fixed_count(selector(group.elements[m]), "joint/bar")
-            for m in cls.member_ids
-        }
+        counts = {fixed[m] for m in cls.member_ids}
         if len(counts) != 1:
             raise InternalInconsistency(
                 f"unshifted counts differ within class {cls.label}: "

@@ -187,3 +187,53 @@ def test_table_for_detected_groups_aligns():
         t = table_for_group(info)
         assert t.dimension == 2
         assert t.class_keys == tuple(c.key for c in info.classes)
+
+
+# axial groups past the catalog, which stops at n = 6; the value is the
+# group's cyclic axis half when it is of dihedral type, else None
+AXIAL_BEYOND_CATALOG = [
+    case
+    for n in range(7, 13)
+    for case in (
+        (f"C{n}v", 2, f"C{n}"),
+        (f"C{n}v", 3, f"C{n}"),
+        (f"D{n}", 3, f"C{n}"),
+        (f"D{n}d", 3, f"S{2 * n}" if n % 2 == 0 else None),
+        (f"D{n}h", 3, None),
+        (f"C{n}h", 3, None),
+        (f"S{2 * n}", 3, None),
+    )
+]
+
+
+@pytest.mark.parametrize("label,dim,axis_half", AXIAL_BEYOND_CATALOG)
+def test_axial_tables_beyond_catalog(label, dim, axis_half):
+    t = character_table(label, dim)
+    g = t.order
+    assert t.schoenflies == label
+    for a, ra in enumerate(t.rows):
+        for b, rb in enumerate(t.rows):
+            acc = sum(
+                s * x * y for s, x, y in zip(t.class_sizes, ra.values, rb.values)
+            )
+            want = (2 * g if ra.paired else g) if a == b else 0
+            assert abs(acc - want) < 1e-9 * g, (ra.name, rb.name)
+    assert sum(2 if r.paired else r.dim * r.dim for r in t.rows) == g
+    if axis_half is None:
+        return
+    half = character_table(axis_half, dim)
+    assert 2 * half.order == g
+    columns = [t.class_keys.index(key) for key in half.class_keys]
+    assert sorted(columns) == [
+        c for c, key in enumerate(t.class_keys) if key.role == ""
+    ]
+    half_rows = {r.name: r.values for r in half.rows}
+    bases = set()
+    for row in t.rows:
+        # A1, A2 -> A; B1, B2 -> B; E_l -> E_l
+        base = row.name[0] if row.name[0] in "AB" else row.name
+        restricted = tuple(row.values[c] for c in columns)
+        assert restricted == pytest.approx(half_rows[base], abs=1e-12), row.name
+        assert not row.paired
+        bases.add(base)
+    assert bases == set(half_rows)

@@ -264,6 +264,26 @@ def test_hat_stack_requires_threefold_axis(tetrahedron):
         hat_stack(capped, side, 1)
 
 
+def test_hat_stack_refuses_face_centred_on_axis_but_not_turned_onto_itself():
+    # three C3 orbits in z = 0; the triangle (0, 3, 6) has its centroid on
+    # the axis and its normal along it, but the C3 turns it onto (1, 4, 7)
+    rot = np.array([[-0.5, -math.sqrt(3) / 2], [math.sqrt(3) / 2, -0.5]])
+    points = []
+    for seed in ((1.0, 0.0), (-0.2, 1.3), (-0.8, -1.3)):
+        p = np.array(seed)
+        for _ in range(3):
+            points.append((float(p[0]), float(p[1]), 0.0))
+            p = rot @ p
+    points.append((0.0, 0.0, 1.5))
+    bars = [(i, i + 3) for i in range(3)] + [(i + 3, i + 6) for i in range(3)]
+    bars += [(i, i + 6) for i in range(3)] + [(i, 9) for i in range(9)]
+    f = new_framework(3, points, bars)
+    assert detect_point_group(f).schoenflies == "C3"
+    assert (f.joint_count, f.bar_count) == (10, 18)
+    with pytest.raises(NotOnThreefoldAxis):
+        hat_stack(f, (0, 3, 6), 2)
+
+
 def test_hat_stack_parameter_validation(tetrahedron):
     with pytest.raises(ValueError):
         hat_stack(tetrahedron, (0, 1, 2), -1)

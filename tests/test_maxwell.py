@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
+import json
 import math
+import pathlib
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +21,7 @@ from isoframe.constructgen import (
     platonic,
 )
 from isoframe.core import maxwell_count, new_framework
+from isoframe.errors import InternalInconsistency
 from isoframe.maxwell import (
     FREE_PLACEMENT_2D,
     FREE_PLACEMENT_3D,
@@ -96,6 +102,17 @@ def test_gamma_regular_and_action_traces(octahedron):
     assert all(v >= 0 for v in jt.values)
     assert all(v >= 0 for v in bt.values)
 
+
+
+def test_bar_trace_refuses_uneven_counts_within_a_class(octahedron):
+    g = detect_point_group(octahedron)
+    x = next(c for c in g.classes if c.label == "6C4").member_ids[0]
+    assert sum(1 for i, img in enumerate(g.elements[x].bar_perm) if img == i) == 0
+    elements = list(g.elements)
+    # one quarter turn now claims to fix all 12 bars, its class mates none
+    elements[x] = replace(elements[x], bar_perm=tuple(range(octahedron.bar_count)))
+    with pytest.raises(InternalInconsistency, match="within class 6C4"):
+        gamma_bar(octahedron, replace(g, elements=elements))
 
 ALL_FIXTURE_BUILDERS = (
     [lambda n=n: platonic(n) for n in ("tetrahedron", "octahedron", "icosahedron")]
@@ -331,3 +348,17 @@ def test_free_placement_accepts_detected_group(octahedron):
     assert not rep.admissible  # |Oh| = 48 does not divide 6
     with pytest.raises(ValueError):
         free_placement_screen(g, 2)
+
+
+def test_survey_script_lists_the_free_placement_groups(capsys, monkeypatch):
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "survey_screen.py"
+    spec = importlib.util.spec_from_file_location("survey_screen", path)
+    survey = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up by name
+    monkeypatch.setitem(sys.modules, "survey_screen", survey)
+    spec.loader.exec_module(survey)
+    assert survey.main(["--json", "--only-admissible"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert {(r["group"], r["dimension"]) for r in rows} == {
+        (g, 2) for g in FREE_PLACEMENT_2D
+    } | {(g, 3) for g in FREE_PLACEMENT_3D}
