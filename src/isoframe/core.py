@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -192,8 +193,21 @@ def bar_ends(
 
     Raises ParseError for a bar without exactly two ids, SelfLoop,
     DanglingEndpoint for an id outside 0..joint_count-1, and DuplicateBar
-    for a pair already seen in either orientation.
+    for a pair already seen in either orientation.  A list or tuple of
+    64 or more integer pairs is checked as one array first (the loop is
+    faster on fewer); on any fault the loop runs, and names the first.
     """
+    if isinstance(bar_pairs, (list, tuple)) and len(bar_pairs) >= 64:
+        try:
+            pairs = np.array(bar_pairs)
+        except (ValueError, TypeError, OverflowError):  # ragged rows, say
+            pairs = np.zeros(0)
+        if pairs.dtype == np.int64 and pairs.shape == (len(bar_pairs), 2):
+            lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+            codes = np.sort((lo << 32) ^ hi)  # ids past 2**32 may alias: to the loop
+            valid = (lo < hi).all() and lo.min() >= 0 and hi.max() < joint_count
+            if valid and (codes[1:] != codes[:-1]).all():
+                return list(zip(lo.tolist(), hi.tolist()))
     seen: dict[tuple[int, int], None] = {}
     for k, pair in enumerate(bar_pairs):
         pair = list(pair)
@@ -388,7 +402,13 @@ def to_json(f: Framework) -> str:
 
 def check_json_rows(rows: list, types: type | tuple[type, ...], what: str) -> None:
     """ParseError at the first row that is not a list of `types` values;
-    bools are refused, though bool is a subclass of int."""
+    bools are refused, though bool is a subclass of int.  The distinct
+    types of rows and entries are checked first; a loop names the first bad row."""
+    kinds = set(map(type, rows))
+    if all(issubclass(t, list) for t in kinds):
+        kinds = set(map(type, chain.from_iterable(rows)))
+        if all(issubclass(t, types) and not issubclass(t, bool) for t in kinds):
+            return
     for row in rows:
         if not isinstance(row, list) or not all(
             isinstance(x, types) and not isinstance(x, bool) for x in row

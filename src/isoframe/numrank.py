@@ -17,7 +17,8 @@ live bars have well-conditioned unit directions meets only those k rows
 of C, so it adds exactly k to the rank and is set aside.  The dense SVD
 ranks only the core that is left, against the cutoff of the whole C.  A
 framework grown by vertex additions peels to an empty core; one grown
-by edge splits keeps every joint in it.
+by edge splits keeps every joint in it.  The conditioning test runs
+once per block size; only a refusal reruns the peel joint by joint.
 
 At loose tolerances the two can part: the peel counts each
 well-conditioned joint exactly, where an SVD of all of C can drop the
@@ -110,20 +111,15 @@ def _rank(sv: np.ndarray, tol: float, top: float | None = None) -> int:
     return int(np.sum(sv > tol * top))
 
 
-def _finite(M: np.ndarray) -> np.ndarray:
-    M = np.asarray(M, dtype=float)
-    if not np.all(np.isfinite(M)):
-        raise NonFiniteEntry("matrix contains NaN or infinite entries")
-    return M
-
-
 def numeric_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> tuple[int, np.ndarray]:
     """Rank by SVD with a relative threshold.
 
     Returns (rank, singular values descending).  Matrices with no rows
     or no columns have rank 0 and an empty singular value list.
     """
-    M = _finite(M)
+    M = np.asarray(M, dtype=float)
+    if not np.all(np.isfinite(M)):
+        raise NonFiniteEntry("matrix contains NaN or infinite entries")
     sv = np.linalg.svd(M, compute_uv=False) if M.size else np.zeros(0)
     return _rank(sv, tol), sv
 
@@ -139,18 +135,26 @@ def _peel(
     it adds exactly k to the rank.  Its bars die with it, and the next
     joint is tried.  Dropping bars never worsens a joint's conditioning,
     so which joints peel does not depend on the order they are tried in.
+    The test runs once per block size k = 2..d, over a peel that takes
+    every joint: if no block fails, a peel testing each joint as it came
+    takes the same ones, so only a refusal reruns the peel joint by joint.
 
     Returns the peeled joints in peel order, the live bars of each when
     it was peeled, and which bars are left in the core.
     """
 
-    def accept(bars: list[int]) -> bool:
-        if len(bars) <= 1:
-            return True
-        U = system.units[bars]
-        return np.linalg.eigvalsh(U @ U.T)[0] >= floor * floor
+    def conditioned(blocks: list[list[int]]) -> bool:
+        for k in set(map(len, blocks)) - {0, 1}:
+            U = system.units[[bars for bars in blocks if len(bars) == k]]
+            if not (np.linalg.eigvalsh(U @ U.transpose(0, 2, 1))[:, 0] >= floor * floor).all():
+                return False
+        return True
 
-    return peel_low_degree(system.joint_count, system.ends.tolist(), d, accept)
+    ends = system.ends.tolist()
+    peel = peel_low_degree(system.joint_count, ends, d)
+    if conditioned(peel[1]):
+        return peel
+    return peel_low_degree(system.joint_count, ends, d, lambda bars: conditioned([bars]))
 
 
 def _largest_singular_value(system: EquilibriumSystem, start: np.ndarray) -> float:

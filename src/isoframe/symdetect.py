@@ -201,14 +201,15 @@ def _key_order(perm: Sequence[int], proper: bool) -> int:
     power then fixes every joint yet has determinant -1, so it is the
     mirror in the joints' hyperplane.
     """
-    order, seen = 1, [False] * len(perm)
+    lengths, seen = set(), [False] * len(perm)
     for start in range(len(perm)):
         if seen[start]:
             continue
         length, x = 0, start
         while not seen[x]:
             seen[x], x, length = True, perm[x], length + 1
-        order = math.lcm(order, length)
+        lengths.add(length)
+    order = math.lcm(*lengths)
     return order if proper or order % 2 == 0 else 2 * order
 
 

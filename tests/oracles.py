@@ -5,7 +5,9 @@ elimination, nearest-point matching, full subset enumeration.  The
 implementations share no code with the package so that agreement
 between the two is evidence, not tautology.  find_joint_permutation
 alone is no oracle: it is the one-matrix entry to the package's matcher
-that only tests use.
+that only tests use.  peel_per_joint shares core.peel_low_degree with
+the package: it checks the batched conditioning test of numrank._peel,
+not the peel itself.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from isoframe.core import peel_low_degree
+from isoframe.errors import DanglingEndpoint, DuplicateBar, ParseError, SelfLoop
 from isoframe.symdetect import _matched_permutations
 
 
@@ -503,3 +507,50 @@ def merged_conjugacy_classes(table: list[list[int]]) -> set[tuple[int, ...]]:
         conjugates |= {inverse[c] for c in conjugates}
         classes.add(tuple(sorted(conjugates)))
     return classes
+
+
+# ---------------------------------------------------------------------------
+# input checks and the numeric peel, one row or one joint at a time
+
+
+def check_json_rows_per_row(rows: list, types, what: str) -> None:
+    """core.check_json_rows as a loop: ParseError at the first row that
+    is not a list of `types` values, bools refused."""
+    for row in rows:
+        if not isinstance(row, list) or not all(
+            isinstance(x, types) and not isinstance(x, bool) for x in row
+        ):
+            raise ParseError(f"bad {what} row: {row!r}")
+
+
+def bar_ends_per_row(joint_count: int, bar_pairs) -> list[tuple[int, int]]:
+    """core.bar_ends as a loop over the bars, naming the first fault."""
+    seen: dict[tuple[int, int], None] = {}
+    for k, pair in enumerate(bar_pairs):
+        pair = list(pair)
+        if len(pair) != 2:
+            raise ParseError(f"bar {k} must have exactly two endpoints, got {pair!r}")
+        u, v = map(int, pair)
+        if u == v:
+            raise SelfLoop(f"bar {k} connects joint {u} to itself")
+        if not (0 <= u < joint_count and 0 <= v < joint_count):
+            raise DanglingEndpoint(f"bar {k} references missing joint in ({u}, {v})")
+        ends = (u, v) if u < v else (v, u)
+        if ends in seen:
+            raise DuplicateBar(f"bar {k} duplicates pair {ends}")
+        seen[ends] = None
+    return list(seen)
+
+
+def peel_per_joint(system, d: int, floor: float):
+    """numrank._peel with the conditioning test run on each joint as the
+    peel reaches it: the smallest eigenvalue of the Gram matrix of its
+    live bars' unit directions must be at least floor**2."""
+
+    def accept(bars: list[int]) -> bool:
+        if len(bars) <= 1:
+            return True
+        U = system.units[bars]
+        return np.linalg.eigvalsh(U @ U.T)[0] >= floor * floor
+
+    return peel_low_degree(system.joint_count, system.ends.tolist(), d, accept)

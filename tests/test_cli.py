@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -623,6 +624,45 @@ def test_pebble_bare_graph_errors_name_the_bar(tmp_path, capsys, bars, message):
     path.write_text(json.dumps({"joints": 3, "bars": bars}))
     code, out, err = _run(capsys, ["pebble", str(path), "--json"])
     assert (code, out, err) == (3, "", f"error: {message}\n")
+
+
+def _vertex_additions(dimension, joint_count, seed):
+    """Framework JSON grown from a simplex: each new joint, at a random
+    point, joins `dimension` earlier ones."""
+    rng = random.Random(seed)
+    d = dimension
+    joints = [[rng.uniform(-1.0, 1.0) for _ in range(d)] for _ in range(joint_count)]
+    bars = [[u, v] for v in range(d + 1) for u in range(v)]
+    bars += [[u, w] for w in range(d + 1, joint_count) for u in rng.sample(range(w), d)]
+    return {"dimension": d, "joints": joints, "bars": bars}
+
+
+def test_json_commands_do_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs a fresh process tens of milliseconds to import, and a
+    # bare np.unique in the input checks would import it; each input has
+    # enough bars (69 or more) for bar_ends to check them as one array
+    paths = []
+    for dimension, joint_count in ((2, 40), (3, 25)):
+        paths.append(tmp_path / f"framework{dimension}.json")
+        paths[-1].write_text(json.dumps(_vertex_additions(dimension, joint_count, 7)))
+    graph = tmp_path / "graph.json"
+    graph.write_text(json.dumps({"joints": 40, "bars": _vertex_additions(2, 40, 7)["bars"]}))
+    runs = [
+        [command, str(path), *flags, "--json"]
+        for path in paths
+        for command, *flags in (["analyze"], ["check", "--sufficient"])
+    ] + [["pebble", str(graph), "--json"]]
+    code = (
+        "import contextlib, io, sys\n"
+        "from isoframe.cli import main\n"
+        f"runs = {runs!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in runs]\n"
+        "print(*codes, 'numpy.ma' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["0"] * len(runs) + ["False"]
 
 
 def test_bare_graph_loader_checks_the_bars_once(tmp_path, capsys, monkeypatch):

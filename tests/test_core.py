@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import isoframe as iso
+from isoframe import core, laman
 from isoframe.errors import (
     DanglingEndpoint,
     DuplicateBar,
@@ -17,6 +18,7 @@ from isoframe.errors import (
     SelfLoop,
     ZeroLengthBar,
 )
+from oracles import bar_ends_per_row, check_json_rows_per_row
 
 
 def triangle():
@@ -182,6 +184,115 @@ def test_json_dict_shape(banana):
 def test_from_json_rejects_malformed(payload):
     with pytest.raises(ParseError):
         iso.from_json(payload)
+
+
+class Row(list):
+    pass
+
+
+# Bar lists on J joints, each built afresh for every call: the bad lists
+# the CLI's pebble tests name (the first eleven), then further faults,
+# and valid lists in other forms than JSON gives.  A list or tuple gets
+# PAD appended, enough bars for bar_ends to check it as an array first.
+J = 70
+PAD = [[k, k + 1] for k in range(3, J - 1)]
+BAR_LISTS = {
+    "self-loop": lambda: [[1, 1]],
+    "past the last joint": lambda: [[0, J]],
+    "negative": lambda: [[0, -1]],
+    "repeated": lambda: [[0, 1], [0, 1]],
+    "reversed repeat": lambda: [[0, 1], [1, 0]],
+    "bool": lambda: [[0, True]],
+    "float": lambda: [[0, 1.0]],
+    "three ids": lambda: [[0, 1, 2]],
+    "one id": lambda: [[0]],
+    "not a list": lambda: {"0": [0, 1]},
+    "bare int row": lambda: [[0, 1], 2],
+    "negative pair": lambda: [[0, 1], [-2, -1]],
+    "above int64": lambda: [[0, 2**63]],
+    "above uint64": lambda: [[2**70, 0]],
+    "below int64": lambda: [[0, -(2**63) - 1]],
+    "bools only": lambda: [[True, False]],
+    "bool self-loop": lambda: [[0, 1], [1, True]],
+    "fractional float": lambda: [[0, 1.5]],
+    "nan": lambda: [[0, math.nan]],
+    "string id": lambda: [[0, "1"]],
+    "None id": lambda: [[0, None]],
+    "ragged": lambda: [[0, 1], [0]],
+    "list subclass loop": lambda: [Row([0, 1]), Row([2, 2])],
+    "later reversed repeat": lambda: [[0, 1], [1, 2], [2, 1]],
+    "loop before dangling before repeat": lambda: [[0, 0], [0, J], [0, 1], [1, 0]],
+    "dangling before repeat": lambda: [[0, 1], [0, J], [1, 0]],
+    "repeat before loop": lambda: [[0, 1], [1, 0], [2, 2]],
+    "repeat of a padding bar": lambda: [[J - 1, J - 2]],
+    # ids of 2**32 or more can give two pairs one array code
+    "one code, two pairs": lambda: [[1, 2], [0, 2**32 + 2]],
+    "large repeat": lambda: [[2**40, 2**40 + 1], [0, 2], [2**40 + 1, 2**40]],
+    "valid": lambda: [[0, 1], [2, 1], [0, 2]],
+    "valid tuples": lambda: ((0, 1), (2, 1), (0, 2)),
+    "valid numpy rows": lambda: [np.array([1, 0]), np.array([2, 1])],
+    "valid int32 rows": lambda: [np.array([1, 0], np.int32), np.array([2, 1], np.int32)],
+    "valid numpy ints": lambda: [[np.int64(2), np.int64(0)], [np.int64(1), np.int64(2)]],
+    "valid generator": lambda: ((k, (k + 1) % 3) for k in range(3)),
+    "valid list subclass": lambda: [Row([0, 1]), Row([2, 1])],
+    "valid array": lambda: np.array([[0, 1], [1, 2]]),
+    "empty": lambda: [],
+}
+CIRCLE = [[math.cos(k), math.sin(k)] for k in range(J)]
+ENTRIES = {
+    "new_framework": lambda bars: iso.new_framework(2, CIRCLE, bars),
+    "from_json_dict": lambda bars: iso.from_json_dict(
+        {"dimension": 2, "joints": CIRCLE, "bars": bars}
+    ),
+    "Graph.from_pairs": lambda bars: laman.Graph.from_pairs(J, bars),
+    "huge Graph.from_pairs": lambda bars: laman.Graph.from_pairs(2**64, bars),
+}
+
+
+def _outcome(entry, name):
+    bars = BAR_LISTS[name]()
+    if isinstance(bars, (list, tuple)):
+        bars = bars + type(bars)(PAD)
+    try:
+        return "built", ENTRIES[entry](bars)
+    except Exception as e:  # the class and message are what is compared
+        return type(e), str(e)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("name", BAR_LISTS)
+def test_bar_checks_match_the_per_row_loop(monkeypatch, entry, name):
+    got = _outcome(entry, name)
+    monkeypatch.setattr(core, "bar_ends", bar_ends_per_row)
+    monkeypatch.setattr(laman, "bar_ends", bar_ends_per_row)
+    monkeypatch.setattr(core, "check_json_rows", check_json_rows_per_row)
+    assert got == _outcome(entry, name)
+
+
+@pytest.mark.parametrize(
+    "joints",
+    [
+        [[0.0, 0.0], [1.0, True], [0.0, 1.0]],
+        [[0.0, 0.0], [1.0, "0"], [0.0, 1.0]],
+        [[0.0, 0.0], (1.0, 0.0), [0.0, 1.0]],
+        [[0.0, 0.0], Row([1.0, 0.0]), [0.0, 1.0]],
+        [[0, 0], [1, 0], [0, 1.5]],
+        [[0.0, 0.0], [1.0, None], 7],
+        [[0.0, 0.0], [1.0, [0.0]], [0.0, 1.0]],
+    ],
+)
+def test_joint_row_checks_match_the_per_row_loop(monkeypatch, joints):
+    data = {"dimension": 2, "joints": joints, "bars": [[0, 1]]}
+
+    def outcome():
+        try:
+            return iso.from_json_dict(data)
+        except Exception as e:
+            return type(e), str(e)
+
+    got = outcome()
+    monkeypatch.setattr(core, "check_json_rows", check_json_rows_per_row)
+    assert got == outcome()
 
 
 def test_centroid_and_diameter():

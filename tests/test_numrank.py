@@ -13,8 +13,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import isoframe as iso
+from isoframe import numrank
 from isoframe.numrank import (
     DEFAULT_RANK_TOL,
     build_system,
@@ -24,7 +27,7 @@ from isoframe.numrank import (
     rigid_body_basis,
     rigid_body_dimension,
 )
-from oracles import exact_rigidity_rank, henneberg_graph
+from oracles import exact_rigidity_rank, henneberg_graph, peel_per_joint
 
 
 def to_fractions(f):
@@ -312,6 +315,81 @@ def test_collinear_degree_two_joint_is_not_peeled():
         assert (ks.rank, ks.m, ks.s) == counts
         stress, mech = nullspace_bases(f)
         assert (mech.shape[0], stress.shape[0]) == (ks.m, ks.s)
+
+
+def flat_henneberg(d, j, seed, flat_share, extra):
+    """Vertex additions from a d-simplex: each new joint joins d earlier
+    ones, and with probability flat_share sits on the line (d = 2) or
+    plane (d = 3) through them, so its bars cannot all peel with it.
+    Then `extra` further bars between random joints."""
+    rng = np.random.default_rng(seed)
+    coords = list(rng.uniform(-1.0, 1.0, (d + 1, d)))
+    bars = {(u, v) for v in range(d + 1) for u in range(v)}
+    for w in range(d + 1, j):
+        parents = sorted(rng.choice(w, d, replace=False).tolist())
+        if rng.random() < flat_share:
+            base = coords[parents[0]]
+            t = rng.uniform(-1.5, 2.5, d - 1)
+            coords.append(base + sum(t[i] * (coords[p] - base) for i, p in enumerate(parents[1:])))
+        else:
+            coords.append(rng.uniform(-1.0, 1.0, d))
+        bars.update((p, w) for p in parents)
+    for _ in range(extra):
+        u, v = sorted(rng.choice(j, 2, replace=False).tolist())
+        bars.add((u, v))
+    return iso.new_framework(d, np.array(coords).tolist(), sorted(bars))
+
+
+@given(
+    d=st.sampled_from([2, 3]),
+    j=st.integers(5, 40),
+    seed=st.integers(0, 2**32 - 1),
+    flat_share=st.sampled_from([0.0, 0.3, 1.0]),
+    extra=st.integers(0, 4),
+    floor=st.sampled_from([max(1e-3, DEFAULT_RANK_TOL**0.5), 0.3]),
+)
+@settings(max_examples=150, deadline=None)
+def test_batched_peel_matches_the_per_joint_peel(d, j, seed, flat_share, extra, floor):
+    system = build_system(flat_henneberg(d, j, seed, flat_share, extra))
+    assert numrank._peel(system, d, floor) == peel_per_joint(system, d, floor)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_conditioning_is_tested_once_per_block_size(monkeypatch):
+    # every joint of the chain peels: one peel, one test per size k = 2..d
+    system = build_system(planar_chain(2000))
+    eig = _count_calls(monkeypatch, np.linalg, "eigvalsh")
+    peels = _count_calls(monkeypatch, numrank, "peel_low_degree")
+    order, _, _ = numrank._peel(system, 2, 1e-3)
+    assert len(order) == 2000
+    assert len(eig) <= 1  # d - 1, with d = 2
+    assert len(peels) == 1
+
+
+def test_refused_joint_reruns_the_peel_joint_by_joint(monkeypatch):
+    # joint 5 sits on the line through its two neighbours: the first
+    # peel's blocks fail, and the rerun tries each joint as it comes
+    f = planar_chain(10)
+    coords = f.coordinates.copy()
+    coords[5] = 2 * coords[4] - coords[3]
+    f = iso.new_framework(2, coords.tolist(), [bar.ends for bar in f.bars])
+    system = build_system(f)
+    peels = _count_calls(monkeypatch, numrank, "peel_low_degree")
+    got = numrank._peel(system, 2, 1e-3)
+    assert len(peels) == 2
+    assert got == peel_per_joint(system, 2, 1e-3)
+    assert got[0] != numrank.peel_low_degree(system.joint_count, system.ends.tolist(), 2)[0]
 
 
 def test_loose_tolerance_keeps_the_exact_rank_of_a_chain():

@@ -8,6 +8,7 @@ import json
 import math
 import random
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -470,6 +471,23 @@ def test_key_order_matches_powering(perm, proper):
     m = permutation_order_bruteforce(perm)
     want = m if proper or m % 2 == 0 else 2 * m
     assert _key_order(tuple(perm), proper) == want
+
+
+def test_key_order_takes_one_lcm(monkeypatch):
+    # 30 cycles of lengths 1..6, five of each: one lcm over the six lengths
+    perm, start = [], 0
+    for length in [1, 2, 3, 4, 5, 6] * 5:
+        perm += [start + (k + 1) % length for k in range(length)]
+        start += length
+    calls = []
+
+    def lcm(*lengths):
+        calls.append(lengths)
+        return math.lcm(*lengths)
+
+    monkeypatch.setattr(symdetect, "math", SimpleNamespace(lcm=lcm))
+    assert _key_order(tuple(perm), True) == permutation_order_bruteforce(perm) == 60
+    assert len(calls) == 1 and sorted(calls[0]) == [1, 2, 3, 4, 5, 6]
 
 
 def _ring(n):
