@@ -95,7 +95,6 @@ from .symdetect import (
     IsometryOp,
     OrbitPartition,
     PointGroupInfo,
-    SymmetryAssignment,
     UnshiftedCounts,
     classify_group,
     detect_point_group,
@@ -117,7 +116,7 @@ __all__ = [
     "build_system", "numeric_rank", "rigid_body_basis",
     "rigid_body_dimension", "mobility", "nullspace_bases",
     # symmetry detection
-    "IsometryOp", "SymmetryAssignment", "ConjugacyClass", "PointGroupInfo",
+    "IsometryOp", "ConjugacyClass", "PointGroupInfo",
     "UnshiftedCounts", "OrbitPartition", "detect_symmetries",
     "classify_group", "detect_point_group", "unshifted_counts", "orbits",
     # character tables

@@ -36,7 +36,6 @@ from .errors import InternalInconsistency, NonIntegralMultiplicity, Unrecognized
 from .symdetect import (
     ClassKey,
     PointGroupInfo,
-    SymmetryAssignment,
     _classify_isometries,
     _key_order,
     _matched_permutations,
@@ -262,16 +261,16 @@ def _close_under_multiplication(
 def reference_group(label: str, dimension: int = 3) -> PointGroupInfo:
     """A concrete realization of the group from reference generators.
 
-    Each element carries its permutation of the free orbit, which gives
-    its order.
+    Its joint_perms permute the free orbit, and give each element's
+    order; it has no bar_perms.
     """
     label = canonical_label(label)
     mats, orbit = _close_under_multiplication(_generators(label, dimension), dimension)
     mats = np.array(mats)
-    perms = [perm for perm, _ in _matched_permutations(orbit, mats, 1e-6)]
+    perms = np.array([perm for perm, _ in _matched_permutations(orbit, mats, 1e-6)])
     proper = np.linalg.det(mats) > 0
-    ops = _classify_isometries(mats, dimension, list(map(_key_order, perms, proper)), proper)
-    info = classify_group([SymmetryAssignment(op, perm, None) for op, perm in zip(ops, perms)])
+    orders = list(map(_key_order, perms.tolist(), proper.tolist()))
+    info = classify_group(_classify_isometries(mats, dimension, orders, proper), perms)
     if info.schoenflies != label:
         raise InternalInconsistency(
             f"reference generators for {label} closed into {info.schoenflies}"
@@ -307,18 +306,16 @@ def _rows_cyclic(info: PointGroupInfo) -> list[IrrepRow]:
 
 
 def _half(info: PointGroupInfo, members: list[int]) -> tuple[CharacterTable, dict[int, int]]:
-    """The table of the subgroup on members, and each member's column in it.
+    """The table of the subgroup on members, ascending element ids, and
+    each member's column in it.
 
-    The subgroup is classified as a group of its own; its elements, like
-    those of any reference group, are told apart by their permutation.
+    The subgroup is classified as a group of its own.  info's elements
+    are in canonical order, so the stable sort in classify_group leaves
+    the ascending members as they are: its element y is members[y].
     """
-    half = classify_group([info.elements[x] for x in members])
-    column = {
-        half.elements[y].joint_perm: ci
-        for ci, cls in enumerate(half.classes)
-        for y in cls.member_ids
-    }
-    return _table_from_info(half), {x: column[info.elements[x].joint_perm] for x in members}
+    half = classify_group([info.elements[x] for x in members], info.joint_perms[members])
+    column = {members[y]: ci for ci, cls in enumerate(half.classes) for y in cls.member_ids}
+    return _table_from_info(half), column
 
 
 # how a 1D row of the axis half extends over the one or two flip classes
@@ -337,7 +334,7 @@ def _rows_dihedral(info: PointGroupInfo) -> list[IrrepRow]:
     (_FLIP_VALUES); each pair row becomes one real 2D row, 0 on the flips.
     """
     flip_classes = [ci for ci, c in enumerate(info.classes) if c.key.role != ""]
-    members = [x for c in info.classes if c.key.role == "" for x in c.member_ids]
+    members = sorted(x for c in info.classes if c.key.role == "" for x in c.member_ids)
     if 2 * len(members) != info.order:
         raise InternalInconsistency(
             f"{info.schoenflies} did not split evenly into an axis half and flips"
@@ -450,7 +447,7 @@ def _rows_product(info: PointGroupInfo) -> list[IrrepRow]:
     class of proper elements is a class of H, and an improper element r
     takes the H-class of w r.
     """
-    kinds = [a.op.kind for a in info.elements]
+    kinds = [op.kind for op in info.elements]
     if "i" in kinds:
         w, suffix_even, suffix_odd = kinds.index("i"), "g", "u"
     elif "sigma" in kinds:

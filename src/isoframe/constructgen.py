@@ -402,11 +402,10 @@ def hat_stack(
     diam = f.diameter()
     # a threefold rotation that turns the face onto itself has its axis
     # through the face's centroid, along its normal
+    group = detect_point_group(f)
     if not any(
-        el.op.kind == "C"
-        and el.op.n == 3
-        and {el.joint_perm[i] for i in fa.ids} == set(fa.ids)
-        for el in detect_point_group(f).elements
+        op.kind == "C" and op.n == 3 and set(group.joint_perms[x, fa.ids].tolist()) == set(fa.ids)
+        for x, op in enumerate(group.elements)
     ):
         raise NotOnThreefoldAxis(
             f"face {fa.ids} is not centred on a threefold axis of the "

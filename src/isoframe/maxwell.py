@@ -13,7 +13,6 @@ trace vectors onto irreducible characters for reporting.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -172,16 +171,13 @@ def gamma_rigid_body(
 
 
 def _permutation_trace(
-    group: PointGroupInfo, selector
+    group: PointGroupInfo, perms: np.ndarray | None
 ) -> tuple[int, ...]:
-    """Fixed-point counts per class, verified constant across each class."""
-    perms = [selector(a) for a in group.elements]
-    if any(perm is None for perm in perms):
+    """Fixed-point counts per class of the group's stacked permutations,
+    verified constant across each class."""
+    if perms is None:
         raise ValueError("group element carries no joint/bar permutation")
-    n = len(perms[0])
-    # stacked once per group; fromiter reads the tuples faster than np.array
-    stacked = np.fromiter(itertools.chain.from_iterable(perms), np.intp, group.order * n)
-    fixed = (stacked.reshape(group.order, n) == np.arange(n)).sum(axis=1).tolist()
+    fixed = (perms == np.arange(perms.shape[1])).sum(axis=1).tolist()
     values = []
     for cls in group.classes:
         counts = {fixed[m] for m in cls.member_ids}
@@ -196,13 +192,13 @@ def _permutation_trace(
 
 def gamma_joint(f: Framework, group: PointGroupInfo) -> TraceVector:
     """Per-class count of joints left in place (the joint permutation trace)."""
-    values = _permutation_trace(group, lambda a: a.joint_perm)
+    values = _permutation_trace(group, group.joint_perms)
     return TraceVector(group, values, (True,) * len(values))
 
 
 def gamma_bar(f: Framework, group: PointGroupInfo) -> TraceVector:
     """Per-class count of bars left in place setwise (the bar permutation trace)."""
-    values = _permutation_trace(group, lambda a: a.bar_perm)
+    values = _permutation_trace(group, group.bar_perms)
     return TraceVector(group, values, (True,) * len(values))
 
 
@@ -256,7 +252,7 @@ def maxwell_trace(f: Framework, group: PointGroupInfo) -> TraceVector:
     values: list[int | float] = []
     exact: list[bool] = []
     for cls, jf, bf in zip(group.classes, j_trace, b_trace):
-        op = group.elements[cls.rep_id].op
+        op = group.elements[cls.rep_id]
         txyz, trot = gamma_rigid_body(op, d)
         v = jf * txyz - bf - txyz - trot
         ref = _closed_form(op, d, f.joint_count, f.bar_count, jf, bf)
@@ -515,10 +511,13 @@ def isostatic_necessary(
         group = detect_point_group(f)
     d = f.dimension
     j, b = f.joint_count, f.bar_count
+    if group.bar_perms is None:
+        raise ValueError("the group carries no bar permutations; detect it on the framework")
     builder = _checks_2d if d == 2 else _checks_3d
     checks: list[ConditionCheck] = []
     for cls in group.classes:
-        counts = unshifted_counts(f, group.elements[cls.rep_id])
+        x = cls.rep_id
+        counts = unshifted_counts(f, group.elements[x], group.joint_perms[x], group.bar_perms[x])
         checks.extend(builder(cls.label, counts, j, b))
     notes: list[str] = []
     admissible_2d: bool | None = None
@@ -574,7 +573,7 @@ def free_placement_screen(
     values: list[int | float] = []
     exact: list[bool] = []
     for cls in info.classes:
-        op = info.elements[cls.rep_id].op
+        op = info.elements[cls.rep_id]
         txyz, trot = gamma_rigid_body(op, d)
         reg = d_rig if cls.key.kind == "E" else 0
         v = reg - txyz - trot

@@ -94,20 +94,6 @@ class IsometryOp:
         return (_KIND_RANK[self.kind], -self.n, self.k, axis)
 
 
-@dataclass(frozen=True)
-class SymmetryAssignment:
-    """An isometry together with the joint and bar permutations it induces.
-
-    Permutations map ids to image ids.  A reference group
-    (chartables.reference_group) permutes the points of a free orbit and
-    has no bars.
-    """
-
-    op: IsometryOp
-    joint_perm: tuple[int, ...] | None
-    bar_perm: tuple[int, ...] | None
-
-
 class ClassKey(NamedTuple):
     """Stable identifier of a merged conjugacy class across groups.
 
@@ -137,27 +123,27 @@ class PointGroupInfo:
     """A finite point group realized on concrete elements.
 
     elements are sorted canonically with the identity first;
-    mult_table[x, y] is the index of element x composed after y, and
-    inverse[x] the index of the inverse.  classes are merged with their
-    inverse classes so they align one-to-one with real character table
-    columns.  Nothing downstream of the group reads coordinates again,
-    so it carries no tolerance.
+    joint_perms[x] and bar_perms[x] send each joint and bar id to its
+    image under element x, as read-only int64 arrays of shape (g, j) and
+    (g, b).  A reference group (chartables.reference_group) permutes the
+    points of a free orbit and has no bar_perms.  mult_table[x, y] is
+    the index of element x composed after y, and inverse[x] the index of
+    the inverse.  classes are merged with their inverse classes so they
+    align one-to-one with real character table columns.  Nothing
+    downstream of the group reads coordinates again, so it carries no
+    tolerance.
     """
 
     schoenflies: str
     dimension: int
     order: int
-    elements: list[SymmetryAssignment]
+    elements: list[IsometryOp]
+    joint_perms: np.ndarray = field(repr=False)
+    bar_perms: np.ndarray | None = field(repr=False)
     classes: list[ConjugacyClass]
     principal_axis: tuple[float, ...] | None
     mult_table: np.ndarray = field(repr=False)
     inverse: np.ndarray = field(repr=False)
-
-    def class_of_element(self, element_id: int) -> ConjugacyClass:
-        for cls in self.classes:
-            if element_id in cls.member_ids:
-                return cls
-        raise InternalInconsistency(f"element {element_id} is in no class")
 
 
 @dataclass(frozen=True)
@@ -388,7 +374,7 @@ def _isometries(
     tol: float,
     exp: int,
     ends: np.ndarray,
-) -> Iterator[tuple[np.ndarray, bool, tuple[int, ...] | None, tuple[int, ...] | None]]:
+) -> Iterator[tuple[np.ndarray, bool, np.ndarray | None, np.ndarray | None]]:
     """Yield each candidate's matrix, whether it is proper, and its joint
     and bar permutations (_matched_permutations), in candidate order.
 
@@ -487,8 +473,9 @@ def _matched_permutations(
     tol: float,
     exp: int = 0,
     ends: np.ndarray | None = None,
-) -> Iterator[tuple[tuple[int, ...] | None, tuple[int, ...] | None]]:
-    """Yield the joint and bar permutation of each matrix of the stack Ms.
+) -> Iterator[tuple[np.ndarray | None, np.ndarray | None]]:
+    """Yield the joint and bar permutation of each matrix of the stack Ms,
+    as int rows of image ids.
 
     The joints' images are matched in blocks of matrices, at most
     _BLOCK images to a block and one pairs_within call per block, so
@@ -505,8 +492,6 @@ def _matched_permutations(
         codes = ends[:, 0] * j + ends[:, 1]
         by_code = np.argsort(codes)
         codes = codes[by_code]
-    # one int object per id, shared by every permutation
-    ids = list(range(max(j, 0 if ends is None else len(ends))))
     step = max(1, _BLOCK // j)
     for lo in range(0, len(Ms), step):
         block = Ms[lo : lo + step]
@@ -534,16 +519,22 @@ def _matched_permutations(
                     _raise_if_ambiguous(hits[i], landed[i], tol, exp)
                 yield None, None
             else:
-                bar_perm = None
-                if bars_ok[i]:
-                    bar_perm = tuple(map(ids.__getitem__, bar_rows[i].tolist()))
-                yield tuple(map(ids.__getitem__, landed[i].tolist())), bar_perm
+                yield landed[i], bar_rows[i] if bars_ok[i] else None
+
+
+def _frozen(perms: np.ndarray, order: list[int]) -> np.ndarray:
+    """A read-only int64 copy of the rows of perms, taken in order."""
+    out = np.asarray(perms, dtype=np.int64)[order]
+    out.setflags(write=False)
+    return out
 
 
 def detect_symmetries(
     f: Framework, geom_tol: float | None = None
-) -> list[SymmetryAssignment]:
-    """All point symmetries of the framework, identity included.
+) -> tuple[list[IsometryOp], np.ndarray, np.ndarray]:
+    """All point symmetries of the framework, identity included, in
+    canonical order (IsometryOp.sort_key), and their joint and bar
+    permutations as read-only int64 arrays of shape (g, j) and (g, b).
 
     geom_tol is relative to the framework diameter; positions matching
     to better than geom_tol * diameter are considered equal.  Raises
@@ -586,12 +577,12 @@ def detect_symmetries(
 
     # a symmetry is its joint permutation and the sign of its determinant;
     # kept[x] is the matrix of the x-th key found
-    found: dict[tuple[tuple[int, ...], bool], tuple[int, ...]] = {}
+    found: dict[tuple[bytes, bool], tuple[np.ndarray, np.ndarray]] = {}
     kept: list[np.ndarray] = []
     try:
         for M, proper, perm, bar_perm in _isometries(P, basis, images, tol, exp, ends):
-            if perm is not None and bar_perm is not None and (perm, proper) not in found:
-                found[perm, proper] = bar_perm
+            if perm is not None and bar_perm is not None and (perm.tobytes(), proper) not in found:
+                found[perm.tobytes(), proper] = perm, bar_perm
                 kept.append(M)
     finally:
         # keys found before a candidate that raised are checked first,
@@ -599,17 +590,15 @@ def detect_symmetries(
         kept = np.array(kept).reshape(-1, d, d)
         _raise_if_close(kept)
 
-    proper = np.array([sign for _, sign in found], dtype=bool)
-    orders = [_key_order(perm, sign) for perm, sign in found]
-    ops = _classify_isometries(kept, d, orders, proper)
-    assignments = [
-        SymmetryAssignment(op, perm, bar_perm)
-        for op, ((perm, _), bar_perm) in zip(ops, found.items())
-    ]
-    assignments.sort(key=lambda a: a.op.sort_key)
-    if not assignments or assignments[0].op.kind != "E":
+    proper = [sign for _, sign in found]
+    joint_perms = np.array([perm for perm, _ in found.values()]).reshape(len(found), j)
+    bar_perms = np.array([bars for _, bars in found.values()]).reshape(len(found), len(ends))
+    orders = list(map(_key_order, joint_perms.tolist(), proper))
+    ops = _classify_isometries(kept, d, orders, np.array(proper, dtype=bool))
+    order = sorted(range(len(ops)), key=lambda x: ops[x].sort_key)
+    if not order or ops[order[0]].kind != "E":
         raise InternalInconsistency("the identity was not among the detected symmetries")
-    return assignments
+    return [ops[x] for x in order], _frozen(joint_perms, order), _frozen(bar_perms, order)
 
 
 def _parse_label(label: str) -> tuple[str, int, str]:
@@ -921,34 +910,42 @@ def _missing_product(perms: np.ndarray, signs: np.ndarray) -> NotAGroup:
     return NotAGroup("the identity is not among the elements")
 
 
-def classify_group(elements: Sequence[SymmetryAssignment]) -> PointGroupInfo:
+def classify_group(
+    elements: Sequence[IsometryOp],
+    joint_perms: np.ndarray,
+    bar_perms: np.ndarray | None = None,
+) -> PointGroupInfo:
     """Close, verify, and name a finite set of isometries as a point group.
 
-    The multiplication table comes from the exact joint permutations,
-    each keyed with the sign of its determinant (_cayley_table): when
-    the joints span only a hyperplane, an element and its product with
-    the mirror in that hyperplane permute the joints alike.  The label, the
-    principal axis and the class roles are read from the element kinds
-    and that table: with r the principal rotation, a half turn crosses
-    the principal axis when it is no power of r, and a mirror s is
-    horizontal when s r is no mirror.  Raises NotAGroup when the set is
-    not closed or lacks the identity, and UnrecognizedGroup when it
-    does not match any supported type.
+    joint_perms[x] and bar_perms[x] are the joint and bar permutations of
+    elements[x]; the group holds all three in canonical element order, a
+    stable sort by IsometryOp.sort_key.  The multiplication table comes
+    from the exact joint permutations, each keyed with the sign of its
+    determinant (_cayley_table): when the joints span only a hyperplane,
+    an element and its product with the mirror in that hyperplane permute
+    the joints alike.  The label, the principal axis and the class roles
+    are read from the element kinds and that table: with r the principal
+    rotation, a half turn crosses the principal axis when it is no power
+    of r, and a mirror s is horizontal when s r is no mirror.  Raises
+    NotAGroup when the set is not closed or lacks the identity, and
+    UnrecognizedGroup when it does not match any supported type.
     """
     if not elements:
         raise NotAGroup("no elements supplied")
-    assignments = sorted(elements, key=lambda a: a.op.sort_key)
-    dims = {a.op.matrix.shape[0] for a in assignments}
+    order = sorted(range(len(elements)), key=lambda x: elements[x].sort_key)
+    ops = [elements[x] for x in order]
+    dims = {op.matrix.shape[0] for op in ops}
     if len(dims) != 1:
         raise ValueError("elements mix dimensions")
     dimension = dims.pop()
-    ops = [a.op for a in assignments]
     if ops[0].kind != "E":
         raise NotAGroup("the identity is not among the elements")
     g = len(ops)
-    if any(a.joint_perm is None for a in assignments):
+    if joint_perms is None or len(joint_perms) != g:
         raise ValueError("every element needs its joint permutation")
-    perms = np.array([a.joint_perm for a in assignments], dtype=np.int64)
+    perms = _frozen(joint_perms, order)
+    if bar_perms is not None:
+        bar_perms = _frozen(bar_perms, order)
     signs = np.array([1 if op.kind in ("E", "C") else -1 for op in ops], dtype=np.int64)
     table = _cayley_table(perms, signs)
     # distinct invertible keys make every row a permutation of 0..g-1
@@ -991,7 +988,9 @@ def classify_group(elements: Sequence[SymmetryAssignment]) -> PointGroupInfo:
         schoenflies=label,
         dimension=dimension,
         order=g,
-        elements=assignments,
+        elements=ops,
+        joint_perms=perms,
+        bar_perms=bar_perms,
         classes=classes,
         principal_axis=None if axis_id is None else ops[axis_id].axis,
         mult_table=table,
@@ -1007,9 +1006,9 @@ def detect_point_group(
     A detected set that is not closed raises ToleranceAmbiguity, not
     NotAGroup: the tolerance let some symmetries through and not others.
     """
-    elements = detect_symmetries(f, geom_tol)
+    ops, joint_perms, bar_perms = detect_symmetries(f, geom_tol)
     try:
-        return classify_group(elements)
+        return classify_group(ops, joint_perms, bar_perms)
     except NotAGroup as exc:
         rel = DEFAULT_GEOM_TOL if geom_tol is None else float(geom_tol)
         raise ToleranceAmbiguity(
@@ -1033,26 +1032,29 @@ _FIXED_BAR_TAGS = {
 }
 
 
-def unshifted_counts(f: Framework, assignment: SymmetryAssignment) -> UnshiftedCounts:
+def unshifted_counts(
+    f: Framework, op: IsometryOp, joint_perm: Sequence[int] | None, bar_perm: Sequence[int] | None
+) -> UnshiftedCounts:
     """Count and tag the joints and bars one operation leaves in place.
 
-    Reads the assignment's joint and bar permutations, which detected
-    ones carry, and no coordinates.  A fixed bar's tag follows from the
-    operation's kind, the dimension and whether the bar's ends are
-    swapped (_FIXED_BAR_TAGS).  A pair no isometry can produce, such as
-    a rotation of order 3 swapping two joints, which would then fix
-    both, raises InternalInconsistency: the permutation is wrong.
+    Reads the operation's joint and bar permutations, rows of a detected
+    group's joint_perms and bar_perms, and no coordinates.  A fixed bar's
+    tag follows from the operation's kind, the dimension and whether the
+    bar's ends are swapped (_FIXED_BAR_TAGS).  A pair no isometry can
+    produce, such as a rotation of order 3 swapping two joints, which
+    would then fix both, raises InternalInconsistency: the permutation is
+    wrong.
     """
-    op, joint_perm, bar_perm = assignment.op, assignment.joint_perm, assignment.bar_perm
     if joint_perm is None or bar_perm is None:
         raise ValueError("the operation needs its joint and bar permutations")
-    fixed_joints = tuple(i for i in range(f.joint_count) if joint_perm[i] == i)
-    fixed_bars = tuple(b for b in range(f.bar_count) if bar_perm[b] == b)
+    joint_perm, bar_perm = np.asarray(joint_perm), np.asarray(bar_perm)
+    fixed_joints = tuple(np.flatnonzero(joint_perm == np.arange(f.joint_count)).tolist())
+    fixed_bars = tuple(np.flatnonzero(bar_perm == np.arange(f.bar_count)).tolist())
 
     bar_tags: dict[int, str] = {}
     for b in fixed_bars if op.kind != "E" else ():
         u, v = f.bars[b].ends
-        swapped = joint_perm[u] == v
+        swapped = int(joint_perm[u]) == v
         kind = f"C{op.n}" if op.kind == "C" and swapped else op.kind
         tag = _FIXED_BAR_TAGS.get((kind, f.dimension, swapped))
         if tag is None:
@@ -1078,22 +1080,21 @@ def orbits(f: Framework, group: PointGroupInfo) -> OrbitPartition:
     """Joint and bar orbits under the group action.
 
     The elements form a group, so the orbit of x is its image under every
-    element.  Orbits come ordered by their smallest member.
+    element, the column x of the group's permutations.  Only the column of
+    each orbit's smallest member is read.  Orbits come ordered by their
+    smallest member.
     """
-    if any(a.joint_perm is None or a.bar_perm is None for a in group.elements):
+    if group.bar_perms is None:
         raise ValueError("group elements lack permutations; detect them on a framework")
 
-    def collect(perms: list[tuple[int, ...]], count: int) -> tuple[tuple[int, ...], ...]:
+    def collect(perms: np.ndarray) -> tuple[tuple[int, ...], ...]:
         out: list[tuple[int, ...]] = []
         seen: set[int] = set()
-        for x in range(count):
+        for x in range(perms.shape[1]):
             if x not in seen:
-                orbit = sorted({p[x] for p in perms})
+                orbit = sorted(set(perms[:, x].tolist()))
                 seen.update(orbit)
                 out.append(tuple(orbit))
         return tuple(out)
 
-    return OrbitPartition(
-        joint_orbits=collect([a.joint_perm for a in group.elements], f.joint_count),
-        bar_orbits=collect([a.bar_perm for a in group.elements], f.bar_count),
-    )
+    return OrbitPartition(collect(group.joint_perms), collect(group.bar_perms))

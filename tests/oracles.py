@@ -470,7 +470,8 @@ def find_joint_permutation(
 ) -> tuple[int, ...] | None:
     """The joint that each joint's image under M lands on, within tol:
     None when M is no symmetry (see symdetect._raise_if_ambiguous)."""
-    return next(_matched_permutations(P, M[None], tol, exp))[0]
+    perm = next(_matched_permutations(P, M[None], tol, exp))[0]
+    return None if perm is None else tuple(perm.tolist())
 
 
 # ---------------------------------------------------------------------------

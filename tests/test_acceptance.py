@@ -256,7 +256,7 @@ def test_criterion_4_trace_assembly_matches_closed_form(
         coords = np.asarray(f.coordinates)
         edges = [b.ends for b in f.bars]
         for ci, cls in enumerate(group.classes):
-            matrix = group.elements[cls.rep_id].op.matrix
+            matrix = group.elements[cls.rep_id].matrix
             want = assembled_trace(coords, edges, matrix)
             got = trace.values[ci]
             classes_checked += 1
@@ -419,7 +419,8 @@ def test_criterion_8_burnside_and_regular_representation(
     for name, f in zoo.items():
         group = detect_point_group(f)
         total = sum(
-            unshifted_counts(f, a).joints_unshifted for a in group.elements
+            unshifted_counts(f, *a).joints_unshifted
+            for a in zip(group.elements, group.joint_perms, group.bar_perms)
         )
         orbit_count = len(orbits(f, group).joint_orbits)
         if total != group.order * orbit_count:

@@ -189,7 +189,7 @@ def test_twisted_caps_keep_rotations_only(name, j, b, label, order):
     g = detect_point_group(tw)
     assert (g.schoenflies, g.order) == (label, order)
     # the twist is chiral: every surviving operation is a rotation
-    assert {a.op.kind for a in g.elements} == {"E", "C"}
+    assert {op.kind for op in g.elements} == {"E", "C"}
 
 
 def test_twisted_octahedron_is_isostatic(octahedron):

@@ -57,8 +57,8 @@ def _jittered(name, f, noise, draw):
     return new_framework(f.dimension, f.coordinates + shift, [b.ends for b in f.bars])
 
 
-def _element_digest(a) -> str:
-    text = repr((a.op.kind, a.op.n, a.op.k, a.joint_perm, a.bar_perm))
+def _element_digest(op, joint_perm, bar_perm) -> str:
+    text = repr((op.kind, op.n, op.k, tuple(joint_perm.tolist()), tuple(bar_perm.tolist())))
     return hashlib.sha256(text.encode()).hexdigest()[:10]
 
 
@@ -70,7 +70,9 @@ def outcome(f, geom_tol: float) -> dict:
     return {
         "group": g.schoenflies,
         "classes": [c.label for c in g.classes],
-        "elements": [_element_digest(a) for a in g.elements],
+        "elements": [
+            _element_digest(*a) for a in zip(g.elements, g.joint_perms, g.bar_perms)
+        ],
     }
 
 

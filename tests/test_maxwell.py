@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from isoframe.chartables import CATALOG_2D, CATALOG_3D
+from isoframe.chartables import CATALOG_2D, CATALOG_3D, reference_group
 from isoframe.constructgen import (
     cap_all_faces_symmetric,
     counterexample_2d,
@@ -107,12 +107,20 @@ def test_gamma_regular_and_action_traces(octahedron):
 def test_bar_trace_refuses_uneven_counts_within_a_class(octahedron):
     g = detect_point_group(octahedron)
     x = next(c for c in g.classes if c.label == "6C4").member_ids[0]
-    assert sum(1 for i, img in enumerate(g.elements[x].bar_perm) if img == i) == 0
-    elements = list(g.elements)
+    assert (g.bar_perms[x] == np.arange(octahedron.bar_count)).sum() == 0
+    bar_perms = g.bar_perms.copy()
     # one quarter turn now claims to fix all 12 bars, its class mates none
-    elements[x] = replace(elements[x], bar_perm=tuple(range(octahedron.bar_count)))
+    bar_perms[x] = np.arange(octahedron.bar_count)
     with pytest.raises(InternalInconsistency, match="within class 6C4"):
-        gamma_bar(octahedron, replace(g, elements=elements))
+        gamma_bar(octahedron, replace(g, bar_perms=bar_perms))
+
+
+def test_counts_refuse_a_group_without_bar_permutations(octahedron):
+    # a reference group permutes a free orbit and carries no bars
+    with pytest.raises(ValueError, match="no bar permutations"):
+        isostatic_necessary(octahedron, reference_group("Oh"))
+    with pytest.raises(ValueError):
+        gamma_bar(octahedron, reference_group("Oh"))
 
 ALL_FIXTURE_BUILDERS = (
     [lambda n=n: platonic(n) for n in ("tetrahedron", "octahedron", "icosahedron")]
@@ -138,7 +146,7 @@ def test_trace_matches_independent_assembly(build):
     coords = f.coordinates
     edges = [b.ends for b in f.bars]
     for cls, val in zip(g.classes, t.values):
-        M = g.elements[cls.rep_id].op.matrix
+        M = g.elements[cls.rep_id].matrix
         ref = assembled_trace(coords, edges, M)
         assert float(val) == pytest.approx(ref, abs=1e-9), cls.label
 

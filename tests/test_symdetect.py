@@ -27,7 +27,6 @@ from isoframe.errors import (
 )
 from isoframe.maxwell import isostatic_necessary, maxwell_trace
 from isoframe.symdetect import (
-    SymmetryAssignment,
     _key_order,
     classify_group,
     classify_matrix,
@@ -80,11 +79,15 @@ ICOSA_TABLE = [
 ]
 
 
+def _counts(f, group, x):
+    """unshifted_counts of element x of the group."""
+    return unshifted_counts(f, group.elements[x], group.joint_perms[x], group.bar_perms[x])
+
+
 def _class_table(f, group):
     rows = []
     for cls in group.classes:
-        rep = group.elements[cls.rep_id]
-        uc = unshifted_counts(f, rep)
+        uc = _counts(f, group, cls.rep_id)
         rows.append((cls.label, uc.joints_unshifted, uc.bars_unshifted))
     return rows
 
@@ -104,8 +107,8 @@ def test_platonic_group_labels(name, label, order):
     assert len(g.elements) == order
     assert sum(c.size for c in g.classes) == order
     # identity is element 0 and forms its own class labeled E
-    assert g.elements[0].op.kind == "E"
-    e_cls = g.class_of_element(0)
+    assert g.elements[0].kind == "E"
+    e_cls = next(cls for cls in g.classes if 0 in cls.member_ids)
     assert e_cls.label == "E" and e_cls.size == 1
 
 
@@ -133,9 +136,9 @@ def test_unshifted_counts_match_bruteforce(name, table):
     g = detect_point_group(f)
     coords = f.coordinates - f.centroid()
     edges = [b.ends for b in f.bars]
-    for a in g.elements:
-        ref_j, ref_b = brute_fixed_counts(coords, edges, a.op.matrix)
-        uc = unshifted_counts(f, a)
+    for x, op in enumerate(g.elements):
+        ref_j, ref_b = brute_fixed_counts(coords, edges, op.matrix)
+        uc = _counts(f, g, x)
         assert (uc.joints_unshifted, uc.bars_unshifted) == (ref_j, ref_b)
 
 
@@ -261,16 +264,23 @@ def _group_under_test(name):
 )
 def test_multiplication_table_consistency(name):
     # the table must agree with both matrix products and permutation
-    # composition: table[x, y] represents "apply y, then x"
+    # composition, of joints and, where there are bars, of bars:
+    # table[x, y] represents "apply y, then x"
     g = _group_under_test(name)
-    mats = [a.op.matrix for a in g.elements]
-    perms = [a.joint_perm for a in g.elements]
+    mats = [op.matrix for op in g.elements]
+    stacks = [g.joint_perms] if g.bar_perms is None else [g.joint_perms, g.bar_perms]
+    if "/" not in name:
+        f = platonic(name)
+        assert [p.shape for p in stacks] == [(g.order, f.joint_count), (g.order, f.bar_count)]
+    for perms in stacks:
+        assert perms.dtype == np.int64 and not perms.flags.writeable
+        assert perms.shape[0] == g.order
     for x in range(g.order):
         for y in range(g.order):
             t = int(g.mult_table[x, y])
             assert np.abs(mats[x] @ mats[y] - mats[t]).max() < 1e-8
-            composed = tuple(perms[x][i] for i in perms[y])
-            assert composed == perms[t]
+            for perms in stacks:
+                assert (perms[x][perms[y]] == perms[t]).all()
 
 
 def test_flat_square_with_diagonal_is_d2h():
@@ -284,11 +294,11 @@ def test_flat_square_with_diagonal_is_d2h():
     )
     g = detect_point_group(f)
     assert (g.schoenflies, g.order) == ("D2h", 8)
-    assert len({a.joint_perm for a in g.elements}) == 4
-    still = [i for i, a in enumerate(g.elements) if a.joint_perm == (0, 1, 2, 3)]
+    assert len({tuple(row) for row in g.joint_perms.tolist()}) == 4
+    still = [i for i, row in enumerate(g.joint_perms.tolist()) if row == [0, 1, 2, 3]]
     e, sigma_h = still
-    assert (g.elements[e].op.kind, g.elements[sigma_h].op.kind) == ("E", "sigma")
-    assert np.allclose(np.abs(g.elements[sigma_h].op.axis), [0.0, 0.0, 1.0])
+    assert (g.elements[e].kind, g.elements[sigma_h].kind) == ("E", "sigma")
+    assert np.allclose(np.abs(g.elements[sigma_h].axis), [0.0, 0.0, 1.0])
     assert int(g.mult_table[sigma_h, sigma_h]) == e
 
 
@@ -298,7 +308,7 @@ def test_inverse_table(octahedron):
         inv = int(g.inverse[x])
         assert int(g.mult_table[x, inv]) == 0
         assert int(g.mult_table[inv, x]) == 0
-        M = g.elements[x].op.matrix @ g.elements[inv].op.matrix
+        M = g.elements[x].matrix @ g.elements[inv].matrix
         assert np.abs(M - np.eye(3)).max() < 1e-8
 
 
@@ -334,8 +344,8 @@ def test_burnside_orbit_counts(key):
     f = fig2_examples(key)
     g = detect_point_group(f)
     part = orbits(f, g)
-    fixed_j = sum(unshifted_counts(f, a).joints_unshifted for a in g.elements)
-    fixed_b = sum(unshifted_counts(f, a).bars_unshifted for a in g.elements)
+    fixed_j = sum(_counts(f, g, x).joints_unshifted for x in range(g.order))
+    fixed_b = sum(_counts(f, g, x).bars_unshifted for x in range(g.order))
     assert fixed_j == g.order * len(part.joint_orbits)
     assert fixed_b == g.order * len(part.bar_orbits)
 
@@ -500,9 +510,9 @@ def test_square_without_bars_has_empty_bar_permutations():
     f = new_framework(2, [(1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0)], [])
     g = detect_point_group(f)
     assert (g.schoenflies, g.order) == ("C4v", 8)
-    assert [a.bar_perm for a in g.elements] == [()] * 8
-    assert sorted(a.joint_perm for a in g.elements) == sorted(
-        tuple((s * i + t) % 4 for i in range(4)) for s in (1, -1) for t in range(4)
+    assert g.bar_perms.shape == (8, 0)
+    assert sorted(g.joint_perms.tolist()) == sorted(
+        [(s * i + t) % 4 for i in range(4)] for s in (1, -1) for t in range(4)
     )
 
 
@@ -517,12 +527,12 @@ def test_ring_of_200_is_c200v_across_two_matching_blocks():
     assert [c.label for c in g.classes] == (
         ["E"] + rotations + ["C2", "100sigma_v", "100sigma_v'"]
     )
-    assert all(sorted(a.bar_perm) == list(range(200)) for a in g.elements)
+    assert (np.sort(g.bar_perms, axis=1) == np.arange(200)).all()
 
 
-def _not_a_group(elements):
+def _not_a_group(elements, joint_perms):
     with pytest.raises(NotAGroup) as caught:
-        classify_group(elements)
+        classify_group(elements, joint_perms)
     return str(caught.value)
 
 
@@ -530,25 +540,27 @@ def test_cayley_table_does_not_trust_the_row_hash(octahedron):
     # swapping two entries of one element's permutation leaves the images
     # of some base alone, whichever base is picked, so the table is found
     # from base images and only the full check on generators can refuse it
-    elements = detect_point_group(octahedron).elements
-    table = classify_group(elements).mult_table
-    unclosed = [a for a in elements if (a.op.kind, a.op.n) != ("C", 4)]
-    message = _not_a_group(unclosed)
-    keys = {(a.joint_perm, a.op.kind in ("E", "C")) for a in elements}
+    g = detect_point_group(octahedron)
+    elements, perms = g.elements, g.joint_perms
+    table = classify_group(elements, perms).mult_table
+    kept = [x for x, op in enumerate(elements) if (op.kind, op.n) != ("C", 4)]
+    unclosed = [elements[x] for x in kept], perms[kept]
+    message = _not_a_group(*unclosed)
+    keys = {(tuple(row), op.kind in ("E", "C")) for row, op in zip(perms.tolist(), elements)}
     x = elements[1]
     for p in range(octahedron.joint_count):
         for q in range(p):
-            perm = list(x.joint_perm)
+            perm = perms[1].tolist()
             perm[p], perm[q] = perm[q], perm[p]
-            edited = list(elements)
-            edited[1] = SymmetryAssignment(x.op, tuple(perm), x.bar_perm)
-            twin = (tuple(perm), x.op.kind in ("E", "C")) in keys
+            edited = perms.copy()
+            edited[1] = perm
+            twin = (tuple(perm), x.kind in ("E", "C")) in keys
             with pytest.raises(ToleranceAmbiguity if twin else NotAGroup):
-                classify_group(edited)
-    assert np.array_equal(classify_group(elements).mult_table, table)
-    assert _not_a_group(unclosed) == message
+                classify_group(elements, edited)
+    assert np.array_equal(classify_group(elements, perms).mult_table, table)
+    assert _not_a_group(*unclosed) == message
     with pytest.raises(ToleranceAmbiguity, match="permute the joints alike"):
-        classify_group(elements + elements[1:2])
+        classify_group(elements + elements[1:2], np.concatenate([perms, perms[1:2]]))
 
 
 def test_ring_of_500_is_c500v():
@@ -563,8 +575,10 @@ def test_ring_of_500_is_c500v():
     )
 
 
-def _keyed(elements):
-    return [a.joint_perm for a in elements], [1 if a.op.kind in ("E", "C") else -1 for a in elements]
+def _keyed(elements, joint_perms):
+    return [tuple(row) for row in joint_perms.tolist()], [
+        1 if op.kind in ("E", "C") else -1 for op in elements
+    ]
 
 
 @functools.lru_cache(maxsize=None)
@@ -581,7 +595,7 @@ def test_group_structure_matches_full_composition():
     groups = _oracle_groups()
     assert len(groups) == 49 + len(CATALOG_2D) + len(CATALOG_3D)
     for name, g in groups.items():
-        table = cayley_table(*_keyed(g.elements))
+        table = cayley_table(*_keyed(g.elements, g.joint_perms))
         assert g.mult_table.tolist() == table, name
         assert g.inverse.tolist() == inverses(table), name
         assert {c.member_ids for c in g.classes} == merged_conjugacy_classes(table), name
@@ -593,20 +607,21 @@ def test_unclosed_subsets_name_the_first_missing_product(data):
     groups = _oracle_groups()
     g = groups[data.draw(st.sampled_from(sorted(groups)))]
     keep = data.draw(st.lists(st.booleans(), min_size=g.order - 1, max_size=g.order - 1))
-    subset = [g.elements[0]] + [a for a, k in zip(g.elements[1:], keep) if k]
-    table = cayley_table(*_keyed(subset))
+    ids = [0] + [x for x, k in enumerate(keep, 1) if k]
+    subset = [g.elements[x] for x in ids], g.joint_perms[ids]
+    table = cayley_table(*_keyed(*subset))
     missing = next(((x, y) for x, row in enumerate(table)
                     for y, z in enumerate(row) if z is None), None)
     assume(missing is not None)
-    assert _not_a_group(subset) == "the product of elements %d and %d is not in the set" % missing
+    assert _not_a_group(*subset) == "the product of elements %d and %d is not in the set" % missing
 
 
 def test_close_symmetries_are_ambiguous_in_candidate_order(octahedron, monkeypatch):
     # a new key whose matrix lies within 1e-4 of a kept one is ambiguous,
     # unless a candidate reached before it raised first
-    e, c4 = detect_symmetries(octahedron)[:2]
-    first = (e.op.matrix, True, e.joint_perm, e.bar_perm)
-    twin = (e.op.matrix + 5e-5, True, c4.joint_perm, c4.bar_perm)
+    ops, perms, bar_perms = detect_symmetries(octahedron)
+    first = (ops[0].matrix, True, perms[0], bar_perms[0])
+    twin = (ops[0].matrix + 5e-5, True, perms[1], bar_perms[1])
     late = ToleranceAmbiguity("a later candidate lands on two joints")
 
     def candidates(*items):
@@ -651,39 +666,40 @@ def test_close_matrices_are_found_block_by_block(seed, monkeypatch):
 
 def test_unshifted_counts_needs_permutations(octahedron):
     # an operation without its permutations is refused, as in classify_group
-    c4 = next(a for a in detect_point_group(octahedron).elements if a.op.n == 4)
+    g = detect_point_group(octahedron)
+    x = next(x for x, op in enumerate(g.elements) if op.n == 4)
     with pytest.raises(ValueError):
-        unshifted_counts(octahedron, SymmetryAssignment(c4.op, None, None))
+        unshifted_counts(octahedron, g.elements[x], None, None)
     with pytest.raises(ValueError):
-        unshifted_counts(octahedron, SymmetryAssignment(c4.op, c4.joint_perm, None))
+        unshifted_counts(octahedron, g.elements[x], g.joint_perms[x], None)
 
 
 def test_fixed_bar_tags_octahedron(octahedron):
     g = detect_point_group(octahedron)
-    by_label = {c.label: g.elements[c.rep_id] for c in g.classes}
+    by_label = {c.label: c.rep_id for c in g.classes}
 
-    uc = unshifted_counts(octahedron, by_label["6C2'"])
+    uc = _counts(octahedron, g, by_label["6C2'"])
     assert sorted(uc.bar_tags.values()) == ["perpendicular_to_axis"] * 2
 
-    uc = unshifted_counts(octahedron, by_label["3sigma_h"])
+    uc = _counts(octahedron, g, by_label["3sigma_h"])
     assert sorted(uc.bar_tags.values()) == ["in_plane"] * 4
 
-    uc = unshifted_counts(octahedron, by_label["6sigma_d"])
+    uc = _counts(octahedron, g, by_label["6sigma_d"])
     assert sorted(uc.bar_tags.values()) == ["perpendicular_to_plane"] * 2
 
 
 def test_fixed_bar_tags_plane_fixtures():
     f = fig2_examples("C2")
     g = detect_point_group(f)
-    half_turn = next(a for a in g.elements if a.op.kind == "C")
-    uc = unshifted_counts(f, half_turn)
+    half_turn = next(x for x, op in enumerate(g.elements) if op.kind == "C")
+    uc = _counts(f, g, half_turn)
     assert list(uc.bar_tags.values()) == ["centered_at_origin"]
     assert (uc.joints_unshifted, uc.bars_unshifted) == (0, 1)
 
     f = fig2_examples("Cs_in")
     g = detect_point_group(f)
-    mirror = next(a for a in g.elements if a.op.kind == "sigma")
-    uc = unshifted_counts(f, mirror)
+    mirror = next(x for x, op in enumerate(g.elements) if op.kind == "sigma")
+    uc = _counts(f, g, mirror)
     assert uc.joints_unshifted == 2
     assert list(uc.bar_tags.values()) == ["in_plane"]
 
@@ -723,20 +739,20 @@ def test_fixed_bar_tag_table(matrix, order, swapped, tag):
     # bar anywhere stand for any bar that the operation maps onto itself
     d = matrix.shape[0]
     f = new_framework(d, np.eye(d)[:2], [(0, 1)])
-    a = SymmetryAssignment(classify_matrix(matrix, d, order), (1, 0) if swapped else (0, 1), (0,))
+    a = (classify_matrix(matrix, d, order), (1, 0) if swapped else (0, 1), (0,))
     if tag is None:
         with pytest.raises(InternalInconsistency):
-            unshifted_counts(f, a)
+            unshifted_counts(f, *a)
     else:
-        uc = unshifted_counts(f, a)
+        uc = unshifted_counts(f, *a)
         assert (uc.bar_tags, uc.joints_unshifted) == ({0: tag}, 0 if swapped else 2)
 
 
 def _assert_counts_match_geometry(f, group, tol, name):
     edges = [b.ends for b in f.bars]
-    for x, a in enumerate(group.elements):
-        uc = unshifted_counts(f, a)
-        joints, tags = geometric_fixed_items(f.coordinates, edges, a.op.matrix, tol)
+    for x, op in enumerate(group.elements):
+        uc = _counts(f, group, x)
+        joints, tags = geometric_fixed_items(f.coordinates, edges, op.matrix, tol)
         assert (uc.fixed_joint_ids, uc.bar_tags) == (joints, tags), (name, x)
 
 
