@@ -13,9 +13,7 @@ from .chartables import (
     table_for_group,
 )
 from .core import (
-    Bar,
     Framework,
-    Joint,
     from_json,
     from_json_dict,
     in_scope,
@@ -108,7 +106,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # core
-    "Joint", "Bar", "Framework", "new_framework", "maxwell_count",
+    "Framework", "new_framework", "maxwell_count",
     "induced_counts", "in_scope", "to_json", "to_json_dict",
     "from_json", "from_json_dict",
     # numeric rank

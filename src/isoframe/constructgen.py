@@ -95,12 +95,13 @@ def all_faces(f: Framework) -> tuple[Face, ...]:
     """Every triangle of the framework, as sorted id triples."""
     if f.dimension != 3:
         raise ValueError("face constructions apply to 3D frameworks only")
+    ends = f.ends.tolist()
     adj: list[set[int]] = [set() for _ in range(f.joint_count)]
-    for u, v in (bar.ends for bar in f.bars):
+    for u, v in ends:
         adj[u].add(v)
         adj[v].add(u)
     faces = []
-    for u, v in (bar.ends for bar in f.bars):
+    for u, v in ends:
         for w in sorted(adj[u] & adj[v]):
             if w > v:
                 faces.append(Face(ids=(u, v, w)))
@@ -112,11 +113,8 @@ def _append(
     new_positions: list[tuple[float, ...]],
     new_pairs: list[tuple[int, int]],
 ) -> Framework:
-    positions = [tuple(map(float, row)) for row in f.coordinates]
-    positions.extend(new_positions)
-    pairs = [bar.ends for bar in f.bars]
-    pairs.extend(new_pairs)
-    result = new_framework(f.dimension, positions, pairs)
+    positions = f.coordinates.tolist() + list(new_positions)
+    result = new_framework(f.dimension, positions, f.ends.tolist() + list(new_pairs))
     if maxwell_count(result) != maxwell_count(f):
         raise InternalInconsistency(
             "a construction changed the scalar count from "
@@ -190,13 +188,7 @@ def cap_face(
             f"apex height {h} places the new joint in the plane of "
             f"face {fa.ids}"
         )
-    apex = fc + h * n
-    base = f.joint_count
-    return _append(
-        f,
-        [tuple(apex)],
-        [(i, base) for i in fa.ids],
-    )
+    return _append(f, [tuple(fc + h * n)], [(i, f.joint_count) for i in fa.ids])
 
 
 def _adjacent_face_planes(

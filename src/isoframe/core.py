@@ -38,62 +38,65 @@ _BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
-class Joint:
-    """One pin joint: an integer id and a fixed position."""
-
-    id: int
-    position: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class Bar:
-    """One rigid bar between two joints, stored with ends sorted."""
+    """One bar of Framework.bars: its id and its ends, low id first."""
 
     id: int
     ends: tuple[int, int]
 
 
 class Framework:
-    """Immutable collection of joints and bars in dimension 2 or 3.
+    """Immutable joint positions and bars in dimension 2 or 3.
 
-    Use :func:`new_framework` to build one with validation; the raw
-    constructor trusts its arguments.
+    Row i of coordinates is the position of joint i, and row k of ends
+    holds the ends of bar k, low id first.  Use :func:`new_framework` to
+    build one with validation; the raw constructor trusts its arguments
+    and keeps read-only copies of them.
     """
 
-    __slots__ = (
-        "dimension", "joints", "bars", "_coords", "_pair_to_bar", "_diameter"
-    )
+    __slots__ = ("dimension", "_coords", "_ends", "_pair_to_bar", "_diameter")
 
-    def __init__(self, dimension: int, joints: tuple[Joint, ...], bars: tuple[Bar, ...]):
-        object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "joints", joints)
-        object.__setattr__(self, "bars", bars)
-        coords = np.array([j.position for j in joints], dtype=float)
-        coords = coords.reshape(len(joints), dimension)
+    def __init__(self, dimension: int, coordinates, ends):
+        coords = np.array(coordinates, dtype=float).reshape(-1, dimension)
+        ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
         coords.setflags(write=False)
-        object.__setattr__(self, "_coords", coords)
-        object.__setattr__(self, "_pair_to_bar", {b.ends: b.id for b in bars})
-        object.__setattr__(self, "_diameter", None)
+        ends.setflags(write=False)
+        for name, value in zip(self.__slots__, (dimension, coords, ends, None, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Framework is immutable")
 
     @property
     def joint_count(self) -> int:
-        return len(self.joints)
+        return self._coords.shape[0]
 
     @property
     def bar_count(self) -> int:
-        return len(self.bars)
+        return self._ends.shape[0]
 
     @property
     def coordinates(self) -> np.ndarray:
-        """Read-only (j, d) array of joint positions."""
+        """Read-only (j, d) float array of joint positions."""
         return self._coords
 
     @property
+    def ends(self) -> np.ndarray:
+        """Read-only (b, 2) int64 array of bar ends, low id first."""
+        return self._ends
+
+    @property
+    def bars(self) -> tuple[Bar, ...]:
+        """A Bar per row of ends, built on each access.  Its sole reader is
+        bench/test_bench.py's fixture-table test, until that reads ends."""
+        return tuple(Bar(k, (u, v)) for k, (u, v) in enumerate(self._ends.tolist()))
+
+    @property
     def pair_to_bar(self) -> dict[tuple[int, int], int]:
-        """Sorted endpoint pair -> bar id.  Treat as read-only."""
+        """Sorted endpoint pair -> bar id, built on first use; read-only."""
+        if self._pair_to_bar is None:
+            pairs = map(tuple, self._ends.tolist())
+            object.__setattr__(self, "_pair_to_bar", dict(zip(pairs, range(self.bar_count))))
         return self._pair_to_bar
 
     def centroid(self) -> np.ndarray:
@@ -119,19 +122,20 @@ class Framework:
         return self._diameter
 
     def has_bar(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self._pair_to_bar
+        return (min(u, v), max(u, v)) in self.pair_to_bar
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Framework):
             return NotImplemented
         return (
             self.dimension == other.dimension
-            and self.joints == other.joints
-            and self.bars == other.bars
+            and np.array_equal(self._coords, other._coords)
+            and np.array_equal(self._ends, other._ends)
         )
 
     def __hash__(self) -> int:
-        return hash((self.dimension, self.joints, self.bars))
+        # + 0.0 turns -0.0 into 0.0, which compare equal
+        return hash((self.dimension, (self._coords + 0.0).tobytes(), self._ends.tobytes()))
 
     def __repr__(self) -> str:
         return (
@@ -150,24 +154,30 @@ def new_framework(
     Raises the specific error subclasses on bad input: wrong dimension,
     non-finite coordinates, coincident joints (no farther apart than
     SEPARATION_TOL times the diameter), self-loops, duplicate or
-    dangling bars.
+    dangling bars.  The positions are copied, and converted as one array
+    first; on any fault the loop over the joints runs, and names the first.
     """
     if dimension not in (2, 3):
         raise ParseError(f"dimension must be 2 or 3, got {dimension!r}")
 
-    joints: list[Joint] = []
-    for i, pos in enumerate(positions):
-        tup = tuple(float(x) for x in pos)
-        if len(tup) != dimension:
-            raise ParseError(
-                f"joint {i} has {len(tup)} coordinates, expected {dimension}"
-            )
-        if not all(math.isfinite(x) for x in tup):
-            raise NonFiniteEntry(f"joint {i} has a non-finite coordinate: {tup}")
-        joints.append(Joint(i, tup))
+    try:
+        coords = np.array(positions, dtype=float)
+    except (ValueError, TypeError, OverflowError):  # ragged rows or a generator, say
+        coords = None
+    if coords is None or coords.shape[1:] != (dimension,) or not np.isfinite(coords).all():
+        rows: list[tuple[float, ...]] = []
+        for i, pos in enumerate(positions):
+            tup = tuple(float(x) for x in pos)
+            if len(tup) != dimension:
+                raise ParseError(
+                    f"joint {i} has {len(tup)} coordinates, expected {dimension}"
+                )
+            if not all(math.isfinite(x) for x in tup):
+                raise NonFiniteEntry(f"joint {i} has a non-finite coordinate: {tup}")
+            rows.append(tup)
+        coords = np.array(rows, dtype=float).reshape(len(rows), dimension)
 
-    n = len(joints)
-    coords = np.array([j.position for j in joints], dtype=float).reshape(n, dimension)
+    n = len(coords)
     d, exp = diameter = _diameter(coords)
     scaled = np.ldexp(coords, -exp)
     tol = SEPARATION_TOL * d
@@ -180,8 +190,7 @@ def new_framework(
                 f"{float(np.ldexp(tol, exp)):g}"
             )
 
-    bars = tuple(Bar(k, ends) for k, ends in enumerate(bar_ends(n, bar_pairs)))
-    f = Framework(dimension, tuple(joints), bars)
+    f = Framework(dimension, coords, bar_ends(n, bar_pairs))
     object.__setattr__(f, "_diameter", diameter)
     return f
 
@@ -361,10 +370,7 @@ def induced_counts(f: Framework, bar_ids: Iterable[int]) -> tuple[int, int]:
     for i in ids:
         if not (0 <= i < f.bar_count):
             raise UnknownBar(f"no bar with id {i}")
-    touched: set[int] = set()
-    for i in ids:
-        touched.update(f.bars[i].ends)
-    return len(touched), len(ids)
+    return len(set(f.ends[ids].ravel().tolist())), len(ids)
 
 
 def in_scope(f: Framework) -> bool:
@@ -384,15 +390,15 @@ def in_scope(f: Framework) -> bool:
 #
 # {"dimension": 2, "joints": [[x, y], ...], "bars": [[u, v], ...]}
 #
-# Joint ids are implicit (list order, 0-based).  Floats serialize via
+# The ids of joints are implicit (list order, 0-based).  Floats serialize via
 # repr, so a dump/load round trip is bit exact.
 
 
 def to_json_dict(f: Framework) -> dict:
     return {
         "dimension": f.dimension,
-        "joints": [list(j.position) for j in f.joints],
-        "bars": [list(b.ends) for b in f.bars],
+        "joints": f.coordinates.tolist(),
+        "bars": f.ends.tolist(),
     }
 
 

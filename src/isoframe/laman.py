@@ -75,7 +75,7 @@ class Graph:
 
     @classmethod
     def from_framework(cls, f: Framework) -> "Graph":
-        return cls._checked(f.joint_count, tuple(bar.ends for bar in f.bars))
+        return cls._checked(f.joint_count, tuple(map(tuple, f.ends.tolist())))
 
 
 class PebbleState:
@@ -375,15 +375,16 @@ def subgraph_maxwell_scan_3d(
 
     Each hit certifies a state of self-stress.  An empty result proves
     nothing: the scan is a necessary screen, bounded by the cap, and 3D
-    has no subset count characterizing isostaticity.  Joint sets are int
+    has no subset count characterizing isostaticity.  Sets of joints are int
     bitmasks, so a visited subgraph costs a few integer operations: its
     bar count is its parent's plus the popcount of the new joint's
     adjacency inside the parent, and bar ids are listed only for hits.
     """
     cap = _checked_cap(f, max_subgraph_joints)
     n = f.joint_count
+    ends = f.ends.tolist()
     adj = [0] * n
-    for u, v in (bar.ends for bar in f.bars):
+    for u, v in ends:
         adj[u] |= 1 << v
         adj[v] |= 1 << u
 
@@ -415,8 +416,8 @@ def subgraph_maxwell_scan_3d(
                         joint_ids=tuple(_bits(child)),
                         bar_ids=tuple(
                             k
-                            for k, bar in enumerate(f.bars)
-                            if child >> bar.ends[0] & child >> bar.ends[1] & 1
+                            for k, (u, v) in enumerate(ends)
+                            if child >> u & child >> v & 1
                         ),
                         joint_total=js,
                         bar_total=child_bs,

@@ -50,7 +50,7 @@ _POWER_STEPS = 12
 class EquilibriumSystem:
     """One framework's first-order behavior as a single matrix.
 
-    Bar i joins ends[i, 0] to ends[i, 1] along the unit direction
+    The i-th bar joins ends[i, 0] to ends[i, 1] along the unit direction
     units[i] and has length lengths[i].  C is the compatibility matrix
     of those directions (its transpose is the equilibrium matrix), built
     on first use.
@@ -78,20 +78,19 @@ def _assemble(ends: np.ndarray, units: np.ndarray, joint_count: int) -> np.ndarr
 
 def build_system(f: Framework) -> EquilibriumSystem:
     coords, exp = unit_scaled(f.coordinates)
-    ends = np.array([bar.ends for bar in f.bars], dtype=np.intp).reshape(-1, 2)
-    diff = coords[ends[:, 0]] - coords[ends[:, 1]]
+    diff = coords[f.ends[:, 0]] - coords[f.ends[:, 1]]
     lengths = np.linalg.norm(diff, axis=1)
     short = np.flatnonzero(lengths <= SEPARATION_TOL * f.scaled_diameter()[0])
     if short.size:
         # unreachable through new_framework, which rejects coincident
         # joints; kept for hand-built Framework objects
-        u, v = ends[short[0]]
-        raise ZeroLengthBar(f"bar {f.bars[short[0]].id} between joints {u} and {v}")
+        u, v = f.ends[short[0]]
+        raise ZeroLengthBar(f"bar {short[0]} between joints {u} and {v}")
     units = diff / lengths[:, None]
     if not np.all(np.isfinite(units)):
         raise NonFiniteEntry("bar directions contain NaN or infinite entries")
     return EquilibriumSystem(
-        ends=ends, units=units, lengths=np.ldexp(lengths, exp), joint_count=f.joint_count
+        ends=f.ends, units=units, lengths=np.ldexp(lengths, exp), joint_count=f.joint_count
     )
 
 

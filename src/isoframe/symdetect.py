@@ -573,14 +573,13 @@ def detect_symmetries(
     dot_tol = 4 * tol * scale
 
     images = _candidate_images(P, basis, shell_of, dot_tol)
-    ends = np.array([bar.ends for bar in f.bars], dtype=np.intp).reshape(-1, 2)
 
     # a symmetry is its joint permutation and the sign of its determinant;
     # kept[x] is the matrix of the x-th key found
     found: dict[tuple[bytes, bool], tuple[np.ndarray, np.ndarray]] = {}
     kept: list[np.ndarray] = []
     try:
-        for M, proper, perm, bar_perm in _isometries(P, basis, images, tol, exp, ends):
+        for M, proper, perm, bar_perm in _isometries(P, basis, images, tol, exp, f.ends):
             if perm is not None and bar_perm is not None and (perm.tobytes(), proper) not in found:
                 found[perm.tobytes(), proper] = perm, bar_perm
                 kept.append(M)
@@ -592,7 +591,7 @@ def detect_symmetries(
 
     proper = [sign for _, sign in found]
     joint_perms = np.array([perm for perm, _ in found.values()]).reshape(len(found), j)
-    bar_perms = np.array([bars for _, bars in found.values()]).reshape(len(found), len(ends))
+    bar_perms = np.array([bars for _, bars in found.values()]).reshape(len(found), f.bar_count)
     orders = list(map(_key_order, joint_perms.tolist(), proper))
     ops = _classify_isometries(kept, d, orders, np.array(proper, dtype=bool))
     order = sorted(range(len(ops)), key=lambda x: ops[x].sort_key)
@@ -1053,7 +1052,7 @@ def unshifted_counts(
 
     bar_tags: dict[int, str] = {}
     for b in fixed_bars if op.kind != "E" else ():
-        u, v = f.bars[b].ends
+        u, v = f.ends[b].tolist()
         swapped = int(joint_perm[u]) == v
         kind = f"C{op.n}" if op.kind == "C" and swapped else op.kind
         tag = _FIXED_BAR_TAGS.get((kind, f.dimension, swapped))
@@ -1077,7 +1076,7 @@ def unshifted_counts(
 
 
 def orbits(f: Framework, group: PointGroupInfo) -> OrbitPartition:
-    """Joint and bar orbits under the group action.
+    """The orbits of joints and of bars under the group action.
 
     The elements form a group, so the orbit of x is its image under every
     element, the column x of the group's permutations.  Only the column of

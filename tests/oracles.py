@@ -7,7 +7,8 @@ between the two is evidence, not tautology.  find_joint_permutation
 alone is no oracle: it is the one-matrix entry to the package's matcher
 that only tests use.  peel_per_joint shares core.peel_low_degree with
 the package: it checks the batched conditioning test of numrank._peel,
-not the peel itself.
+not the peel itself.  new_framework_per_joint likewise hands the joints
+it has checked to core.new_framework: it checks the joint check alone.
 """
 
 from __future__ import annotations
@@ -19,8 +20,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from isoframe.core import peel_low_degree
-from isoframe.errors import DanglingEndpoint, DuplicateBar, ParseError, SelfLoop
+from isoframe.core import new_framework, peel_low_degree
+from isoframe.errors import (
+    DanglingEndpoint,
+    DuplicateBar,
+    NonFiniteEntry,
+    ParseError,
+    SelfLoop,
+)
 from isoframe.symdetect import _matched_permutations
 
 
@@ -541,6 +548,24 @@ def bar_ends_per_row(joint_count: int, bar_pairs) -> list[tuple[int, int]]:
             raise DuplicateBar(f"bar {k} duplicates pair {ends}")
         seen[ends] = None
     return list(seen)
+
+
+def new_framework_per_joint(dimension: int, positions, bar_pairs):
+    """core.new_framework with the joints checked by a loop over the
+    joints, naming the first fault, before new_framework sees them."""
+    if dimension not in (2, 3):
+        raise ParseError(f"dimension must be 2 or 3, got {dimension!r}")
+    rows = []
+    for i, pos in enumerate(positions):
+        tup = tuple(float(x) for x in pos)
+        if len(tup) != dimension:
+            raise ParseError(
+                f"joint {i} has {len(tup)} coordinates, expected {dimension}"
+            )
+        if not all(math.isfinite(x) for x in tup):
+            raise NonFiniteEntry(f"joint {i} has a non-finite coordinate: {tup}")
+        rows.append(tup)
+    return new_framework(dimension, rows, bar_pairs)
 
 
 def peel_per_joint(system, d: int, floor: float):

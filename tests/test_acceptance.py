@@ -254,7 +254,7 @@ def test_criterion_4_trace_assembly_matches_closed_form(
         group = detect_point_group(f)
         trace = maxwell_trace(f, group)
         coords = np.asarray(f.coordinates)
-        edges = [b.ends for b in f.bars]
+        edges = f.ends.tolist()
         for ci, cls in enumerate(group.classes):
             matrix = group.elements[cls.rep_id].matrix
             want = assembled_trace(coords, edges, matrix)

@@ -99,7 +99,7 @@ def test_analyze_overbraced_exits_1(tmp_path, capsys):
     over = new_framework(
         3,
         [tuple(p) for p in f.coordinates],
-        sorted([b.ends for b in f.bars] + [(0, 1)]),
+        sorted(f.ends.tolist() + [[0, 1]]),
     )
     path = _write(tmp_path, "over.json", over)
     code, out, _ = _run(capsys, ["analyze", path, "--json"])
@@ -233,7 +233,7 @@ def test_check_sufficient_flag(tmp_path, capsys):
 
     base = fig2_examples("C1")
     pared = new_framework(
-        2, base.coordinates, [b.ends for b in base.bars][:-1]
+        2, base.coordinates, base.ends.tolist()[:-1]
     )
     path = _write(tmp_path, "pared.json", pared)
     code, out, _ = _run(capsys, ["check", path, "--sufficient", "--json"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from isoframe.errors import (
     SelfLoop,
     ZeroLengthBar,
 )
-from oracles import bar_ends_per_row, check_json_rows_per_row
+from oracles import bar_ends_per_row, check_json_rows_per_row, new_framework_per_joint
 
 
 def triangle():
@@ -39,9 +40,8 @@ def test_bar_ends_are_sorted_and_ids_sequential():
     f = iso.new_framework(
         2, [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)], [(2, 0), (1, 0), (2, 1)]
     )
-    assert [b.ends for b in f.bars] == [(0, 2), (0, 1), (1, 2)]
-    assert [b.id for b in f.bars] == [0, 1, 2]
-    assert [j.id for j in f.joints] == [0, 1, 2]
+    assert f.ends.tolist() == [[0, 2], [0, 1], [1, 2]]
+    assert (f.joint_count, f.bar_count) == (3, 3)
 
 
 def test_coordinates_are_read_only():
@@ -100,9 +100,7 @@ def test_zero_length_guard_is_separation_based():
     pts = [(0.0, 0.0, 0.0), (0.0, 0.0, 1e-14), (1.0, 0.0, 0.0)]
     with pytest.raises(DuplicateJoint):
         iso.new_framework(3, pts, [(0, 1)])
-    raw = iso.Framework(
-        3, tuple(iso.Joint(i, p) for i, p in enumerate(pts)), (iso.Bar(0, (0, 1)),)
-    )
+    raw = iso.Framework(3, np.array(pts), np.array([[0, 1]]))
     with pytest.raises(ZeroLengthBar):
         iso.build_system(raw)
 
@@ -118,7 +116,7 @@ def test_uniform_shrink_keeps_verdict(octahedron, scale):
     ]
     for f, factor, verdict in cases:
         small = iso.new_framework(
-            f.dimension, f.coordinates * factor, [b.ends for b in f.bars]
+            f.dimension, f.coordinates * factor, f.ends.tolist()
         )
         group = iso.detect_point_group(small)
         ks = iso.mobility(small)
@@ -134,7 +132,7 @@ def test_induced_counts(octahedron):
     j, b = iso.induced_counts(octahedron, [0, 1, 2])
     assert b == 3
     assert j == len(
-        {e for k in (0, 1, 2) for e in octahedron.bars[k].ends}
+        {e for ends in octahedron.ends.tolist()[:3] for e in ends}
     )
 
 
@@ -155,7 +153,7 @@ def test_json_round_trip(octahedron):
     text = iso.to_json(octahedron)
     back = iso.from_json(text)
     assert back.dimension == octahedron.dimension
-    assert [b.ends for b in back.bars] == [b.ends for b in octahedron.bars]
+    assert back.ends.tolist() == octahedron.ends.tolist()
     assert np.array_equal(back.coordinates, octahedron.coordinates)
 
 
@@ -165,9 +163,7 @@ def test_json_dict_shape(banana):
     assert data["dimension"] == 3
     assert len(data["joints"]) == 8
     assert all(len(p) == 3 for p in data["joints"])
-    assert sorted(map(tuple, data["bars"])) == [
-        b.ends for b in sorted(banana.bars, key=lambda x: x.ends)
-    ]
+    assert sorted(map(tuple, data["bars"])) == sorted(map(tuple, banana.ends.tolist()))
 
 
 @pytest.mark.parametrize(
@@ -293,6 +289,87 @@ def test_joint_row_checks_match_the_per_row_loop(monkeypatch, joints):
     got = outcome()
     monkeypatch.setattr(core, "check_json_rows", check_json_rows_per_row)
     assert got == outcome()
+
+
+# Joint lists, as (dimension, positions), each built afresh for every
+# call: valid ones in the forms callers pass, then faults the per-joint
+# loop names.
+SQUARE = [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+JOINT_LISTS = {
+    "float array": lambda: (2, np.array(SQUARE)),
+    "int array": lambda: (2, np.array([[0, 0], [1, 0], [1, 1], [0, 1]])),
+    "float32 array": lambda: (2, np.array(SQUARE, np.float32) / 3),
+    "3d list": lambda: (3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    "tuple rows": lambda: (2, [tuple(p) for p in SQUARE]),
+    "tuple of tuples": lambda: (2, tuple(tuple(p) for p in SQUARE)),
+    "generator of rows": lambda: (2, (p for p in SQUARE)),
+    "numpy rows": lambda: (2, [np.array(p) for p in SQUARE]),
+    "numeric string": lambda: (2, [[0.0, 0.0], ["1.5", "0"], [1.0, 1.0]]),
+    "Fraction": lambda: (2, [[0.0, 0.0], [Fraction(1, 3), 0.0], [1.0, 1.0]]),
+    "bool": lambda: (2, [[0.0, 0.0], [True, False], [1.0, 1.0]]),
+    "negative zero": lambda: (2, [[-0.0, 0.0], [1.0, -0.0], [1.0, 1.0]]),
+    "empty": lambda: (2, []),
+    "nan at joint 2": lambda: (2, [[0.0, 0.0], [1.0, 0.0], [1.0, math.nan]]),
+    "inf at joint 1": lambda: (2, np.array([[0.0, 0.0], [math.inf, 0.0], [1.0, 1.0]])),
+    "None": lambda: (2, [[0.0, 0.0], [1.0, None], [1.0, 1.0]]),
+    "abc": lambda: (2, [[0.0, 0.0], [1.0, "abc"], [1.0, 1.0]]),
+    "complex": lambda: (2, [[0.0, 0.0], [1j, 0.0], [1.0, 1.0]]),
+    "above float": lambda: (2, [[0.0, 0.0], [10**400, 0.0], [1.0, 1.0]]),
+    "ragged": lambda: (2, [[0.0, 0.0], [1.0], [1.0, 1.0]]),
+    "three coordinates in 2d": lambda: (2, [[0.0, 0.0], [1.0, 0.0, 0.0], [1.0, 1.0]]),
+    "(j, 3) array in 2d": lambda: (2, np.zeros((3, 3))),
+    "bare number row": lambda: (2, [[0.0, 0.0], 7, [1.0, 1.0]]),
+    "nested entry": lambda: (2, [[0.0, 0.0], [1.0, [0.0]], [1.0, 1.0]]),
+    "dimension 4": lambda: (4, SQUARE),
+}
+
+
+@pytest.mark.parametrize("name", JOINT_LISTS)
+def test_joint_checks_match_the_per_joint_loop(name):
+    def outcome(build):
+        dimension, positions = JOINT_LISTS[name]()
+        bars = [[0, 1]] if name != "empty" else []
+        try:
+            return "built", build(dimension, positions, bars)
+        except Exception as e:  # the class and message are what is compared
+            return type(e), str(e)
+
+    got = outcome(iso.new_framework)
+    assert got == outcome(new_framework_per_joint)
+    if got[0] == "built":
+        f = got[1]
+        assert f.coordinates.dtype == np.float64
+        assert f.coordinates.shape == (f.joint_count, f.dimension)
+
+
+def test_equal_frameworks_hash_alike():
+    pts = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    f = iso.new_framework(2, pts, [(0, 1), (1, 2)])
+    signed = iso.new_framework(2, [[-0.0, 0.0], [1.0, -0.0], [0.0, 1.0]], [(0, 1), (1, 2)])
+    from_arrays = iso.new_framework(2, np.array(pts), np.array([[1, 0], [2, 1]]))
+    for g in (signed, from_arrays):
+        assert g == f and hash(g) == hash(f)
+    assert {f: "found"}[signed] == "found"
+    other = iso.new_framework(2, pts, [(0, 1), (0, 2)])
+    assert other != f
+    assert iso.new_framework(3, [p + [0.0] for p in pts], [(0, 1), (1, 2)]) != f
+
+
+def test_framework_keeps_no_reference_to_its_inputs():
+    coords = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    pairs = np.array([[1, 0], [1, 2]], dtype=np.int64)
+    f = iso.new_framework(2, coords, pairs)
+    assert coords.flags.writeable and pairs.flags.writeable
+    coords[0, 0], pairs[0, 0] = 5.0, 2
+    assert f.coordinates.tolist() == [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+    assert f.ends.tolist() == [[0, 1], [1, 2]]
+    assert f.ends.dtype == np.int64
+    with pytest.raises(ValueError):
+        f.coordinates[0, 0] = 9.0
+    with pytest.raises(ValueError):
+        f.ends[0, 0] = 2
+    # what bench/test_bench.py reads of each framework
+    assert [b.ends for b in f.bars] == [tuple(e) for e in f.ends.tolist()]
 
 
 def test_centroid_and_diameter():

@@ -54,7 +54,7 @@ def _jitters():
 def _jittered(name, f, noise, draw):
     rng = np.random.default_rng([zlib.crc32(name.encode()), draw])
     shift = rng.normal(scale=noise, size=f.coordinates.shape) * f.diameter()
-    return new_framework(f.dimension, f.coordinates + shift, [b.ends for b in f.bars])
+    return new_framework(f.dimension, f.coordinates + shift, f.ends.tolist())
 
 
 def _element_digest(op, joint_perm, bar_perm) -> str:

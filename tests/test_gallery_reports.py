@@ -1,9 +1,10 @@
 """The gallery's --json reports, pinned.
 
-scripts/build_gallery.py writes the `analyze`, `check --sufficient` and
-`detect` reports of each of its frameworks.  tests/data/gallery_reports.json
-holds the sha256 of each report's stdout and its exit code, so that a
-change that alters any report byte fails here.  A deliberate change
+scripts/build_gallery.py writes each of its frameworks as JSON, and the
+`analyze`, `check --sufficient` and `detect` reports of each.
+tests/data/gallery_reports.json holds the sha256 of each framework's JSON
+text and of each report's stdout with its exit code, so that a change
+that alters any byte of either fails here.  A deliberate change
 bumps `report_version` and rewrites the snapshot from gallery_reports().
 """
 
@@ -36,14 +37,17 @@ def _build_gallery():
 def gallery_reports(out_dir: Path) -> dict[str, dict[str, object]]:
     """Write each gallery framework into out_dir and run every report
     command on it in process from there, as build_gallery does in a child
-    interpreter: NAME.COMMAND -> exit code and sha256 of stdout."""
+    interpreter: NAME.COMMAND -> exit code and sha256 of stdout, and
+    NAME.json -> sha256 of the framework's JSON text."""
     build = _build_gallery()
     digests: dict[str, dict[str, object]] = {}
     cwd = os.getcwd()
     os.chdir(out_dir)
     try:
         for name, f in sorted(build._gallery().items()):
-            Path(f"{name}.json").write_text(to_json(f))
+            text = to_json(f)
+            Path(f"{name}.json").write_text(text)
+            digests[f"{name}.json"] = {"sha256": hashlib.sha256(text.encode()).hexdigest()}
             for command, args in build.REPORTS.items():
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
@@ -60,7 +64,7 @@ def gallery_reports(out_dir: Path) -> dict[str, dict[str, object]]:
 def test_gallery_reports_match_snapshot(tmp_path):
     want = json.loads(_SNAPSHOT.read_text())
     got = gallery_reports(tmp_path)
-    assert len(want) == 87
+    assert len(want) == 116
     assert sorted(got) == sorted(want)
     changed = sorted(key for key in want if got[key] != want[key])
     assert not changed, f"{len(changed)} gallery reports changed: {changed}"

@@ -75,7 +75,7 @@ def test_numeric_rank_matches_exact_on_fixtures(
     for f in [octahedron, banana, *fig2_zoo.values()]:
         ks = mobility(f)
         exact = exact_rigidity_rank(
-            to_fractions(f), [b.ends for b in f.bars]
+            to_fractions(f), f.ends.tolist()
         )
         assert ks.rank == exact
 
@@ -148,7 +148,7 @@ def test_rank_stable_under_tiny_perturbation(octahedron):
                 tuple(p + rng.normal(0, 1e-13, 3))
                 for p in octahedron.coordinates
             ],
-            [b.ends for b in octahedron.bars],
+            octahedron.ends.tolist(),
         )
         assert mobility(noisy).rank == base
 
@@ -164,7 +164,7 @@ def test_rank_deficiency_never_grows_at_generic_displacement(octahedron):
                 tuple(p + rng.uniform(-1e-3, 1e-3, 3))
                 for p in octahedron.coordinates
             ],
-            [b.ends for b in octahedron.bars],
+            octahedron.ends.tolist(),
         )
         assert mobility(noisy).rank >= base
 
@@ -189,7 +189,7 @@ def test_rank_does_not_depend_on_bar_length_spread():
     f = spread_lengths_framework()
     lengths = build_system(f).lengths
     assert lengths.max() / lengths.min() > 1e9
-    exact = exact_rigidity_rank(to_fractions(f), [b.ends for b in f.bars])
+    exact = exact_rigidity_rank(to_fractions(f), f.ends.tolist())
     assert exact == 7
     ks = mobility(f)
     assert ks.rank == exact
@@ -204,12 +204,12 @@ def test_rigid_body_dimension_does_not_depend_on_scale(octahedron, scale):
     # rotation fields grow with the coordinates and translations do not;
     # ranked together under one relative cutoff, the translations dropped
     big = iso.new_framework(
-        3, octahedron.coordinates * scale, [b.ends for b in octahedron.bars]
+        3, octahedron.coordinates * scale, octahedron.ends.tolist()
     )
     ks = mobility(big)
     assert (ks.rigid_body_dim, ks.m, ks.s) == (6, 0, 0)
     sq = square_with_diagonal()
-    ks = mobility(iso.new_framework(2, sq.coordinates * scale, [b.ends for b in sq.bars]))
+    ks = mobility(iso.new_framework(2, sq.coordinates * scale, sq.ends.tolist()))
     assert (ks.rigid_body_dim, ks.m, ks.s) == (3, 0, 0)
 
 
@@ -310,7 +310,7 @@ def test_collinear_degree_two_joint_is_not_peeled():
         assert ks.peeled_joints == peeled
         # on the line through 0 and 1 the two bars are parallel, and the
         # SVD of the core sees the rank drop that a dense SVD sees
-        exact = exact_rigidity_rank(to_fractions(f), [b.ends for b in f.bars])
+        exact = exact_rigidity_rank(to_fractions(f), f.ends.tolist())
         assert ks.rank == numeric_rank(build_system(f).C)[0] == exact
         assert (ks.rank, ks.m, ks.s) == counts
         stress, mech = nullspace_bases(f)
@@ -383,7 +383,7 @@ def test_refused_joint_reruns_the_peel_joint_by_joint(monkeypatch):
     f = planar_chain(10)
     coords = f.coordinates.copy()
     coords[5] = 2 * coords[4] - coords[3]
-    f = iso.new_framework(2, coords.tolist(), [bar.ends for bar in f.bars])
+    f = iso.new_framework(2, coords.tolist(), f.ends.tolist())
     system = build_system(f)
     peels = _count_calls(monkeypatch, numrank, "peel_low_degree")
     got = numrank._peel(system, 2, 1e-3)
@@ -410,11 +410,10 @@ def test_loose_tolerance_keeps_the_exact_rank_of_a_chain():
 def test_build_system_matches_the_row_definition(banana):
     sys_ = build_system(banana)
     coords = banana.coordinates
-    for bar in banana.bars:
-        u, v = bar.ends
+    for k, (u, v) in enumerate(banana.ends.tolist()):
         diff = coords[u] - coords[v]
         row = np.zeros(3 * banana.joint_count)
         row[3 * u : 3 * u + 3] = diff / np.linalg.norm(diff)
         row[3 * v : 3 * v + 3] = -diff / np.linalg.norm(diff)
-        assert np.allclose(sys_.C[bar.id], row, atol=1e-15)
-        assert sys_.lengths[bar.id] == pytest.approx(np.linalg.norm(diff))
+        assert np.allclose(sys_.C[k], row, atol=1e-15)
+        assert sys_.lengths[k] == pytest.approx(np.linalg.norm(diff))

@@ -135,7 +135,7 @@ def test_unshifted_counts_match_bruteforce(name, table):
     f = platonic(name)
     g = detect_point_group(f)
     coords = f.coordinates - f.centroid()
-    edges = [b.ends for b in f.bars]
+    edges = f.ends.tolist()
     for x, op in enumerate(g.elements):
         ref_j, ref_b = brute_fixed_counts(coords, edges, op.matrix)
         uc = _counts(f, g, x)
@@ -361,7 +361,7 @@ def test_detection_is_rotation_and_translation_invariant(octahedron):
     moved = new_framework(
         3,
         (octahedron.coordinates @ Q.T) + shift,
-        [b.ends for b in octahedron.bars],
+        octahedron.ends.tolist(),
     )
     g = detect_point_group(moved)
     assert g.schoenflies == "Oh"
@@ -374,7 +374,7 @@ def test_detection_survives_tiny_jitter(octahedron):
     bumped = new_framework(
         3,
         octahedron.coordinates + rng.normal(size=(6, 3)) * 1e-10,
-        [b.ends for b in octahedron.bars],
+        octahedron.ends.tolist(),
     )
     g = detect_point_group(bumped)
     assert g.schoenflies == "Oh" and g.order == 48
@@ -384,7 +384,7 @@ def test_moderate_jitter_breaks_symmetry_at_default_tolerance(octahedron):
     rng = np.random.default_rng(8)
     noise = rng.normal(size=(6, 3)) * 1e-4
     bumped = new_framework(
-        3, octahedron.coordinates + noise, [b.ends for b in octahedron.bars]
+        3, octahedron.coordinates + noise, octahedron.ends.tolist()
     )
     g = detect_point_group(bumped)
     assert g.schoenflies == "C1" and g.order == 1
@@ -399,7 +399,7 @@ def test_necessary_counts_pass_on_a_loosely_detected_group(octahedron):
     rng = np.random.default_rng(8)
     noise = rng.normal(size=(6, 3)) * 1e-4
     bumped = new_framework(
-        3, octahedron.coordinates + noise, [b.ends for b in octahedron.bars]
+        3, octahedron.coordinates + noise, octahedron.ends.tolist()
     )
     loose = detect_point_group(bumped, geom_tol=1e-3)
     assert isostatic_necessary(bumped, loose).passed
@@ -413,7 +413,7 @@ def test_unclosed_symmetries_blame_the_tolerance(tetrahedron, seed):
     bumped = new_framework(
         3,
         tetrahedron.coordinates + noise * tetrahedron.diameter(),
-        [b.ends for b in tetrahedron.bars],
+        tetrahedron.ends.tolist(),
     )
     with pytest.raises(ToleranceAmbiguity, match=r"geom_tol 0\.001 .*not in the set"):
         detect_point_group(bumped, geom_tol=1e-3)
@@ -749,7 +749,7 @@ def test_fixed_bar_tag_table(matrix, order, swapped, tag):
 
 
 def _assert_counts_match_geometry(f, group, tol, name):
-    edges = [b.ends for b in f.bars]
+    edges = f.ends.tolist()
     for x, op in enumerate(group.elements):
         uc = _counts(f, group, x)
         joints, tags = geometric_fixed_items(f.coordinates, edges, op.matrix, tol)
@@ -764,7 +764,7 @@ def test_unshifted_counts_match_the_geometry_on_snapshot_shapes():
 def _jittered(f, jitter):
     noise = np.random.default_rng(0).normal(scale=jitter, size=f.coordinates.shape)
     return new_framework(
-        f.dimension, f.coordinates + noise * f.diameter(), [b.ends for b in f.bars]
+        f.dimension, f.coordinates + noise * f.diameter(), f.ends.tolist()
     )
 
 
@@ -797,7 +797,7 @@ def _snapshot_shapes():
     planar.update({n: counterexample_2d(n) for n in ("C4", "C5", "C6", "C4v")})
     for name, f in planar.items():
         flat = np.column_stack([f.coordinates, np.zeros(f.joint_count)])
-        shapes[f"flat3d_{name}"] = new_framework(3, flat, [b.ends for b in f.bars])
+        shapes[f"flat3d_{name}"] = new_framework(3, flat, f.ends.tolist())
     for n in range(3, 7):
         shapes[f"prism_{n}"] = _prism(n)
         shapes[f"antiprism_{n}"] = _prism(n, antiprism=True)
@@ -864,7 +864,7 @@ def _relabelled(f, rng):
     for i, p in enumerate(perm):
         coords[p] = f.coordinates[i]
     bars = [(perm[v], perm[u]) if rng.random() < 0.5 else (perm[u], perm[v])
-            for u, v in (b.ends for b in f.bars)]
+            for u, v in f.ends.tolist()]
     rng.shuffle(bars)
     return new_framework(f.dimension, coords, bars)
 
