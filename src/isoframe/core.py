@@ -36,6 +36,9 @@ SEPARATION_TOL = 1e-12
 # Candidate pairs that pairs_within examines at once.
 _BLOCK = 1 << 16
 
+# What peel_low_degree returns: peeled joints, their bars, live bars.
+Peel = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[bool, ...]]
+
 
 @dataclass(frozen=True)
 class Bar:
@@ -54,14 +57,14 @@ class Framework:
     and keeps read-only copies of them.
     """
 
-    __slots__ = ("dimension", "_coords", "_ends", "_pair_to_bar", "_diameter")
+    __slots__ = ("dimension", "_coords", "_ends", "_pair_to_bar", "_diameter", "_peels")
 
     def __init__(self, dimension: int, coordinates, ends):
         coords = np.array(coordinates, dtype=float).reshape(-1, dimension)
         ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
         coords.setflags(write=False)
         ends.setflags(write=False)
-        for name, value in zip(self.__slots__, (dimension, coords, ends, None, None)):
+        for name, value in zip(self.__slots__, (dimension, coords, ends, None, None, {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
@@ -120,6 +123,12 @@ class Framework:
         if self._diameter is None:
             object.__setattr__(self, "_diameter", _diameter(self._coords))
         return self._diameter
+
+    def peel(self, d: int) -> Peel:
+        """peel_low_degree(joint_count, ends, d), kept for each d: no float."""
+        if d not in self._peels:
+            self._peels[d] = peel_low_degree(self.joint_count, self._ends.tolist(), d)
+        return self._peels[d]
 
     def has_bar(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.pair_to_bar
@@ -311,7 +320,7 @@ def peel_low_degree(
     ends: Sequence[Sequence[int]],
     d: int,
     accept: Callable[[list[int]], bool] | None = None,
-) -> tuple[list[int], list[list[int]], list[bool]]:
+) -> Peel:
     """Henneberg's vertex addition run in reverse.
 
     Repeatedly set aside a joint with at most d live bars, when `accept`
@@ -320,8 +329,8 @@ def peel_low_degree(
     dropped to d.  A joint that `accept` refuses is tried again each
     time it loses another bar.
 
-    Returns the peeled joints in peel order, the live bars of each when
-    it was peeled, and which bars are left live: the core.
+    Returns tuples: the peeled joints in peel order, the live bars of
+    each when it was peeled, and which bars are left live: the core.
     """
     incident: list[list[int]] = [[] for _ in range(joint_count)]
     for i, (u, v) in enumerate(ends):
@@ -332,7 +341,7 @@ def peel_low_degree(
     peeled = [False] * joint_count
     todo = [v for v, k in enumerate(degree) if k <= d]
     order: list[int] = []
-    blocks: list[list[int]] = []
+    blocks: list[tuple[int, ...]] = []
     while todo:
         v = todo.pop()
         if peeled[v]:
@@ -342,14 +351,14 @@ def peel_low_degree(
             continue
         peeled[v] = True
         order.append(v)
-        blocks.append(bars)
+        blocks.append(tuple(bars))
         for i in bars:
             live[i] = False
             w = ends[i][0] + ends[i][1] - v
             degree[w] -= 1
             if degree[w] <= d:
                 todo.append(w)
-    return order, blocks, live
+    return tuple(order), tuple(blocks), tuple(live)
 
 
 def maxwell_count(f: Framework) -> int:

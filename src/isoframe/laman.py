@@ -221,22 +221,24 @@ def pebble_game_2_3(
     the start) so tests can audit the invariant.
 
     First the joints of at most 2 bars are peeled, repeatedly
-    (`peel_low_degree`).  Every (2,3)-circuit has minimum degree 3, so a
-    bar that leaves with a peeled joint lies in no circuit and is never
-    rejected: it is placed at once, its tail at that joint and paid
-    from the joint's own 2 pebbles.  No core joint gets an edge directed
-    into a peeled one, so no search from the core enters one; only the
-    core's bars gather pebbles.  The report is the plain game's: at the
-    first rejected bar k, bars 0..k-1 are placed, and the witness is the
-    smallest joint set that holds both ends of k and spans 2|S| - 3 of
-    them, which those bars alone decide.
+    (`peel_low_degree`, kept by a Framework as `Framework.peel`).  Every
+    (2,3)-circuit has minimum degree 3, so a bar that leaves with a
+    peeled joint lies in no circuit and is never rejected: it is placed
+    at once, its tail at that joint and paid from the joint's own 2
+    pebbles.  No core joint gets an edge directed into a peeled one, so
+    no search from the core enters one; only the core's bars gather
+    pebbles.  The report is the plain game's: at the first rejected bar
+    k, bars 0..k-1 are placed, and the witness is the smallest joint set
+    that holds both ends of k and spans 2|S| - 3 of them, which those
+    bars alone decide.
     """
     graph = Graph.from_framework(g) if isinstance(g, Framework) else g
     j = graph.joint_count
     if j < 2:
         raise ValueError(f"the pebble game needs at least 2 joints, got {j}")
     tails: list[int | None] = [None] * len(graph.edges)
-    order, blocks, _ = peel_low_degree(j, graph.edges, 2)
+    peel = g.peel(2) if isinstance(g, Framework) else peel_low_degree(j, graph.edges, 2)
+    order, blocks, _ = peel
     for v, bars in zip(order, blocks):
         for bar_id in bars:
             tails[bar_id] = v
@@ -463,12 +465,12 @@ def count_screen_3d(f: Framework, cap: int) -> list[CountViolation]:
     """
     cap = _checked_cap(f, cap)
     b = f.bar_count
-    if b <= 3 * f.joint_count - 6 and generic_rank(Graph.from_framework(f), 3) == b:
+    if b <= 3 * f.joint_count - 6 and generic_rank(f, 3) == b:
         return []
     return subgraph_maxwell_scan_3d(f, cap)
 
 
-def generic_rank(g: Graph, d: int) -> int:
+def generic_rank(g: Framework | Graph, d: int) -> int:
     """Rank of g's rigidity matrix in dimension d, exactly, over GF(p).
 
     The joints sit at seeded random points of GF(p)^d, p = 2^31 - 1,
@@ -479,11 +481,12 @@ def generic_rank(g: Graph, d: int) -> int:
     reals; it falls below it only when the points are unlucky, with
     probability at most b/p (Schwartz-Zippel on a b x b minor).
     """
-    j, b = g.joint_count, len(g.edges)
+    ends = g.ends if isinstance(g, Framework) else np.array(g.edges, dtype=np.intp)
+    j, b = g.joint_count, len(ends)
     if b == 0:
         return 0
     points = np.random.default_rng(_RANK_SEED).integers(0, _PRIME, size=(j, d))
-    u, v = np.array(g.edges).T
+    u, v = ends.T
     diff = (points[u] - points[v]) % _PRIME
     rows = np.arange(b)
     m = np.zeros((b, j, d), dtype=np.int64)
@@ -493,21 +496,18 @@ def generic_rank(g: Graph, d: int) -> int:
 
 
 def _rank_mod_p(m: np.ndarray) -> int:
-    """Rank of an int64 matrix of residues mod _PRIME; m is overwritten."""
+    """Rank of an int64 matrix of residues mod _PRIME; m is overwritten.
+    Each pivot row clears its column from the others, then is zeroed."""
     rank = 0
     for c in range(m.shape[1]):
-        live = rank + np.flatnonzero(m[rank:, c])
+        live = np.flatnonzero(m[:, c])
         if live.size == 0:
             continue
-        pivot = live[0]
-        if pivot != rank:
-            m[[rank, pivot]] = m[[pivot, rank]]
-        m[rank, c:] = m[rank, c:] * pow(int(m[rank, c]), -1, _PRIME) % _PRIME
-        below = live[1:]
+        pivot, below = live[0], live[1:]
         if below.size:
-            m[below, c:] = (
-                m[below, c:] - np.outer(m[below, c], m[rank, c:])
-            ) % _PRIME
+            factor = m[below, c] * pow(int(m[pivot, c]), -1, _PRIME) % _PRIME
+            m[below, c:] = (m[below, c:] - factor[:, None] * m[pivot, c:]) % _PRIME
+        m[pivot] = 0
         rank += 1
         if rank == m.shape[0]:
             break

@@ -19,6 +19,10 @@ ranks only the core that is left, against the cutoff of the whole C.  A
 framework grown by vertex additions peels to an empty core; one grown
 by edge splits keeps every joint in it.  The conditioning test runs
 once per block size; only a refusal reruns the peel joint by joint.
+The bases of `nullspace_bases` come from the core's SVD, extended over
+the peeled joints in one stacked factorisation (`_kernel`); C and C.T
+are applied from the bar arrays, so C is formed only when nothing
+peels, and the basis path takes O(b + core^2) memory.
 
 At loose tolerances the two can part: the peel counts each
 well-conditioned joint exactly, where an SVD of all of C can drop the
@@ -38,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InternalInconsistency, NonFiniteEntry, ZeroLengthBar
-from .core import SEPARATION_TOL, Framework, peel_low_degree, unit_scaled
+from .core import SEPARATION_TOL, Framework, Peel, peel_low_degree, unit_scaled
 
 # Singular values below DEFAULT_RANK_TOL * largest are treated as zero.
 DEFAULT_RANK_TOL = 1e-10
@@ -123,9 +127,7 @@ def numeric_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> tuple[int, np.
     return _rank(sv, tol), sv
 
 
-def _peel(
-    system: EquilibriumSystem, d: int, floor: float
-) -> tuple[list[int], list[list[int]], list[bool]]:
+def _peel(f: Framework, system: EquilibriumSystem, floor: float) -> Peel:
     """Set aside the joints that add a known amount to the rank of C.
 
     A joint whose k <= d live bars have unit directions U (k x d) with
@@ -134,26 +136,43 @@ def _peel(
     it adds exactly k to the rank.  Its bars die with it, and the next
     joint is tried.  Dropping bars never worsens a joint's conditioning,
     so which joints peel does not depend on the order they are tried in.
-    The test runs once per block size k = 2..d, over a peel that takes
-    every joint: if no block fails, a peel testing each joint as it came
-    takes the same ones, so only a refusal reruns the peel joint by joint.
+    The test runs once per block size k = 2..d, over the framework's
+    plain peel (`Framework.peel`, which takes every joint it can and is
+    kept): if no block fails, a peel testing each joint as it came takes
+    the same ones, so only a refusal reruns the peel joint by joint.
 
     Returns the peeled joints in peel order, the live bars of each when
     it was peeled, and which bars are left in the core.
     """
 
-    def conditioned(blocks: list[list[int]]) -> bool:
+    def conditioned(blocks) -> bool:  # blocks: sequences of bar ids
         for k in set(map(len, blocks)) - {0, 1}:
             U = system.units[[bars for bars in blocks if len(bars) == k]]
             if not (np.linalg.eigvalsh(U @ U.transpose(0, 2, 1))[:, 0] >= floor * floor).all():
                 return False
         return True
 
-    ends = system.ends.tolist()
-    peel = peel_low_degree(system.joint_count, ends, d)
+    d = f.dimension
+    peel = f.peel(d)
     if conditioned(peel[1]):
         return peel
-    return peel_low_degree(system.joint_count, ends, d, lambda bars: conditioned([bars]))
+    return peel_low_degree(f.joint_count, f.ends.tolist(), d, lambda bars: conditioned([bars]))
+
+
+def _image(system: EquilibriumSystem, x: np.ndarray) -> np.ndarray:
+    """C @ x[i], extension rates (n, b), for velocity fields x of shape (n, j, d)."""
+    a, b = system.ends.T
+    return np.einsum("bd,nbd->nb", system.units, x[:, a] - x[:, b])
+
+
+def _loads(system: EquilibriumSystem, w: np.ndarray) -> np.ndarray:
+    """C.T @ w[i], joint loads (n, j, d), for bar tensions w of shape (n, b)."""
+    n, b = w.shape
+    j, d = system.joint_count, system.units.shape[1]
+    at = (np.arange(n)[:, None] * j + system.ends.T[:, None]).reshape(2, n * b)
+    forces = (w[:, :, None] * system.units).reshape(n * b, d)
+    loads = [np.bincount(at[0], c, n * j) - np.bincount(at[1], c, n * j) for c in forces.T]
+    return np.stack(loads, axis=1).reshape(n, j, d)
 
 
 def _largest_singular_value(system: EquilibriumSystem, start: np.ndarray) -> float:
@@ -164,25 +183,14 @@ def _largest_singular_value(system: EquilibriumSystem, start: np.ndarray) -> flo
     joints and bars are labelled.  It is a lower bound, close to the
     largest singular value after _POWER_STEPS steps.
     """
-    a, b = system.ends.T
-    units, j = system.units, system.joint_count
-
-    def image(x: np.ndarray) -> np.ndarray:  # C @ x
-        return np.einsum("ij,ij->i", units, x[a] - x[b])
-
-    if not len(units):
-        return 0.0
-    x = start
+    x = start[None]
     for _ in range(_POWER_STEPS):
-        loads = units * image(x)[:, None]
-        x = np.stack(
-            [np.bincount(a, w, j) - np.bincount(b, w, j) for w in loads.T], axis=1
-        )
+        x = _loads(system, _image(system, x))
         norm = np.linalg.norm(x)
         if norm == 0.0:
             return 0.0
         x /= norm
-    return float(np.linalg.norm(image(x)))
+    return float(np.linalg.norm(_image(system, x)))
 
 
 @dataclass(frozen=True)
@@ -190,8 +198,8 @@ class _Reduced:
     """C split into its peeled joints and a core ranked by SVD."""
 
     system: EquilibriumSystem
-    order: list[int]  # peeled joints, in peel order
-    blocks: list[list[int]]  # the live bars of each when it was peeled
+    order: tuple[int, ...]  # peeled joints, in peel order
+    blocks: tuple[tuple[int, ...], ...]  # the live bars of each when it was peeled
     core_joints: np.ndarray
     core_bars: np.ndarray
     core_rank: int
@@ -206,11 +214,12 @@ def _reduce(f: Framework, tol: float, vectors: bool) -> _Reduced:
 
     When nothing peels the core is C itself, and its largest singular
     value is the one the cutoff needs; otherwise power iteration on the
-    whole C supplies it.
+    whole C supplies it, unless the core is empty and there is nothing
+    left to rank.
     """
     _check_tolerance(tol)
     system = build_system(f)
-    order, blocks, live = _peel(system, f.dimension, max(1e-3, math.sqrt(tol)))
+    order, blocks, live = _peel(f, system, max(1e-3, math.sqrt(tol)))
     core_joints = np.delete(np.arange(f.joint_count), order)  # np.setdiff1d imports numpy.ma
     core_bars = np.flatnonzero(live)
     if order:
@@ -225,7 +234,7 @@ def _reduce(f: Framework, tol: float, vectors: bool) -> _Reduced:
     else:
         sv = np.linalg.svd(core, compute_uv=False) if core.size else np.zeros(0)
     top = sv[0] if sv.size else 0.0
-    if order:
+    if order and sv.size:
         top = max(top, _largest_singular_value(system, unit_scaled(f.coordinates)[0]))
     core_rank = _rank(sv, tol, top)
     rank = f.bar_count - core_bars.size + core_rank
@@ -323,9 +332,13 @@ def _kernel(red: _Reduced, d: int) -> np.ndarray:
     """Orthonormal rows spanning null(C).
 
     The core's kernel, extended to the peeled joints in reverse peel
-    order.  At joint v, whose live bars i went to joints w_i, each vector
-    takes the least-norm x_v with u_i . x_v = u_i . x_(w_i); each of the
-    d - k directions no bar of v sees starts a new vector there.
+    order.  At joint v, whose k live bars i went to joints w_i, each
+    vector takes the least-norm x_v with u_i . x_v = u_i . x_(w_i); each
+    of the d - k directions no bar of v sees starts a new vector there.
+    Every joint's k x d block U is factored up front, U.T = Q R by one
+    stacked QR per block size k, so x_v = (U . x_w) R^-1 Q_k^T is one
+    gather and one small product per joint, and Q's last d - k columns
+    are the new directions.
     """
     system = red.system
     core_null = red.vt[red.core_rank :]
@@ -333,17 +346,23 @@ def _kernel(red: _Reduced, d: int) -> np.ndarray:
     X[: len(core_null)][:, red.core_joints] = core_null.reshape(
         len(core_null), red.core_joints.size, d
     )
-    count = len(core_null)
-    for v, bars in zip(reversed(red.order), reversed(red.blocks)):
-        k = len(bars)
+    steps = {}
+    for k in set(map(len, red.blocks)):
+        at = [i for i, bars in enumerate(red.blocks) if len(bars) == k]
+        bars = np.array([red.blocks[i] for i in at], dtype=np.intp).reshape(len(at), k)
         U = system.units[bars]
-        q, r = np.linalg.qr(U.T, mode="complete")
-        if k:
-            others = system.ends[bars].sum(axis=1) - v
-            rhs = np.einsum("kd,nkd->nk", U, X[:count, others])
-            X[:count, v] = np.linalg.solve(r[:k].T, rhs.T).T @ q[:, :k].T
-        X[count : count + d - k, v] = q[:, k:].T
-        count += d - k
+        q, r = np.linalg.qr(U.transpose(0, 2, 1), mode="complete")
+        solve = np.linalg.solve(r[:, :k], q[:, :, :k].transpose(0, 2, 1))
+        # x_v is the sum over bars i and axes e of x_(w_i)e u_ie solve_i
+        weights = (U[..., None] * solve[:, :, None]).reshape(len(at), k * d, d)
+        others = system.ends[bars].sum(axis=2) - np.take(red.order, at)[:, None]
+        steps.update(zip(at, zip(others, weights, q[:, :, k:].transpose(0, 2, 1))))
+    count = len(core_null)
+    for i in reversed(range(len(red.order))):
+        others, weights, new = steps[i]
+        X[:count, red.order[i]] = X[:count, others].reshape(count, len(weights)) @ weights
+        X[count : count + len(new), red.order[i]] = new
+        count += len(new)
     q, _ = np.linalg.qr(X.reshape(len(X), -1).T)
     return q.T
 
@@ -358,11 +377,12 @@ def nullspace_bases(
     null(C), and are orthogonal to every rigid-body field.  Both come
     from the full SVD of the core, ranked as mobility() ranks it: a
     self-stress is zero on every peeled bar, and a mechanism extends to
-    the peeled joints one small solve at a time.
+    the peeled joints by `_kernel`.  Both residuals are taken from the
+    bar arrays; C is formed only when it is the core.
     """
     red = _reduce(f, tol, vectors=True)
-    C = red.system.C
-    b, n = C.shape
+    system = red.system
+    b, n = f.bar_count, f.dimension * f.joint_count
     stress = np.zeros((red.core_bars.size - red.core_rank, b))
     stress[:, red.core_bars] = red.u[:, red.core_rank :].T
     kernel = _kernel(red, f.dimension)
@@ -382,10 +402,10 @@ def nullspace_bases(
         )
 
     # C has unit rows, so both residuals are on an absolute scale
-    res = np.abs(C.T @ stress.T).max(initial=0.0)
+    res = np.abs(_loads(system, stress)).max(initial=0.0)
     if res > 10 * tol * b:
         raise InternalInconsistency(f"self-stress residual too large: {res}")
-    res = np.abs(C @ mech.T).max(initial=0.0)
+    res = np.abs(_image(system, mech.reshape(-1, f.joint_count, f.dimension))).max(initial=0.0)
     if res > 10 * tol * max(n, b):
         raise InternalInconsistency(f"mechanism residual too large: {res}")
     return stress, mech

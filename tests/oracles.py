@@ -9,6 +9,8 @@ that only tests use.  peel_per_joint shares core.peel_low_degree with
 the package: it checks the batched conditioning test of numrank._peel,
 not the peel itself.  new_framework_per_joint likewise hands the joints
 it has checked to core.new_framework: it checks the joint check alone.
+kernel_per_joint takes the peel and the core's SVD that numrank._reduce
+made: it checks the stacked back-substitution of numrank._kernel alone.
 """
 
 from __future__ import annotations
@@ -580,3 +582,54 @@ def peel_per_joint(system, d: int, floor: float):
         return np.linalg.eigvalsh(U @ U.T)[0] >= floor * floor
 
     return peel_low_degree(system.joint_count, system.ends.tolist(), d, accept)
+
+
+def kernel_per_joint(red, d: int) -> np.ndarray:
+    """numrank._kernel with one QR and one solve per peeled joint, as the
+    reverse peel reaches it: orthonormal rows spanning null(C)."""
+    system = red.system
+    core_null = red.vt[red.core_rank :]
+    X = np.zeros((d * system.joint_count - red.rank, system.joint_count, d))
+    X[: len(core_null)][:, red.core_joints] = core_null.reshape(
+        len(core_null), red.core_joints.size, d
+    )
+    count = len(core_null)
+    for v, bars in zip(reversed(red.order), reversed(red.blocks)):
+        bars = list(bars)
+        k = len(bars)
+        U = system.units[bars]
+        q, r = np.linalg.qr(U.T, mode="complete")
+        if k:
+            others = system.ends[bars].sum(axis=1) - v
+            rhs = np.einsum("kd,nkd->nk", U, X[:count, others])
+            X[:count, v] = np.linalg.solve(r[:k].T, rhs.T).T @ q[:, :k].T
+        X[count : count + d - k, v] = q[:, k:].T
+        count += d - k
+    q, _ = np.linalg.qr(X.reshape(len(X), -1).T)
+    return q.T
+
+
+# ---------------------------------------------------------------------------
+# rank over GF(p) with rows swapped into place
+
+
+def rank_mod_p_swapping(m: np.ndarray, p: int) -> int:
+    """laman._rank_mod_p as row echelon form: each pivot row is swapped
+    up to the next rank position and scaled to a leading 1; m is
+    overwritten."""
+    rank = 0
+    for c in range(m.shape[1]):
+        live = rank + np.flatnonzero(m[rank:, c])
+        if live.size == 0:
+            continue
+        pivot = live[0]
+        if pivot != rank:
+            m[[rank, pivot]] = m[[pivot, rank]]
+        m[rank, c:] = m[rank, c:] * pow(int(m[rank, c]), -1, p) % p
+        below = live[1:]
+        if below.size:
+            m[below, c:] = (m[below, c:] - np.outer(m[below, c], m[rank, c:])) % p
+        rank += 1
+        if rank == m.shape[0]:
+            break
+    return rank

@@ -8,6 +8,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoframe import laman
 from isoframe.constructgen import (
@@ -43,6 +45,7 @@ from oracles import (
     henneberg_tight_graph,
     laman_verdict_bruteforce,
     random_count_graph,
+    rank_mod_p_swapping,
 )
 
 
@@ -322,6 +325,40 @@ def test_rank_mod_p_at_the_largest_residue_does_not_overflow():
     assert laman._rank_mod_p(np.full((4, 5), top, dtype=np.int64)) == 1
     assert laman._rank_mod_p(np.diag([top] * 5).astype(np.int64)) == 5
     assert laman._rank_mod_p(np.zeros((3, 4), dtype=np.int64)) == 0
+
+
+_RESIDUES = st.sampled_from([0, 0, 1, 2, laman._PRIME - 2, laman._PRIME - 1]) | st.integers(
+    0, laman._PRIME - 1
+)
+
+
+@given(
+    rows=st.lists(st.lists(_RESIDUES, min_size=6, max_size=6), min_size=1, max_size=7),
+    cols=st.integers(1, 6),
+    mixes=st.lists(
+        st.tuples(st.integers(0, 6), st.integers(0, 6), _RESIDUES, _RESIDUES), max_size=3
+    ),
+)
+@settings(max_examples=300, deadline=None)
+def test_rank_mod_p_matches_the_row_swapping_oracle(rows, cols, mixes):
+    p = laman._PRIME
+    m = np.array(rows, dtype=np.int64)[:, :cols]
+    # rows mixed from two others make the rank fall short
+    for i, k, a, c in mixes:
+        mixed = (a * m[i % len(m)] % p + c * m[k % len(m)] % p) % p
+        m = np.vstack([m, mixed])
+    assert laman._rank_mod_p(m.copy()) == rank_mod_p_swapping(m.copy(), p)
+
+
+def test_count_screen_ranks_the_bar_array_without_a_graph(monkeypatch):
+    def refuse(cls, f):
+        raise AssertionError("the bars were copied into a Graph")
+
+    f = platonic("icosahedron")
+    want = generic_rank(Graph.from_framework(f), 3)
+    monkeypatch.setattr(Graph, "from_framework", classmethod(refuse))
+    assert generic_rank(f, 3) == want == f.bar_count
+    assert count_screen_3d(f, 8) == []
 
 
 def _k5_with_pendant_triangle(perm):

@@ -9,6 +9,7 @@ of the matrix actually analysed.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isoframe as iso
-from isoframe import numrank
+from isoframe import core, laman, numrank
 from isoframe.numrank import (
     DEFAULT_RANK_TOL,
     build_system,
@@ -27,7 +28,7 @@ from isoframe.numrank import (
     rigid_body_basis,
     rigid_body_dimension,
 )
-from oracles import exact_rigidity_rank, henneberg_graph, peel_per_joint
+from oracles import exact_rigidity_rank, henneberg_graph, kernel_per_joint, peel_per_joint
 
 
 def to_fractions(f):
@@ -350,28 +351,32 @@ def flat_henneberg(d, j, seed, flat_share, extra):
 )
 @settings(max_examples=150, deadline=None)
 def test_batched_peel_matches_the_per_joint_peel(d, j, seed, flat_share, extra, floor):
-    system = build_system(flat_henneberg(d, j, seed, flat_share, extra))
-    assert numrank._peel(system, d, floor) == peel_per_joint(system, d, floor)
+    f = flat_henneberg(d, j, seed, flat_share, extra)
+    system = build_system(f)
+    assert numrank._peel(f, system, floor) == peel_per_joint(system, d, floor)
 
 
-def _count_calls(monkeypatch, owner, name):
+def _count_calls(monkeypatch, name, *owners):
+    """Calls of the function `name`, through any of the owners' references."""
     calls = []
-    real = getattr(owner, name)
+    for owner in owners:
+        real = getattr(owner, name)
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+        def counted(*args, real=real, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return calls
 
 
 def test_conditioning_is_tested_once_per_block_size(monkeypatch):
     # every joint of the chain peels: one peel, one test per size k = 2..d
-    system = build_system(planar_chain(2000))
-    eig = _count_calls(monkeypatch, np.linalg, "eigvalsh")
-    peels = _count_calls(monkeypatch, numrank, "peel_low_degree")
-    order, _, _ = numrank._peel(system, 2, 1e-3)
+    f = planar_chain(2000)
+    system = build_system(f)
+    eig = _count_calls(monkeypatch, "eigvalsh", np.linalg)
+    peels = _count_calls(monkeypatch, "peel_low_degree", core, numrank)
+    order, _, _ = numrank._peel(f, system, 1e-3)
     assert len(order) == 2000
     assert len(eig) <= 1  # d - 1, with d = 2
     assert len(peels) == 1
@@ -385,8 +390,8 @@ def test_refused_joint_reruns_the_peel_joint_by_joint(monkeypatch):
     coords[5] = 2 * coords[4] - coords[3]
     f = iso.new_framework(2, coords.tolist(), f.ends.tolist())
     system = build_system(f)
-    peels = _count_calls(monkeypatch, numrank, "peel_low_degree")
-    got = numrank._peel(system, 2, 1e-3)
+    peels = _count_calls(monkeypatch, "peel_low_degree", core, numrank)
+    got = numrank._peel(f, system, 1e-3)
     assert len(peels) == 2
     assert got == peel_per_joint(system, 2, 1e-3)
     assert got[0] != numrank.peel_low_degree(system.joint_count, system.ends.tolist(), 2)[0]
@@ -417,3 +422,80 @@ def test_build_system_matches_the_row_definition(banana):
         row[3 * v : 3 * v + 3] = -diff / np.linalg.norm(diff)
         assert np.allclose(sys_.C[k], row, atol=1e-15)
         assert sys_.lengths[k] == pytest.approx(np.linalg.norm(diff))
+
+
+def test_the_peel_runs_once_per_framework(monkeypatch):
+    # mobility, the basis path and the pebble game all read f.peel(2)
+    peels = _count_calls(monkeypatch, "peel_low_degree", core, numrank, laman)
+    f = flat_henneberg(2, 40, 1, 0.0, 1)
+    ks = mobility(f)
+    stress, mech = nullspace_bases(f)
+    iso.pebble_game_2_3(f)
+    assert (stress.shape[0], mech.shape[0]) == (ks.s, ks.m)
+    assert len(peels) == 1
+
+
+def test_an_empty_core_skips_the_power_iteration(monkeypatch):
+    # with every joint peeled no singular value is left to rank
+    calls = _count_calls(monkeypatch, "_largest_singular_value", numrank)
+    ks = mobility(planar_chain(200))
+    assert (ks.peeled_joints, ks.rank) == (200, 2 * 200 - 3)
+    assert calls == []
+    ks = mobility(flat_henneberg(2, 40, 1, 0.0, 1))
+    assert 0 < ks.peeled_joints < 40
+    assert len(calls) == 1
+
+
+def test_no_dense_compatibility_matrix_on_a_peeled_input(monkeypatch):
+    def refuse(system):
+        raise AssertionError("the dense compatibility matrix was formed")
+
+    f = flat_henneberg(3, 30, 3, 0.0, 2)
+    monkeypatch.setattr(numrank.EquilibriumSystem, "C", property(refuse))
+    ks = mobility(f)
+    assert ks.peeled_joints > 0
+    stress, mech = nullspace_bases(f)
+    assert (stress.shape[0], mech.shape[0]) == (ks.s, ks.m) == (2, 0)
+
+
+def test_nullspace_bases_memory_is_linear_in_the_bars():
+    # a j=2000 vertex-addition framework plus one bar: its dense C alone
+    # would take 3998 x 4000 floats, 122 MiB
+    f = flat_henneberg(2, 2000, 7, 0.0, 1)
+    tracemalloc.start()
+    try:
+        stress, mech = nullspace_bases(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (f.bar_count, stress.shape[0], mech.shape[0]) == (3998, 1, 0)
+    assert peak < 8 * 2**20
+
+
+def peelable(d, j, seed, removed, extra, isolated):
+    """A vertex-addition framework in general position, less `removed`
+    bars, plus `extra` bars and `isolated` joints with no bars."""
+    f = flat_henneberg(d, j, seed, 0.0, extra)
+    rng = np.random.default_rng([seed, 1])
+    bars = f.ends.tolist()
+    for _ in range(removed):
+        bars.pop(int(rng.integers(len(bars))))
+    coords = np.vstack([f.coordinates, rng.uniform(-1.0, 1.0, (isolated, d))])
+    return iso.new_framework(d, coords.tolist(), bars)
+
+
+@given(
+    d=st.sampled_from([2, 3]),
+    j=st.integers(4, 30),
+    seed=st.integers(0, 2**32 - 1),
+    removed=st.integers(0, 2),
+    extra=st.integers(0, 3),
+    isolated=st.integers(0, 2),
+)
+@settings(max_examples=100, deadline=None)
+def test_stacked_kernel_matches_the_per_joint_kernel(d, j, seed, removed, extra, isolated):
+    f = peelable(d, j, seed, removed, extra, isolated)
+    red = numrank._reduce(f, DEFAULT_RANK_TOL, vectors=True)
+    got, want = numrank._kernel(red, d), kernel_per_joint(red, d)
+    assert got.shape == want.shape == (d * f.joint_count - red.rank, d * f.joint_count)
+    assert np.abs(got.T @ got - want.T @ want).max() < 1e-9
