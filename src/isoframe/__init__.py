@@ -14,6 +14,7 @@ from .chartables import (
 )
 from .core import (
     Framework,
+    Graph,
     from_json,
     from_json_dict,
     in_scope,
@@ -24,7 +25,6 @@ from .core import (
     to_json_dict,
 )
 from .constructgen import (
-    Face,
     all_faces,
     cap_all_faces_symmetric,
     cap_face,
@@ -52,7 +52,6 @@ from .errors import (
 )
 from .laman import (
     CountViolation,
-    Graph,
     PebbleState,
     SparsityReport,
     SymmetricLamanReport,
@@ -106,7 +105,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # core
-    "Framework", "new_framework", "maxwell_count",
+    "Graph", "Framework", "new_framework", "maxwell_count",
     "induced_counts", "in_scope", "to_json", "to_json_dict",
     "from_json", "from_json_dict",
     # numeric rank
@@ -126,11 +125,11 @@ __all__ = [
     "gamma_regular", "maxwell_trace", "isostatic_necessary",
     "free_placement_screen", "decompose_irreps",
     # sparsity
-    "Graph", "PebbleState", "SparsityReport", "SymmetricLamanReport", "CountViolation",
+    "PebbleState", "SparsityReport", "SymmetricLamanReport", "CountViolation",
     "pebble_game_2_3", "symmetric_laman", "subgraph_maxwell_scan_3d",
     "count_screen_3d", "generic_rank",
     # generators
-    "Face", "all_faces", "platonic", "cap_face", "cap_all_faces_symmetric",
+    "all_faces", "platonic", "cap_face", "cap_all_faces_symmetric",
     "twisted_cap_all_faces", "hat_stack", "fig2_examples",
     "counterexample_2d", "double_banana",
     # errors

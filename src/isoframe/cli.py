@@ -23,6 +23,7 @@ from typing import Any
 from . import constructgen
 from .core import (
     Framework,
+    Graph,
     check_json_rows,
     from_json_dict,
     in_scope,
@@ -40,7 +41,6 @@ from .errors import (
 from .laman import (
     SCAN_MAX_CAP,
     CountViolation,
-    Graph,
     SparsityReport,
     count_screen_3d,
     pebble_game_2_3,
@@ -88,15 +88,14 @@ def _load_framework(path: str) -> Framework:
     return from_json_dict(_read_json(path))
 
 
-def _load_graph(path: str) -> tuple[Graph, Framework | None]:
-    """A graph for the pebble game: a framework file, or one without
-    coordinates ("joints" may be a plain count)."""
+def _load_graph(path: str) -> Graph:
+    """A graph for the pebble game: the framework of a framework file, or
+    a bare graph from one without coordinates ("joints" may be a count)."""
     data = _read_json(path)
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a JSON object")
     if isinstance(data.get("joints"), list):
-        f = from_json_dict(data)
-        return Graph.from_framework(f), f
+        return from_json_dict(data)
     count = data.get("joints", data.get("joint_count"))
     if not isinstance(count, int) or isinstance(count, bool):
         raise ParseError(
@@ -106,22 +105,19 @@ def _load_graph(path: str) -> tuple[Graph, Framework | None]:
     if not isinstance(raw, list):
         raise ParseError(f"{path}: 'bars' must be a list of id pairs")
     check_json_rows(raw, int, "bar")
-    return Graph.from_pairs(count, raw), None
+    return Graph(count, raw)
 
 
-def _write_dot(path: str, g: Graph, f: Framework | None) -> None:
-    """A DOT description of g, with f's dimension and positions if given."""
-    head = f"{g.joint_count} joints, {len(g.edges)} bars"
-    if f is not None:
-        head = f"dimension {f.dimension}, {head}"
-    lines = ["graph isoframe {", f"  // {head}"]
-    for i in range(g.joint_count):
-        if f is not None:
-            pos = ",".join(repr(float(x)) for x in f.coordinates[i])
-            lines.append(f'  {i} [pos="{pos}"];')
-        else:
-            lines.append(f"  {i};")
-    lines += [f"  {u} -- {v};" for u, v in g.edges]
+def _write_dot(path: str, g: Graph) -> None:
+    """A DOT description of g, with dimension and positions for a Framework."""
+    head = f"{g.joint_count} joints, {g.bar_count} bars"
+    nodes = [f"  {i};" for i in range(g.joint_count)]
+    if isinstance(g, Framework):
+        head = f"dimension {g.dimension}, {head}"
+        pos = (",".join(map(repr, row)) for row in g.coordinates.tolist())
+        nodes = [f'  {i} [pos="{p}"];' for i, p in enumerate(pos)]
+    lines = ["graph isoframe {", f"  // {head}", *nodes]
+    lines += [f"  {u} -- {v};" for u, v in g.ends.tolist()]
     lines.append("}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -265,7 +261,7 @@ def _start(args: argparse.Namespace) -> tuple[Framework, dict]:
     """Load the framework, write any DOT file, and begin the report."""
     f = _load_framework(args.path)
     if args.dump_dot:
-        _write_dot(args.dump_dot, Graph.from_framework(f), f)
+        _write_dot(args.dump_dot, f)
     bundle = _header(args, args.path)
     bundle["tolerances"] = {"geometric_rel": args.tol_geom}
     if "tol_rank" in args:  # analyze alone ranks
@@ -409,12 +405,12 @@ def cmd_check(args: argparse.Namespace) -> tuple[dict, int]:
 
 
 def cmd_pebble(args: argparse.Namespace) -> tuple[dict, int]:
-    g, f = _load_graph(args.path)
+    g = _load_graph(args.path)
     if args.dump_dot:
-        _write_dot(args.dump_dot, g, f)
+        _write_dot(args.dump_dot, g)
     sp = pebble_game_2_3(g)
     bundle = _header(args, args.path)
-    bundle["graph"] = {"joints": g.joint_count, "bars": len(g.edges)}
+    bundle["graph"] = {"joints": g.joint_count, "bars": g.bar_count}
     bundle["sparsity"] = _sparsity_digest(sp)
     return bundle, EXIT_PASS if sp.verdict == "tight" else EXIT_FAIL
 
@@ -490,7 +486,7 @@ def cmd_generate(args: argparse.Namespace) -> tuple[dict | str, int]:
         )
 
     if args.dump_dot:
-        _write_dot(args.dump_dot, Graph.from_framework(f), f)
+        _write_dot(args.dump_dot, f)
     if not args.output:
         return to_json(f), EXIT_PASS
     with open(args.output, "w", encoding="utf-8") as fh:

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,17 +35,14 @@ HEIGHT_FACTOR = 0.8
 _GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-@dataclass(frozen=True)
-class Face:
-    """An ordered triple of joint ids whose three edges are bars."""
-
-    ids: tuple[int, int, int]
+Face = tuple[int, int, int]  # an ordered triple of joint ids whose three edges are bars
 
 
-def _as_face(f: Framework, face: Face | tuple[int, int, int]) -> Face:
+def _as_face(f: Framework, face: Face) -> Face:
+    """face as a tuple, once it is checked to be a triangle of f with area."""
     if f.dimension != 3:
         raise ValueError("face constructions apply to 3D frameworks only")
-    ids = tuple(face.ids if isinstance(face, Face) else face)
+    ids = tuple(face)
     if len(ids) != 3 or len(set(ids)) != 3:
         raise DegenerateFace(f"face {ids} is not three distinct joints")
     for i in ids:
@@ -59,14 +55,14 @@ def _as_face(f: Framework, face: Face | tuple[int, int, int]) -> Face:
     area2 = float(np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0])))
     if area2 <= 1e-12 * f.diameter() ** 2:
         raise DegenerateFace(f"face {ids} has no area")
-    return Face(ids=(ids[0], ids[1], ids[2]))
+    return ids
 
 
 def _face_frame(
     f: Framework, face: Face
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Centroid, outward unit normal and circumradius of a face."""
-    p = f.coordinates[list(face.ids)]
+    p = f.coordinates[list(face)]
     fc = p.mean(axis=0)
     n = np.cross(p[1] - p[0], p[2] - p[0])
     n = n / np.linalg.norm(n)
@@ -104,8 +100,8 @@ def all_faces(f: Framework) -> tuple[Face, ...]:
     for u, v in ends:
         for w in sorted(adj[u] & adj[v]):
             if w > v:
-                faces.append(Face(ids=(u, v, w)))
-    return tuple(sorted(faces, key=lambda fa: fa.ids))
+                faces.append((u, v, w))
+    return tuple(sorted(faces))
 
 
 def _append(
@@ -172,7 +168,7 @@ def platonic(name: str) -> Framework:
 
 
 def cap_face(
-    f: Framework, face: Face | tuple[int, int, int], apex_height: float
+    f: Framework, face: Face, apex_height: float
 ) -> Framework:
     """Add one joint above a face, tied to its three corners.
 
@@ -186,9 +182,9 @@ def cap_face(
     if abs(h) <= 1e-9 * f.diameter():
         raise DegenerateFace(
             f"apex height {h} places the new joint in the plane of "
-            f"face {fa.ids}"
+            f"face {fa}"
         )
-    return _append(f, [tuple(fc + h * n)], [(i, f.joint_count) for i in fa.ids])
+    return _append(f, [tuple(fc + h * n)], [(i, f.joint_count) for i in fa])
 
 
 def _adjacent_face_planes(
@@ -196,7 +192,7 @@ def _adjacent_face_planes(
 ) -> dict[Face, list[tuple[np.ndarray, float]]] | None:
     by_edge: dict[tuple[int, int], list[Face]] = {}
     for fa in faces:
-        i, j, k = fa.ids
+        i, j, k = fa
         for e in ((i, j), (i, k), (j, k)):
             by_edge.setdefault(e, []).append(fa)
     planes: dict[Face, tuple[np.ndarray, float]] = {}
@@ -205,7 +201,7 @@ def _adjacent_face_planes(
         planes[fa] = (n, float(n @ fc))
     out: dict[Face, list[tuple[np.ndarray, float]]] = {}
     for fa in faces:
-        i, j, k = fa.ids
+        i, j, k = fa
         neighbors = []
         for e in ((i, j), (i, k), (j, k)):
             others = [g for g in by_edge[e] if g != fa]
@@ -278,7 +274,7 @@ def cap_all_faces_symmetric(
     for idx, fa in enumerate(faces):
         fc, n, _ = _face_frame(f, fa)
         new_positions.append(tuple(fc + h * n))
-        new_pairs.extend((i, base + idx) for i in fa.ids)
+        new_pairs.extend((i, base + idx) for i in fa)
     result = _append(f, new_positions, new_pairs)
     before = detect_point_group(f)
     after = detect_point_group(result)
@@ -342,7 +338,7 @@ def twisted_cap_all_faces(
             ]
         )
         R = np.eye(3) + math.sin(theta) * K + (1.0 - math.cos(theta)) * (K @ K)
-        corners = f.coordinates[list(fa.ids)]
+        corners = f.coordinates[list(fa)]
         lifted = [(fc + R @ (p - fc) + h * n) for p in corners]
         first = base + len(new_positions)
         new_positions.extend(tuple(q) for q in lifted)
@@ -350,23 +346,23 @@ def twisted_cap_all_faces(
         new_pairs.extend(
             [(trio[0], trio[1]), (trio[1], trio[2]), (trio[0], trio[2])]
         )
-        touch: dict[int, int] = {i: 0 for i in fa.ids}
+        touch: dict[int, int] = {i: 0 for i in fa}
         for local, q in enumerate(lifted):
             dists = sorted(
-                (float(np.linalg.norm(q - corners[c])), fa.ids[c])
+                (float(np.linalg.norm(q - corners[c])), fa[c])
                 for c in range(3)
             )
             if dists[1][0] > dists[2][0] - 1e-9 * diam:
                 raise DegenerateTwist(
                     f"twist angle {theta} leaves the cap over face "
-                    f"{fa.ids} without two nearest corners"
+                    f"{fa} without two nearest corners"
                 )
             for _, joint in dists[:2]:
                 new_pairs.append((joint, trio[local]))
                 touch[joint] += 1
         if sorted(touch.values()) != [2, 2, 2]:
             raise DegenerateTwist(
-                f"cap over face {fa.ids} does not close into an "
+                f"cap over face {fa} does not close into an "
                 "antiprism; adjust the twist angle"
             )
     return _append(f, new_positions, new_pairs)
@@ -374,7 +370,7 @@ def twisted_cap_all_faces(
 
 def hat_stack(
     f: Framework,
-    axis_face: Face | tuple[int, int, int],
+    axis_face: Face,
     k: int,
     first_height: float | None = None,
     step: float | None = None,
@@ -396,11 +392,11 @@ def hat_stack(
     # through the face's centroid, along its normal
     group = detect_point_group(f)
     if not any(
-        op.kind == "C" and op.n == 3 and set(group.joint_perms[x, fa.ids].tolist()) == set(fa.ids)
+        op.kind == "C" and op.n == 3 and set(group.joint_perms[x, fa].tolist()) == set(fa)
         for x, op in enumerate(group.elements)
     ):
         raise NotOnThreefoldAxis(
-            f"face {fa.ids} is not centred on a threefold axis of the "
+            f"face {fa} is not centred on a threefold axis of the "
             "framework"
         )
     h0 = HEIGHT_FACTOR * circum if first_height is None else float(first_height)
@@ -409,7 +405,7 @@ def hat_stack(
         raise ValueError("hat heights must be positive and increasing")
     base = f.joint_count
     new_positions = [tuple(fc + (h0 + i * dh) * n) for i in range(k)]
-    new_pairs = [(c, base + i) for i in range(k) for c in fa.ids]
+    new_pairs = [(c, base + i) for i in range(k) for c in fa]
     return _append(f, new_positions, new_pairs)
 
 

@@ -1,10 +1,11 @@
-"""Immutable bar-joint framework model, elementary counts, JSON form.
+"""Immutable bar graph and framework model, elementary counts, JSON form.
 
-A framework is a finite set of joints at pairwise distinct positions in
-the plane or in space, plus a set of bars, each an unordered pair of
-distinct joints.  Joints and bars are indexed 0..j-1 and 0..b-1 in
-creation order; everything heavier (rank computations, symmetry
-detection, counting rules) works on those indices.
+A graph is a finite set of joints plus a set of bars, each an unordered
+pair of distinct joints.  A framework is a graph whose joints sit at
+pairwise distinct positions in the plane or in space.  Joints and bars
+are indexed 0..j-1 and 0..b-1 in creation order; everything heavier
+(rank computations, symmetry detection, counting rules) works on those
+indices.
 """
 
 from __future__ import annotations
@@ -48,51 +49,43 @@ class Bar:
     ends: tuple[int, int]
 
 
-class Framework:
-    """Immutable joint positions and bars in dimension 2 or 3.
+class Graph:
+    """Immutable joints 0..j-1 and the bars between them, no coordinates.
 
-    Row i of coordinates is the position of joint i, and row k of ends
-    holds the ends of bar k, low id first.  Use :func:`new_framework` to
-    build one with validation; the raw constructor trusts its arguments
-    and keeps read-only copies of them.
+    Row k of ends holds the ends of bar k, low id first; the constructor
+    checks the pairs by bar_ends, in either orientation.  A graph keeps
+    each peel asked of it, whatever built it.
     """
 
-    __slots__ = ("dimension", "_coords", "_ends", "_pair_to_bar", "_diameter", "_peels")
+    __slots__ = ("_joint_count", "_ends", "_pair_to_bar", "_peels")
 
-    def __init__(self, dimension: int, coordinates, ends):
-        coords = np.array(coordinates, dtype=float).reshape(-1, dimension)
-        ends = np.array(ends, dtype=np.int64).reshape(-1, 2)
-        coords.setflags(write=False)
+    def __init__(self, joint_count: int, bar_pairs: Iterable[Sequence[int]]):
+        if not 0 <= joint_count < 2**63:  # every id fits int64
+            raise ParseError(f"joint count must be in [0, 2**63), got {joint_count!r}")
+        self._store(joint_count, bar_ends(joint_count, bar_pairs))
+
+    def _store(self, joint_count: int, ends) -> None:
+        """Keep joint_count and a read-only int64 copy of ends, trusted."""
+        ends = np.fromiter(chain.from_iterable(ends), np.int64).reshape(-1, 2)
         ends.setflags(write=False)
-        for name, value in zip(self.__slots__, (dimension, coords, ends, None, None, {})):
+        for name, value in zip(Graph.__slots__, (joint_count, ends, None, {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
-        raise AttributeError("Framework is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     @property
     def joint_count(self) -> int:
-        return self._coords.shape[0]
+        return self._joint_count
 
     @property
     def bar_count(self) -> int:
         return self._ends.shape[0]
 
     @property
-    def coordinates(self) -> np.ndarray:
-        """Read-only (j, d) float array of joint positions."""
-        return self._coords
-
-    @property
     def ends(self) -> np.ndarray:
         """Read-only (b, 2) int64 array of bar ends, low id first."""
         return self._ends
-
-    @property
-    def bars(self) -> tuple[Bar, ...]:
-        """A Bar per row of ends, built on each access.  Its sole reader is
-        bench/test_bench.py's fixture-table test, until that reads ends."""
-        return tuple(Bar(k, (u, v)) for k, (u, v) in enumerate(self._ends.tolist()))
 
     @property
     def pair_to_bar(self) -> dict[tuple[int, int], int]:
@@ -101,6 +94,56 @@ class Framework:
             pairs = map(tuple, self._ends.tolist())
             object.__setattr__(self, "_pair_to_bar", dict(zip(pairs, range(self.bar_count))))
         return self._pair_to_bar
+
+    def peel(self, d: int) -> Peel:
+        """peel_low_degree(joint_count, ends, d), kept for each d: no float."""
+        if d not in self._peels:
+            pairs = list(zip(*self._ends.T.tolist()))  # tuples index faster than rows
+            self._peels[d] = peel_low_degree(self.joint_count, pairs, d)
+        return self._peels[d]
+
+    def has_bar(self, u: int, v: int) -> bool:
+        return (min(u, v), max(u, v)) in self.pair_to_bar
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._joint_count == other._joint_count and np.array_equal(self._ends, other._ends)
+
+    def __hash__(self) -> int:
+        return hash((self._joint_count, self._ends.tobytes()))
+
+    def __repr__(self) -> str:
+        return f"Graph(joints={self.joint_count}, bars={self.bar_count})"
+
+
+class Framework(Graph):
+    """Immutable joint positions and bars in dimension 2 or 3.
+
+    A Graph whose joint i sits at row i of coordinates.  Use
+    :func:`new_framework` to build one with validation; the raw
+    constructor trusts its arguments and keeps read-only copies of them.
+    """
+
+    __slots__ = ("dimension", "_coords", "_diameter")
+
+    def __init__(self, dimension: int, coordinates, ends):
+        coords = np.array(coordinates, dtype=float).reshape(-1, dimension)
+        coords.setflags(write=False)
+        self._store(coords.shape[0], ends)
+        for name, value in zip(Framework.__slots__, (dimension, coords, None)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def coordinates(self) -> np.ndarray:
+        """Read-only (j, d) float array of joint positions."""
+        return self._coords
+
+    @property
+    def bars(self) -> tuple[Bar, ...]:
+        """A Bar per row of ends, built on each access.  Its sole reader is
+        bench/test_bench.py's fixture-table test, until that reads ends."""
+        return tuple(Bar(k, (u, v)) for k, (u, v) in enumerate(self._ends.tolist()))
 
     def centroid(self) -> np.ndarray:
         return self._coords.mean(axis=0)
@@ -123,15 +166,6 @@ class Framework:
         if self._diameter is None:
             object.__setattr__(self, "_diameter", _diameter(self._coords))
         return self._diameter
-
-    def peel(self, d: int) -> Peel:
-        """peel_low_degree(joint_count, ends, d), kept for each d: no float."""
-        if d not in self._peels:
-            self._peels[d] = peel_low_degree(self.joint_count, self._ends.tolist(), d)
-        return self._peels[d]
-
-    def has_bar(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.pair_to_bar
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Framework):

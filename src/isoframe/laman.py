@@ -8,7 +8,9 @@ places their bars with no search; only the core that is left, where
 every joint keeps 3 or more bars, pays the O(j*b) pebble searches.  A
 graph grown by vertex additions peels to nothing.  Edge-split graphs
 keep their whole core, and so does the span of a chain between the
-ends of one added bar.  With symmetry, tightness plus a handful of
+ends of one added bar.  The game reads a core.Graph, its ends and its
+kept peel; a Framework is a Graph, so its bars are read where they
+are, never copied.  With symmetry, tightness plus a handful of
 fixed-component counts upgrades the necessary conditions to sufficient
 ones for some groups; those verdicts carry their epistemic status,
 because for the reflection-rich groups the sufficiency is conjectured,
@@ -26,11 +28,11 @@ for hits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .core import Framework, bar_ends, peel_low_degree
+from .core import Framework, Graph
 from .errors import CapExceeded, GroupOutsideWhitelist
 from .maxwell import WHITELIST_2D, ConditionCheck, ConditionReport
 from .symdetect import PointGroupInfo
@@ -41,41 +43,6 @@ _PRIME = 2**31 - 1  # products of two residues stay below 2**62
 _RANK_SEED = 1  # generic_rank draws its points from this seed
 
 _THEOREM_GROUPS = frozenset({"C1", "Cs", "C2", "C3"})
-
-
-@dataclass(frozen=True)
-class Graph:
-    """A bare bar-joint incidence structure, no coordinates.
-
-    Edges are stored sorted, low id first, mirroring how bars come out
-    of a framework, so edge index k of a framework-derived graph is bar
-    id k.  Construction checks the edges by core.bar_ends, and
-    from_framework trusts the bars that new_framework has checked.
-    """
-
-    joint_count: int
-    edges: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        for (u, v), ends in zip(self.edges, bar_ends(self.joint_count, self.edges)):
-            if (u, v) != ends:
-                raise ValueError(f"edge ({u}, {v}) must be stored low id first")
-
-    @classmethod
-    def _checked(cls, joint_count: int, edges: tuple[tuple[int, int], ...]) -> "Graph":
-        """A graph on edges that core.bar_ends has checked and sorted."""
-        graph = object.__new__(cls)
-        graph.__dict__.update(joint_count=joint_count, edges=edges)
-        return graph
-
-    @classmethod
-    def from_pairs(cls, joint_count: int, pairs: Iterable[Sequence[int]]) -> "Graph":
-        """A graph on id pairs in either orientation, stored low id first."""
-        return cls._checked(joint_count, tuple(bar_ends(joint_count, pairs)))
-
-    @classmethod
-    def from_framework(cls, f: Framework) -> "Graph":
-        return cls._checked(f.joint_count, tuple(map(tuple, f.ends.tolist())))
 
 
 class PebbleState:
@@ -209,7 +176,7 @@ class SparsityReport:
 
 
 def pebble_game_2_3(
-    g: Framework | Graph,
+    g: Graph,
     on_move: Callable[[PebbleState], None] | None = None,
 ) -> SparsityReport:
     """Decide (2,3)-tightness by the pebble game.
@@ -221,7 +188,7 @@ def pebble_game_2_3(
     the start) so tests can audit the invariant.
 
     First the joints of at most 2 bars are peeled, repeatedly
-    (`peel_low_degree`, kept by a Framework as `Framework.peel`).  Every
+    (`peel_low_degree`, kept by the graph as `Graph.peel`).  Every
     (2,3)-circuit has minimum degree 3, so a bar that leaves with a
     peeled joint lies in no circuit and is never rejected: it is placed
     at once, its tail at that joint and paid from the joint's own 2
@@ -232,20 +199,19 @@ def pebble_game_2_3(
     that holds both ends of k and spans 2|S| - 3 of them, which those
     bars alone decide.
     """
-    graph = Graph.from_framework(g) if isinstance(g, Framework) else g
-    j = graph.joint_count
+    j = g.joint_count
     if j < 2:
         raise ValueError(f"the pebble game needs at least 2 joints, got {j}")
-    tails: list[int | None] = [None] * len(graph.edges)
-    peel = g.peel(2) if isinstance(g, Framework) else peel_low_degree(j, graph.edges, 2)
-    order, blocks, _ = peel
+    order, blocks, _ = g.peel(2)  # before the lists of ends: one copy at a time
+    us, vs = g.ends.T.tolist()
+    tails: list[int | None] = [None] * len(us)
     for v, bars in zip(order, blocks):
         for bar_id in bars:
             tails[bar_id] = v
     state = PebbleState(j)
     if on_move is not None:
         on_move(state)
-    for bar_id, (u, v) in enumerate(graph.edges):
+    for bar_id, (u, v) in enumerate(zip(us, vs)):
         tail = tails[bar_id]
         if tail is not None:
             state.place(tail, u + v - tail)
@@ -257,16 +223,12 @@ def pebble_game_2_3(
             # every offered bar so far was placed, so the induced bars
             # are exactly the placed ones inside the region, plus the
             # rejected bar itself
-            witness_bars = [
-                k
-                for k, (a, b) in enumerate(graph.edges[: bar_id + 1])
-                if a in region and b in region
-            ]
+            witness_bars = [k for k in range(bar_id + 1) if us[k] in region and vs[k] in region]
             bs = len(witness_bars)
             return SparsityReport(
                 verdict="dependent",
                 joint_count=j,
-                bar_count=len(graph.edges),
+                bar_count=len(us),
                 free_pebbles=sum(state.pebbles),
                 witness_joint_ids=tuple(sorted(region)),
                 witness_bar_ids=tuple(witness_bars),
@@ -280,7 +242,7 @@ def pebble_game_2_3(
     return SparsityReport(
         verdict=verdict,
         joint_count=j,
-        bar_count=len(graph.edges),
+        bar_count=len(us),
         free_pebbles=free,
     )
 
@@ -470,7 +432,7 @@ def count_screen_3d(f: Framework, cap: int) -> list[CountViolation]:
     return subgraph_maxwell_scan_3d(f, cap)
 
 
-def generic_rank(g: Framework | Graph, d: int) -> int:
+def generic_rank(g: Graph, d: int) -> int:
     """Rank of g's rigidity matrix in dimension d, exactly, over GF(p).
 
     The joints sit at seeded random points of GF(p)^d, p = 2^31 - 1,
@@ -481,12 +443,11 @@ def generic_rank(g: Framework | Graph, d: int) -> int:
     reals; it falls below it only when the points are unlucky, with
     probability at most b/p (Schwartz-Zippel on a b x b minor).
     """
-    ends = g.ends if isinstance(g, Framework) else np.array(g.edges, dtype=np.intp)
-    j, b = g.joint_count, len(ends)
+    j, b = g.joint_count, g.bar_count
     if b == 0:
         return 0
     points = np.random.default_rng(_RANK_SEED).integers(0, _PRIME, size=(j, d))
-    u, v = ends.T
+    u, v = g.ends.T
     diff = (points[u] - points[v]) % _PRIME
     rows = np.arange(b)
     m = np.zeros((b, j, d), dtype=np.int64)

@@ -249,6 +249,8 @@ def rigid_body_basis(f: Framework) -> np.ndarray:
     smaller than d(d+1)/2 and the basis reflects that.
     """
     d, j = f.dimension, f.joint_count
+    if j == 0:
+        return np.zeros((0, 0))
     # rotation fields grow with the coordinates; measured in units of the
     # diameter they rank under one cutoff with the unit translations
     coords, _ = unit_scaled(f.coordinates)
@@ -363,7 +365,7 @@ def _kernel(red: _Reduced, d: int) -> np.ndarray:
         X[:count, red.order[i]] = X[:count, others].reshape(count, len(weights)) @ weights
         X[count : count + len(new), red.order[i]] = new
         count += len(new)
-    q, _ = np.linalg.qr(X.reshape(len(X), -1).T)
+    q, _ = np.linalg.qr(X.reshape(len(X), system.joint_count * d).T)
     return q.T
 
 
@@ -405,7 +407,8 @@ def nullspace_bases(
     res = np.abs(_loads(system, stress)).max(initial=0.0)
     if res > 10 * tol * b:
         raise InternalInconsistency(f"self-stress residual too large: {res}")
-    res = np.abs(_image(system, mech.reshape(-1, f.joint_count, f.dimension))).max(initial=0.0)
+    mech_fields = mech.reshape(len(mech), f.joint_count, f.dimension)
+    res = np.abs(_image(system, mech_fields)).max(initial=0.0)
     if res > 10 * tol * max(n, b):
         raise InternalInconsistency(f"mechanism residual too large: {res}")
     return stress, mech

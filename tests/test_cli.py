@@ -363,6 +363,18 @@ def test_dump_dot(tmp_path, capsys):
     assert text.count(" -- ") == fig2_examples("C1").bar_count
 
 
+def test_dump_dot_of_a_bare_graph(tmp_path, capsys):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps({"joints": 4, "bars": [[1, 0], [0, 2], [3, 0], [1, 2], [3, 1]]}))
+    dot = tmp_path / "graph.dot"
+    code, _, _ = _run(capsys, ["pebble", str(path), "--dump-dot", str(dot)])
+    assert code == 0
+    assert dot.read_text() == (
+        "graph isoframe {\n  // 4 joints, 5 bars\n  0;\n  1;\n  2;\n  3;\n"
+        "  0 -- 1;\n  0 -- 2;\n  0 -- 3;\n  1 -- 2;\n  1 -- 3;\n}\n"
+    )
+
+
 def test_seed_and_tolerances_recorded(tmp_path, capsys):
     path = _write(tmp_path, "tet.json", platonic("tetrahedron"))
     code, out, _ = _run(

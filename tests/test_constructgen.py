@@ -62,7 +62,7 @@ def test_all_faces_are_3_cliques(octahedron):
     faces = all_faces(octahedron)
     have = set(map(tuple, octahedron.ends.tolist()))
     for fa in faces:
-        i, j, k = fa.ids
+        i, j, k = fa
         assert i < j < k
         assert {(i, j), (i, k), (j, k)} <= have
     assert len(set(faces)) == len(faces)
@@ -84,7 +84,7 @@ def test_cap_face_rejects_bad_input(octahedron, tetrahedron):
     non_face = next(
         trio
         for trio in itertools.combinations(range(6), 3)
-        if trio not in {fa.ids for fa in all_faces(octahedron)}
+        if trio not in set(all_faces(octahedron))
     )
     with pytest.raises(DegenerateFace):
         cap_face(octahedron, non_face, 0.5)
@@ -255,9 +255,7 @@ def test_hat_stack_grows_along_the_axis(tetrahedron):
 
 def test_hat_stack_requires_threefold_axis(tetrahedron):
     capped = cap_face(tetrahedron, (0, 1, 2), 0.9)
-    side = next(
-        fa.ids for fa in all_faces(capped) if 4 in fa.ids
-    )
+    side = next(fa for fa in all_faces(capped) if 4 in fa)
     with pytest.raises(NotOnThreefoldAxis):
         hat_stack(capped, side, 1)
 

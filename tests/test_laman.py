@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoframe import laman
+from isoframe import core, laman
 from isoframe.constructgen import (
     cap_all_faces_symmetric,
     counterexample_2d,
@@ -25,6 +25,7 @@ from isoframe.errors import (
     DanglingEndpoint,
     DuplicateBar,
     GroupOutsideWhitelist,
+    ParseError,
     SelfLoop,
 )
 from isoframe.laman import (
@@ -130,36 +131,71 @@ def test_graph_validation():
     with pytest.raises(DuplicateBar):
         Graph(3, ((0, 1), (0, 1)))
     with pytest.raises(ValueError):
-        Graph(3, ((1, 0),))
-    with pytest.raises(ValueError):
         pebble_game_2_3(Graph(1, ()))
 
 
-def test_graph_from_framework_keeps_bar_ids():
-    f = fig2_examples("C2")
-    g = Graph.from_framework(f)
-    assert g.joint_count == f.joint_count
-    assert g.edges == tuple(map(tuple, f.ends.tolist()))
-
-
 def test_graph_from_framework_does_not_check_the_bars_again(monkeypatch):
-    # new_framework has checked the bars and stored them low id first
+    # new_framework has checked the bars and stored them low id first;
+    # the pebble game and the rank read them where they are
     f = fig2_examples("C3")
+    want = pebble_game_2_3(Graph(f.joint_count, f.ends.tolist())), generic_rank(f, 2)
 
     def refuse(*args):
         raise AssertionError("the bars were checked again")
 
-    monkeypatch.setattr(laman, "bar_ends", refuse)
-    assert Graph.from_framework(f).edges == tuple(map(tuple, f.ends.tolist()))
+    monkeypatch.setattr(core, "bar_ends", refuse)
+    assert (pebble_game_2_3(f), generic_rank(f, 2)) == want
     with pytest.raises(AssertionError):
         Graph(3, ((0, 1),))
 
 
 def test_graph_from_pairs_stores_low_id_first():
-    g = Graph.from_pairs(4, [[1, 0], (2, 3), [3, 0]])
-    assert (g.joint_count, g.edges) == (4, ((0, 1), (2, 3), (0, 3)))
+    g = Graph(4, [[1, 0], (2, 3), [3, 0]])
+    assert (g.joint_count, g.bar_count) == (4, 3)
+    assert g.ends.tolist() == [[0, 1], [2, 3], [0, 3]]
+    assert Graph(3, [(1, 0)]).ends.tolist() == [[0, 1]]
+    assert not g.ends.flags.writeable
     with pytest.raises(DuplicateBar):
-        Graph.from_pairs(3, [[0, 1], [1, 0]])
+        Graph(3, [[0, 1], [1, 0]])
+    # a framework is a graph, its bar ids the rows of its ends
+    f = fig2_examples("C2")
+    assert isinstance(f, Graph)
+    assert Graph(f.joint_count, f.ends.tolist()).ends.tolist() == f.ends.tolist()
+
+
+@pytest.mark.parametrize("count", [-1, 2**63, 2**64, -(2**63)])
+def test_graph_joint_count_must_fit_int64(count):
+    with pytest.raises(ParseError, match="joint count"):
+        Graph(count, [])
+    with pytest.raises(ParseError, match="joint count"):
+        Graph(count, [(0, 1)])
+    assert Graph(2**63 - 1, [(0, 2**63 - 2)]).ends.tolist() == [[0, 2**63 - 2]]
+
+
+def test_graph_equality_needs_the_same_type():
+    f = fig2_examples("C2")
+    g = Graph(f.joint_count, f.ends.tolist())
+    assert g == Graph(f.joint_count, [(v, u) for u, v in f.ends.tolist()])
+    assert hash(g) == hash(Graph(f.joint_count, f.ends.tolist()))
+    assert g != Graph(f.joint_count + 1, f.ends.tolist())
+    assert g != Graph(f.joint_count, f.ends[1:].tolist())
+    assert g != f and f != g
+    assert len({g, f}) == 2
+
+
+def test_a_bare_graph_keeps_its_peel(monkeypatch):
+    calls = []
+    real = core.peel_low_degree
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(core, "peel_low_degree", counted)
+    g = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    assert pebble_game_2_3(g) == pebble_game_2_3(g)
+    assert len(calls) == 1
+    assert g.peel(2) is g.peel(2)
 
 
 @pytest.mark.parametrize(
@@ -297,7 +333,7 @@ def test_scan_guards():
 def test_generic_rank_of_the_double_banana_is_one_short():
     f = double_banana()
     assert (f.joint_count, f.bar_count) == (8, 18)
-    assert generic_rank(Graph.from_framework(f), 3) == 17
+    assert generic_rank(f, 3) == 17
 
 
 def test_generic_rank_of_small_graphs():
@@ -305,7 +341,7 @@ def test_generic_rank_of_small_graphs():
     assert generic_rank(k4, 3) == 6
     assert generic_rank(k4, 2) == 5  # one over 2j - 3
     assert generic_rank(Graph(3, ()), 3) == 0
-    octa = Graph.from_framework(platonic("octahedron"))
+    octa = platonic("octahedron")
     assert generic_rank(octa, 3) == 12
     assert generic_rank(octa, 2) == 9  # 2j - 3: the 2D count caps it
 
@@ -351,12 +387,12 @@ def test_rank_mod_p_matches_the_row_swapping_oracle(rows, cols, mixes):
 
 
 def test_count_screen_ranks_the_bar_array_without_a_graph(monkeypatch):
-    def refuse(cls, f):
-        raise AssertionError("the bars were copied into a Graph")
+    def refuse(*args):
+        raise AssertionError("the bars were checked into a new Graph")
 
     f = platonic("icosahedron")
-    want = generic_rank(Graph.from_framework(f), 3)
-    monkeypatch.setattr(Graph, "from_framework", classmethod(refuse))
+    want = generic_rank(Graph(f.joint_count, f.ends.tolist()), 3)
+    monkeypatch.setattr(core, "bar_ends", refuse)
     assert generic_rank(f, 3) == want == f.bar_count
     assert count_screen_3d(f, 8) == []
 
@@ -376,7 +412,7 @@ def test_count_screen_never_certifies_k5_with_a_pendant_triangle():
         perm = list(range(7))
         rng.shuffle(perm)
         f = _k5_with_pendant_triangle(perm)
-        assert generic_rank(Graph.from_framework(f), 3) == 12
+        assert generic_rank(f, 3) == 12
         hits = count_screen_3d(f, 7)
         assert hits == subgraph_maxwell_scan_3d(f, 7)
         assert [(h.joint_ids, h.slack) for h in hits] == [

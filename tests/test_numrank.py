@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isoframe as iso
-from isoframe import core, laman, numrank
+from isoframe import core, numrank
 from isoframe.numrank import (
     DEFAULT_RANK_TOL,
     build_system,
@@ -220,6 +221,18 @@ def test_nullspace_bases_without_bars():
     assert stress.shape == (0, 0)
     assert mech.shape == (1, 4)
     assert mobility(f).m == 1
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_a_framework_with_no_joints_has_empty_bases(d):
+    f = iso.new_framework(d, [], [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        summary = mobility(f)
+        stress, mech = nullspace_bases(f)
+        rb = rigid_body_basis(f)
+    assert (summary.m, summary.s, summary.rigid_body_dim) == (0, 0, 0)
+    assert stress.shape == mech.shape == rb.shape == (0, 0)
 
 
 def test_numeric_rank_empty_and_zero():
@@ -426,7 +439,7 @@ def test_build_system_matches_the_row_definition(banana):
 
 def test_the_peel_runs_once_per_framework(monkeypatch):
     # mobility, the basis path and the pebble game all read f.peel(2)
-    peels = _count_calls(monkeypatch, "peel_low_degree", core, numrank, laman)
+    peels = _count_calls(monkeypatch, "peel_low_degree", core, numrank)
     f = flat_henneberg(2, 40, 1, 0.0, 1)
     ks = mobility(f)
     stress, mech = nullspace_bases(f)

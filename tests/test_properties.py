@@ -254,14 +254,14 @@ def test_pebble_bookkeeping_never_leaks(g):
     # one event at the start, then one per accepted bar; rejections are silent
     assert len(seen) == seen[-1][1] + 1
     if report.verdict == "dependent":
-        assert seen[-1][1] < len(g.edges)
+        assert seen[-1][1] < g.bar_count
     else:
-        assert seen[-1][1] == len(g.edges)
+        assert seen[-1][1] == g.bar_count
     assert all(free + placed == 2 * g.joint_count for free, placed in seen)
     assert report.free_pebbles == seen[-1][0]
     assert report.verdict in {"tight", "independent-but-underbraced", "dependent"}
     if report.verdict == "tight":
-        assert len(g.edges) == 2 * g.joint_count - 3
+        assert g.bar_count == 2 * g.joint_count - 3
         assert report.free_pebbles == 3
     if report.verdict == "dependent":
         jt, bt = report.witness_joint_total, report.witness_bar_total
@@ -302,12 +302,26 @@ def random_bare_graphs(draw):
 @settings(max_examples=150, deadline=None)
 def test_peeled_pebble_game_matches_plain_game(g):
     report = pebble_game_2_3(g)
-    assert dataclasses.asdict(report) == pebble_game_plain(g.joint_count, list(g.edges))
-    core_joints = three_core(g.joint_count, list(g.edges))
-    order, _, _ = core.peel_low_degree(g.joint_count, g.edges, 2)
+    assert dataclasses.asdict(report) == pebble_game_plain(g.joint_count, g.ends.tolist())
+    core_joints = three_core(g.joint_count, g.ends.tolist())
+    order, _, _ = g.peel(2)
     assert set(order) == set(range(g.joint_count)) - core_joints
     if report.verdict == "dependent":
         assert set(report.witness_joint_ids) <= core_joints
+
+
+@given(
+    st.one_of(bare_graphs(), henneberg_bare_graphs(), random_bare_graphs()),
+    st.sampled_from([2, 3]),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_framework_plays_and_ranks_as_its_bare_graph(g, d):
+    # points on the moment curve: distinct, and neither reads geometry
+    t = np.arange(g.joint_count, dtype=float)
+    f = new_framework(d, np.stack([t, t * t, t**3][:d], axis=1), g.ends.tolist())
+    bare = Graph(f.joint_count, f.ends.tolist())
+    assert pebble_game_2_3(f) == pebble_game_2_3(bare)
+    assert generic_rank(f, d) == generic_rank(bare, d)
 
 
 @st.composite
@@ -354,7 +368,7 @@ def test_generic_rank_matches_exact_rank_in_3d(g, seed):
     # a seeded Random, since hypothesis's own randoms shrink to zeros
     rng = random.Random(seed)
     want = max(
-        exact_rigidity_rank(random_rational_config(rng, g.joint_count, 3), list(g.edges))
+        exact_rigidity_rank(random_rational_config(rng, g.joint_count, 3), g.ends.tolist())
         for _ in range(2)
     )
     assert generic_rank(g, 3) == want
@@ -363,7 +377,7 @@ def test_generic_rank_matches_exact_rank_in_3d(g, seed):
 @given(st.one_of(henneberg_bare_graphs(), random_bare_graphs()))
 @settings(max_examples=100, deadline=None)
 def test_generic_rank_is_full_exactly_when_the_pebble_game_says_tight(g):
-    j, b = g.joint_count, len(g.edges)
+    j, b = g.joint_count, g.bar_count
     verdict = pebble_game_2_3(g).verdict
     rank = generic_rank(g, 2)
     assert (rank == b == 2 * j - 3) == (verdict == "tight")
@@ -373,7 +387,7 @@ def test_generic_rank_is_full_exactly_when_the_pebble_game_says_tight(g):
 @given(graphs_3d())
 @settings(max_examples=60, deadline=None)
 def test_count_screen_matches_bruteforce(g):
-    j, edges = g.joint_count, list(g.edges)
+    j, edges = g.joint_count, g.ends.tolist()
     f = new_framework(3, [(t, t * t, t**3) for t in range(j)], edges)
     want = []
     for joint_ids, slack in count_violations_bruteforce(j, edges, j):
