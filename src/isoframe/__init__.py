@@ -18,7 +18,6 @@ from .core import (
     from_json,
     from_json_dict,
     in_scope,
-    induced_counts,
     maxwell_count,
     new_framework,
     to_json,
@@ -105,9 +104,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # core
-    "Graph", "Framework", "new_framework", "maxwell_count",
-    "induced_counts", "in_scope", "to_json", "to_json_dict",
-    "from_json", "from_json_dict",
+    "Graph", "Framework", "new_framework", "maxwell_count", "in_scope",
+    "to_json", "to_json_dict", "from_json", "from_json_dict",
     # numeric rank
     "DEFAULT_RANK_TOL", "EquilibriumSystem", "KinematicSummary",
     "build_system", "numeric_rank", "rigid_body_basis",

@@ -769,7 +769,7 @@ def main(argv: list[str] | None = None) -> int:
     except ContinuousSymmetry as exc:
         print(f"outside scope: {exc}", file=sys.stderr)
         return EXIT_SCOPE
-    except (IsoframeError, ValueError) as exc:
+    except (IsoframeError, ValueError, OSError) as exc:  # OSError: an output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

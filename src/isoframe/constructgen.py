@@ -106,11 +106,13 @@ def all_faces(f: Framework) -> tuple[Face, ...]:
 
 def _append(
     f: Framework,
-    new_positions: list[tuple[float, ...]],
+    new_positions: list[np.ndarray],
     new_pairs: list[tuple[int, int]],
 ) -> Framework:
-    positions = f.coordinates.tolist() + list(new_positions)
-    result = new_framework(f.dimension, positions, f.ends.tolist() + list(new_pairs))
+    """f with the new joints and bars after its own, checked by new_framework."""
+    positions = np.concatenate((f.coordinates, np.reshape(new_positions, (-1, f.dimension))))
+    ends = np.concatenate((f.ends, np.array(new_pairs, dtype=np.int64).reshape(-1, 2)))
+    result = new_framework(f.dimension, positions, ends)
     if maxwell_count(result) != maxwell_count(f):
         raise InternalInconsistency(
             "a construction changed the scalar count from "
@@ -184,7 +186,7 @@ def cap_face(
             f"apex height {h} places the new joint in the plane of "
             f"face {fa}"
         )
-    return _append(f, [tuple(fc + h * n)], [(i, f.joint_count) for i in fa])
+    return _append(f, [fc + h * n], [(i, f.joint_count) for i in fa])
 
 
 def _adjacent_face_planes(
@@ -273,7 +275,7 @@ def cap_all_faces_symmetric(
     base = f.joint_count
     for idx, fa in enumerate(faces):
         fc, n, _ = _face_frame(f, fa)
-        new_positions.append(tuple(fc + h * n))
+        new_positions.append(fc + h * n)
         new_pairs.extend((i, base + idx) for i in fa)
     result = _append(f, new_positions, new_pairs)
     before = detect_point_group(f)
@@ -325,7 +327,7 @@ def twisted_cap_all_faces(
                 f"cap height {h} places the twisted triangle in the "
                 "face plane"
             )
-    new_positions: list[tuple[float, ...]] = []
+    new_positions: list[np.ndarray] = []
     new_pairs: list[tuple[int, int]] = []
     base = f.joint_count
     for fa in faces:
@@ -341,7 +343,7 @@ def twisted_cap_all_faces(
         corners = f.coordinates[list(fa)]
         lifted = [(fc + R @ (p - fc) + h * n) for p in corners]
         first = base + len(new_positions)
-        new_positions.extend(tuple(q) for q in lifted)
+        new_positions.extend(lifted)
         trio = [first, first + 1, first + 2]
         new_pairs.extend(
             [(trio[0], trio[1]), (trio[1], trio[2]), (trio[0], trio[2])]
@@ -404,7 +406,7 @@ def hat_stack(
     if h0 <= 1e-9 * diam or dh <= 1e-9 * diam:
         raise ValueError("hat heights must be positive and increasing")
     base = f.joint_count
-    new_positions = [tuple(fc + (h0 + i * dh) * n) for i in range(k)]
+    new_positions = [fc + (h0 + i * dh) * n for i in range(k)]
     new_pairs = [(c, base + i) for i in range(k) for c in fa]
     return _append(f, new_positions, new_pairs)
 

@@ -22,11 +22,9 @@ from .errors import (
     DanglingEndpoint,
     DuplicateBar,
     DuplicateJoint,
-    EmptySubset,
     NonFiniteEntry,
     ParseError,
     SelfLoop,
-    UnknownBar,
 )
 
 # Joints closer than this fraction of the framework diameter count as
@@ -53,22 +51,19 @@ class Graph:
     """Immutable joints 0..j-1 and the bars between them, no coordinates.
 
     Row k of ends holds the ends of bar k, low id first; the constructor
-    checks the pairs by bar_ends, in either orientation.  A graph keeps
-    each peel asked of it, whatever built it.
+    keeps the array that bar_ends checks the pairs into, in either
+    orientation.  A graph keeps each peel asked of it, whatever built it.
     """
 
-    __slots__ = ("_joint_count", "_ends", "_pair_to_bar", "_peels")
+    __slots__ = ("_joint_count", "_ends", "_peels")
 
     def __init__(self, joint_count: int, bar_pairs: Iterable[Sequence[int]]):
-        if not 0 <= joint_count < 2**63:  # every id fits int64
-            raise ParseError(f"joint count must be in [0, 2**63), got {joint_count!r}")
         self._store(joint_count, bar_ends(joint_count, bar_pairs))
 
-    def _store(self, joint_count: int, ends) -> None:
-        """Keep joint_count and a read-only int64 copy of ends, trusted."""
-        ends = np.fromiter(chain.from_iterable(ends), np.int64).reshape(-1, 2)
+    def _store(self, joint_count: int, ends: np.ndarray) -> None:
+        """Keep joint_count and ends, a (b, 2) int64 array, read-only; trusted."""
         ends.setflags(write=False)
-        for name, value in zip(Graph.__slots__, (joint_count, ends, None, {})):
+        for name, value in zip(Graph.__slots__, (joint_count, ends, {})):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
@@ -87,23 +82,15 @@ class Graph:
         """Read-only (b, 2) int64 array of bar ends, low id first."""
         return self._ends
 
-    @property
-    def pair_to_bar(self) -> dict[tuple[int, int], int]:
-        """Sorted endpoint pair -> bar id, built on first use; read-only."""
-        if self._pair_to_bar is None:
-            pairs = map(tuple, self._ends.tolist())
-            object.__setattr__(self, "_pair_to_bar", dict(zip(pairs, range(self.bar_count))))
-        return self._pair_to_bar
-
     def peel(self, d: int) -> Peel:
-        """peel_low_degree(joint_count, ends, d), kept for each d: no float."""
+        """peel_low_degree on the two id columns of ends, kept for each d."""
         if d not in self._peels:
-            pairs = list(zip(*self._ends.T.tolist()))  # tuples index faster than rows
-            self._peels[d] = peel_low_degree(self.joint_count, pairs, d)
+            self._peels[d] = peel_low_degree(self.joint_count, *self._ends.T.tolist(), d)
         return self._peels[d]
 
     def has_bar(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.pair_to_bar
+        """Whether a row of ends joins u and v, in either order."""
+        return bool((self._ends == (min(u, v), max(u, v))).all(axis=1).any())
 
     def __eq__(self, other: object) -> bool:
         if type(other) is not type(self):
@@ -130,7 +117,7 @@ class Framework(Graph):
     def __init__(self, dimension: int, coordinates, ends):
         coords = np.array(coordinates, dtype=float).reshape(-1, dimension)
         coords.setflags(write=False)
-        self._store(coords.shape[0], ends)
+        self._store(coords.shape[0], np.array(ends, dtype=np.int64).reshape(-1, 2))
         for name, value in zip(Framework.__slots__, (dimension, coords, None)):
             object.__setattr__(self, name, value)
 
@@ -238,28 +225,30 @@ def new_framework(
     return f
 
 
-def bar_ends(
-    joint_count: int, bar_pairs: Iterable[Sequence[int]]
-) -> list[tuple[int, int]]:
-    """The ends of each bar, low id first.
+def bar_ends(joint_count: int, bar_pairs: Iterable[Sequence[int]]) -> np.ndarray:
+    """A new (b, 2) int64 array: row k holds the ends of bar k, low id first.
 
-    Raises ParseError for a bar without exactly two ids, SelfLoop,
+    Raises ParseError for a joint count outside [0, 2**63), so that every
+    id fits int64, or a bar without exactly two ids, SelfLoop,
     DanglingEndpoint for an id outside 0..joint_count-1, and DuplicateBar
-    for a pair already seen in either orientation.  A list or tuple of
-    64 or more integer pairs is checked as one array first (the loop is
-    faster on fewer); on any fault the loop runs, and names the first.
+    for a pair already seen in either orientation.  A list, tuple or
+    array of 64 or more integer pairs is checked as one array first (the
+    loop is faster on fewer); on any fault the loop runs, and names the first.
     """
-    if isinstance(bar_pairs, (list, tuple)) and len(bar_pairs) >= 64:
+    if not 0 <= joint_count < 2**63:
+        raise ParseError(f"joint count must be in [0, 2**63), got {joint_count!r}")
+    if isinstance(bar_pairs, (list, tuple, np.ndarray)) and len(bar_pairs) >= 64:
         try:
             pairs = np.array(bar_pairs)
         except (ValueError, TypeError, OverflowError):  # ragged rows, say
             pairs = np.zeros(0)
         if pairs.dtype == np.int64 and pairs.shape == (len(bar_pairs), 2):
-            lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+            pairs.sort(axis=1)
+            lo, hi = pairs.T
             codes = np.sort((lo << 32) ^ hi)  # ids past 2**32 may alias: to the loop
             valid = (lo < hi).all() and lo.min() >= 0 and hi.max() < joint_count
             if valid and (codes[1:] != codes[:-1]).all():
-                return list(zip(lo.tolist(), hi.tolist()))
+                return pairs
     seen: dict[tuple[int, int], None] = {}
     for k, pair in enumerate(bar_pairs):
         pair = list(pair)
@@ -274,7 +263,7 @@ def bar_ends(
         if ends in seen:
             raise DuplicateBar(f"bar {k} duplicates pair {ends}")
         seen[ends] = None
-    return list(seen)
+    return np.array(list(seen), dtype=np.int64).reshape(-1, 2)
 
 
 def unit_scaled(coords: np.ndarray) -> tuple[np.ndarray, int]:
@@ -351,27 +340,29 @@ def pairs_within(
 
 def peel_low_degree(
     joint_count: int,
-    ends: Sequence[Sequence[int]],
+    us: Sequence[int],
+    vs: Sequence[int],
     d: int,
     accept: Callable[[list[int]], bool] | None = None,
 ) -> Peel:
-    """Henneberg's vertex addition run in reverse.
+    """Henneberg's vertex addition run in reverse, on bar i = (us[i], vs[i]).
 
     Repeatedly set aside a joint with at most d live bars, when `accept`
     (if given) takes the list of its live bar ids; its bars die with it,
     and its neighbours are tried again once their own live degree has
     dropped to d.  A joint that `accept` refuses is tried again each
-    time it loses another bar.
+    time it loses another bar.  us and vs are the two id columns of a
+    graph's ends as lists, `ends.T.tolist()`: no list of rows is built.
 
     Returns tuples: the peeled joints in peel order, the live bars of
     each when it was peeled, and which bars are left live: the core.
     """
     incident: list[list[int]] = [[] for _ in range(joint_count)]
-    for i, (u, v) in enumerate(ends):
+    for i, (u, v) in enumerate(zip(us, vs)):
         incident[u].append(i)
         incident[v].append(i)
     degree = [len(bars) for bars in incident]
-    live = [True] * len(ends)
+    live = [True] * len(us)
     peeled = [False] * joint_count
     todo = [v for v, k in enumerate(degree) if k <= d]
     order: list[int] = []
@@ -388,7 +379,7 @@ def peel_low_degree(
         blocks.append(tuple(bars))
         for i in bars:
             live[i] = False
-            w = ends[i][0] + ends[i][1] - v
+            w = us[i] + vs[i] - v
             degree[w] -= 1
             if degree[w] <= d:
                 todo.append(w)
@@ -399,21 +390,6 @@ def maxwell_count(f: Framework) -> int:
     """The classical scalar counting rule, exact: 3j-b-6 in 3D, 2j-b-3 in 2D."""
     rigid = 3 if f.dimension == 2 else 6
     return f.dimension * f.joint_count - f.bar_count - rigid
-
-
-def induced_counts(f: Framework, bar_ids: Iterable[int]) -> tuple[int, int]:
-    """(j*, b*) for the subframework induced by a set of bars.
-
-    j* counts every joint touched by a selected bar, b* the selected
-    bars.  Empty selections and unknown bar ids are rejected.
-    """
-    ids = sorted(set(int(i) for i in bar_ids))
-    if not ids:
-        raise EmptySubset("bar subset is empty")
-    for i in ids:
-        if not (0 <= i < f.bar_count):
-            raise UnknownBar(f"no bar with id {i}")
-    return len(set(f.ends[ids].ravel().tolist())), len(ids)
 
 
 def in_scope(f: Framework) -> bool:

@@ -41,14 +41,6 @@ class NonFiniteEntry(IsoframeError):
     """A coordinate or matrix entry is NaN or infinite."""
 
 
-class EmptySubset(IsoframeError):
-    """A subset operation was asked for with no bars selected."""
-
-
-class UnknownBar(IsoframeError):
-    """A bar id passed to a subset operation does not exist."""
-
-
 class ParseError(IsoframeError):
     """Input JSON is malformed or violates the documented schema."""
 

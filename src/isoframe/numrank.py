@@ -156,7 +156,8 @@ def _peel(f: Framework, system: EquilibriumSystem, floor: float) -> Peel:
     peel = f.peel(d)
     if conditioned(peel[1]):
         return peel
-    return peel_low_degree(f.joint_count, f.ends.tolist(), d, lambda bars: conditioned([bars]))
+    us, vs = f.ends.T.tolist()
+    return peel_low_degree(f.joint_count, us, vs, d, lambda bars: conditioned([bars]))
 
 
 def _image(system: EquilibriumSystem, x: np.ndarray) -> np.ndarray:

@@ -7,8 +7,10 @@ between the two is evidence, not tautology.  find_joint_permutation
 alone is no oracle: it is the one-matrix entry to the package's matcher
 that only tests use.  peel_per_joint shares core.peel_low_degree with
 the package: it checks the batched conditioning test of numrank._peel,
-not the peel itself.  new_framework_per_joint likewise hands the joints
-it has checked to core.new_framework: it checks the joint check alone.
+not the peel itself; peel_low_degree_rows, a copy of the peel that reads
+one (u, v) row per bar, checks the peel on its two id columns.
+new_framework_per_joint likewise hands the joints it has checked to
+core.new_framework: it checks the joint check alone.
 kernel_per_joint takes the peel and the core's SVD that numrank._reduce
 made: it checks the stacked back-substitution of numrank._kernel alone.
 """
@@ -533,8 +535,10 @@ def check_json_rows_per_row(rows: list, types, what: str) -> None:
             raise ParseError(f"bad {what} row: {row!r}")
 
 
-def bar_ends_per_row(joint_count: int, bar_pairs) -> list[tuple[int, int]]:
+def bar_ends_per_row(joint_count: int, bar_pairs) -> np.ndarray:
     """core.bar_ends as a loop over the bars, naming the first fault."""
+    if not 0 <= joint_count < 2**63:
+        raise ParseError(f"joint count must be in [0, 2**63), got {joint_count!r}")
     seen: dict[tuple[int, int], None] = {}
     for k, pair in enumerate(bar_pairs):
         pair = list(pair)
@@ -549,7 +553,7 @@ def bar_ends_per_row(joint_count: int, bar_pairs) -> list[tuple[int, int]]:
         if ends in seen:
             raise DuplicateBar(f"bar {k} duplicates pair {ends}")
         seen[ends] = None
-    return list(seen)
+    return np.array(list(seen), dtype=np.int64).reshape(-1, 2)
 
 
 def new_framework_per_joint(dimension: int, positions, bar_pairs):
@@ -581,7 +585,39 @@ def peel_per_joint(system, d: int, floor: float):
         U = system.units[bars]
         return np.linalg.eigvalsh(U @ U.T)[0] >= floor * floor
 
-    return peel_low_degree(system.joint_count, system.ends.tolist(), d, accept)
+    return peel_low_degree(system.joint_count, *system.ends.T.tolist(), d, accept)
+
+
+def peel_low_degree_rows(joint_count: int, ends, d: int, accept=None):
+    """core.peel_low_degree as it read one (u, v) row per bar: the same
+    reverse vertex addition, with the far end of bar i at ends[i]."""
+    incident: list[list[int]] = [[] for _ in range(joint_count)]
+    for i, (u, v) in enumerate(ends):
+        incident[u].append(i)
+        incident[v].append(i)
+    degree = [len(bars) for bars in incident]
+    live = [True] * len(ends)
+    peeled = [False] * joint_count
+    todo = [v for v, k in enumerate(degree) if k <= d]
+    order: list[int] = []
+    blocks: list[tuple[int, ...]] = []
+    while todo:
+        v = todo.pop()
+        if peeled[v]:
+            continue
+        bars = [i for i in incident[v] if live[i]]
+        if accept is not None and not accept(bars):
+            continue
+        peeled[v] = True
+        order.append(v)
+        blocks.append(tuple(bars))
+        for i in bars:
+            live[i] = False
+            w = ends[i][0] + ends[i][1] - v
+            degree[w] -= 1
+            if degree[w] <= d:
+                todo.append(w)
+    return tuple(order), tuple(blocks), tuple(live)
 
 
 def kernel_per_joint(red, d: int) -> np.ndarray:

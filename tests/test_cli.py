@@ -179,6 +179,22 @@ def test_input_errors_exit_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_an_output_path_that_cannot_be_written_exits_3(tmp_path, capsys):
+    framework = _write(tmp_path, "oct.json", platonic("octahedron"))
+    graph = tmp_path / "g.json"
+    graph.write_text(json.dumps({"joints": 3, "bars": [[0, 1], [1, 2], [0, 2]]}))
+    missing = tmp_path / "missing"
+    for argv in (
+        ["generate", "platonic", "octahedron", "-o", str(missing / "o.json")],
+        ["analyze", framework, "--dump-dot", str(missing / "x.dot")],
+        ["pebble", str(graph), "--dump-dot", str(missing / "x.dot")],
+    ):
+        code, _, err = _run(capsys, argv)
+        assert code == 3, argv
+        assert err.startswith("error:") and "missing" in err, argv
+    assert not missing.exists()
+
+
 def test_detect_reports_group_and_orbits(tmp_path, capsys):
     path = _write(tmp_path, "tet.json", platonic("tetrahedron"))
     code, out, _ = _run(capsys, ["detect", path, "--json"])

@@ -169,6 +169,8 @@ def test_graph_joint_count_must_fit_int64(count):
         Graph(count, [])
     with pytest.raises(ParseError, match="joint count"):
         Graph(count, [(0, 1)])
+    with pytest.raises(ParseError, match="joint count"):  # bar_ends owns the check
+        core.bar_ends(count, [(0, 1)])
     assert Graph(2**63 - 1, [(0, 2**63 - 2)]).ends.tolist() == [[0, 2**63 - 2]]
 
 

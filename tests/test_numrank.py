@@ -407,7 +407,7 @@ def test_refused_joint_reruns_the_peel_joint_by_joint(monkeypatch):
     got = numrank._peel(f, system, 1e-3)
     assert len(peels) == 2
     assert got == peel_per_joint(system, 2, 1e-3)
-    assert got[0] != numrank.peel_low_degree(system.joint_count, system.ends.tolist(), 2)[0]
+    assert got[0] != numrank.peel_low_degree(system.joint_count, *system.ends.T.tolist(), 2)[0]
 
 
 def test_loose_tolerance_keeps_the_exact_rank_of_a_chain():

@@ -34,6 +34,7 @@ from oracles import (
     henneberg_graph,
     pairs_within_bruteforce,
     pebble_game_plain,
+    peel_low_degree_rows,
     random_rational_config,
     three_core,
 )
@@ -308,6 +309,19 @@ def test_peeled_pebble_game_matches_plain_game(g):
     assert set(order) == set(range(g.joint_count)) - core_joints
     if report.verdict == "dependent":
         assert set(report.witness_joint_ids) <= core_joints
+
+
+@given(st.integers(0, 40), st.randoms(use_true_random=False), st.sampled_from([2, 3]), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_the_peel_on_two_columns_matches_the_peel_on_rows(j, rng, d, refuse):
+    pairs = [(a, b) for a in range(j) for b in range(a + 1, j)]
+    ends = core.bar_ends(j, rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * j))))
+    us, vs = ends.T.tolist()
+    # a refusing accept makes joints wait for another bar to go
+    accept = (lambda bars: sum(bars) % 3 != 1) if refuse else None
+    want = peel_low_degree_rows(j, ends.tolist(), d, accept)
+    assert core.peel_low_degree(j, us, vs, d, accept) == want
+    assert Graph(j, ends).peel(d) == peel_low_degree_rows(j, ends.tolist(), d)
 
 
 @given(
