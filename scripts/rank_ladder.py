@@ -1,0 +1,143 @@
+#!/usr/bin/env python3
+"""Time the rank step and the pebble game on shapes the benchmark lacks.
+
+Shapes:
+- edge_split300, edge_split1000, edge_split2000: planar graphs grown by
+  edge splits alone (`tests/oracles.py` `henneberg_graph`, split_share
+  1.0) at uniform random coordinates; every joint keeps 3 or more bars,
+  so the peel sets none aside.
+- chain1000_closed: the zigzag chain of 1000 joints (`bench/gen.py`
+  `henneberg`, shape "chain", rng seed 0) plus one bar between its two
+  ends, which keeps the whole chain in the core.
+- icosahedron_twisted: the j=72 twisted icosahedron; nothing peels.
+
+Each shape runs through `mobility`, `nullspace_bases` and, for the
+planar shapes, `pebble_game_2_3`, in --processes fresh processes, one
+after another, each with BLAS pinned to one thread.  A process builds
+its inputs and times each call once.  Prints one JSON line: for each
+shape and function, the min, median and max seconds over the processes,
+and the shape's rank, m, s and basis row counts.
+
+    python3 scripts/rank_ladder.py                       # 5 processes
+    python3 scripts/rank_ladder.py --processes 7 --shapes chain1000_closed
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import random
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+SHAPES = (
+    "edge_split300",
+    "edge_split1000",
+    "edge_split2000",
+    "chain1000_closed",
+    "icosahedron_twisted",
+)
+
+
+def build(shape: str):
+    import numpy as np
+
+    import isoframe as iso
+
+    if shape.startswith("edge_split"):
+        from oracles import henneberg_graph
+
+        j = int(shape.removeprefix("edge_split"))
+        edges = henneberg_graph(random.Random(j), 2, j, 1.0)
+        coords = np.random.default_rng(j).uniform(-1.0, 1.0, (j, 2))
+        return iso.new_framework(2, coords.tolist(), edges)
+    if shape == "chain1000_closed":
+        from gen import henneberg
+
+        coords, bars = henneberg(np.random.default_rng(0), 1000, "chain")
+        return iso.new_framework(2, coords.tolist(), bars + [(0, 999)])
+    if shape == "icosahedron_twisted":
+        return iso.twisted_cap_all_faces(iso.platonic("icosahedron"))
+    raise ValueError(f"unknown shape {shape!r}")
+
+
+def worker(shapes: list[str]) -> dict:
+    """Seconds per call, and the counts, for each shape in this process."""
+    import isoframe as iso
+
+    out = {}
+    for shape in shapes:
+        f = build(shape)
+        calls = {"mobility": iso.mobility, "nullspace_bases": iso.nullspace_bases}
+        if f.dimension == 2:
+            calls["pebble_game_2_3"] = iso.pebble_game_2_3
+        row, results = {}, {}
+        for name, call in calls.items():
+            start = time.perf_counter()
+            results[name] = call(f)
+            row[name] = time.perf_counter() - start
+        ks = results["mobility"]
+        stress, mech = results["nullspace_bases"]
+        row["counts"] = {
+            "joints": f.joint_count,
+            "bars": f.bar_count,
+            "rank": ks.rank,
+            "m": ks.m,
+            "s": ks.s,
+            "stress_rows": len(stress),
+            "mechanism_rows": len(mech),
+        }
+        out[shape] = row
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--processes", type=int, default=5, help="fresh processes, one after another")
+    p.add_argument("--shapes", default=",".join(SHAPES), help="comma list of shapes")
+    p.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    shapes = args.shapes.split(",")
+    unknown = sorted(set(shapes) - set(SHAPES))
+    if unknown:
+        p.error(f"unknown shapes {unknown}; choose from {', '.join(SHAPES)}")
+    if args.worker:
+        sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
+        print(json.dumps(worker(shapes)))
+        return 0
+    env = dict(os.environ, **{var: "1" for var in BLAS_ENV})
+    runs = []
+    for _ in range(args.processes):
+        done = subprocess.run(
+            [sys.executable, __file__, "--worker", "--shapes", args.shapes],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        runs.append(json.loads(done.stdout.splitlines()[-1]))
+    report = {}
+    for shape in shapes:
+        rows = [run[shape] for run in runs]
+        report[shape] = {
+            name: {
+                "min": round(min(r[name] for r in rows), 4),
+                "median": round(statistics.median(r[name] for r in rows), 4),
+                "max": round(max(r[name] for r in rows), 4),
+            }
+            for name in rows[0]
+            if name != "counts"
+        }
+        report[shape]["counts"] = rows[0]["counts"]
+    print(json.dumps({"processes": args.processes, "seconds": report}))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

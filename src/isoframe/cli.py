@@ -668,8 +668,8 @@ _FLAGS = {
         type=finite,
         default=DEFAULT_RANK_TOL,
         help="relative singular-value cutoff for numeric rank; joints "
-        "peeled before the SVD count exactly, so at loose cutoffs the "
-        "rank can exceed a dense SVD's",
+        "peeled or eliminated before the SVD count exactly, so at loose "
+        "cutoffs the rank can exceed a dense SVD's",
     ),
     "--tol-geom": dict(
         type=finite,

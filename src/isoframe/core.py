@@ -232,8 +232,9 @@ def bar_ends(joint_count: int, bar_pairs: Iterable[Sequence[int]]) -> np.ndarray
     id fits int64, or a bar without exactly two ids, SelfLoop,
     DanglingEndpoint for an id outside 0..joint_count-1, and DuplicateBar
     for a pair already seen in either orientation.  A list, tuple or
-    array of 64 or more integer pairs is checked as one array first (the
-    loop is faster on fewer); on any fault the loop runs, and names the first.
+    array of 64 or more integer pairs, of any integer dtype, is checked
+    as one int64 array first when every id fits int64 (the loop is faster
+    on fewer); on any fault the loop runs, and names the first.
     """
     if not 0 <= joint_count < 2**63:
         raise ParseError(f"joint count must be in [0, 2**63), got {joint_count!r}")
@@ -242,7 +243,9 @@ def bar_ends(joint_count: int, bar_pairs: Iterable[Sequence[int]]) -> np.ndarray
             pairs = np.array(bar_pairs)
         except (ValueError, TypeError, OverflowError):  # ragged rows, say
             pairs = np.zeros(0)
-        if pairs.dtype == np.int64 and pairs.shape == (len(bar_pairs), 2):
+        fits = pairs.dtype.kind == "i" or (pairs.dtype.kind == "u" and pairs.max() < 2**63)
+        if fits and pairs.shape == (len(bar_pairs), 2):
+            pairs = pairs.astype(np.int64, copy=False)
             pairs.sort(axis=1)
             lo, hi = pairs.T
             codes = np.sort((lo << 32) ^ hi)  # ids past 2**32 may alias: to the loop

@@ -27,6 +27,7 @@ for hits.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -49,13 +50,15 @@ class PebbleState:
     """Mutable pebble-game position: pebbles per joint plus edge orientations.
 
     Placing an edge costs one pebble from its tail, so the total of
-    free pebbles and placed edges is pinned at 2j throughout.
+    free pebbles and placed edges is pinned at 2j throughout.  Each
+    joint's out-neighbours are kept in ascending order as edges are
+    placed and reversed, so a search reads them without sorting.
     """
 
     def __init__(self, joint_count: int) -> None:
         self.joint_count = joint_count
         self.pebbles = [2] * joint_count
-        self.out: list[set[int]] = [set() for _ in range(joint_count)]
+        self.out: list[list[int]] = [[] for _ in range(joint_count)]
         self.placed = 0
 
     def check_invariant(self) -> None:
@@ -79,7 +82,7 @@ class PebbleState:
         """
         visited = {root, blocked}
         path = [root]
-        stack = [iter(sorted(self.out[root]))]
+        stack = [iter(self.out[root])]
         while stack:
             y = next((y for y in stack[-1] if y not in visited), None)
             if y is None:
@@ -90,7 +93,7 @@ class PebbleState:
             path.append(y)
             if self.pebbles[y] > 0:
                 return path
-            stack.append(iter(sorted(self.out[y])))
+            stack.append(iter(self.out[y]))
         return None
 
     def _pull_pebble(self, root: int, blocked: int) -> bool:
@@ -101,7 +104,7 @@ class PebbleState:
         self.pebbles[root] += 1
         for a, b in zip(found, found[1:]):
             self.out[a].remove(b)
-            self.out[b].add(a)
+            bisect.insort(self.out[b], a)
         return True
 
     def gather(self, u: int, v: int) -> bool:
@@ -118,7 +121,7 @@ class PebbleState:
         tail = u if self.pebbles[u] > 0 else v
         head = v if tail == u else u
         self.pebbles[tail] -= 1
-        self.out[tail].add(head)
+        bisect.insort(self.out[tail], head)
         self.placed += 1
 
     def _reach(self, roots: list[int], blocked: int | None) -> set[int]:

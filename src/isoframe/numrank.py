@@ -14,27 +14,33 @@ the bar lengths are spread.
 Before the SVD, `_peel` reverses Henneberg's vertex addition (Tay &
 Whiteley 1985, "Generating isostatic frameworks"): a joint whose k <= d
 live bars have well-conditioned unit directions meets only those k rows
-of C, so it adds exactly k to the rank and is set aside.  The dense SVD
-ranks only the core that is left, against the cutoff of the whole C.  A
-framework grown by vertex additions peels to an empty core; one grown
-by edge splits keeps every joint in it.  The conditioning test runs
-once per block size; only a refusal reruns the peel joint by joint.
-The bases of `nullspace_bases` come from the core's SVD, extended over
-the peeled joints in one stacked factorisation (`_kernel`); C and C.T
-are applied from the bar arrays, so C is formed only when nothing
-peels, and the basis path takes O(b + core^2) memory.
+of C, so it adds exactly k to the rank and is set aside.  A framework
+grown by vertex additions peels to an empty core; one grown by edge
+splits keeps every joint in it.  The conditioning test runs once per
+block size; only a refusal reruns the peel joint by joint.  A core of
+more than _DENSE_ROWS bars is then eliminated joint by joint in minimum
+live-row order (`_Elimination`): a Householder QR of each joint's k x d
+block sets d pivot rows aside and leaves k - d fill rows on its
+neighbours (k <= d rows leave whole, as in the peel).  The dense SVD
+ranks only the remainder, against the cutoff of the whole C.  The bases of `nullspace_bases` come from the
+remainder's SVD, carried back through the eliminated joints by their
+stored transforms and over the peeled joints in one stacked
+factorisation (`_kernel`); C and C.T are applied from the bar arrays,
+so no matrix the size of C is formed unless C is the remainder, and the
+basis path takes O(b + fill + remainder^2) memory.
 
-At loose tolerances the two can part: the peel counts each
-well-conditioned joint exactly, where an SVD of all of C can drop the
-small singular values that build up along a long chain.  A 120-joint
-planar chain at tolerance 1e-2 has rank 2j - 3 here, and less by a
-dense SVD.  So can a C whose smallest singular value is below the
-cutoff while no joint is ill-conditioned.  At the default tolerance
-the two agree on every gallery fixture and benchmark input.
+At loose tolerances the two can part: the peel and the elimination
+count each well-conditioned joint exactly, where an SVD of all of C can
+drop the small singular values that build up along a long chain.  A
+120-joint planar chain at tolerance 1e-2 has rank 2j - 3 here, and less
+by a dense SVD.  So can a C whose smallest singular value is below the
+cutoff while no joint is ill-conditioned.  At the default tolerance the
+two agree on every gallery fixture and benchmark input.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -48,6 +54,19 @@ from .core import SEPARATION_TOL, Framework, Peel, peel_low_degree, unit_scaled
 DEFAULT_RANK_TOL = 1e-10
 # power-iteration steps for the largest singular value of C
 _POWER_STEPS = 12
+# A core of at most this many bars goes whole to the dense SVD; a larger
+# one is eliminated first (_Elimination).  On edge-split cores of 84 to
+# 240 bars (BLAS on one thread), mobility plus nullspace_bases break even
+# at about 180 bars in 3D and 220 in 2D, mobility alone above 240; the
+# basis path's tracemalloc peak is 1.5-5.4x lower with elimination at
+# every size.  No gallery or screen3d core has more than 84 bars.
+_DENSE_ROWS = 200
+# Elimination stops once a live row meets on average more than this
+# share of the live joints: the remainder is then nearly dense.  On
+# edge-split cores of 600 to 4000 bars, shares from 0.1 to 0.5 leave
+# remainders within 16% of each other in size and take the same time
+# within noise; never stopping (share 1) takes 20x longer at 2000 bars.
+_DENSE_SHARE = 0.3
 
 
 @dataclass(frozen=True)
@@ -194,52 +213,195 @@ def _largest_singular_value(system: EquilibriumSystem, start: np.ndarray) -> flo
     return float(np.linalg.norm(_image(system, x)))
 
 
+class _Elimination:
+    """Orthogonal elimination of a core's joints in minimum live-row order
+    (George & Heath 1980, "Solution of sparse linear least squares
+    problems using Givens rotations").
+
+    A live row is a bar, or a fill row an earlier step made.  Each step
+    takes the live joint v with the fewest live rows, k of them, ties by
+    id; their entries on v's d columns form the block U.  If U fails the
+    peel's conditioning test, v stays live and is tried again once its
+    count of live rows changes.  Otherwise the complete QR U = Q R is
+    applied to the k rows: the first p = min(k, d) are pivot rows and
+    leave, so v adds exactly p to the rank; the other k - p are zero on v
+    and stay, as fill on the union of the rows' joints minus v (k <= d
+    rows, the peel's case, leave as they are).  Elimination stops when no
+    joint is left to try, or once a live row meets on average more than
+    _DENSE_SHARE of the live joints.  Q keeps singular values, so rank =
+    pivots + the rank of the remainder, the live rows on the live
+    joints' columns.  With keep, the steps are kept for `kernel` and
+    `stresses`: O(b + fill) memory, nothing of the size of C.
+    """
+
+    def __init__(
+        self, ends: np.ndarray, units: np.ndarray, joint_count: int, floor: float, keep: bool
+    ):
+        d = self.d = units.shape[1]
+        self.bars = len(ends)
+        self.at = list(ends)  # the joints of each row, an int array
+        self.vals = list(np.stack([units, -units], axis=1))  # its d-blocks on them
+        self.alive = [True] * len(ends)
+        incident: list[list[int]] = [[] for _ in range(joint_count)]  # row ids, dead ones too
+        for i, (a, b) in enumerate(ends.tolist()):
+            incident[a].append(i)
+            incident[b].append(i)
+        count = np.bincount(ends.ravel(), minlength=joint_count)  # live rows per joint
+        self.steps: list[tuple] = []  # (v, others, R, X, Q, rows in, fill rows) when keep
+        self.pivots = 0
+        done = np.zeros(joint_count, dtype=bool)
+        self.pos = np.zeros(joint_count, dtype=np.intp)  # a joint's place in the block at hand
+        live_rows, width, live = len(ends), ends.size, joint_count  # width: sum of row lengths
+        heap = list(zip(count.tolist(), range(joint_count)))
+        heapq.heapify(heap)
+        while heap and width <= _DENSE_SHARE * live * live_rows:
+            k, v = heapq.heappop(heap)
+            if done[v] or k != count[v]:
+                continue  # stale: v was eliminated, or its count changed
+            ids = incident[v] = [i for i in incident[v] if self.alive[i]]
+            parts = [self.at[i] for i in ids]
+            flat = np.concatenate(parts) if ids else np.zeros(0, dtype=np.intp)
+            others = np.array(sorted(set(flat.tolist()) - {v}), dtype=np.intp)
+            self.pos[v] = 0  # v's block first, then the others'
+            self.pos[others] = np.arange(1, len(others) + 1)
+            at = self.pos[flat]
+            M = np.zeros((k, len(others) + 1, d))
+            if ids:
+                rows = np.repeat(np.arange(k), [len(a) for a in parts])
+                M[rows, at] = np.concatenate([self.vals[i] for i in ids])
+            U = M[:, 0]
+            if k and np.linalg.eigvalsh(U.T @ U if k > d else U @ U.T)[0] < floor * floor:
+                continue
+            q = None  # with k <= d, the peel's own case, the rows leave as they are
+            if k > d:
+                q = np.linalg.qr(U, mode="complete")[0]
+                M = (q.T @ M.reshape(k, (len(others) + 1) * d)).reshape(M.shape)
+            p = min(k, d)
+            T = M[:, 1:]
+            fills = list(range(len(self.at), len(self.at) + k - p))
+            for i in ids:
+                self.alive[i] = False
+            self.at += [others] * (k - p)
+            self.vals += list(T[p:])
+            self.alive += [True] * (k - p)
+            change = (k - p) - np.bincount(at, minlength=len(others) + 1)[1:]
+            count[others] += change
+            for w in others.tolist() if fills else ():
+                incident[w].extend(fills)
+            moved = others[change != 0]
+            for w, n in zip(moved.tolist(), count[moved].tolist()):
+                heapq.heappush(heap, (n, w))
+            if keep:
+                X = T[:p].reshape(p, len(others) * d)
+                self.steps.append((v, others, M[:p, 0], X, q, ids, fills))
+            done[v] = True
+            self.pivots += p
+            live -= 1
+            live_rows -= p
+            width += (k - p) * len(others) - len(at)
+        self.joints = np.flatnonzero(~done)
+        self.rows = [i for i, alive in enumerate(self.alive) if alive]
+        self.eliminated = joint_count - len(self.joints)
+
+    def remainder(self) -> np.ndarray:
+        """The live rows on the live joints' columns, as a dense matrix."""
+        self.pos[self.joints] = np.arange(len(self.joints))
+        M = np.zeros((len(self.rows), len(self.joints), self.d))
+        for r, i in enumerate(self.rows):
+            M[r, self.pos[self.at[i]]] = self.vals[i]
+        return M.reshape(len(self.rows), len(self.joints) * self.d)
+
+    def kernel(self, rem_null: np.ndarray, count: int) -> np.ndarray:
+        """count rows spanning the null space of the core's rows, from the
+        remainder's: extended to the eliminated joints in reverse order by
+        the least-norm x_v with R x_v = -X x_others, and each of the d - p
+        directions that R does not see starting a new row at v."""
+        d = self.d
+        Y = np.zeros((count, len(self.pos), d))
+        n = len(rem_null)
+        Y[:n][:, self.joints] = rem_null.reshape(n, len(self.joints), d)
+        for v, others, R, X, _, _, _ in reversed(self.steps):
+            p = len(R)
+            rhs = -Y[:n, others].reshape(n, X.shape[1]) @ X.T
+            if p == d:
+                Y[:n, v] = np.linalg.solve(R, rhs.T).T
+                continue
+            q, r = np.linalg.qr(R.T, mode="complete")
+            Y[:n, v] = (q[:, :p] @ np.linalg.solve(r[:p].T, rhs.T)).T
+            Y[n : n + d - p, v] = q[:, p:].T
+            n += d - p
+        return Y.reshape(count, len(self.pos) * d)
+
+    def stresses(self, rem_left: np.ndarray) -> np.ndarray:
+        """Rows spanning the left null space of the core's rows, from the
+        remainder's: zero on every pivot row, and carried back to the bars
+        through each step's Q in reverse order."""
+        W = np.zeros((len(rem_left), len(self.at)))
+        W[:, self.rows] = rem_left
+        for _, _, R, _, Q, ids, fills in reversed(self.steps):
+            if fills:
+                W[:, ids] = W[:, fills] @ Q[:, len(R) :].T
+        return W[:, : self.bars]
+
+
 @dataclass(frozen=True)
 class _Reduced:
-    """C split into its peeled joints and a core ranked by SVD."""
+    """C split into the joints set aside, peeled or eliminated, and a
+    remainder ranked by SVD; with vectors, the core's null spaces."""
 
     system: EquilibriumSystem
     order: tuple[int, ...]  # peeled joints, in peel order
     blocks: tuple[tuple[int, ...], ...]  # the live bars of each when it was peeled
     core_joints: np.ndarray
     core_bars: np.ndarray
-    core_rank: int
+    set_aside: int  # joints peeled or eliminated
     rank: int  # of all of C
-    sv: np.ndarray  # of the core
-    u: np.ndarray | None = None
-    vt: np.ndarray | None = None
+    sv: np.ndarray  # of the remainder
+    core_null: np.ndarray | None  # rows on the core joints' columns
+    core_stress: np.ndarray | None  # rows on the core bars
 
 
 def _reduce(f: Framework, tol: float, vectors: bool) -> _Reduced:
-    """Peel, then rank the core by SVD against the cutoff of all of C.
+    """Peel; eliminate a core of more than _DENSE_ROWS bars; rank what is
+    left, the remainder, by SVD against the cutoff of all of C.
 
-    When nothing peels the core is C itself, and its largest singular
-    value is the one the cutoff needs; otherwise power iteration on the
-    whole C supplies it, unless the core is empty and there is nothing
-    left to rank.
+    When nothing was set aside the remainder is C itself, and its largest
+    singular value is the one the cutoff needs; otherwise power iteration
+    on the whole C supplies it, unless nothing is left to rank.
     """
     _check_tolerance(tol)
     system = build_system(f)
-    order, blocks, live = _peel(f, system, max(1e-3, math.sqrt(tol)))
+    floor = max(1e-3, math.sqrt(tol))
+    order, blocks, live = _peel(f, system, floor)
     core_joints = np.delete(np.arange(f.joint_count), order)  # np.setdiff1d imports numpy.ma
     core_bars = np.flatnonzero(live)
-    if order:
-        where = np.zeros(f.joint_count, dtype=np.intp)
-        where[core_joints] = np.arange(core_joints.size)
-        core = _assemble(where[system.ends[core_bars]], system.units[core_bars], core_joints.size)
+    where = np.zeros(f.joint_count, dtype=np.intp)
+    where[core_joints] = np.arange(core_joints.size)
+    ends, units = where[system.ends[core_bars]], system.units[core_bars]
+    elim = None
+    if core_bars.size > _DENSE_ROWS:
+        elim = _Elimination(ends, units, core_joints.size, floor, vectors)
+        remainder = elim.remainder()
     else:
-        core = system.C
-    u = vt = None
+        remainder = _assemble(ends, units, core_joints.size)
+    set_aside = len(order) + (elim.eliminated if elim else 0)
     if vectors:
-        u, sv, vt = np.linalg.svd(core, full_matrices=True)
+        u, sv, vt = np.linalg.svd(remainder, full_matrices=True)
     else:
-        sv = np.linalg.svd(core, compute_uv=False) if core.size else np.zeros(0)
+        sv = np.linalg.svd(remainder, compute_uv=False) if remainder.size else np.zeros(0)
     top = sv[0] if sv.size else 0.0
-    if order and sv.size:
+    if set_aside and sv.size:
         top = max(top, _largest_singular_value(system, unit_scaled(f.coordinates)[0]))
-    core_rank = _rank(sv, tol, top)
+    rem_rank = _rank(sv, tol, top)
+    core_rank = rem_rank + (elim.pivots if elim else 0)
+    null = left = None
+    if vectors:
+        null, left = vt[rem_rank:], u[:, rem_rank:].T
+        if elim:
+            null = elim.kernel(null, f.dimension * core_joints.size - core_rank)
+            left = elim.stresses(left)
     rank = f.bar_count - core_bars.size + core_rank
-    return _Reduced(system, order, blocks, core_joints, core_bars, core_rank, rank, sv, u, vt)
+    return _Reduced(system, order, blocks, core_joints, core_bars, set_aside, rank, sv, null, left)
 
 
 def rigid_body_basis(f: Framework) -> np.ndarray:
@@ -285,8 +447,9 @@ class KinematicSummary:
 
     mechanisms = d*j - rank - rigid_body_dim, self_stresses = b - rank;
     both exact integers once the rank is fixed by the tolerance.
-    peeled_joints joints were set aside before the SVD, and
-    singular_values are those of the core that was left.
+    peeled_joints joints were set aside before the SVD, peeled or
+    eliminated, and singular_values are those of the remainder that was
+    left.
     """
 
     dimension: int
@@ -326,7 +489,7 @@ def mobility(f: Framework, tol: float = DEFAULT_RANK_TOL) -> KinematicSummary:
         mechanisms=f.dimension * f.joint_count - red.rank - rb,
         self_stresses=f.bar_count - red.rank,
         tolerance_used=tol,
-        peeled_joints=len(red.order),
+        peeled_joints=red.set_aside,
         singular_values=red.sv,
     )
 
@@ -344,7 +507,7 @@ def _kernel(red: _Reduced, d: int) -> np.ndarray:
     are the new directions.
     """
     system = red.system
-    core_null = red.vt[red.core_rank :]
+    core_null = red.core_null
     X = np.zeros((d * system.joint_count - red.rank, system.joint_count, d))
     X[: len(core_null)][:, red.core_joints] = core_null.reshape(
         len(core_null), red.core_joints.size, d
@@ -378,16 +541,19 @@ def nullspace_bases(
     Returns (stress_basis, mechanism_basis): stress rows have length b
     and satisfy C.T @ sigma ~ 0; mechanism rows have length d*j, lie in
     null(C), and are orthogonal to every rigid-body field.  Both come
-    from the full SVD of the core, ranked as mobility() ranks it: a
-    self-stress is zero on every peeled bar, and a mechanism extends to
-    the peeled joints by `_kernel`.  Both residuals are taken from the
-    bar arrays; C is formed only when it is the core.
+    from the full SVD of the remainder, ranked as mobility() ranks it:
+    a self-stress is zero on every pivot row, goes back to the bars
+    through the elimination's reflections and is zero on every peeled
+    bar; a mechanism extends to the eliminated joints by back-substitution
+    and to the peeled joints by `_kernel`.  Both residuals are taken from
+    the bar arrays; C is formed only as the remainder, when nothing was
+    set aside.
     """
     red = _reduce(f, tol, vectors=True)
     system = red.system
     b, n = f.bar_count, f.dimension * f.joint_count
-    stress = np.zeros((red.core_bars.size - red.core_rank, b))
-    stress[:, red.core_bars] = red.u[:, red.core_rank :].T
+    stress = np.zeros((len(red.core_stress), b))
+    stress[:, red.core_bars] = red.core_stress
     kernel = _kernel(red, f.dimension)
     rb = rigid_body_basis(f)
     # project rigid-body motions out of the kernel, then re-orthonormalize;

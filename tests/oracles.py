@@ -11,8 +11,11 @@ not the peel itself; peel_low_degree_rows, a copy of the peel that reads
 one (u, v) row per bar, checks the peel on its two id columns.
 new_framework_per_joint likewise hands the joints it has checked to
 core.new_framework: it checks the joint check alone.
-kernel_per_joint takes the peel and the core's SVD that numrank._reduce
+kernel_per_joint takes the peel and the core's kernel that numrank._reduce
 made: it checks the stacked back-substitution of numrank._kernel alone.
+dense_reference ranks the core that the peel (shared with the package)
+leaves by one dense SVD, with no elimination: it checks numrank's
+_Elimination and the back-substitution through it.
 """
 
 from __future__ import annotations
@@ -21,9 +24,11 @@ import collections
 import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
+from isoframe import numrank
 from isoframe.core import new_framework, peel_low_degree
 from isoframe.errors import (
     DanglingEndpoint,
@@ -624,7 +629,7 @@ def kernel_per_joint(red, d: int) -> np.ndarray:
     """numrank._kernel with one QR and one solve per peeled joint, as the
     reverse peel reaches it: orthonormal rows spanning null(C)."""
     system = red.system
-    core_null = red.vt[red.core_rank :]
+    core_null = red.core_null
     X = np.zeros((d * system.joint_count - red.rank, system.joint_count, d))
     X[: len(core_null)][:, red.core_joints] = core_null.reshape(
         len(core_null), red.core_joints.size, d
@@ -643,6 +648,40 @@ def kernel_per_joint(red, d: int) -> np.ndarray:
         count += d - k
     q, _ = np.linalg.qr(X.reshape(len(X), -1).T)
     return q.T
+
+
+def dense_reference(f, tol: float = numrank.DEFAULT_RANK_TOL):
+    """numrank's (rank, stress basis, mechanism basis) with the core that
+    the peel leaves ranked whole by one full SVD of its block of the
+    dense C, cut at tol times the largest singular value of all of C,
+    and the kernel extended by kernel_per_joint."""
+    d, j, b = f.dimension, f.joint_count, f.bar_count
+    system = numrank.build_system(f)
+    order, blocks, live = numrank._peel(f, system, max(1e-3, math.sqrt(tol)))
+    core_joints = np.delete(np.arange(j), order)
+    core_bars = np.flatnonzero(live)
+    columns = (d * core_joints[:, None] + np.arange(d)).ravel()
+    u, sv, vt = np.linalg.svd(system.C[np.ix_(core_bars, columns)], full_matrices=True)
+    top = np.linalg.svd(system.C, compute_uv=False)[0] if sv.size else 0.0
+    core_rank = int(np.sum(sv > tol * top)) if top else 0
+    red = SimpleNamespace(
+        system=system,
+        order=order,
+        blocks=blocks,
+        core_joints=core_joints,
+        rank=b - core_bars.size + core_rank,
+        core_null=vt[core_rank:],
+    )
+    stress = np.zeros((core_bars.size - core_rank, b))
+    stress[:, core_bars] = u[:, core_rank:].T
+    kernel = kernel_per_joint(red, d)
+    rb = numrank.rigid_body_basis(f)
+    proj = kernel - (kernel @ rb.T) @ rb
+    mech = np.zeros((0, d * j))
+    if proj.size:
+        _, s2, v2 = np.linalg.svd(proj, full_matrices=False)
+        mech = v2[s2 > 0.5]
+    return red.rank, stress, mech
 
 
 # ---------------------------------------------------------------------------

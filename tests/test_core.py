@@ -14,6 +14,7 @@ from isoframe.errors import (
     DanglingEndpoint,
     DuplicateBar,
     DuplicateJoint,
+    IsoframeError,
     NonFiniteEntry,
     ParseError,
     SelfLoop,
@@ -287,6 +288,38 @@ def test_bar_ends_returns_a_new_int64_array(pairs):
     assert ends.flags.writeable and not np.shares_memory(ends, np.asarray(pairs))
     assert not iso.Graph(70, pairs).ends.flags.writeable
     assert core.bar_ends(3, []).shape == (0, 2)
+
+
+INT_ARRAYS = {
+    "valid": [],
+    "self-loop": [[5, 5]],
+    "reversed repeat": [[1, 0]],
+    "past the last joint": [[0, J]],
+    "above int64": [[0, 2**63]],
+}
+
+
+@pytest.mark.parametrize(
+    "dtype, name",
+    [
+        (dtype, name)
+        for dtype in ("int8", "int16", "int32", "uint16", "uint32", "uint64")
+        for name, extra in INT_ARRAYS.items()
+        if np.can_cast(np.min_scalar_type(max(map(max, PAD + extra))), dtype)
+    ],
+)
+def test_bar_arrays_of_any_integer_dtype_match_the_per_row_loop(dtype, name):
+    pairs = np.array([[0, 1], [0, 2]] + PAD + INT_ARRAYS[name], dtype=dtype)
+    assert len(pairs) >= 64
+    outcomes = []
+    for check in (core.bar_ends, bar_ends_per_row):
+        try:
+            outcomes.append(check(J, pairs).tolist())
+        except IsoframeError as exc:
+            outcomes.append((type(exc), str(exc)))
+    assert outcomes[0] == outcomes[1]
+    if name == "valid":  # checked as one array, never walked row by row
+        assert core.bar_ends(J, pairs.view(NoRows)).tolist() == outcomes[0]
 
 
 @pytest.mark.parametrize(

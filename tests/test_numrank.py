@@ -29,7 +29,13 @@ from isoframe.numrank import (
     rigid_body_basis,
     rigid_body_dimension,
 )
-from oracles import exact_rigidity_rank, henneberg_graph, kernel_per_joint, peel_per_joint
+from oracles import (
+    dense_reference,
+    exact_rigidity_rank,
+    henneberg_graph,
+    kernel_per_joint,
+    peel_per_joint,
+)
 
 
 def to_fractions(f):
@@ -296,21 +302,134 @@ def test_long_chain_peels_every_joint():
     assert (ks.rank, ks.m, ks.s) == (2 * 2000 - 3, 0, 0)
 
 
+def edge_split(d, j, seed, split_share=1.0, added=0, removed=0):
+    """henneberg_graph at random coordinates, less `removed` bars, plus
+    `added` bars (as many as fit) between joints not yet joined."""
+    rng = random.Random(seed)
+    edges = henneberg_graph(rng, d, j, split_share)
+    for _ in range(removed):
+        edges.pop(rng.randrange(len(edges)))
+    free = sorted({(u, v) for v in range(j) for u in range(v)} - set(edges))
+    edges += rng.sample(free, min(added, len(free)))
+    coords = np.random.default_rng(seed).uniform(-1.0, 1.0, (j, d))
+    return iso.new_framework(d, coords.tolist(), edges)
+
+
 def test_edge_split_graph_peels_none():
-    rng = random.Random(5)
-    edges = henneberg_graph(rng, 2, 200, split_share=1.0)
-    degree = np.bincount(np.array(edges).ravel(), minlength=200)
+    f = edge_split(2, 200, 5)
+    degree = np.bincount(f.ends.ravel(), minlength=200)
     assert degree.min() == 3
-    coords = np.random.default_rng(5).uniform(-1.0, 1.0, (200, 2))
-    f = iso.new_framework(2, coords.tolist(), edges)
+    system = build_system(f)
+    assert numrank._peel(f, system, 1e-3)[0] == ()
+    # the core is all of C, and elimination sets most of its joints
+    # aside: the SVD ranks a remainder, not C
     ks = mobility(f)
-    assert ks.peeled_joints == 0
-    # the core is all of C
-    rank, sv = numeric_rank(build_system(f).C)
-    assert np.array_equal(ks.singular_values, sv)
+    rank, sv = numeric_rank(system.C)
+    assert 0 < ks.singular_values.size < sv.size / 2
+    assert 0 < ks.peeled_joints < 200
     assert (ks.rank, ks.m, ks.s) == (rank, 0, 0) == (2 * 200 - 3, 0, 0)
     stress, mech = nullspace_bases(f)
     assert (stress.shape[0], mech.shape[0]) == (0, 0)
+
+
+@pytest.mark.parametrize("j", [150, 300, 500])
+@pytest.mark.parametrize("added, removed", [(0, 0), (1, 0), (0, 1), (3, 2)])
+def test_edge_split_graphs_rank_as_the_dense_svd(j, added, removed):
+    f = edge_split(2, j, j + added, added=added, removed=removed)
+    rank = numeric_rank(build_system(f).C)[0]
+    ks = mobility(f)
+    assert ks.singular_values.size < f.bar_count
+    assert ks.rank == rank
+    assert (ks.m, ks.s) == (2 * j - rank - 3, f.bar_count - rank)
+    stress, mech = nullspace_bases(f)
+    assert (stress.shape[0], mech.shape[0]) == (ks.s, ks.m)
+
+
+@given(
+    d=st.sampled_from([2, 3]),
+    j=st.integers(5, 40),
+    seed=st.integers(0, 2**32 - 1),
+    split_share=st.floats(0.0, 1.0),
+    added=st.integers(0, 3),
+    removed=st.integers(0, 2),
+    share=st.sampled_from([numrank._DENSE_SHARE, 1.0]),
+)
+@settings(max_examples=150, deadline=None)
+def test_elimination_matches_the_dense_reference(d, j, seed, split_share, added, removed, share):
+    # with no dense cutoff every core, however small, is eliminated; at
+    # share 1.0 no density stops it, so it runs down to the last joint
+    f = edge_split(d, j, seed, split_share, added, removed)
+    rank, stress_ref, mech_ref = dense_reference(f)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numrank, "_DENSE_ROWS", 0)
+        mp.setattr(numrank, "_DENSE_SHARE", share)
+        ks = mobility(f)
+        stress, mech = nullspace_bases(f)
+    assert ks.rank == rank
+    assert (ks.s, ks.m) == (len(stress), len(mech)) == (len(stress_ref), len(mech_ref))
+    # rounding moves a null space by about 1e-15 over the smallest kept
+    # singular value of C; above 1e-6 that is the 1e-9 asked for
+    gap = np.linalg.svd(build_system(f).C, compute_uv=False)[rank - 1] if rank else 1.0
+    tol = max(1e-9, 1e-15 / gap)
+    assert np.abs(stress.T @ stress - stress_ref.T @ stress_ref).max(initial=0.0) < tol
+    assert np.abs(mech.T @ mech - mech_ref.T @ mech_ref).max(initial=0.0) < tol
+
+
+def test_a_refused_joint_stays_in_the_remainder(monkeypatch):
+    # joint v and its three neighbours sit on one line: v's 3 x 2 block
+    # has rank 1, so elimination, run to the end, leaves v to the SVD
+    f = edge_split(2, 60, 3)
+    degree = np.bincount(f.ends.ravel())
+    v = int(np.argmin(degree))
+    ends = f.ends[(f.ends == v).any(axis=1)]
+    assert degree[v] == len(ends) == 3
+    coords = f.coordinates.copy()
+    for t, w in zip((-1.3, 0.7, 1.9), ends.sum(axis=1) - v):
+        coords[w] = coords[v] + t * np.array([0.6, 0.8])
+    f = iso.new_framework(2, coords.tolist(), f.ends.tolist())
+    monkeypatch.setattr(numrank, "_DENSE_ROWS", 0)
+    monkeypatch.setattr(numrank, "_DENSE_SHARE", 1.0)
+    system = build_system(f)
+    elim = numrank._Elimination(system.ends, system.units, f.joint_count, 1e-3, keep=False)
+    assert v in elim.joints
+    rank, stress_ref, mech_ref = dense_reference(f)
+    ks = mobility(f)
+    stress, mech = nullspace_bases(f)
+    assert ks.rank == rank
+    assert (len(stress), len(mech)) == (len(stress_ref), len(mech_ref))
+
+
+def test_elimination_sets_aside_joints_without_rows(monkeypatch):
+    # joint 2 has no row, and joint 1 has none left once joint 0 has
+    # taken the one bar: each adds nothing to the rank, d directions to
+    # the kernel.  No density stops this elimination.
+    monkeypatch.setattr(numrank, "_DENSE_SHARE", 1.0)
+    ends, units = np.array([[0, 1]]), np.array([[0.6, 0.8]])
+    elim = numrank._Elimination(ends, units, 3, 1e-3, keep=True)
+    assert (elim.eliminated, elim.pivots, elim.rows) == (3, 1, [])
+    assert [step[0] for step in elim.steps] == [2, 0, 1]
+    kernel = elim.kernel(np.zeros((0, 0)), 5)
+    C = numrank._assemble(ends, units, 3)
+    assert np.linalg.matrix_rank(kernel) == 5
+    assert np.abs(C @ kernel.T).max() < 1e-15
+    assert elim.stresses(np.zeros((0, 0))).shape == (0, 1)
+
+
+def test_no_large_svd_and_no_dense_c_on_the_twisted_icosahedron(monkeypatch):
+    # nothing peels (210 bars on 72 joints): the parent ranked all of C by
+    # one full SVD, and the elimination leaves it a small remainder
+    def refuse(system):
+        raise AssertionError("the dense compatibility matrix was formed")
+
+    f = iso.twisted_cap_all_faces(iso.platonic("icosahedron"))
+    monkeypatch.setattr(numrank.EquilibriumSystem, "C", property(refuse))
+    shapes = _count_calls(monkeypatch, "svd", np.linalg)
+    ks = mobility(f)
+    stress, mech = nullspace_bases(f)
+    assert (f.joint_count, f.bar_count, ks.m, ks.s) == (72, 210, 0, 0)
+    assert (stress.shape, mech.shape) == ((0, 210), (0, 216))
+    assert 0 < ks.peeled_joints < 72
+    assert shapes and max(np.shape(args[0])[0] for args in shapes) <= 64
 
 
 def test_collinear_degree_two_joint_is_not_peeled():

@@ -270,12 +270,12 @@ def test_pebble_bookkeeping_never_leaks(g):
 
 
 @st.composite
-def henneberg_bare_graphs(draw):
+def henneberg_bare_graphs(draw, split_shares=(0.0, 0.3, 1.0)):
     """2D Henneberg I/II mixes with j <= 60, tight or one or two bars
     added or one removed, relabelled and in shuffled bar order."""
     j = draw(st.integers(4, 60))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    edges = henneberg_graph(rng, 2, j, draw(st.sampled_from([0.0, 0.3, 1.0])))
+    edges = henneberg_graph(rng, 2, j, draw(st.sampled_from(split_shares)))
     change = draw(st.sampled_from([0, 1, 2, -1]))
     if change < 0:
         edges.remove(rng.choice(edges))
@@ -297,6 +297,20 @@ def random_bare_graphs(draw):
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     b = draw(st.integers(j, min(3 * j, len(pairs))))
     return Graph(j, tuple(rng.sample(pairs, b)))
+
+
+@given(henneberg_bare_graphs(split_shares=(0.0, 0.5, 1.0)))
+@settings(max_examples=150, deadline=None)
+def test_ordered_out_lists_keep_the_plain_games_answers(g):
+    # every search reads the out-neighbours in ascending order, as the
+    # sort on each visit gave them
+    def ordered(state):
+        assert all(out == sorted(set(out)) for out in state.out)
+
+    report = pebble_game_2_3(g, on_move=ordered)
+    plain = pebble_game_plain(g.joint_count, g.ends.tolist())
+    keys = ("verdict", "free_pebbles", "witness_joint_ids", "witness_bar_ids")
+    assert [getattr(report, key) for key in keys] == [plain[key] for key in keys]
 
 
 @given(st.one_of(bare_graphs(), henneberg_bare_graphs(), random_bare_graphs()))
