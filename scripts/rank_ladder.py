@@ -10,13 +10,20 @@ Shapes:
   `henneberg`, shape "chain", rng seed 0) plus one bar between its two
   ends, which keeps the whole chain in the core.
 - icosahedron_twisted: the j=72 twisted icosahedron; nothing peels.
+- mixed2d_400, mixed3d_200: `henneberg_graph` with edge splits mixed
+  into vertex additions (d=2, j=400, split_share 0.5; d=3, j=200,
+  split_share 0.8), rng seed 7, as `tests/test_numrank.py` `edge_split`
+  builds them: the peel sets a few joints aside (3; 2) and the
+  elimination most of the core (300; 112).
 
 Each shape runs through `mobility`, `nullspace_bases` and, for the
 planar shapes, `pebble_game_2_3`, in --processes fresh processes, one
 after another, each with BLAS pinned to one thread.  A process builds
 its inputs and times each call once.  Prints one JSON line: for each
 shape and function, the min, median and max seconds over the processes,
-and the shape's rank, m, s and basis row counts.
+and the shape's rank, m, s, basis row counts, joints set aside before
+the SVD (`peeled_joints`) and the remainder's size
+(`singular_values.size`).
 
     python3 scripts/rank_ladder.py                       # 5 processes
     python3 scripts/rank_ladder.py --processes 7 --shapes chain1000_closed
@@ -42,6 +49,8 @@ SHAPES = (
     "edge_split2000",
     "chain1000_closed",
     "icosahedron_twisted",
+    "mixed2d_400",
+    "mixed3d_200",
 )
 
 
@@ -64,6 +73,13 @@ def build(shape: str):
         return iso.new_framework(2, coords.tolist(), bars + [(0, 999)])
     if shape == "icosahedron_twisted":
         return iso.twisted_cap_all_faces(iso.platonic("icosahedron"))
+    if shape in ("mixed2d_400", "mixed3d_200"):
+        from oracles import henneberg_graph
+
+        d, j, share = (2, 400, 0.5) if shape == "mixed2d_400" else (3, 200, 0.8)
+        edges = henneberg_graph(random.Random(7), d, j, share)
+        coords = np.random.default_rng(7).uniform(-1.0, 1.0, (j, d))
+        return iso.new_framework(d, coords.tolist(), edges)
     raise ValueError(f"unknown shape {shape!r}")
 
 
@@ -92,6 +108,8 @@ def worker(shapes: list[str]) -> dict:
             "s": ks.s,
             "stress_rows": len(stress),
             "mechanism_rows": len(mech),
+            "peeled_joints": ks.peeled_joints,
+            "remainder": ks.singular_values.size,
         }
         out[shape] = row
     return out

@@ -11,23 +11,22 @@ Rank is decided once, on C, by the relative cutoff in `_rank`.  Every
 row of C has unit norm, so the decision does not depend on how widely
 the bar lengths are spread.
 
-Before the SVD, `_peel` reverses Henneberg's vertex addition (Tay &
-Whiteley 1985, "Generating isostatic frameworks"): a joint whose k <= d
-live bars have well-conditioned unit directions meets only those k rows
-of C, so it adds exactly k to the rank and is set aside.  A framework
-grown by vertex additions peels to an empty core; one grown by edge
-splits keeps every joint in it.  The conditioning test runs once per
-block size; only a refusal reruns the peel joint by joint.  A core of
-more than _DENSE_ROWS bars is then eliminated joint by joint in minimum
-live-row order (`_Elimination`): a Householder QR of each joint's k x d
-block sets d pivot rows aside and leaves k - d fill rows on its
-neighbours (k <= d rows leave whole, as in the peel).  The dense SVD
-ranks only the remainder, against the cutoff of the whole C.  The bases of `nullspace_bases` come from the
-remainder's SVD, carried back through the eliminated joints by their
-stored transforms and over the peeled joints in one stacked
-factorisation (`_kernel`); C and C.T are applied from the bar arrays,
-so no matrix the size of C is formed unless C is the remainder, and the
-basis path takes O(b + fill + remainder^2) memory.
+Before the SVD, joints that add a known amount to the rank are set
+aside.  `_peel` reverses Henneberg's vertex addition (Tay & Whiteley
+1985, "Generating isostatic frameworks"): a joint whose k <= d live bars
+have well-conditioned unit directions meets only those k rows of C, so
+it adds exactly k to the rank.  A framework grown by vertex additions
+peels to an empty core; one grown by edge splits keeps every joint in
+it.  A core of more than _DENSE_ROWS bars is then eliminated joint by
+joint in minimum live-row order (`_Elimination`): a Householder QR of
+each joint's k x d block sets d pivot rows aside and leaves k - d fill
+rows on its neighbours.  A peeled joint is the case k <= d, whose rows
+leave whole.  The dense SVD ranks only the remainder, against the cutoff
+of the whole C.  `nullspace_bases` carries the remainder's null spaces
+back over every joint set aside, one stored step per joint; C and C.T
+are applied from the bar arrays, so no matrix the size of C is formed
+unless C is the remainder, and the basis path takes
+O(b + fill + remainder^2) memory.
 
 At loose tolerances the two can part: the peel and the elimination
 count each well-conditioned joint exactly, where an SVD of all of C can
@@ -146,6 +145,14 @@ def numeric_rank(M: np.ndarray, tol: float = DEFAULT_RANK_TOL) -> tuple[int, np.
     return _rank(sv, tol), sv
 
 
+def _conditioned(U: np.ndarray, floor: float) -> bool:
+    """Whether each k x d block of the stack U has its min(k, d)-th
+    singular value at least floor, read from the smaller Gram matrix."""
+    T = U.swapaxes(-1, -2)
+    G = T @ U if U.shape[-2] > U.shape[-1] else U @ T
+    return min(np.linalg.eigvalsh(G)[..., :1].ravel().tolist(), default=1.0) >= floor * floor
+
+
 def _peel(f: Framework, system: EquilibriumSystem, floor: float) -> Peel:
     """Set aside the joints that add a known amount to the rank of C.
 
@@ -165,11 +172,10 @@ def _peel(f: Framework, system: EquilibriumSystem, floor: float) -> Peel:
     """
 
     def conditioned(blocks) -> bool:  # blocks: sequences of bar ids
-        for k in set(map(len, blocks)) - {0, 1}:
-            U = system.units[[bars for bars in blocks if len(bars) == k]]
-            if not (np.linalg.eigvalsh(U @ U.transpose(0, 2, 1))[:, 0] >= floor * floor).all():
-                return False
-        return True
+        return all(
+            _conditioned(system.units[[bars for bars in blocks if len(bars) == k]], floor)
+            for k in set(map(len, blocks)) - {0, 1}
+        )
 
     d = f.dimension
     peel = f.peel(d)
@@ -213,46 +219,98 @@ def _largest_singular_value(system: EquilibriumSystem, start: np.ndarray) -> flo
     return float(np.linalg.norm(_image(system, x)))
 
 
-class _Elimination:
-    """Orthogonal elimination of a core's joints in minimum live-row order
-    (George & Heath 1980, "Solution of sparse linear least squares
-    problems using Givens rotations").
+def _back(R: np.ndarray, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Back-substitution steps, stacked: pivot rows R (..., p, d) on a
+    joint's columns and X (..., p, n) on its neighbours'.  Returns W and
+    new: x_v = x_others @ W is the least-norm x_v with R x_v = -X x_others,
+    and the rows of new span the d - p directions that R does not see.
+    A square R takes one solve, any other a complete QR of R.T."""
+    p, d = R.shape[-2:]
+    if p == d:
+        return -np.linalg.solve(R, X).swapaxes(-1, -2), R[..., :0, :]
+    q, r = np.linalg.qr(R.swapaxes(-1, -2), mode="complete")
+    solve = np.linalg.solve(r[..., :p, :], q[..., :p].swapaxes(-1, -2))
+    return -X.swapaxes(-1, -2) @ solve, q[..., p:].swapaxes(-1, -2)
 
-    A live row is a bar, or a fill row an earlier step made.  Each step
-    takes the live joint v with the fewest live rows, k of them, ties by
-    id; their entries on v's d columns form the block U.  If U fails the
-    peel's conditioning test, v stays live and is tried again once its
-    count of live rows changes.  Otherwise the complete QR U = Q R is
-    applied to the k rows: the first p = min(k, d) are pivot rows and
-    leave, so v adds exactly p to the rank; the other k - p are zero on v
-    and stay, as fill on the union of the rows' joints minus v (k <= d
-    rows, the peel's case, leave as they are).  Elimination stops when no
-    joint is left to try, or once a live row meets on average more than
-    _DENSE_SHARE of the live joints.  Q keeps singular values, so rank =
-    pivots + the rank of the remainder, the live rows on the live
-    joints' columns.  With keep, the steps are kept for `kernel` and
+
+class _Elimination:
+    """The joints set aside before the SVD, peeled or eliminated, and the
+    remainder they leave.
+
+    The peeled joints come first.  If more than _DENSE_ROWS bars are
+    left, the core's joints are eliminated in minimum live-row order
+    (George & Heath 1980, "Solution of sparse linear least squares
+    problems using Givens rotations").  A live row is a bar, or a fill
+    row an earlier step made.  Each step takes the live joint v with the
+    fewest live rows, k of them, ties by id; their entries on v's d
+    columns form the block U.  If U fails the peel's conditioning test,
+    v stays live and is tried again once its count of live rows changes.
+    Otherwise the complete QR U = Q R is applied to the k rows: the first
+    p = min(k, d) are pivot rows and leave, so v adds exactly p to the
+    rank; the other k - p are zero on v and stay, as fill on the union of
+    the rows' joints minus v (k <= d rows, the peel's case, leave as they
+    are).  Elimination stops when no joint is left to try, or once a live
+    row meets on average more than _DENSE_SHARE of the live joints.  Q
+    keeps singular values, so rank = pivots + the rank of the remainder,
+    the live rows on the live joints' columns.
+
+    With keep, each joint set aside is kept as one step (v, others, W,
+    new) for `kernel`, the peeled joints factored by one stacked pass per
+    block size, and each step that made fill rows keeps its Q for
     `stresses`: O(b + fill) memory, nothing of the size of C.
     """
 
-    def __init__(
-        self, ends: np.ndarray, units: np.ndarray, joint_count: int, floor: float, keep: bool
-    ):
-        d = self.d = units.shape[1]
-        self.bars = len(ends)
-        self.at = list(ends)  # the joints of each row, an int array
-        self.vals = list(np.stack([units, -units], axis=1))  # its d-blocks on them
-        self.alive = [True] * len(ends)
-        incident: list[list[int]] = [[] for _ in range(joint_count)]  # row ids, dead ones too
-        for i, (a, b) in enumerate(ends.tolist()):
+    def __init__(self, system: EquilibriumSystem, peel: Peel, floor: float, keep: bool):
+        order, blocks, live = peel
+        self.system = system
+        self.d = system.units.shape[1]
+        self.steps: list[tuple] = self._peeled(order, blocks) if keep else []
+        self.reflections: list[tuple] = []  # (rows in, fill rows, Q's last k - d columns)
+        self.alive = live  # the bars, then the fill rows
+        self.at: list = []  # the joints of each row, an int array (made by _eliminate)
+        self.vals: list = []  # its d-blocks on them
+        self.pos = np.zeros(system.joint_count, dtype=np.intp)  # a joint's place in a block
+        done = np.zeros(system.joint_count, dtype=bool)
+        done[list(order)] = True
+        self.rows = np.flatnonzero(live)
+        self.pivots = len(live) - len(self.rows)  # a peeled joint's k bars add k
+        if len(self.rows) > _DENSE_ROWS:
+            self._eliminate(done, floor, keep)
+        self.joints = np.flatnonzero(~done)
+        self.set_aside = system.joint_count - len(self.joints)
+
+    def _peeled(self, order: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]) -> list:
+        """The peeled joints' steps, in peel order.  Joint v's k bars i to
+        joints w_i ask u_i . x_v = u_i . x_(w_i): its pivot rows are the
+        unit directions U, and X holds -U, block-diagonally on the w_i."""
+        ends, units, d = self.system.ends, self.system.units, self.d
+        steps: list = [None] * len(order)
+        for k in set(map(len, blocks)):
+            at = [i for i, bars in enumerate(blocks) if len(bars) == k]
+            bars = np.array([blocks[i] for i in at], dtype=np.intp).reshape(len(at), k)
+            U = units[bars]
+            X = np.zeros((len(at), k, k, d))
+            X[:, np.arange(k), np.arange(k)] = -U
+            others = ends[bars].sum(axis=2) - np.take(order, at)[:, None]
+            W, new = _back(U, X.reshape(len(at), k, k * d))
+            for i, step in zip(at, zip(others, W, new)):
+                steps[i] = (order[i], *step)
+        return steps
+
+    def _eliminate(self, done: np.ndarray, floor: float, keep: bool) -> None:
+        ends, units, d = self.system.ends, self.system.units, self.d
+        bars = self.rows.tolist()
+        self.alive = list(self.alive)
+        self.at = list(ends)
+        self.vals = list(np.stack([units, -units], axis=1))
+        incident: list[list[int]] = [[] for _ in done]  # row ids, dead ones too
+        for i, (a, b) in zip(bars, ends[self.rows].tolist()):
             incident[a].append(i)
             incident[b].append(i)
-        count = np.bincount(ends.ravel(), minlength=joint_count)  # live rows per joint
-        self.steps: list[tuple] = []  # (v, others, R, X, Q, rows in, fill rows) when keep
-        self.pivots = 0
-        done = np.zeros(joint_count, dtype=bool)
-        self.pos = np.zeros(joint_count, dtype=np.intp)  # a joint's place in the block at hand
-        live_rows, width, live = len(ends), ends.size, joint_count  # width: sum of row lengths
-        heap = list(zip(count.tolist(), range(joint_count)))
+        count = np.bincount(ends[self.rows].ravel(), minlength=len(done))  # live rows per joint
+        joints = np.flatnonzero(~done)
+        live_rows, width, live = len(bars), 2 * len(bars), len(joints)  # width: sum of row lengths
+        heap = list(zip(count[joints].tolist(), joints.tolist()))
         heapq.heapify(heap)
         while heap and width <= _DENSE_SHARE * live * live_rows:
             k, v = heapq.heappop(heap)
@@ -269,21 +327,19 @@ class _Elimination:
             if ids:
                 rows = np.repeat(np.arange(k), [len(a) for a in parts])
                 M[rows, at] = np.concatenate([self.vals[i] for i in ids])
-            U = M[:, 0]
-            if k and np.linalg.eigvalsh(U.T @ U if k > d else U @ U.T)[0] < floor * floor:
+            if not _conditioned(M[:, 0], floor):
                 continue
             q = None  # with k <= d, the peel's own case, the rows leave as they are
             if k > d:
-                q = np.linalg.qr(U, mode="complete")[0]
+                q = np.linalg.qr(M[:, 0], mode="complete")[0]
                 M = (q.T @ M.reshape(k, (len(others) + 1) * d)).reshape(M.shape)
             p = min(k, d)
-            T = M[:, 1:]
-            fills = list(range(len(self.at), len(self.at) + k - p))
+            fills = list(range(len(self.alive), len(self.alive) + k - p))
             for i in ids:
                 self.alive[i] = False
-            self.at += [others] * (k - p)
-            self.vals += list(T[p:])
             self.alive += [True] * (k - p)
+            self.at += [others] * (k - p)
+            self.vals += list(M[p:, 1:])
             change = (k - p) - np.bincount(at, minlength=len(others) + 1)[1:]
             count[others] += change
             for w in others.tolist() if fills else ():
@@ -292,73 +348,66 @@ class _Elimination:
             for w, n in zip(moved.tolist(), count[moved].tolist()):
                 heapq.heappush(heap, (n, w))
             if keep:
-                X = T[:p].reshape(p, len(others) * d)
-                self.steps.append((v, others, M[:p, 0], X, q, ids, fills))
+                X = M[:p, 1:].reshape(p, len(others) * d)
+                self.steps.append((v, others, *_back(M[:p, 0], X)))
+                if fills:
+                    self.reflections.append((ids, fills, q[:, p:]))
             done[v] = True
             self.pivots += p
             live -= 1
             live_rows -= p
             width += (k - p) * len(others) - len(at)
-        self.joints = np.flatnonzero(~done)
-        self.rows = [i for i, alive in enumerate(self.alive) if alive]
-        self.eliminated = joint_count - len(self.joints)
+        self.rows = np.flatnonzero(self.alive)
 
     def remainder(self) -> np.ndarray:
-        """The live rows on the live joints' columns, as a dense matrix."""
+        """The live rows on the live joints' columns, as a dense matrix:
+        the live bars, then the fill rows."""
+        ends, units, d = self.system.ends, self.system.units, self.d
         self.pos[self.joints] = np.arange(len(self.joints))
-        M = np.zeros((len(self.rows), len(self.joints), self.d))
-        for r, i in enumerate(self.rows):
-            M[r, self.pos[self.at[i]]] = self.vals[i]
-        return M.reshape(len(self.rows), len(self.joints) * self.d)
+        bars = self.rows[self.rows < len(ends)]
+        fill = np.zeros((len(self.rows) - len(bars), len(self.joints), d))
+        for r, i in enumerate(self.rows[len(bars) :].tolist()):
+            fill[r, self.pos[self.at[i]]] = self.vals[i]
+        dense = _assemble(self.pos[ends[bars]], units[bars], len(self.joints))
+        return np.concatenate([dense, fill.reshape(len(fill), len(self.joints) * d)])
 
     def kernel(self, rem_null: np.ndarray, count: int) -> np.ndarray:
-        """count rows spanning the null space of the core's rows, from the
-        remainder's: extended to the eliminated joints in reverse order by
-        the least-norm x_v with R x_v = -X x_others, and each of the d - p
-        directions that R does not see starting a new row at v."""
-        d = self.d
-        Y = np.zeros((count, len(self.pos), d))
+        """count orthonormal rows spanning null(C), from the remainder's
+        null space: extended to the joints set aside, in reverse, by
+        x_v = x_others @ W, each of v's new directions starting a row."""
+        j, d = self.system.joint_count, self.d
+        Y = np.zeros((count, j, d))
         n = len(rem_null)
         Y[:n][:, self.joints] = rem_null.reshape(n, len(self.joints), d)
-        for v, others, R, X, _, _, _ in reversed(self.steps):
-            p = len(R)
-            rhs = -Y[:n, others].reshape(n, X.shape[1]) @ X.T
-            if p == d:
-                Y[:n, v] = np.linalg.solve(R, rhs.T).T
-                continue
-            q, r = np.linalg.qr(R.T, mode="complete")
-            Y[:n, v] = (q[:, :p] @ np.linalg.solve(r[:p].T, rhs.T)).T
-            Y[n : n + d - p, v] = q[:, p:].T
-            n += d - p
-        return Y.reshape(count, len(self.pos) * d)
+        for v, others, W, new in reversed(self.steps):
+            Y[:n, v] = Y[:n, others].reshape(n, len(W)) @ W
+            Y[n : n + len(new), v] = new
+            n += len(new)
+        q, _ = np.linalg.qr(Y.reshape(count, j * d).T)
+        return q.T
 
     def stresses(self, rem_left: np.ndarray) -> np.ndarray:
-        """Rows spanning the left null space of the core's rows, from the
-        remainder's: zero on every pivot row, and carried back to the bars
-        through each step's Q in reverse order."""
-        W = np.zeros((len(rem_left), len(self.at)))
+        """Rows spanning null(C.T), from the remainder's left null space:
+        zero on every pivot row, so on every peeled bar, and carried back
+        to the bars through each step's Q in reverse order."""
+        W = np.zeros((len(rem_left), len(self.alive)))
         W[:, self.rows] = rem_left
-        for _, _, R, _, Q, ids, fills in reversed(self.steps):
-            if fills:
-                W[:, ids] = W[:, fills] @ Q[:, len(R) :].T
-        return W[:, : self.bars]
+        for ids, fills, Q in reversed(self.reflections):
+            W[:, ids] = W[:, fills] @ Q.T
+        return W[:, : len(self.system.ends)]
 
 
 @dataclass(frozen=True)
 class _Reduced:
-    """C split into the joints set aside, peeled or eliminated, and a
-    remainder ranked by SVD; with vectors, the core's null spaces."""
+    """C ranked as the joints set aside plus the SVD of the remainder;
+    with vectors, rows spanning null(C) and null(C.T)."""
 
     system: EquilibriumSystem
-    order: tuple[int, ...]  # peeled joints, in peel order
-    blocks: tuple[tuple[int, ...], ...]  # the live bars of each when it was peeled
-    core_joints: np.ndarray
-    core_bars: np.ndarray
     set_aside: int  # joints peeled or eliminated
     rank: int  # of all of C
     sv: np.ndarray  # of the remainder
-    core_null: np.ndarray | None  # rows on the core joints' columns
-    core_stress: np.ndarray | None  # rows on the core bars
+    kernel: np.ndarray | None  # orthonormal, on all d * j columns
+    stress: np.ndarray | None  # on all b bars
 
 
 def _reduce(f: Framework, tol: float, vectors: bool) -> _Reduced:
@@ -372,36 +421,22 @@ def _reduce(f: Framework, tol: float, vectors: bool) -> _Reduced:
     _check_tolerance(tol)
     system = build_system(f)
     floor = max(1e-3, math.sqrt(tol))
-    order, blocks, live = _peel(f, system, floor)
-    core_joints = np.delete(np.arange(f.joint_count), order)  # np.setdiff1d imports numpy.ma
-    core_bars = np.flatnonzero(live)
-    where = np.zeros(f.joint_count, dtype=np.intp)
-    where[core_joints] = np.arange(core_joints.size)
-    ends, units = where[system.ends[core_bars]], system.units[core_bars]
-    elim = None
-    if core_bars.size > _DENSE_ROWS:
-        elim = _Elimination(ends, units, core_joints.size, floor, vectors)
-        remainder = elim.remainder()
-    else:
-        remainder = _assemble(ends, units, core_joints.size)
-    set_aside = len(order) + (elim.eliminated if elim else 0)
+    elim = _Elimination(system, _peel(f, system, floor), floor, vectors)
+    remainder = elim.remainder()
     if vectors:
         u, sv, vt = np.linalg.svd(remainder, full_matrices=True)
     else:
         sv = np.linalg.svd(remainder, compute_uv=False) if remainder.size else np.zeros(0)
     top = sv[0] if sv.size else 0.0
-    if set_aside and sv.size:
+    if elim.set_aside and sv.size:
         top = max(top, _largest_singular_value(system, unit_scaled(f.coordinates)[0]))
     rem_rank = _rank(sv, tol, top)
-    core_rank = rem_rank + (elim.pivots if elim else 0)
-    null = left = None
+    rank = elim.pivots + rem_rank
+    kernel = stress = None
     if vectors:
-        null, left = vt[rem_rank:], u[:, rem_rank:].T
-        if elim:
-            null = elim.kernel(null, f.dimension * core_joints.size - core_rank)
-            left = elim.stresses(left)
-    rank = f.bar_count - core_bars.size + core_rank
-    return _Reduced(system, order, blocks, core_joints, core_bars, set_aside, rank, sv, null, left)
+        kernel = elim.kernel(vt[rem_rank:], f.dimension * f.joint_count - rank)
+        stress = elim.stresses(u[:, rem_rank:].T)
+    return _Reduced(system, elim.set_aside, rank, sv, kernel, stress)
 
 
 def rigid_body_basis(f: Framework) -> np.ndarray:
@@ -494,45 +529,6 @@ def mobility(f: Framework, tol: float = DEFAULT_RANK_TOL) -> KinematicSummary:
     )
 
 
-def _kernel(red: _Reduced, d: int) -> np.ndarray:
-    """Orthonormal rows spanning null(C).
-
-    The core's kernel, extended to the peeled joints in reverse peel
-    order.  At joint v, whose k live bars i went to joints w_i, each
-    vector takes the least-norm x_v with u_i . x_v = u_i . x_(w_i); each
-    of the d - k directions no bar of v sees starts a new vector there.
-    Every joint's k x d block U is factored up front, U.T = Q R by one
-    stacked QR per block size k, so x_v = (U . x_w) R^-1 Q_k^T is one
-    gather and one small product per joint, and Q's last d - k columns
-    are the new directions.
-    """
-    system = red.system
-    core_null = red.core_null
-    X = np.zeros((d * system.joint_count - red.rank, system.joint_count, d))
-    X[: len(core_null)][:, red.core_joints] = core_null.reshape(
-        len(core_null), red.core_joints.size, d
-    )
-    steps = {}
-    for k in set(map(len, red.blocks)):
-        at = [i for i, bars in enumerate(red.blocks) if len(bars) == k]
-        bars = np.array([red.blocks[i] for i in at], dtype=np.intp).reshape(len(at), k)
-        U = system.units[bars]
-        q, r = np.linalg.qr(U.transpose(0, 2, 1), mode="complete")
-        solve = np.linalg.solve(r[:, :k], q[:, :, :k].transpose(0, 2, 1))
-        # x_v is the sum over bars i and axes e of x_(w_i)e u_ie solve_i
-        weights = (U[..., None] * solve[:, :, None]).reshape(len(at), k * d, d)
-        others = system.ends[bars].sum(axis=2) - np.take(red.order, at)[:, None]
-        steps.update(zip(at, zip(others, weights, q[:, :, k:].transpose(0, 2, 1))))
-    count = len(core_null)
-    for i in reversed(range(len(red.order))):
-        others, weights, new = steps[i]
-        X[:count, red.order[i]] = X[:count, others].reshape(count, len(weights)) @ weights
-        X[count : count + len(new), red.order[i]] = new
-        count += len(new)
-    q, _ = np.linalg.qr(X.reshape(len(X), system.joint_count * d).T)
-    return q.T
-
-
 def nullspace_bases(
     f: Framework, tol: float = DEFAULT_RANK_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -542,19 +538,16 @@ def nullspace_bases(
     and satisfy C.T @ sigma ~ 0; mechanism rows have length d*j, lie in
     null(C), and are orthogonal to every rigid-body field.  Both come
     from the full SVD of the remainder, ranked as mobility() ranks it:
-    a self-stress is zero on every pivot row, goes back to the bars
-    through the elimination's reflections and is zero on every peeled
-    bar; a mechanism extends to the eliminated joints by back-substitution
-    and to the peeled joints by `_kernel`.  Both residuals are taken from
-    the bar arrays; C is formed only as the remainder, when nothing was
-    set aside.
+    a self-stress is zero on every pivot row, so on every peeled bar, and
+    goes back to the bars through the elimination's reflections; a
+    mechanism extends over every joint set aside by back-substitution
+    (`_Elimination.kernel`).  Both residuals are taken from the bar
+    arrays; C is formed only as the remainder, when nothing was set
+    aside.
     """
     red = _reduce(f, tol, vectors=True)
-    system = red.system
+    system, stress, kernel = red.system, red.stress, red.kernel
     b, n = f.bar_count, f.dimension * f.joint_count
-    stress = np.zeros((len(red.core_stress), b))
-    stress[:, red.core_bars] = red.core_stress
-    kernel = _kernel(red, f.dimension)
     rb = rigid_body_basis(f)
     # project rigid-body motions out of the kernel, then re-orthonormalize;
     # singular values near 1 survive, near 0 were pure rigid-body content

@@ -11,11 +11,12 @@ not the peel itself; peel_low_degree_rows, a copy of the peel that reads
 one (u, v) row per bar, checks the peel on its two id columns.
 new_framework_per_joint likewise hands the joints it has checked to
 core.new_framework: it checks the joint check alone.
-kernel_per_joint takes the peel and the core's kernel that numrank._reduce
-made: it checks the stacked back-substitution of numrank._kernel alone.
-dense_reference ranks the core that the peel (shared with the package)
-leaves by one dense SVD, with no elimination: it checks numrank's
-_Elimination and the back-substitution through it.
+kernel_per_joint takes the peel and the core's kernel: it checks the
+stacked factorisation of the peeled joints in numrank._Elimination, and
+the back-substitution over them, alone.  dense_reference ranks the core
+that the peel (shared with the package) leaves by one dense SVD, with no
+elimination: it checks numrank's _Elimination and the back-substitution
+through it.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import collections
 import itertools
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -625,17 +625,18 @@ def peel_low_degree_rows(joint_count: int, ends, d: int, accept=None):
     return tuple(order), tuple(blocks), tuple(live)
 
 
-def kernel_per_joint(red, d: int) -> np.ndarray:
-    """numrank._kernel with one QR and one solve per peeled joint, as the
-    reverse peel reaches it: orthonormal rows spanning null(C)."""
-    system = red.system
-    core_null = red.core_null
-    X = np.zeros((d * system.joint_count - red.rank, system.joint_count, d))
-    X[: len(core_null)][:, red.core_joints] = core_null.reshape(
-        len(core_null), red.core_joints.size, d
-    )
+def kernel_per_joint(system, peel, core_null: np.ndarray) -> np.ndarray:
+    """numrank._Elimination.kernel over a peel, with one QR and one solve
+    per peeled joint as the reverse peel reaches it: orthonormal rows
+    spanning null(C), from core_null, rows spanning the kernel of the
+    core's bars on the core joints' columns."""
+    order, blocks, _ = peel
+    j, d = system.joint_count, system.units.shape[1]
+    core_joints = np.delete(np.arange(j), order)
     count = len(core_null)
-    for v, bars in zip(reversed(red.order), reversed(red.blocks)):
+    X = np.zeros((count + sum(d - len(bars) for bars in blocks), j, d))
+    X[:count][:, core_joints] = core_null.reshape(count, core_joints.size, d)
+    for v, bars in zip(reversed(order), reversed(blocks)):
         bars = list(bars)
         k = len(bars)
         U = system.units[bars]
@@ -657,31 +658,23 @@ def dense_reference(f, tol: float = numrank.DEFAULT_RANK_TOL):
     and the kernel extended by kernel_per_joint."""
     d, j, b = f.dimension, f.joint_count, f.bar_count
     system = numrank.build_system(f)
-    order, blocks, live = numrank._peel(f, system, max(1e-3, math.sqrt(tol)))
-    core_joints = np.delete(np.arange(j), order)
-    core_bars = np.flatnonzero(live)
+    peel = numrank._peel(f, system, max(1e-3, math.sqrt(tol)))
+    core_joints = np.delete(np.arange(j), peel[0])
+    core_bars = np.flatnonzero(peel[2])
     columns = (d * core_joints[:, None] + np.arange(d)).ravel()
     u, sv, vt = np.linalg.svd(system.C[np.ix_(core_bars, columns)], full_matrices=True)
     top = np.linalg.svd(system.C, compute_uv=False)[0] if sv.size else 0.0
     core_rank = int(np.sum(sv > tol * top)) if top else 0
-    red = SimpleNamespace(
-        system=system,
-        order=order,
-        blocks=blocks,
-        core_joints=core_joints,
-        rank=b - core_bars.size + core_rank,
-        core_null=vt[core_rank:],
-    )
     stress = np.zeros((core_bars.size - core_rank, b))
     stress[:, core_bars] = u[:, core_rank:].T
-    kernel = kernel_per_joint(red, d)
+    kernel = kernel_per_joint(system, peel, vt[core_rank:])
     rb = numrank.rigid_body_basis(f)
     proj = kernel - (kernel @ rb.T) @ rb
     mech = np.zeros((0, d * j))
     if proj.size:
         _, s2, v2 = np.linalg.svd(proj, full_matrices=False)
         mech = v2[s2 > 0.5]
-    return red.rank, stress, mech
+    return b - core_bars.size + core_rank, stress, mech
 
 
 # ---------------------------------------------------------------------------

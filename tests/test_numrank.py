@@ -359,12 +359,18 @@ def test_elimination_matches_the_dense_reference(d, j, seed, split_share, added,
     # with no dense cutoff every core, however small, is eliminated; at
     # share 1.0 no density stops it, so it runs down to the last joint
     f = edge_split(d, j, seed, split_share, added, removed)
-    rank, stress_ref, mech_ref = dense_reference(f)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(numrank, "_DENSE_ROWS", 0)
         mp.setattr(numrank, "_DENSE_SHARE", share)
-        ks = mobility(f)
-        stress, mech = nullspace_bases(f)
+        assert_matches_the_dense_reference(f)
+
+
+def assert_matches_the_dense_reference(f):
+    """mobility's rank and both bases of nullspace_bases equal those of
+    oracles.dense_reference, the bases as projectors."""
+    rank, stress_ref, mech_ref = dense_reference(f)
+    ks = mobility(f)
+    stress, mech = nullspace_bases(f)
     assert ks.rank == rank
     assert (ks.s, ks.m) == (len(stress), len(mech)) == (len(stress_ref), len(mech_ref))
     # rounding moves a null space by about 1e-15 over the smallest kept
@@ -373,6 +379,24 @@ def test_elimination_matches_the_dense_reference(d, j, seed, split_share, added,
     tol = max(1e-9, 1e-15 / gap)
     assert np.abs(stress.T @ stress - stress_ref.T @ stress_ref).max(initial=0.0) < tol
     assert np.abs(mech.T @ mech - mech_ref.T @ mech_ref).max(initial=0.0) < tol
+    return ks
+
+
+@pytest.mark.parametrize("added, removed", [(0, 0), (1, 0), (0, 1)])
+@pytest.mark.parametrize("d, j, split_share", [(2, 400, 0.5), (3, 200, 0.8)])
+def test_peeled_and_eliminated_joints_together_match_the_dense_reference(
+    d, j, split_share, added, removed
+):
+    # at the default cutoffs the peel sets a few joints aside and the
+    # elimination most of the core, and the back-substitution crosses
+    # both; a bar added makes a self-stress, a bar removed a mechanism,
+    # so that the bases compared are not empty
+    f = edge_split(d, j, 7, split_share, added, removed)
+    floor = max(1e-3, DEFAULT_RANK_TOL**0.5)
+    peeled = len(numrank._peel(f, build_system(f), floor)[0])
+    ks = assert_matches_the_dense_reference(f)
+    assert peeled >= 1
+    assert ks.peeled_joints - peeled >= 1
 
 
 def test_a_refused_joint_stays_in_the_remainder(monkeypatch):
@@ -390,7 +414,7 @@ def test_a_refused_joint_stays_in_the_remainder(monkeypatch):
     monkeypatch.setattr(numrank, "_DENSE_ROWS", 0)
     monkeypatch.setattr(numrank, "_DENSE_SHARE", 1.0)
     system = build_system(f)
-    elim = numrank._Elimination(system.ends, system.units, f.joint_count, 1e-3, keep=False)
+    elim = numrank._Elimination(system, numrank._peel(f, system, 1e-3), 1e-3, keep=False)
     assert v in elim.joints
     rank, stress_ref, mech_ref = dense_reference(f)
     ks = mobility(f)
@@ -402,14 +426,18 @@ def test_a_refused_joint_stays_in_the_remainder(monkeypatch):
 def test_elimination_sets_aside_joints_without_rows(monkeypatch):
     # joint 2 has no row, and joint 1 has none left once joint 0 has
     # taken the one bar: each adds nothing to the rank, d directions to
-    # the kernel.  No density stops this elimination.
+    # the kernel.  The peel handed in sets nothing aside, and neither the
+    # dense cutoff nor density stops this elimination.
+    monkeypatch.setattr(numrank, "_DENSE_ROWS", 0)
     monkeypatch.setattr(numrank, "_DENSE_SHARE", 1.0)
     ends, units = np.array([[0, 1]]), np.array([[0.6, 0.8]])
-    elim = numrank._Elimination(ends, units, 3, 1e-3, keep=True)
-    assert (elim.eliminated, elim.pivots, elim.rows) == (3, 1, [])
+    system = numrank.EquilibriumSystem(ends, units, np.ones(1), 3)
+    elim = numrank._Elimination(system, ((), (), (True,)), 1e-3, keep=True)
+    assert (elim.set_aside, elim.pivots, elim.rows.tolist()) == (3, 1, [])
     assert [step[0] for step in elim.steps] == [2, 0, 1]
+    assert [len(step[3]) for step in elim.steps] == [2, 1, 2]
     kernel = elim.kernel(np.zeros((0, 0)), 5)
-    C = numrank._assemble(ends, units, 3)
+    C = system.C
     assert np.linalg.matrix_rank(kernel) == 5
     assert np.abs(C @ kernel.T).max() < 1e-15
     assert elim.stresses(np.zeros((0, 0))).shape == (0, 1)
@@ -626,8 +654,16 @@ def peelable(d, j, seed, removed, extra, isolated):
 )
 @settings(max_examples=100, deadline=None)
 def test_stacked_kernel_matches_the_per_joint_kernel(d, j, seed, removed, extra, isolated):
+    # no core here has more than _DENSE_ROWS bars: every joint set aside
+    # is peeled, and the remainder is the core
     f = peelable(d, j, seed, removed, extra, isolated)
-    red = numrank._reduce(f, DEFAULT_RANK_TOL, vectors=True)
-    got, want = numrank._kernel(red, d), kernel_per_joint(red, d)
-    assert got.shape == want.shape == (d * f.joint_count - red.rank, d * f.joint_count)
+    system = build_system(f)
+    floor = max(1e-3, DEFAULT_RANK_TOL**0.5)
+    peel = numrank._peel(f, system, floor)
+    elim = numrank._Elimination(system, peel, floor, keep=True)
+    rank = mobility(f).rank
+    core_null = np.linalg.svd(elim.remainder(), full_matrices=True)[2][rank - elim.pivots :]
+    got = elim.kernel(core_null, d * f.joint_count - rank)
+    want = kernel_per_joint(system, peel, core_null)
+    assert got.shape == want.shape == (d * f.joint_count - rank, d * f.joint_count)
     assert np.abs(got.T @ got - want.T @ want).max() < 1e-9
