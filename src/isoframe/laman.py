@@ -4,9 +4,10 @@ A generic 2D framework is isostatic exactly when its graph is
 (2,3)-tight: b = 2j - 3 and no subset of bars spans fewer than the
 count allows.  The pebble game decides that without enumerating
 subsets.  It first peels the joints of at most 2 bars, repeatedly, and
-places their bars with no search; only the core that is left, where
-every joint keeps 3 or more bars, pays the O(j*b) pebble searches.  A
-graph grown by vertex additions peels to nothing.  Edge-split graphs
+places their bars with no search and no out-list entry, since no
+search can reach them; only the core that is left, where every joint
+keeps 3 or more bars, holds directed edges and pays the O(j*b) pebble
+searches.  A graph grown by vertex additions peels to nothing.  Edge-split graphs
 keep their whole core, and so does the span of a chain between the
 ends of one added bar.  The game reads a core.Graph, its ends and its
 kept peel; a Framework is a Graph, so its bars are read where they
@@ -52,7 +53,9 @@ class PebbleState:
     Placing an edge costs one pebble from its tail, so the total of
     free pebbles and placed edges is pinned at 2j throughout.  Each
     joint's out-neighbours are kept in ascending order as edges are
-    placed and reversed, so a search reads them without sorting.
+    placed and reversed, so a search reads them without sorting.  The
+    out-lists hold only the edges a search can walk: `pebble_game_2_3`
+    spends a pebble for each peeled bar and lists none of them.
     """
 
     def __init__(self, joint_count: int) -> None:
@@ -193,14 +196,14 @@ def pebble_game_2_3(
     First the joints of at most 2 bars are peeled, repeatedly
     (`peel_low_degree`, kept by the graph as `Graph.peel`).  Every
     (2,3)-circuit has minimum degree 3, so a bar that leaves with a
-    peeled joint lies in no circuit and is never rejected: it is placed
-    at once, its tail at that joint and paid from the joint's own 2
-    pebbles.  No core joint gets an edge directed into a peeled one, so
-    no search from the core enters one; only the core's bars gather
-    pebbles.  The report is the plain game's: at the first rejected bar
-    k, bars 0..k-1 are placed, and the witness is the smallest joint set
-    that holds both ends of k and spans 2|S| - 3 of them, which those
-    bars alone decide.
+    peeled joint lies in no circuit and is never rejected: it is counted
+    as placed at once and paid from the peeled joint's own 2 pebbles.
+    No core joint would get an edge directed into a peeled one, so no
+    search from the core could walk such a bar, and it enters no
+    out-list; only the core's bars gather pebbles.  The report is the
+    plain game's: at the first rejected bar k, bars 0..k-1 are placed,
+    and the witness is the smallest joint set that holds both ends of k
+    and spans 2|S| - 3 of them, which those bars alone decide.
     """
     j = g.joint_count
     if j < 2:
@@ -217,7 +220,8 @@ def pebble_game_2_3(
     for bar_id, (u, v) in enumerate(zip(us, vs)):
         tail = tails[bar_id]
         if tail is not None:
-            state.place(tail, u + v - tail)
+            state.pebbles[tail] -= 1
+            state.placed += 1
         elif state.gather(u, v):
             state.place(u, v)
         else:

@@ -5,8 +5,11 @@ character values: the joint permutation character times the translation
 character, minus the bar permutation character, minus the rigid-body
 character.  Each conjugacy class of the framework's point group then
 yields one scalar equation that an isostatic framework must satisfy.
-This module assembles those traces, evaluates the per-operation
-necessary conditions in exact integer arithmetic, screens groups for
+This module assembles those traces and evaluates the per-operation
+necessary conditions: one builder, dispatching on dimension and kind,
+makes one check per equation of the paper, and its verdict is
+lhs == rhs in exact integer arithmetic, except where an irrational
+cosine decides the equation outright.  It also screens groups for
 compatibility with fully generic component placement, and projects
 trace vectors onto irreducible characters for reporting.
 """
@@ -290,210 +293,103 @@ _PARITY_NOTES_2D = {
 }
 
 
-def _checks_2d(
-    cls_label: str, counts: UnshiftedCounts, j: int, b: int
+def _class_checks(
+    label: str, counts: UnshiftedCounts, d: int, j: int, b: int
 ) -> list[ConditionCheck]:
-    jf, bf = counts.joints_unshifted, counts.bars_unshifted
-    if counts.kind == "E":
-        return [
-            ConditionCheck(
-                class_label=cls_label,
-                eq_id="2D:E",
-                equation="2j - b = 3",
-                inputs={"j": j, "b": b},
-                lhs=2 * j - b,
-                rhs=3,
-                passed=2 * j - b == 3,
-            )
-        ]
-    if counts.kind == "C" and counts.n == 2:
-        return [
-            ConditionCheck(
-                class_label=cls_label,
-                eq_id="2D:C2",
-                equation="2*j_c + b_2 = 1",
-                inputs={"j_c": jf, "b_2": bf},
-                lhs=2 * jf + bf,
-                rhs=1,
-                passed=2 * jf + bf == 1,
-                note="the only admissible solution is j_c = 0, b_2 = 1",
-            )
-        ]
-    if counts.kind == "C":
-        n, k = counts.n, counts.k
-        tc = two_cos(n, k)
-        if isinstance(tc, int):
-            lhs: int | float = tc * (jf - 1)
-            passed = lhs == 1
-            note = ""
-            if n != 3:
+    """The paper's conditions for one class, one check per equation.
+
+    Dispatches on (dimension, kind), a rotation's kind split into C2
+    and Cn.  `check` builds every row: it owns the class label, the
+    "2D:" or "3D:" prefix of the id and the verdict lhs == rhs.  Only
+    the rows whose cosine may be irrational (2D Cn, 3D Sn) pass a
+    verdict of their own, so no float is compared for equality.
+    """
+    jf, bf, n, k = counts.joints_unshifted, counts.bars_unshifted, counts.n, counts.k
+    kind = counts.kind
+    if kind == "C":
+        kind = "C2" if n == 2 else "Cn"
+
+    def check(
+        eq: str,
+        equation: str,
+        inputs: dict[str, int],
+        lhs: int | float,
+        rhs: int,
+        note: str = "",
+        passed: bool | None = None,
+    ) -> ConditionCheck:
+        if passed is None:
+            passed = lhs == rhs
+        return ConditionCheck(label, f"{d}D:{eq}", equation, inputs, lhs, rhs, passed, note)
+
+    match (d, kind):
+        case (2, "E"):
+            return [check("E", "2j - b = 3", {"j": j, "b": b}, 2 * j - b, 3)]
+        case (2, "C2"):
+            note = "the only admissible solution is j_c = 0, b_2 = 1"
+            return [check("C2", "2*j_c + b_2 = 1", {"j_c": jf, "b_2": bf}, 2 * jf + bf, 1, note)]
+        case (2, "Cn"):
+            tc = two_cos(n, k)
+            passed, note = None, ""
+            if not isinstance(tc, int):
+                passed = False
+                note = (
+                    f"2*cos(2*pi*{k}/{n}) is irrational, so the equation has "
+                    "no integer solution for any j_c"
+                )
+            elif n != 3:
                 note = (
                     f"2*cos(2*pi*{k}/{n}) = {tc}; with j_c at most 1 the "
                     "left side can never reach 1, so no framework with "
                     f"a {n}-fold rotation satisfies this"
                 )
-        else:
-            lhs = tc * (jf - 1)
-            passed = False
+            equation = "(j_c - 1) * 2*cos(2*pi*k/n) = 1"
+            inputs = {"j_c": jf, "n": n, "k": k}
+            return [check("Cn", equation, inputs, tc * (jf - 1), 1, note, passed)]
+        case (2, "sigma"):
+            return [check("sigma", "b_sigma = 1", {"j_sigma": jf, "b_sigma": bf}, bf, 1)]
+        case (3, "E"):
+            return [check("E", "3j - b = 6", {"j": j, "b": b}, 3 * j - b, 6)]
+        case (3, "C2"):
+            along = list(counts.bar_tags.values()).count("along_axis")
+            note = "admissible splits are (2,0), (1,1) and (0,2)"
+            equation = "bars counted in b_2 lie perpendicular to the axis"
+            return [
+                check("C2", "j_2 + b_2 = 2", {"j_2": jf, "b_2": bf}, jf + bf, 2, note),
+                check("C2-perp", equation, {"b_2": bf, "b_along_axis": along}, along, 0),
+            ]
+        case (3, "Cn"):
             note = (
-                f"2*cos(2*pi*{k}/{n}) is irrational, so the equation has "
-                "no integer solution for any j_c"
+                "(j_n - 2)(2*cos(2*pi*k/n) + 1) = b_n, combined with "
+                "the conditions for the powers of the same axis, "
+                "forces b_n = 0 beyond order 2"
             )
-        return [
-            ConditionCheck(
-                class_label=cls_label,
-                eq_id="2D:Cn",
-                equation="(j_c - 1) * 2*cos(2*pi*k/n) = 1",
-                inputs={"j_c": jf, "n": n, "k": k},
-                lhs=lhs,
-                rhs=1,
-                passed=passed,
-                note=note,
-            )
-        ]
-    if counts.kind == "sigma":
-        return [
-            ConditionCheck(
-                class_label=cls_label,
-                eq_id="2D:sigma",
-                equation="b_sigma = 1",
-                inputs={"j_sigma": jf, "b_sigma": bf},
-                lhs=bf,
-                rhs=1,
-                passed=bf == 1,
-            )
-        ]
-    raise InternalInconsistency(f"no 2D condition for kind {counts.kind!r}")
-
-
-def _checks_3d(
-    cls_label: str, counts: UnshiftedCounts, j: int, b: int
-) -> list[ConditionCheck]:
-    jf, bf = counts.joints_unshifted, counts.bars_unshifted
-    if counts.kind == "E":
-        return [
-            ConditionCheck(
-                class_label=cls_label,
-                eq_id="3D:E",
-                equation="3j - b = 6",
-                inputs={"j": j, "b": b},
-                lhs=3 * j - b,
-                rhs=6,
-                passed=3 * j - b == 6,
-            )
-        ]
-    if counts.kind == "C" and counts.n == 2:
-        along = sum(
-            1 for tag in counts.bar_tags.values() if tag == "along_axis"
-        )
-        return [
-            ConditionCheck(
-                class_label=cls_label,
-                eq_id="3D:C2",
-                equation="j_2 + b_2 = 2",
-                inputs={"j_2": jf, "b_2": bf},
-                lhs=jf + bf,
-                rhs=2,
-                passed=jf + bf == 2,
-                note="admissible splits are (2,0), (1,1) and (0,2)",
-            ),
-            ConditionCheck(
-                class_label=cls_label,
-                eq_id="3D:C2-perp",
-                equation="bars counted in b_2 lie perpendicular to the axis",
-                inputs={"b_2": bf, "b_along_axis": along},
-                lhs=along,
-                rhs=0,
-                passed=along == 0,
-            ),
-        ]
-    if counts.kind == "C":
-        n = counts.n
-        checks = [
-            ConditionCheck(
-                class_label=cls_label,
-                eq_id="3D:Cn",
-                equation="b_n = 0",
-                inputs={"j_n": jf, "b_n": bf, "n": n},
-                lhs=bf,
-                rhs=0,
-                passed=bf == 0,
-                note=(
-                    "(j_n - 2)(2*cos(2*pi*k/n) + 1) = b_n, combined with "
-                    "the conditions for the powers of the same axis, "
-                    "forces b_n = 0 beyond order 2"
-                ),
-            )
-        ]
-        if n != 3:
-            checks.append(
-                ConditionCheck(
-                    class_label=cls_label,
-                    eq_id="3D:Cn-axis",
-                    equation="j_n = 2",
-                    inputs={"j_n": jf, "n": n},
-                    lhs=jf,
-                    rhs=2,
-                    passed=jf == 2,
-                    note=(
-                        "every rotation axis of order above 3 must pass "
-                        "through exactly two joints"
-                    ),
+            checks = [check("Cn", "b_n = 0", {"j_n": jf, "b_n": bf, "n": n}, bf, 0, note)]
+            if n != 3:
+                note = (
+                    "every rotation axis of order above 3 must pass "
+                    "through exactly two joints"
                 )
-            )
-        return checks
-    if counts.kind == "sigma":
-        return [
-            ConditionCheck(
-                class_label=cls_label,
-                eq_id="3D:sigma",
-                equation="j_sigma = b_sigma",
-                inputs={"j_sigma": jf, "b_sigma": bf},
-                lhs=jf,
-                rhs=bf,
-                passed=jf == bf,
-            )
-        ]
-    if counts.kind == "i":
-        return [
-            ConditionCheck(
-                class_label=cls_label,
-                eq_id="3D:i",
-                equation="3*j_c + b_c = 0",
-                inputs={"j_c": jf, "b_c": bf},
-                lhs=3 * jf + bf,
-                rhs=0,
-                passed=3 * jf + bf == 0,
-                note="no joint at the centre and no bar centred on it",
-            )
-        ]
-    if counts.kind == "S":
-        n, k = counts.n, counts.k
-        tc = two_cos(n, k)
-        if isinstance(tc, int):
-            lhs: int | float = jf * (tc - 1)
-            passed = lhs == bf
-            note = ""
-        else:
-            lhs = jf * (tc - 1)
-            passed = jf == 0 and bf == 0
-            note = (
-                f"2*cos(2*pi*{k}/{n}) is irrational, so only "
-                "j_c = 0 with b_nc = 0 can satisfy the equation"
-            )
-        return [
-            ConditionCheck(
-                class_label=cls_label,
-                eq_id="3D:Sn",
-                equation="j_c * (2*cos(2*pi*k/n) - 1) = b_nc",
-                inputs={"j_c": jf, "b_nc": bf, "n": n, "k": k},
-                lhs=lhs,
-                rhs=bf,
-                passed=passed,
-                note=note,
-            )
-        ]
-    raise InternalInconsistency(f"no 3D condition for kind {counts.kind!r}")
+                checks.append(check("Cn-axis", "j_n = 2", {"j_n": jf, "n": n}, jf, 2, note))
+            return checks
+        case (3, "sigma"):
+            return [check("sigma", "j_sigma = b_sigma", {"j_sigma": jf, "b_sigma": bf}, jf, bf)]
+        case (3, "i"):
+            note = "no joint at the centre and no bar centred on it"
+            return [check("i", "3*j_c + b_c = 0", {"j_c": jf, "b_c": bf}, 3 * jf + bf, 0, note)]
+        case (3, "S"):
+            tc = two_cos(n, k)
+            passed, note = None, ""
+            if not isinstance(tc, int):
+                passed = jf == 0 and bf == 0
+                note = (
+                    f"2*cos(2*pi*{k}/{n}) is irrational, so only "
+                    "j_c = 0 with b_nc = 0 can satisfy the equation"
+                )
+            equation = "j_c * (2*cos(2*pi*k/n) - 1) = b_nc"
+            inputs = {"j_c": jf, "b_nc": bf, "n": n, "k": k}
+            return [check("Sn", equation, inputs, jf * (tc - 1), bf, note, passed)]
+    raise InternalInconsistency(f"no {d}D condition for kind {counts.kind!r}")
 
 
 def isostatic_necessary(
@@ -513,12 +409,11 @@ def isostatic_necessary(
     j, b = f.joint_count, f.bar_count
     if group.bar_perms is None:
         raise ValueError("the group carries no bar permutations; detect it on the framework")
-    builder = _checks_2d if d == 2 else _checks_3d
     checks: list[ConditionCheck] = []
     for cls in group.classes:
         x = cls.rep_id
         counts = unshifted_counts(f, group.elements[x], group.joint_perms[x], group.bar_perms[x])
-        checks.extend(builder(cls.label, counts, j, b))
+        checks.extend(_class_checks(cls.label, counts, d, j, b))
     notes: list[str] = []
     admissible_2d: bool | None = None
     if d == 2:

@@ -541,13 +541,22 @@ def nullspace_bases(
     a self-stress is zero on every pivot row, so on every peeled bar, and
     goes back to the bars through the elimination's reflections; a
     mechanism extends over every joint set aside by back-substitution
-    (`_Elimination.kernel`).  Both residuals are taken from the bar
-    arrays; C is formed only as the remainder, when nothing was set
-    aside.
+    (`_Elimination.kernel`).  Every residual is taken from the bar
+    arrays: the whole kernel's, before rigid motions are projected out,
+    then the stresses' and the mechanisms'.  C is formed only as the
+    remainder, when nothing was set aside.
     """
     red = _reduce(f, tol, vectors=True)
     system, stress, kernel = red.system, red.stress, red.kernel
     b, n = f.bar_count, f.dimension * f.joint_count
+    # C has unit rows, so every residual is on an absolute scale; the
+    # whole kernel is checked, since with m = 0 no mechanism row is left
+    # to show a wrong extension over the joints set aside
+    bound = 10 * tol * max(n, b)
+    kernel_fields = kernel.reshape(len(kernel), f.joint_count, f.dimension)
+    res = np.abs(_image(system, kernel_fields)).max(initial=0.0)
+    if res > bound:
+        raise InternalInconsistency(f"kernel residual too large: {res}")
     rb = rigid_body_basis(f)
     # project rigid-body motions out of the kernel, then re-orthonormalize;
     # singular values near 1 survive, near 0 were pure rigid-body content
@@ -563,12 +572,11 @@ def nullspace_bases(
             f"mechanism basis has {mech.shape[0]} rows, expected {expected}"
         )
 
-    # C has unit rows, so both residuals are on an absolute scale
     res = np.abs(_loads(system, stress)).max(initial=0.0)
     if res > 10 * tol * b:
         raise InternalInconsistency(f"self-stress residual too large: {res}")
     mech_fields = mech.reshape(len(mech), f.joint_count, f.dimension)
     res = np.abs(_image(system, mech_fields)).max(initial=0.0)
-    if res > 10 * tol * max(n, b):
+    if res > bound:
         raise InternalInconsistency(f"mechanism residual too large: {res}")
     return stress, mech

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import isoframe as iso
 from isoframe import core, numrank
+from isoframe.errors import InternalInconsistency
 from isoframe.numrank import (
     DEFAULT_RANK_TOL,
     build_system,
@@ -441,6 +442,23 @@ def test_elimination_sets_aside_joints_without_rows(monkeypatch):
     assert np.linalg.matrix_rank(kernel) == 5
     assert np.abs(C @ kernel.T).max() < 1e-15
     assert elim.stresses(np.zeros((0, 0))).shape == (0, 1)
+
+
+def test_a_wrong_kernel_is_refused_when_no_mechanism_is_left(monkeypatch):
+    # the peeled steps' back-substitution with the wrong sign extends the
+    # kernel wrongly over the 3 peeled joints; m = 0, so no mechanism row
+    # is left to show it, and only the whole kernel's residual can
+    back = numrank._back
+
+    def flipped(R, X):
+        W, new = back(R, X)
+        return (-W if R.ndim == 3 else W), new  # the stacked peeled steps only
+
+    f = edge_split(2, 400, 7, 0.5)
+    assert mobility(f).m == 0
+    monkeypatch.setattr(numrank, "_back", flipped)
+    with pytest.raises(InternalInconsistency, match="kernel residual"):
+        nullspace_bases(f)
 
 
 def test_no_large_svd_and_no_dense_c_on_the_twisted_icosahedron(monkeypatch):
