@@ -36,9 +36,8 @@ from .errors import InternalInconsistency, NonIntegralMultiplicity, Unrecognized
 from .symdetect import (
     ClassKey,
     PointGroupInfo,
-    _classify_isometries,
-    _key_order,
     _matched_permutations,
+    _ordered_elements,
     _parse_label,
     classify_group,
 )
@@ -267,10 +266,8 @@ def reference_group(label: str, dimension: int = 3) -> PointGroupInfo:
     label = canonical_label(label)
     mats, orbit = _close_under_multiplication(_generators(label, dimension), dimension)
     mats = np.array(mats)
-    perms = np.array([perm for perm, _ in _matched_permutations(orbit, mats, 1e-6)])
-    proper = np.linalg.det(mats) > 0
-    orders = list(map(_key_order, perms.tolist(), proper.tolist()))
-    info = classify_group(_classify_isometries(mats, dimension, orders, proper), perms)
+    perms = _matched_permutations(orbit, mats, 1e-6)[0]
+    info = classify_group(*_ordered_elements(mats, np.linalg.det(mats) > 0, perms))
     if info.schoenflies != label:
         raise InternalInconsistency(
             f"reference generators for {label} closed into {info.schoenflies}"
@@ -310,8 +307,8 @@ def _half(info: PointGroupInfo, members: list[int]) -> tuple[CharacterTable, dic
     each member's column in it.
 
     The subgroup is classified as a group of its own.  info's elements
-    are in canonical order, so the stable sort in classify_group leaves
-    the ascending members as they are: its element y is members[y].
+    are in canonical order, so the stable canonical sort in classify_group
+    leaves the ascending members as they are: its element y is members[y].
     """
     half = classify_group([info.elements[x] for x in members], info.joint_perms[members])
     column = {members[y]: ci for ci, cls in enumerate(half.classes) for y in cls.member_ids}

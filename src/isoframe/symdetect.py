@@ -3,21 +3,22 @@
 The pipeline:
 
 1. Center coordinates on the centroid (every symmetry of a finite
-   joint set fixes it) and sort joints into shells of equal distance
-   from the center.
+   joint set fixes it) and give each joint the id of its shell of
+   equal distance from the center.
 2. Pick a well-conditioned spanning basis of joint positions, greedily
    preferring joints whose shells are small.
 3. Enumerate candidate images of the basis (same shell, matching
    pairwise inner products), all partial images a level at a time.
-   Then, in blocks of at most core._BLOCK joint images, solve every
-   candidate's matrix against the basis, inverted once, keep the
-   near-orthogonal ones, snap them to the nearest orthogonal matrices
-   by one batched SVD, land all their joint images through one
-   core.pairs_within call, and look every bar permutation up in the
-   sorted bar-end codes.  The candidates are then taken in order.  A
+   Solve every candidate's matrix against the basis, inverted once,
+   and snap the near-orthogonal ones to the nearest orthogonal
+   matrices by one batched SVD.  Land their joint images, in blocks of
+   at most core._BLOCK, through one core.pairs_within call each, and
+   look every bar permutation up in the sorted bar-end codes; the
+   stacks stop before the first candidate that lands ambiguously.  A
    symmetry is its joint permutation and the sign of its determinant;
-   one candidate is kept per such key, and a new key whose matrix lies
-   within _AMBIGUITY_GATE of a kept one is ambiguous.
+   the first candidate of each such key is kept (one stable argsort),
+   and a key whose matrix lies within _AMBIGUITY_GATE of an earlier one
+   is ambiguous.  One np.lexsort puts the symmetries in canonical order.
 4. Read each symmetry's order from its key: the smallest power of the
    joint permutation that is the identity, doubled when it is odd and
    the symmetry improper.  Classify all matrices at once into E /
@@ -27,8 +28,8 @@ The pipeline:
    a base, checking closure in full on generators only; take every
    conjugate in one gather, merge inverse-paired classes, and name the
    group and its classes on the Schoenflies flowchart from the element
-   kinds and that table alone.  Axes are read only to order two classes
-   that no product tells apart.
+   kinds and that table alone.  Two classes that no product tells
+   apart are ordered by element index, which sorts them by axis.
 5. Count the joints and bars each operation leaves in place, and tag
    how each fixed bar sits, from the permutations alone: detection is
    the last step that reads coordinates.
@@ -41,8 +42,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,7 +77,8 @@ class IsometryOp:
     rotation axis for 3D C and S, the unit plane normal for a 3D
     mirror, the unit mirror line direction for a 2D mirror, and None
     otherwise.  Axes are sign-canonicalized: the first component larger
-    than 1e-7 in magnitude is positive.
+    than 1e-7 in magnitude is positive.  A group lists its elements in
+    canonical order (_canonical_order).
     """
 
     kind: str
@@ -85,13 +86,6 @@ class IsometryOp:
     n: int = 0
     k: int = 0
     axis: tuple[float, ...] | None = None
-
-    @cached_property
-    def sort_key(self) -> tuple:
-        """The canonical element order: by kind, higher n first, then k and
-        the axis rounded to 9 decimals."""
-        axis = () if self.axis is None else tuple(round(float(c), 9) for c in self.axis)
-        return (_KIND_RANK[self.kind], -self.n, self.k, axis)
 
 
 class ClassKey(NamedTuple):
@@ -301,22 +295,51 @@ def _classify_isometries(
     ]
 
 
-def _shells(norms: np.ndarray, tol: float) -> list[list[int]]:
-    order = np.argsort(norms, kind="stable")
-    shells: list[list[int]] = [[int(order[0])]]
-    for prev, cur in zip(order[:-1], order[1:]):
-        if norms[cur] - norms[prev] <= 2 * tol:
-            shells[-1].append(int(cur))
-        else:
-            shells.append([int(cur)])
-    return shells
+def _canonical_order(ops: Sequence[IsometryOp], dimension: int) -> np.ndarray:
+    """The canonical element order, a stable sort by kind (_KIND_RANK),
+    higher n first, then k and the axis rounded to 9 decimals, an
+    element with no axis before any with one."""
+    unset = (0.0,) * dimension
+    rows = [
+        (_KIND_RANK[op.kind], -op.n, op.k, op.axis is not None, *(op.axis or unset))
+        for op in ops
+    ]
+    keys = np.array(rows, dtype=float).reshape(len(ops), 4 + dimension)
+    return np.lexsort(keys.round(9).T[::-1])
 
 
-def _greedy_basis(
-    P: np.ndarray, shell_size: dict[int, int], spanrank: int, tol: float
-) -> list[int]:
-    """Spanning joints, max-residual greedy with a small-shell preference."""
-    j = P.shape[0]
+def _ordered_elements(
+    Ms: np.ndarray,
+    proper: np.ndarray,
+    joint_perms: np.ndarray,
+    bar_perms: np.ndarray | None = None,
+) -> tuple[list[IsometryOp], np.ndarray, np.ndarray | None]:
+    """The symmetries keyed by joint_perms and proper, classified, with
+    their joint and bar permutations, all in canonical order."""
+    orders = list(map(_key_order, joint_perms.tolist(), proper.tolist()))
+    d = Ms.shape[-1]
+    ops = _classify_isometries(Ms, d, orders, proper)
+    order = _canonical_order(ops, d)
+    bars = None if bar_perms is None else _frozen(bar_perms, order)
+    return [ops[x] for x in order], _frozen(joint_perms, order), bars
+
+
+def _shells(norms: np.ndarray, tol: float) -> np.ndarray:
+    """Each joint's shell id.  Joints sorted stably by distance from the
+    center stay in one shell while each gap to the next is at most
+    2 tol; shells are numbered in that order."""
+    order = norms.argsort(kind="stable")
+    ranked = norms[order]
+    shell = np.zeros(len(norms), dtype=np.intp)
+    shell[order[1:]] = (ranked[1:] - ranked[:-1] > 2 * tol).cumsum()
+    return shell
+
+
+def _greedy_basis(P: np.ndarray, shell: np.ndarray, spanrank: int, tol: float) -> list[int]:
+    """Spanning joints, max-residual greedy with a small-shell preference:
+    of the joints whose residual is at least half the largest, the one
+    in the smallest shell, the lowest id on a tie."""
+    size = np.bincount(shell)[shell]
     basis: list[int] = []
     Q = np.zeros((0, P.shape[1]))
     while len(basis) < spanrank:
@@ -328,104 +351,90 @@ def _greedy_basis(
                 "joint positions span a space whose dimension is unclear "
                 "at the current geometric tolerance"
             )
-        candidates = [i for i in range(j) if rnorm[i] >= 0.5 * rmax and i not in basis]
-        pick = min(candidates, key=lambda i: (shell_size[i], i))
+        far = rnorm >= 0.5 * rmax
+        far[basis] = False
+        pick = int(np.where(far, size, len(P) + 1).argmin())
         basis.append(pick)
-        newdir = resid[pick] / rnorm[pick]
-        Q = np.vstack([Q, newdir])
+        Q = np.vstack([Q, resid[pick] / rnorm[pick]])
     return basis
 
 
 def _candidate_images(
-    P: np.ndarray,
-    basis: list[int],
-    shell_of: dict[int, list[int]],
-    dot_tol: float,
+    P: np.ndarray, basis: list[int], shell: np.ndarray, norms: np.ndarray, dot_tol: float
 ) -> np.ndarray:
     """Every image of the basis that keeps each basis joint in its shell
     and each inner product within dot_tol, one row of joint ids each.
 
     Rows grow a level at a time, all partial rows at once (in chunks of
     at most _BLOCK inner products), and come in the lexicographic order
-    of their joints' places in the shells.
+    of their joints' places in the shells, stably sorted by norm.
     """
     gram = P[basis] @ P[basis].T
     rows = np.zeros((1, 0), dtype=np.intp)
     for level, b in enumerate(basis):
-        shell = np.array(shell_of[b], dtype=np.intp)
-        Q = P[shell]
+        members = (shell == shell[b]).nonzero()[0]
+        members = members[norms[members].argsort(kind="stable")]
+        Q = P[members]
         fits = np.abs((Q * Q).sum(axis=1) - gram[level, level]) <= dot_tol
-        step = max(1, _BLOCK // (len(shell) * max(level, 1)))
+        step = max(1, _BLOCK // (len(members) * max(level, 1)))
         grown = []
         for lo in range(0, max(len(rows), 1), step):
             part = rows[lo : lo + step]
             dots = np.abs(P[part] @ Q.T - gram[:level, level, None]) <= dot_tol
-            ok = fits & dots.all(axis=1) & (part[:, :, None] != shell).all(axis=1)
+            ok = fits & dots.all(axis=1) & (part[:, :, None] != members).all(axis=1)
             k, m = np.nonzero(ok)
-            grown.append(np.column_stack([part[k], shell[m]]))
+            grown.append(np.column_stack([part[k], members[m]]))
         rows = np.concatenate(grown)
     return rows
 
 
 def _isometries(
-    P: np.ndarray,
-    basis: list[int],
-    images: np.ndarray,
-    tol: float,
-    exp: int,
-    ends: np.ndarray,
-) -> Iterator[tuple[np.ndarray, bool, np.ndarray | None, np.ndarray | None]]:
-    """Yield each candidate's matrix, whether it is proper, and its joint
-    and bar permutations (_matched_permutations), in candidate order.
+    P: np.ndarray, basis: list[int], images: np.ndarray, tol: float, exp: int, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, ToleranceAmbiguity | None]:
+    """The matched candidates' matrices, signs (proper or not) and
+    joint and bar permutations, in candidate order, and the error that
+    stopped them (_matched_permutations).
 
     The basis matrix B is the same for every candidate, so it is
     inverted once.  When the basis spans only a hyperplane, it is
     extended by its unit normal and each image of the basis gives two
     candidates in turn, sending the normal to +normal and to -normal.
-    Candidates go in blocks of at most _BLOCK // j images of the basis:
-    each block is solved, kept where near-orthogonal, snapped to the
-    nearest orthogonal matrices by one batched SVD, and matched.
     """
     j, d = P.shape
-    B = P[basis].T
-    normal = None
+    B, Bp = P[basis].T, P[images].transpose(0, 2, 1)
     if len(basis) < d:
         # rank-deficient span: extend with the normal direction, both signs
         normal = np.cross(B[:, 0], B[:, 1]) if d == 3 else np.array([-B[1, 0], B[0, 0]])
         nn = float(np.linalg.norm(normal))
-        if nn == 0.0:
-            return
-        normal = normal / nn
+        normal = normal / nn if nn else normal
         B = np.column_stack([B, normal])
+        signed = np.tile(np.stack([normal, -normal]), (len(Bp), 1))[:, :, None]
+        Bp = np.concatenate([np.repeat(Bp, 2, axis=0), signed], axis=2)
     try:
-        inv = np.linalg.inv(B)
+        Ms = np.ascontiguousarray(Bp) @ np.linalg.inv(B)
     except np.linalg.LinAlgError:
-        return
-    step = max(1, _BLOCK // j)
-    for lo in range(0, len(images), step):
-        Bp = np.ascontiguousarray(P[images[lo : lo + step]].transpose(0, 2, 1))
-        if normal is not None:
-            signed = np.tile(np.stack([normal, -normal]), (len(Bp), 1))[:, :, None]
-            Bp = np.concatenate([np.repeat(Bp, 2, axis=0), signed], axis=2)
-        Ms = Bp @ inv
-        Ms = Ms[np.abs(Ms.transpose(0, 2, 1) @ Ms - np.eye(d)).max(axis=(1, 2)) <= 0.05]
-        u, _, vt = np.linalg.svd(Ms)
-        Ms = u @ vt
-        proper = np.linalg.det(Ms) > 0
-        for M, sign, perms in zip(Ms, proper, _matched_permutations(P, Ms, tol, exp, ends)):
-            yield M, bool(sign), *perms
+        Ms = np.zeros((0, d, d))
+    Ms = Ms[np.abs(Ms.transpose(0, 2, 1) @ Ms - np.eye(d)).max(axis=(1, 2)) <= 0.05]
+    u, _, vt = np.linalg.svd(Ms)
+    Ms = u @ vt
+    perms, bar_perms, ok, error = _matched_permutations(P, Ms, tol, exp, ends)
+    Ms = Ms[: len(ok)][ok]
+    return Ms, np.linalg.det(Ms) > 0, perms[ok], bar_perms[ok], error
 
 
-def _raise_if_ambiguous(hits: np.ndarray, landed: np.ndarray, tol: float, exp: int) -> None:
-    """Check one matrix whose joint images do not land one to one.
+def _ambiguity(
+    hits: np.ndarray, landed: np.ndarray, tol: float, exp: int
+) -> ToleranceAmbiguity | None:
+    """The error for one matrix whose joint images do not land one to
+    one, or None when it is simply no symmetry.
 
     hits[q] counts the joints that the image of joint q lands on, and
     landed[q] is one of them.  Joints are taken in id order up to the
     first whose image does not land on exactly one joint that no earlier
     image took.  The matrix is no symmetry when that image lands on no
-    joint; ToleranceAmbiguity is raised when it lands on several or on a
-    taken one.  Its message states tol * 2**exp, in model units when the
-    points were scaled by core.unit_scaled.
+    joint; it is ambiguous when it lands on several or on a taken one.
+    The message states tol * 2**exp, in model units when the points were
+    scaled by core.unit_scaled.
     """
     bad = np.flatnonzero(hits != 1)
     stop = int(bad[0]) if bad.size else len(hits)
@@ -434,15 +443,16 @@ def _raise_if_ambiguous(hits: np.ndarray, landed: np.ndarray, tol: float, exp: i
     taken = order[1:][ranked[1:] == ranked[:-1]]
     shown = float(np.ldexp(tol, exp))
     if taken.size:
-        raise ToleranceAmbiguity(
+        return ToleranceAmbiguity(
             f"two joints map onto joint {landed[taken.min()]} within tolerance {shown:g}"
         )
     if hits[stop] > 1:
-        raise ToleranceAmbiguity(
+        return ToleranceAmbiguity(
             f"the image of joint {stop} matches {hits[stop]} joints within "
             f"tolerance {shown:g}; joints are too close together for this "
             "tolerance"
         )
+    return None
 
 
 def _raise_if_close(kept: np.ndarray) -> None:
@@ -468,61 +478,52 @@ def _raise_if_close(kept: np.ndarray) -> None:
 
 
 def _matched_permutations(
-    P: np.ndarray,
-    Ms: np.ndarray,
-    tol: float,
-    exp: int = 0,
-    ends: np.ndarray | None = None,
-) -> Iterator[tuple[np.ndarray | None, np.ndarray | None]]:
-    """Yield the joint and bar permutation of each matrix of the stack Ms,
-    as int rows of image ids.
+    P: np.ndarray, Ms: np.ndarray, tol: float, exp: int = 0, ends: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, ToleranceAmbiguity | None]:
+    """The joint and bar permutations of the stack Ms, as int rows of
+    image ids, and whether each matrix is matched: its joints land one to
+    one on joints, and its bars, with sorted ends (none when not given),
+    on bars.  The rows stop before the first matrix that _ambiguity
+    finds ambiguous, and its error comes last, else None.
 
-    The joints' images are matched in blocks of matrices, at most
-    _BLOCK images to a block and one pairs_within call per block, so
-    memory does not grow with the number of matrices.  A matrix whose
-    images land one to one on the joints gets that permutation; any
-    other gets None.  When an image of it lands on several joints, or
-    two on one joint, _raise_if_ambiguous checks it as it is reached.
-    ends holds each bar's sorted ends; a bar permutation sends each bar
-    to the bar between its ends' images, and is None when one of those
-    is no bar, or when no ends are given.
+    Images are landed in blocks of at most _BLOCK, one pairs_within call
+    each, so memory does not grow with the number of matrices.
     """
     j, d = P.shape
-    if ends is not None:
-        codes = ends[:, 0] * j + ends[:, 1]
-        by_code = np.argsort(codes)
-        codes = codes[by_code]
+    ends = np.zeros((0, 2), dtype=np.int64) if ends is None else ends
+    codes = ends[:, 0] * j + ends[:, 1]
+    by_code = codes.argsort()
+    codes = codes[by_code]
+    c = len(Ms)
+    perms = np.empty((c, j), dtype=np.int64)
+    bar_perms = np.empty((c, len(ends)), dtype=np.int64)
+    ok = np.empty(c, dtype=bool)
     step = max(1, _BLOCK // j)
-    for lo in range(0, len(Ms), step):
+    for lo in range(0, c, step):
         block = Ms[lo : lo + step]
-        n = len(block) * j
+        hi, n = lo + len(block), len(block) * j
         hits = np.zeros(n, dtype=np.intp)
         # an image that lands on no joint keeps an id of its own, below 0
         landed = -1 - np.arange(n)
         for q, p in pairs_within(P, (P @ block.transpose(0, 2, 1)).reshape(n, d), tol):
             hits += np.bincount(q, minlength=n)
             landed[q] = p
-        hits, landed = hits.reshape(-1, j), landed.reshape(-1, j)
-        ranked = np.sort(landed, axis=1)
+        hits, perms[lo:hi] = hits.reshape(-1, j), landed.reshape(-1, j)
+        ranked = np.sort(perms[lo:hi], axis=1)
         twice = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1) | (hits > 1).any(axis=1)
-        clean = (hits == 1).all(axis=1) & ~twice
-        bars_ok = np.zeros(len(block), dtype=bool)
-        if ends is not None:
-            u, v = landed[:, ends[:, 0]], landed[:, ends[:, 1]]
-            image = np.minimum(u, v) * j + np.maximum(u, v)
-            at = np.minimum(np.searchsorted(codes, image), max(len(codes) - 1, 0))
-            bars_ok = (codes[at] == image).all(axis=1)
-            bar_rows = by_code[at]
-        for i in range(len(block)):
-            if not clean[i]:
-                if twice[i]:
-                    _raise_if_ambiguous(hits[i], landed[i], tol, exp)
-                yield None, None
-            else:
-                yield landed[i], bar_rows[i] if bars_ok[i] else None
+        u, v = perms[lo:hi, ends[:, 0]], perms[lo:hi, ends[:, 1]]
+        image = np.minimum(u, v) * j + np.maximum(u, v)
+        at = np.minimum(np.searchsorted(codes, image), max(len(codes) - 1, 0))
+        ok[lo:hi] = (hits == 1).all(axis=1) & ~twice & (codes[at] == image).all(axis=1)
+        bar_perms[lo:hi] = by_code[at]
+        for i in twice.nonzero()[0]:
+            error = _ambiguity(hits[i], perms[lo + i], tol, exp)
+            if error:
+                return perms[: lo + i], bar_perms[: lo + i], ok[: lo + i], error
+    return perms, bar_perms, ok, None
 
 
-def _frozen(perms: np.ndarray, order: list[int]) -> np.ndarray:
+def _frozen(perms: np.ndarray, order: np.ndarray) -> np.ndarray:
     """A read-only int64 copy of the rows of perms, taken in order."""
     out = np.asarray(perms, dtype=np.int64)[order]
     out.setflags(write=False)
@@ -533,7 +534,7 @@ def detect_symmetries(
     f: Framework, geom_tol: float | None = None
 ) -> tuple[list[IsometryOp], np.ndarray, np.ndarray]:
     """All point symmetries of the framework, identity included, in
-    canonical order (IsometryOp.sort_key), and their joint and bar
+    canonical order (_canonical_order), and their joint and bar
     permutations as read-only int64 arrays of shape (g, j) and (g, b).
 
     geom_tol is relative to the framework diameter; positions matching
@@ -565,39 +566,31 @@ def detect_symmetries(
         raise ContinuousSymmetry("all joints coincide at the centroid")
 
     norms = np.linalg.norm(P, axis=1)
-    shells = _shells(norms, tol)
-    shell_of = {i: shell for shell in shells for i in shell}
-    shell_size = {i: len(shell_of[i]) for i in range(j)}
+    shell = _shells(norms, tol)
+    basis = _greedy_basis(P, shell, spanrank, tol)
+    images = _candidate_images(P, basis, shell, norms, 4 * tol * scale)
+    Ms, proper, perms, bar_perms, error = _isometries(P, basis, images, tol, exp, f.ends)
 
-    basis = _greedy_basis(P, shell_size, spanrank, tol)
-    dot_tol = 4 * tol * scale
-
-    images = _candidate_images(P, basis, shell_of, dot_tol)
-
-    # a symmetry is its joint permutation and the sign of its determinant;
-    # kept[x] is the matrix of the x-th key found
-    found: dict[tuple[bytes, bool], tuple[np.ndarray, np.ndarray]] = {}
-    kept: list[np.ndarray] = []
-    try:
-        for M, proper, perm, bar_perm in _isometries(P, basis, images, tol, exp, f.ends):
-            if perm is not None and bar_perm is not None and (perm.tobytes(), proper) not in found:
-                found[perm.tobytes(), proper] = perm, bar_perm
-                kept.append(M)
-    finally:
-        # keys found before a candidate that raised are checked first,
-        # as they were reached first
-        kept = np.array(kept).reshape(-1, d, d)
-        _raise_if_close(kept)
-
-    proper = [sign for _, sign in found]
-    joint_perms = np.array([perm for perm, _ in found.values()]).reshape(len(found), j)
-    bar_perms = np.array([bars for _, bars in found.values()]).reshape(len(found), f.bar_count)
-    orders = list(map(_key_order, joint_perms.tolist(), proper))
-    ops = _classify_isometries(kept, d, orders, np.array(proper, dtype=bool))
-    order = sorted(range(len(ops)), key=lambda x: ops[x].sort_key)
-    if not order or ops[order[0]].kind != "E":
+    # a symmetry is its joint permutation and the sign of its determinant:
+    # one row of bytes each, the images of an improper one moved up by j;
+    # the first candidate of each key is kept
+    keys = (perms + j * ~proper[:, None]).view(np.dtype((np.void, 8 * j))).ravel()
+    order = keys.argsort(kind="stable")
+    new = np.ones(len(keys), dtype=bool)
+    new[1:] = keys[order[1:]] != keys[order[:-1]]
+    first = order[new]
+    first.sort()
+    # the keys found before a candidate that landed ambiguously are
+    # checked first, as they were reached first
+    _raise_if_close(Ms[first])
+    if error:
+        raise error
+    ops, joint_perms, bar_perms = _ordered_elements(
+        Ms[first], proper[first], perms[first], bar_perms[first]
+    )
+    if not ops or ops[0].kind != "E":
         raise InternalInconsistency("the identity was not among the detected symmetries")
-    return [ops[x] for x in order], _frozen(joint_perms, order), _frozen(bar_perms, order)
+    return ops, joint_perms, bar_perms
 
 
 def _parse_label(label: str) -> tuple[str, int, str]:
@@ -650,7 +643,7 @@ def _principal_rotation(ops: list[IsometryOp], table: np.ndarray) -> int | None:
     """r: the first proper rotation of the highest order, or None.
 
     Among several half turns, r is the square of an S4 when there is one,
-    and otherwise the half turn with the largest axis tuple.
+    and otherwise the last half turn, the one whose axis sorts last.
     """
     rotations = [x for x, op in enumerate(ops) if op.kind == "C"]
     if not rotations:
@@ -660,7 +653,7 @@ def _principal_rotation(ops: list[IsometryOp], table: np.ndarray) -> int | None:
     s4 = [x for x, op in enumerate(ops) if op.kind == "S" and op.n == 4]
     if s4:
         return int(table[s4[0], s4[0]])
-    return max(rotations, key=lambda x: ops[x].sort_key[3])
+    return rotations[-1]
 
 
 def _schoenflies_3d(
@@ -730,11 +723,17 @@ def _merged_classes(table: np.ndarray, inverse: np.ndarray) -> list[list[int]]:
     merged class.
     """
     least = table[table, inverse[:, None]].min(axis=0)
-    least = np.minimum(least, least[inverse])
-    members = np.argsort(least, kind="stable")
-    cuts = (np.flatnonzero(np.diff(least[members])) + 1).tolist()
+    return _groups(np.minimum(least, least[inverse]))
+
+
+def _groups(least: np.ndarray) -> list[list[int]]:
+    """The ids grouped by their entries of least: each group ascending,
+    the groups by ascending entry."""
+    members = least.argsort(kind="stable")
+    ranked = least[members]
+    cuts = ((ranked[1:] != ranked[:-1]).nonzero()[0] + 1).tolist()
     members = members.tolist()
-    return [members[a:b] for a, b in zip([0, *cuts], [*cuts, len(members)])]
+    return [members[a:b] for a, b in zip([0, *cuts], [*cuts, len(members)]) if a < b]
 
 
 def _class_geometry_key(ops: list[IsometryOp]) -> tuple[str, int, int]:
@@ -752,8 +751,9 @@ def _assign_roles(
     """Class roles from the element kinds and the multiplication table.
 
     geometry holds each class's _class_geometry_key, and r is the
-    principal rotation of an axial group.  Axes only order two classes
-    that no product tells apart.
+    principal rotation of an axial group.  Two classes that no product
+    tells apart are ordered by their last members: elements of one kind,
+    n and k are listed by axis.
     """
     cubic = label in ("T", "Td", "Th", "O", "Oh", "I", "Ih")
     is_mirror = lambda x: ops[int(x)].kind == "sigma"
@@ -800,12 +800,11 @@ def _assign_roles(
         else:
             v_classes.append(ci)
 
-    def class_max_axis(ci: int) -> tuple[float, ...]:
-        return max(ops[m].sort_key[3] for m in merged[ci])
-
+    # the class whose last member sorts later takes the first role
+    later_first = lambda ci: -merged[ci][-1]
     if len(alt_classes) > 2:
         raise InternalInconsistency("more than two classes of crossing twofold axes")
-    for role, ci in zip(("alt", "alt2"), sorted(alt_classes, key=class_max_axis, reverse=True)):
+    for role, ci in zip(("alt", "alt2"), sorted(alt_classes, key=later_first)):
         roles[ci] = role
 
     if v_classes:
@@ -822,7 +821,7 @@ def _assign_roles(
             roles[first] = "v" if contains else "v2"
             roles[v_classes[1]] = "v2" if contains else "v"
         else:
-            for role, ci in zip(("v", "v2"), sorted(v_classes, key=class_max_axis, reverse=True)):
+            for role, ci in zip(("v", "v2"), sorted(v_classes, key=later_first)):
                 roles[ci] = role
     return roles
 
@@ -917,8 +916,8 @@ def classify_group(
     """Close, verify, and name a finite set of isometries as a point group.
 
     joint_perms[x] and bar_perms[x] are the joint and bar permutations of
-    elements[x]; the group holds all three in canonical element order, a
-    stable sort by IsometryOp.sort_key.  The multiplication table comes
+    elements[x]; the group holds all three in canonical element order
+    (_canonical_order), a stable sort.  The multiplication table comes
     from the exact joint permutations, each keyed with the sign of its
     determinant (_cayley_table): when the joints span only a hyperplane,
     an element and its product with the mirror in that hyperplane permute
@@ -931,12 +930,12 @@ def classify_group(
     """
     if not elements:
         raise NotAGroup("no elements supplied")
-    order = sorted(range(len(elements)), key=lambda x: elements[x].sort_key)
-    ops = [elements[x] for x in order]
-    dims = {op.matrix.shape[0] for op in ops}
+    dims = {op.matrix.shape[0] for op in elements}
     if len(dims) != 1:
         raise ValueError("elements mix dimensions")
     dimension = dims.pop()
+    order = _canonical_order(elements, dimension)
+    ops = [elements[x] for x in order]
     if ops[0].kind != "E":
         raise NotAGroup("the identity is not among the elements")
     g = len(ops)
@@ -1079,21 +1078,14 @@ def orbits(f: Framework, group: PointGroupInfo) -> OrbitPartition:
     """The orbits of joints and of bars under the group action.
 
     The elements form a group, so the orbit of x is its image under every
-    element, the column x of the group's permutations.  Only the column of
-    each orbit's smallest member is read.  Orbits come ordered by their
+    element, the column x of the group's permutations, and the least
+    entry of that column names it.  Orbits come ordered by their
     smallest member.
     """
     if group.bar_perms is None:
         raise ValueError("group elements lack permutations; detect them on a framework")
 
     def collect(perms: np.ndarray) -> tuple[tuple[int, ...], ...]:
-        out: list[tuple[int, ...]] = []
-        seen: set[int] = set()
-        for x in range(perms.shape[1]):
-            if x not in seen:
-                orbit = sorted(set(perms[:, x].tolist()))
-                seen.update(orbit)
-                out.append(tuple(orbit))
-        return tuple(out)
+        return tuple(map(tuple, _groups(perms.min(axis=0))))
 
     return OrbitPartition(collect(group.joint_perms), collect(group.bar_perms))

@@ -485,9 +485,38 @@ def find_joint_permutation(
     P: np.ndarray, M: np.ndarray, tol: float, exp: int = 0
 ) -> tuple[int, ...] | None:
     """The joint that each joint's image under M lands on, within tol:
-    None when M is no symmetry (see symdetect._raise_if_ambiguous)."""
-    perm = next(_matched_permutations(P, M[None], tol, exp))[0]
-    return None if perm is None else tuple(perm.tolist())
+    None when M is no symmetry (see symdetect._ambiguity)."""
+    perms, _, matched, error = _matched_permutations(P, M[None], tol, exp)
+    if error:
+        raise error
+    return tuple(perms[0].tolist()) if matched[0] else None
+
+
+# ---------------------------------------------------------------------------
+# detection's shells and element order, one joint or element at a time
+
+
+def shells_by_chaining(norms: np.ndarray, tol: float) -> list[list[int]]:
+    """Joints sorted stably by norm, in shells: a joint joins the shell
+    of the one before it when their norms differ by at most 2 tol."""
+    order = np.argsort(norms, kind="stable")
+    shells: list[list[int]] = [[int(order[0])]]
+    for prev, cur in zip(order[:-1], order[1:]):
+        if norms[cur] - norms[prev] <= 2 * tol:
+            shells[-1].append(int(cur))
+        else:
+            shells.append([int(cur)])
+    return shells
+
+
+_KIND_RANK = {"E": 0, "C": 1, "i": 2, "S": 3, "sigma": 4}
+
+
+def canonical_sort_key(op) -> tuple:
+    """The canonical element order: by kind, higher n first, then k and
+    the axis rounded to 9 decimals by Python's round (no axis first)."""
+    axis = () if op.axis is None else tuple(round(float(c), 9) for c in op.axis)
+    return (_KIND_RANK[op.kind], -op.n, op.k, axis)
 
 
 # ---------------------------------------------------------------------------

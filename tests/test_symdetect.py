@@ -7,6 +7,7 @@ import importlib.util
 import json
 import math
 import random
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -38,6 +39,7 @@ from isoframe.symdetect import (
 
 from oracles import brute_fixed_counts, geometric_fixed_items, permutation_order_bruteforce
 from oracles import cayley_table, inverses, merged_conjugacy_classes
+from oracles import canonical_sort_key, shells_by_chaining
 from oracles import find_joint_permutation as _find_joint_permutation
 
 # Per-class (label, joints unshifted, bars unshifted), in detected class
@@ -472,6 +474,18 @@ def test_find_joint_permutation_outcomes(points, outcome):
         assert _find_joint_permutation(P, M, 0.1) == outcome
 
 
+def test_matched_permutations_stop_before_the_first_ambiguous_matrix(monkeypatch):
+    # E, then the point reflection, whose image of joint 1 lands 0.07
+    # from joints 2 and 3, then E again: one matrix per block
+    P = np.array([(0.0, 0.0), (-2.0, 0.0), (1.93, 0.0), (2.07, 0.0)])
+    monkeypatch.setattr(symdetect, "_BLOCK", len(P))
+    Ms = np.stack([np.eye(2), -np.eye(2), np.eye(2)])
+    perms, bar_perms, matched, error = symdetect._matched_permutations(P, Ms, 0.1)
+    assert perms.tolist() == [[0, 1, 2, 3]] and matched.tolist() == [True]
+    assert bar_perms.shape == (1, 0)
+    assert isinstance(error, ToleranceAmbiguity) and re.match(_MANY, str(error))
+
+
 @given(
     perm=st.integers(1, 40).flatmap(lambda j: st.permutations(range(j))),
     proper=st.booleans(),
@@ -618,20 +632,17 @@ def test_unclosed_subsets_name_the_first_missing_product(data):
 
 def test_close_symmetries_are_ambiguous_in_candidate_order(octahedron, monkeypatch):
     # a new key whose matrix lies within 1e-4 of a kept one is ambiguous,
-    # unless a candidate reached before it raised first
+    # unless a candidate reached before it landed ambiguously
     ops, perms, bar_perms = detect_symmetries(octahedron)
     first = (ops[0].matrix, True, perms[0], bar_perms[0])
     twin = (ops[0].matrix + 5e-5, True, perms[1], bar_perms[1])
     late = ToleranceAmbiguity("a later candidate lands on two joints")
 
     def candidates(*items):
-        def fake(*args):
-            for item in items:
-                if isinstance(item, Exception):
-                    raise item
-                yield item
-
-        monkeypatch.setattr(symdetect, "_isometries", fake)
+        # the stacks stop before the candidate that lands ambiguously
+        stop = next(x for x, item in enumerate(items) if isinstance(item, Exception))
+        stacks = [np.array(column) for column in zip(*items[:stop])]
+        monkeypatch.setattr(symdetect, "_isometries", lambda *args: (*stacks, items[stop]))
 
     candidates(first, twin, late)
     with pytest.raises(ToleranceAmbiguity, match="differ by only 5e-05"):
@@ -898,6 +909,43 @@ def test_relabelling_keeps_group_classes_and_traces(shape, rng):
     assert got[:2] == (label, classes)
     assert got[2] == pytest.approx(trace, abs=1e-9)
     assert got[3] == necessary
+
+
+def test_elements_come_in_canonical_sort_key_order():
+    # one np.lexsort puts the elements in this order; Python's round
+    # guards it against rounding drift of the axes
+    groups = [detect_point_group(f) for f in _snapshot_shapes().values()]
+    groups += [reference_group(label, 2) for label in CATALOG_2D]
+    groups += [reference_group(label, 3) for label in CATALOG_3D]
+    assert len(groups) == 49 + 54
+    for g in groups:
+        keys = [canonical_sort_key(op) for op in g.elements]
+        assert keys == sorted(keys), g.schoenflies
+
+
+# gaps between neighbouring norms, in units of tol: ties, and runs just
+# under, at and just over the 2 tol that chains two joints into a shell
+_GAPS = st.sampled_from([0.0, 0.5, 2.0 * (1 - 1e-9), 2.0, 2.0 * (1 + 1e-9), 7.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    gaps=st.lists(_GAPS | st.floats(0.0, 10.0), min_size=1, max_size=30),
+    start=st.sampled_from([0.0, 1.0, 3.7]),
+    tol=st.sampled_from([1e-6, 1e-3, 0.25]),
+    rng=st.randoms(use_true_random=False),
+)
+def test_shells_chain_as_the_joint_loop_does(gaps, start, tol, rng):
+    # same shells, and within each shell the members in the order
+    # _candidate_images takes them, on which the candidate order rests
+    norms = start + np.cumsum(np.array(gaps) * tol)
+    rng.shuffle(norms)
+    shell = symdetect._shells(norms, tol)
+    got = []
+    for s in range(shell.max() + 1):
+        members = np.flatnonzero(shell == s)
+        got.append(members[np.argsort(norms[members], kind="stable")].tolist())
+    assert got == shells_by_chaining(norms, tol)
 
 
 # what detect_point_group reported on each snapshot shape; regenerate
