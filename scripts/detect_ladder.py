@@ -2,7 +2,7 @@
 """Time symmetry detection on the framework inputs of the benchmark.
 
 The inputs are those of one pass of the benchmark's workloads
-(`bench/workloads.py` `jobs_for`, pass 0 of --seed), read and never
+(`bench/workloads.py` `jobs_for`, pass 0 of seed 7), read and never
 changed: every job whose payload is framework JSON, i.e. all but the
 `pebble` (bare graph) and `modes` (library) jobs.  Each input is parsed
 with `from_json_dict` and goes through `detect_point_group` once per
@@ -18,8 +18,8 @@ all detections took together, the mean and largest number of calls per
 detection, and, for each input, its seconds (min, median, max) and
 calls.
 
-    python3 scripts/detect_ladder.py                      # 5 processes
-    python3 scripts/detect_ladder.py --processes 7 --workloads batch
+    python3 scripts/detect_ladder.py                 # 5 processes
+    python3 scripts/detect_ladder.py --processes 7
 """
 
 from __future__ import annotations
@@ -37,29 +37,30 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WORKLOADS = ("screen3d", "batch")
+SEED = 7
 # job commands whose payload is no framework
 NO_FRAMEWORK = ("pebble", "modes")
 
 
-def inputs(workloads: list[str], seed: int) -> dict:
+def inputs() -> dict:
     """The framework of every job of pass 0, keyed workload:position:job."""
     import isoframe as iso
     import workloads as bench
 
     out = {}
-    for workload in workloads:
-        jobs = bench.jobs_for(workload, seed, 0, bench.gallery_for(workload))
+    for workload in WORKLOADS:
+        jobs = bench.jobs_for(workload, SEED, 0, bench.gallery_for(workload))
         for x, job in enumerate(jobs):
             if job.command not in NO_FRAMEWORK:
                 out[f"{workload}:{x}:{job.name}"] = iso.from_json_dict(json.loads(job.payload))
     return out
 
 
-def worker(workloads: list[str], seed: int) -> dict:
+def worker() -> dict:
     """Seconds and Python calls of each detection, in this process."""
     from isoframe.symdetect import detect_point_group
 
-    frameworks = inputs(workloads, seed)
+    frameworks = inputs()
     detect_point_group(next(iter(frameworks.values())))
     seconds = {}
     for name, f in frameworks.items():
@@ -85,26 +86,19 @@ def spread(values: list[float]) -> dict:
 def main(argv: list[str] | None = None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--processes", type=int, default=5, help="fresh processes, one after another")
-    p.add_argument("--seed", type=int, default=7, help="the workloads' seed")
-    p.add_argument("--workloads", default=",".join(WORKLOADS), help="comma list of workloads")
     p.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = p.parse_args(argv)
-    workloads = args.workloads.split(",")
-    unknown = sorted(set(workloads) - set(WORKLOADS))
-    if unknown:
-        p.error(f"unknown workloads {unknown}; choose from {', '.join(WORKLOADS)}")
     if args.processes < 1:
         p.error("--processes must be at least 1")
     if args.worker:
         sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
-        print(json.dumps(worker(workloads, args.seed)))
+        print(json.dumps(worker()))
         return 0
     env = dict(os.environ, **{var: "1" for var in BLAS_ENV})
-    command = [sys.executable, __file__, "--worker", "--workloads", args.workloads]
     runs = [
         json.loads(
             subprocess.run(
-                command + ["--seed", str(args.seed)],
+                [sys.executable, __file__, "--worker"],
                 env=env,
                 capture_output=True,
                 text=True,
@@ -117,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
     calls = runs[0]["calls"]
     report = {
         "processes": args.processes,
-        "seed": args.seed,
+        "seed": SEED,
         "inputs": len(names),
         "seconds": spread([sum(run["seconds"].values()) for run in runs]),
         "calls_per_detection": {

@@ -36,8 +36,8 @@ from .errors import InternalInconsistency, NonIntegralMultiplicity, Unrecognized
 from .symdetect import (
     ClassKey,
     PointGroupInfo,
+    _classified,
     _matched_permutations,
-    _ordered_elements,
     _parse_label,
     classify_group,
 )
@@ -266,8 +266,12 @@ def reference_group(label: str, dimension: int = 3) -> PointGroupInfo:
     label = canonical_label(label)
     mats, orbit = _close_under_multiplication(_generators(label, dimension), dimension)
     mats = np.array(mats)
-    perms = _matched_permutations(orbit, mats, 1e-6)[0]
-    info = classify_group(*_ordered_elements(mats, np.linalg.det(mats) > 0, perms))
+    ids, perms, _, error = _matched_permutations(orbit, mats, 1e-6)
+    if error:
+        raise error
+    if len(ids) < len(mats):
+        raise InternalInconsistency(f"an element of {label} does not permute its free orbit")
+    info = classify_group(_classified(mats, np.linalg.det(mats) > 0, perms), perms)
     if info.schoenflies != label:
         raise InternalInconsistency(
             f"reference generators for {label} closed into {info.schoenflies}"

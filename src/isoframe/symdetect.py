@@ -308,20 +308,11 @@ def _canonical_order(ops: Sequence[IsometryOp], dimension: int) -> np.ndarray:
     return np.lexsort(keys.round(9).T[::-1])
 
 
-def _ordered_elements(
-    Ms: np.ndarray,
-    proper: np.ndarray,
-    joint_perms: np.ndarray,
-    bar_perms: np.ndarray | None = None,
-) -> tuple[list[IsometryOp], np.ndarray, np.ndarray | None]:
-    """The symmetries keyed by joint_perms and proper, classified, with
-    their joint and bar permutations, all in canonical order."""
+def _classified(Ms: np.ndarray, proper: np.ndarray, joint_perms: np.ndarray) -> list[IsometryOp]:
+    """The symmetries keyed by joint_perms and proper, classified, in
+    stack order."""
     orders = list(map(_key_order, joint_perms.tolist(), proper.tolist()))
-    d = Ms.shape[-1]
-    ops = _classify_isometries(Ms, d, orders, proper)
-    order = _canonical_order(ops, d)
-    bars = None if bar_perms is None else _frozen(bar_perms, order)
-    return [ops[x] for x in order], _frozen(joint_perms, order), bars
+    return _classify_isometries(Ms, Ms.shape[-1], orders, proper)
 
 
 def _shells(norms: np.ndarray, tol: float) -> np.ndarray:
@@ -399,6 +390,8 @@ def _isometries(
     inverted once.  When the basis spans only a hyperplane, it is
     extended by its unit normal and each image of the basis gives two
     candidates in turn, sending the normal to +normal and to -normal.
+    Every candidate's d x d matrix is held at once, as its image row is;
+    only the matched ones keep permutation rows.
     """
     j, d = P.shape
     B, Bp = P[basis].T, P[images].transpose(0, 2, 1)
@@ -417,9 +410,9 @@ def _isometries(
     Ms = Ms[np.abs(Ms.transpose(0, 2, 1) @ Ms - np.eye(d)).max(axis=(1, 2)) <= 0.05]
     u, _, vt = np.linalg.svd(Ms)
     Ms = u @ vt
-    perms, bar_perms, ok, error = _matched_permutations(P, Ms, tol, exp, ends)
-    Ms = Ms[: len(ok)][ok]
-    return Ms, np.linalg.det(Ms) > 0, perms[ok], bar_perms[ok], error
+    ids, perms, bar_perms, error = _matched_permutations(P, Ms, tol, exp, ends)
+    Ms = Ms[ids]
+    return Ms, np.linalg.det(Ms) > 0, perms, bar_perms, error
 
 
 def _ambiguity(
@@ -480,47 +473,53 @@ def _raise_if_close(kept: np.ndarray) -> None:
 def _matched_permutations(
     P: np.ndarray, Ms: np.ndarray, tol: float, exp: int = 0, ends: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, ToleranceAmbiguity | None]:
-    """The joint and bar permutations of the stack Ms, as int rows of
-    image ids, and whether each matrix is matched: its joints land one to
-    one on joints, and its bars, with sorted ends (none when not given),
-    on bars.  The rows stop before the first matrix that _ambiguity
+    """The ids in Ms of the matched matrices, whose joints land one to
+    one on joints and whose bars, with sorted ends (none when not given),
+    land on bars, and their joint and bar permutations as int64 rows of
+    image ids.  The ids stop before the first matrix that _ambiguity
     finds ambiguous, and its error comes last, else None.
 
     Images are landed in blocks of at most _BLOCK, one pairs_within call
-    each, so memory does not grow with the number of matrices.
+    each, and only the matched rows of a block are kept.
     """
     j, d = P.shape
     ends = np.zeros((0, 2), dtype=np.int64) if ends is None else ends
     codes = ends[:, 0] * j + ends[:, 1]
     by_code = codes.argsort()
     codes = codes[by_code]
-    c = len(Ms)
-    perms = np.empty((c, j), dtype=np.int64)
-    bar_perms = np.empty((c, len(ends)), dtype=np.int64)
-    ok = np.empty(c, dtype=bool)
+    ids = [np.zeros(0, dtype=np.intp)]
+    perms = [np.zeros((0, j), dtype=np.int64)]
+    bar_perms = [np.zeros((0, len(ends)), dtype=np.int64)]
+    error = None
     step = max(1, _BLOCK // j)
-    for lo in range(0, c, step):
+    for lo in range(0, len(Ms), step):
         block = Ms[lo : lo + step]
-        hi, n = lo + len(block), len(block) * j
+        n = len(block) * j
         hits = np.zeros(n, dtype=np.intp)
         # an image that lands on no joint keeps an id of its own, below 0
-        landed = -1 - np.arange(n)
+        landed = -1 - np.arange(n, dtype=np.int64)
         for q, p in pairs_within(P, (P @ block.transpose(0, 2, 1)).reshape(n, d), tol):
             hits += np.bincount(q, minlength=n)
             landed[q] = p
-        hits, perms[lo:hi] = hits.reshape(-1, j), landed.reshape(-1, j)
-        ranked = np.sort(perms[lo:hi], axis=1)
+        hits, landed = hits.reshape(-1, j), landed.reshape(-1, j)
+        ranked = np.sort(landed, axis=1)
         twice = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1) | (hits > 1).any(axis=1)
-        u, v = perms[lo:hi, ends[:, 0]], perms[lo:hi, ends[:, 1]]
+        u, v = landed[:, ends[:, 0]], landed[:, ends[:, 1]]
         image = np.minimum(u, v) * j + np.maximum(u, v)
         at = np.minimum(np.searchsorted(codes, image), max(len(codes) - 1, 0))
-        ok[lo:hi] = (hits == 1).all(axis=1) & ~twice & (codes[at] == image).all(axis=1)
-        bar_perms[lo:hi] = by_code[at]
+        ok = (hits == 1).all(axis=1) & ~twice & (codes[at] == image).all(axis=1)
         for i in twice.nonzero()[0]:
-            error = _ambiguity(hits[i], perms[lo + i], tol, exp)
+            error = _ambiguity(hits[i], landed[i], tol, exp)
             if error:
-                return perms[: lo + i], bar_perms[: lo + i], ok[: lo + i], error
-    return perms, bar_perms, ok, None
+                ok[i:] = False
+                break
+        keep = ok.nonzero()[0]
+        ids.append(lo + keep)
+        perms.append(landed[keep])
+        bar_perms.append(by_code[at[keep]])
+        if error:
+            break
+    return np.concatenate(ids), np.concatenate(perms), np.concatenate(bar_perms), error
 
 
 def _frozen(perms: np.ndarray, order: np.ndarray) -> np.ndarray:
@@ -585,12 +584,12 @@ def detect_symmetries(
     _raise_if_close(Ms[first])
     if error:
         raise error
-    ops, joint_perms, bar_perms = _ordered_elements(
-        Ms[first], proper[first], perms[first], bar_perms[first]
-    )
+    ops = _classified(Ms[first], proper[first], perms[first])
+    order = _canonical_order(ops, d)
+    ops = [ops[x] for x in order]
     if not ops or ops[0].kind != "E":
         raise InternalInconsistency("the identity was not among the detected symmetries")
-    return ops, joint_perms, bar_perms
+    return ops, _frozen(perms, first[order]), _frozen(bar_perms, first[order])
 
 
 def _parse_label(label: str) -> tuple[str, int, str]:

@@ -486,10 +486,10 @@ def find_joint_permutation(
 ) -> tuple[int, ...] | None:
     """The joint that each joint's image under M lands on, within tol:
     None when M is no symmetry (see symdetect._ambiguity)."""
-    perms, _, matched, error = _matched_permutations(P, M[None], tol, exp)
+    _, perms, _, error = _matched_permutations(P, M[None], tol, exp)
     if error:
         raise error
-    return tuple(perms[0].tolist()) if matched[0] else None
+    return tuple(perms[0].tolist()) if len(perms) else None
 
 
 # ---------------------------------------------------------------------------

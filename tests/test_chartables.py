@@ -6,8 +6,10 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from isoframe import chartables
 from isoframe.chartables import (
     CATALOG_2D,
     CATALOG_3D,
@@ -16,7 +18,12 @@ from isoframe.chartables import (
     table_for_group,
 )
 from isoframe.constructgen import fig2_examples, platonic
-from isoframe.errors import NonIntegralMultiplicity, UnrecognizedGroup
+from isoframe.errors import (
+    InternalInconsistency,
+    NonIntegralMultiplicity,
+    ToleranceAmbiguity,
+    UnrecognizedGroup,
+)
 from isoframe.symdetect import detect_point_group
 
 ALL_TABLES = [(lbl, 3) for lbl in CATALOG_3D] + [(lbl, 2) for lbl in CATALOG_2D]
@@ -148,6 +155,23 @@ def test_aliases_resolve():
 def test_unrecognized_label_raises():
     with pytest.raises(UnrecognizedGroup):
         character_table("Q7")
+
+
+@pytest.mark.parametrize(
+    "orbit,turn,error,match",
+    [
+        # the quarter turn sends the free point off its two-point orbit
+        ([(0.31, 0.47), (-0.31, -0.47)], 0.5, InternalInconsistency, "does not permute"),
+        # the orbit's points lie within the closure's 1e-6 of each other
+        ([(0.31, 0.47), (0.31 + 5e-7, 0.47)], 1.0, ToleranceAmbiguity, "matches 2 joints"),
+    ],
+)
+def test_reference_elements_must_permute_the_orbit(orbit, turn, error, match, monkeypatch):
+    c, s = math.cos(math.pi * turn), math.sin(math.pi * turn)
+    mats = [np.eye(2), np.array([[c, -s], [s, c]])]
+    monkeypatch.setattr(chartables, "_close_under_multiplication", lambda *a: (mats, np.array(orbit)))
+    with pytest.raises(error, match=match):
+        chartables.reference_group.__wrapped__("C2", 2)
 
 
 def test_project_and_decompose_roundtrip():

@@ -480,8 +480,8 @@ def test_matched_permutations_stop_before_the_first_ambiguous_matrix(monkeypatch
     P = np.array([(0.0, 0.0), (-2.0, 0.0), (1.93, 0.0), (2.07, 0.0)])
     monkeypatch.setattr(symdetect, "_BLOCK", len(P))
     Ms = np.stack([np.eye(2), -np.eye(2), np.eye(2)])
-    perms, bar_perms, matched, error = symdetect._matched_permutations(P, Ms, 0.1)
-    assert perms.tolist() == [[0, 1, 2, 3]] and matched.tolist() == [True]
+    ids, perms, bar_perms, error = symdetect._matched_permutations(P, Ms, 0.1)
+    assert ids.tolist() == [0] and perms.tolist() == [[0, 1, 2, 3]]
     assert bar_perms.shape == (1, 0)
     assert isinstance(error, ToleranceAmbiguity) and re.match(_MANY, str(error))
 
