@@ -36,7 +36,6 @@ from .errors import InternalInconsistency, NonIntegralMultiplicity, Unrecognized
 from .symdetect import (
     ClassKey,
     PointGroupInfo,
-    _classified,
     _matched_permutations,
     _parse_label,
     classify_group,
@@ -271,7 +270,7 @@ def reference_group(label: str, dimension: int = 3) -> PointGroupInfo:
         raise error
     if len(ids) < len(mats):
         raise InternalInconsistency(f"an element of {label} does not permute its free orbit")
-    info = classify_group(_classified(mats, np.linalg.det(mats) > 0, perms), perms)
+    info = classify_group(mats, perms)
     if info.schoenflies != label:
         raise InternalInconsistency(
             f"reference generators for {label} closed into {info.schoenflies}"
@@ -310,11 +309,11 @@ def _half(info: PointGroupInfo, members: list[int]) -> tuple[CharacterTable, dic
     """The table of the subgroup on members, ascending element ids, and
     each member's column in it.
 
-    The subgroup is classified as a group of its own.  info's elements
-    are in canonical order, so the stable canonical sort in classify_group
-    leaves the ascending members as they are: its element y is members[y].
+    The subgroup is classified anew, each member as in info, whose
+    elements are in canonical order, so the stable sort in classify_group
+    keeps the ascending members in place: its element y is members[y].
     """
-    half = classify_group([info.elements[x] for x in members], info.joint_perms[members])
+    half = classify_group([info.elements[x].matrix for x in members], info.joint_perms[members])
     column = {members[y]: ci for ci, cls in enumerate(half.classes) for y in cls.member_ids}
     return _table_from_info(half), column
 

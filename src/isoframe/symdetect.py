@@ -18,18 +18,18 @@ The pipeline:
    symmetry is its joint permutation and the sign of its determinant;
    the first candidate of each such key is kept (one stable argsort),
    and a key whose matrix lies within _AMBIGUITY_GATE of an earlier one
-   is ambiguous.  One np.lexsort puts the symmetries in canonical order.
-4. Read each symmetry's order from its key: the smallest power of the
-   joint permutation that is the identity, doubled when it is odd and
-   the symmetry improper.  Classify all matrices at once into E /
-   C_n^k / S_n^k / sigma / i from that order and the determinant sign;
-   only k, the nearest multiple of 2*pi/n, is read from the measured
-   angle.  Build the multiplication table from each element's images of
-   a base, checking closure in full on generators only; take every
-   conjugate in one gather, merge inverse-paired classes, and name the
-   group and its classes on the Schoenflies flowchart from the element
-   kinds and that table alone.  Two classes that no product tells
-   apart are ordered by element index, which sorts them by axis.
+   is ambiguous.  detect_symmetries hands over the keyed stacks.
+4. classify_group reads each symmetry's order from its key: the least
+   power of the joint permutation that is the identity, doubled when it
+   is odd and the symmetry improper.  It classifies all matrices at once
+   into E / C_n^k / S_n^k / sigma / i from that order and the sign of
+   the determinant (only k, the nearest multiple of 2*pi/n, is read from
+   the angle), sorts them by one np.lexsort, and builds the multiplication
+   table from each element's images of a base, checking closure in full
+   on generators only; takes every conjugate in one gather, merges
+   inverse-paired classes, and names the group and its classes on the
+   Schoenflies flowchart from the kinds and that table alone.  Two
+   classes no product tells apart are ordered by element, so by axis.
 5. Count the joints and bars each operation leaves in place, and tag
    how each fixed bar sits, from the permutations alone: detection is
    the last step that reads coordinates.
@@ -77,8 +77,8 @@ class IsometryOp:
     rotation axis for 3D C and S, the unit plane normal for a 3D
     mirror, the unit mirror line direction for a 2D mirror, and None
     otherwise.  Axes are sign-canonicalized: the first component larger
-    than 1e-7 in magnitude is positive.  A group lists its elements in
-    canonical order (_canonical_order).
+    than 1e-7 in magnitude is positive.  classify_group makes the ops of
+    a group and lists them in canonical order (_canonical_order).
     """
 
     kind: str
@@ -116,16 +116,16 @@ class ConjugacyClass:
 class PointGroupInfo:
     """A finite point group realized on concrete elements.
 
-    elements are sorted canonically with the identity first;
-    joint_perms[x] and bar_perms[x] send each joint and bar id to its
-    image under element x, as read-only int64 arrays of shape (g, j) and
-    (g, b).  A reference group (chartables.reference_group) permutes the
-    points of a free orbit and has no bar_perms.  mult_table[x, y] is
-    the index of element x composed after y, and inverse[x] the index of
-    the inverse.  classes are merged with their inverse classes so they
-    align one-to-one with real character table columns.  Nothing
-    downstream of the group reads coordinates again, so it carries no
-    tolerance.
+    elements are in canonical order, identity first; joint_perms[x] and
+    bar_perms[x] send each joint and bar id to its image under element
+    x, as read-only int64 copies (g, j) and (g, b) in that order, made
+    once by classify_group.  A reference group
+    (chartables.reference_group) permutes the points of a free orbit and
+    has no bar_perms.  mult_table[x, y] is the index of element x
+    composed after y, and inverse[x] the index of the inverse.  classes
+    are merged with their inverse classes so they align one-to-one with
+    real character table columns.  Nothing downstream of the group reads
+    coordinates again, so it carries no tolerance.
     """
 
     schoenflies: str
@@ -306,13 +306,6 @@ def _canonical_order(ops: Sequence[IsometryOp], dimension: int) -> np.ndarray:
     ]
     keys = np.array(rows, dtype=float).reshape(len(ops), 4 + dimension)
     return np.lexsort(keys.round(9).T[::-1])
-
-
-def _classified(Ms: np.ndarray, proper: np.ndarray, joint_perms: np.ndarray) -> list[IsometryOp]:
-    """The symmetries keyed by joint_perms and proper, classified, in
-    stack order."""
-    orders = list(map(_key_order, joint_perms.tolist(), proper.tolist()))
-    return _classify_isometries(Ms, Ms.shape[-1], orders, proper)
 
 
 def _shells(norms: np.ndarray, tol: float) -> np.ndarray:
@@ -522,19 +515,12 @@ def _matched_permutations(
     return np.concatenate(ids), np.concatenate(perms), np.concatenate(bar_perms), error
 
 
-def _frozen(perms: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """A read-only int64 copy of the rows of perms, taken in order."""
-    out = np.asarray(perms, dtype=np.int64)[order]
-    out.setflags(write=False)
-    return out
-
-
 def detect_symmetries(
     f: Framework, geom_tol: float | None = None
-) -> tuple[list[IsometryOp], np.ndarray, np.ndarray]:
-    """All point symmetries of the framework, identity included, in
-    canonical order (_canonical_order), and their joint and bar
-    permutations as read-only int64 arrays of shape (g, j) and (g, b).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All point symmetries of the framework, identity included, as the
+    stacks classify_group takes, in the order their keys were first found:
+    matrices (g, d, d) and int64 joint and bar permutations (g, j), (g, b).
 
     geom_tol is relative to the framework diameter; positions matching
     to better than geom_tol * diameter are considered equal.  Raises
@@ -584,12 +570,9 @@ def detect_symmetries(
     _raise_if_close(Ms[first])
     if error:
         raise error
-    ops = _classified(Ms[first], proper[first], perms[first])
-    order = _canonical_order(ops, d)
-    ops = [ops[x] for x in order]
-    if not ops or ops[0].kind != "E":
+    if not ((perms[first] == np.arange(j)).all(axis=1) & proper[first]).any():
         raise InternalInconsistency("the identity was not among the detected symmetries")
-    return ops, _frozen(perms, first[order]), _frozen(bar_perms, first[order])
+    return Ms[first], perms[first], bar_perms[first]
 
 
 def _parse_label(label: str) -> tuple[str, int, str]:
@@ -907,43 +890,61 @@ def _missing_product(perms: np.ndarray, signs: np.ndarray) -> NotAGroup:
     return NotAGroup("the identity is not among the elements")
 
 
+def _checked_perms(perms: np.ndarray, g: int, name: str) -> np.ndarray:
+    """perms as int64; ValueError naming it unless it is an integer (g, w) array in [0, w)."""
+    perms = np.asarray(perms)
+    if perms.ndim != 2 or len(perms) != g or perms.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be an integer array of shape ({g}, width): {perms.shape}")
+    if perms.size and (perms.min() < 0 or perms.max() >= perms.shape[1]):
+        raise ValueError(f"{name} has an entry outside [0, {perms.shape[1]})")
+    return perms.astype(np.int64, copy=False)
+
+
 def classify_group(
-    elements: Sequence[IsometryOp],
+    matrices: np.ndarray,
     joint_perms: np.ndarray,
     bar_perms: np.ndarray | None = None,
 ) -> PointGroupInfo:
     """Close, verify, and name a finite set of isometries as a point group.
 
-    joint_perms[x] and bar_perms[x] are the joint and bar permutations of
-    elements[x]; the group holds all three in canonical element order
-    (_canonical_order), a stable sort.  The multiplication table comes
-    from the exact joint permutations, each keyed with the sign of its
-    determinant (_cayley_table): when the joints span only a hyperplane,
-    an element and its product with the mirror in that hyperplane permute
-    the joints alike.  The label, the principal axis and the class roles
-    are read from the element kinds and that table: with r the principal
+    matrices is a (g, d, d) stack, d 2 or 3, in any row order, and
+    joint_perms[x] and bar_perms[x] are the permutations of matrices[x].
+    All rows are classified at once, each by the order of its key
+    (_key_order), and sorted canonically (_canonical_order, stable); the
+    group holds read-only copies of the permutation stacks in that
+    order.  The multiplication table comes from the exact joint
+    permutations, each keyed with the sign of its determinant
+    (_cayley_table): when the joints span only a hyperplane, an element
+    and its product with the mirror in that hyperplane permute the
+    joints alike.  The label, the principal axis and the class roles are
+    read from the element kinds and that table: with r the principal
     rotation, a half turn crosses the principal axis when it is no power
     of r, and a mirror s is horizontal when s r is no mirror.  Raises
-    NotAGroup when the set is not closed or lacks the identity, and
-    UnrecognizedGroup when it does not match any supported type.
+    ValueError for a stack of the wrong shape or an entry out of range,
+    the error of the first row that cannot be classified, NotAGroup when
+    the set is not closed or lacks the identity, and UnrecognizedGroup
+    when it matches no supported type.
     """
-    if not elements:
-        raise NotAGroup("no elements supplied")
-    dims = {op.matrix.shape[0] for op in elements}
-    if len(dims) != 1:
-        raise ValueError("elements mix dimensions")
-    dimension = dims.pop()
+    Ms = np.asarray(matrices, dtype=float)
+    if Ms.ndim != 3 or Ms.shape[1:] not in ((2, 2), (3, 3)):
+        raise ValueError(f"matrices must have shape (g, d, d) with d 2 or 3, got {Ms.shape}")
+    g, dimension = Ms.shape[:2]
+    perms = _checked_perms(joint_perms, g, "joint_perms")
+    if bar_perms is not None:
+        bar_perms = _checked_perms(bar_perms, g, "bar_perms")
+    proper = np.linalg.det(Ms) > 0
+    orders = list(map(_key_order, perms.tolist(), proper.tolist()))
+    elements = _classify_isometries(Ms, dimension, orders, proper)
     order = _canonical_order(elements, dimension)
     ops = [elements[x] for x in order]
-    if ops[0].kind != "E":
+    if not ops or ops[0].kind != "E":
         raise NotAGroup("the identity is not among the elements")
-    g = len(ops)
-    if joint_perms is None or len(joint_perms) != g:
-        raise ValueError("every element needs its joint permutation")
-    perms = _frozen(joint_perms, order)
+    perms = perms[order]
+    perms.setflags(write=False)
     if bar_perms is not None:
-        bar_perms = _frozen(bar_perms, order)
-    signs = np.array([1 if op.kind in ("E", "C") else -1 for op in ops], dtype=np.int64)
+        bar_perms = bar_perms[order]
+        bar_perms.setflags(write=False)
+    signs = np.where(proper[order], 1, -1)
     table = _cayley_table(perms, signs)
     # distinct invertible keys make every row a permutation of 0..g-1
     inverse = np.argmin(table, axis=1)
@@ -962,24 +963,16 @@ def classify_group(
     merged = _merged_classes(table, inverse)
     geometry = [_class_geometry_key([ops[m] for m in members]) for members in merged]
     roles = _assign_roles(label, dimension, ops, table, merged, geometry, axis_id)
-    classes: list[ConjugacyClass] = []
-    for members, (kind, n, k), role in zip(merged, geometry, roles):
-        key = ClassKey(kind, n, k, role)
-        classes.append(
-            ConjugacyClass(
-                key=key,
-                label=_class_label(key, len(members)),
-                size=len(members),
-                member_ids=tuple(members),
-                rep_id=min(members),
-            )
-        )
+    keys = [ClassKey(*geo, role) for geo, role in zip(geometry, roles)]
+    if len(set(keys)) != len(keys):
+        raise InternalInconsistency(f"duplicate class keys in {label}: {sorted(keys)}")
+    classes = [
+        ConjugacyClass(key, _class_label(key, len(ids)), len(ids), tuple(ids), min(ids))
+        for key, ids in zip(keys, merged)
+    ]
     classes.sort(
         key=lambda c: (_KIND_RANK[c.key.kind], -c.key.n, c.key.k, _ROLE_RANK[c.key.role])
     )
-    keys = [c.key for c in classes]
-    if len(set(keys)) != len(keys):
-        raise InternalInconsistency(f"duplicate class keys in {label}: {keys}")
 
     return PointGroupInfo(
         schoenflies=label,
@@ -1003,9 +996,9 @@ def detect_point_group(
     A detected set that is not closed raises ToleranceAmbiguity, not
     NotAGroup: the tolerance let some symmetries through and not others.
     """
-    ops, joint_perms, bar_perms = detect_symmetries(f, geom_tol)
+    matrices, joint_perms, bar_perms = detect_symmetries(f, geom_tol)
     try:
-        return classify_group(ops, joint_perms, bar_perms)
+        return classify_group(matrices, joint_perms, bar_perms)
     except NotAGroup as exc:
         rel = DEFAULT_GEOM_TOL if geom_tol is None else float(geom_tol)
         raise ToleranceAmbiguity(

@@ -544,10 +544,15 @@ def test_ring_of_200_is_c200v_across_two_matching_blocks():
     assert (np.sort(g.bar_perms, axis=1) == np.arange(200)).all()
 
 
-def _not_a_group(elements, joint_perms):
+def _not_a_group(matrices, joint_perms):
     with pytest.raises(NotAGroup) as caught:
-        classify_group(elements, joint_perms)
+        classify_group(matrices, joint_perms)
     return str(caught.value)
+
+
+def _matrices(g):
+    """The (g, d, d) stack of the group's element matrices, in element order."""
+    return np.array([op.matrix for op in g.elements])
 
 
 def test_cayley_table_does_not_trust_the_row_hash(octahedron):
@@ -555,10 +560,10 @@ def test_cayley_table_does_not_trust_the_row_hash(octahedron):
     # of some base alone, whichever base is picked, so the table is found
     # from base images and only the full check on generators can refuse it
     g = detect_point_group(octahedron)
-    elements, perms = g.elements, g.joint_perms
-    table = classify_group(elements, perms).mult_table
+    elements, matrices, perms = g.elements, _matrices(g), g.joint_perms
+    table = classify_group(matrices, perms).mult_table
     kept = [x for x, op in enumerate(elements) if (op.kind, op.n) != ("C", 4)]
-    unclosed = [elements[x] for x in kept], perms[kept]
+    unclosed = matrices[kept], perms[kept]
     message = _not_a_group(*unclosed)
     keys = {(tuple(row), op.kind in ("E", "C")) for row, op in zip(perms.tolist(), elements)}
     x = elements[1]
@@ -570,11 +575,13 @@ def test_cayley_table_does_not_trust_the_row_hash(octahedron):
             edited[1] = perm
             twin = (tuple(perm), x.kind in ("E", "C")) in keys
             with pytest.raises(ToleranceAmbiguity if twin else NotAGroup):
-                classify_group(elements, edited)
-    assert np.array_equal(classify_group(elements, perms).mult_table, table)
+                classify_group(matrices, edited)
+    assert np.array_equal(classify_group(matrices, perms).mult_table, table)
     assert _not_a_group(*unclosed) == message
     with pytest.raises(ToleranceAmbiguity, match="permute the joints alike"):
-        classify_group(elements + elements[1:2], np.concatenate([perms, perms[1:2]]))
+        classify_group(
+            np.concatenate([matrices, matrices[1:2]]), np.concatenate([perms, perms[1:2]])
+        )
 
 
 def test_ring_of_500_is_c500v():
@@ -589,9 +596,9 @@ def test_ring_of_500_is_c500v():
     )
 
 
-def _keyed(elements, joint_perms):
+def _keyed(matrices, joint_perms):
     return [tuple(row) for row in joint_perms.tolist()], [
-        1 if op.kind in ("E", "C") else -1 for op in elements
+        1 if det > 0 else -1 for det in np.linalg.det(matrices).tolist()
     ]
 
 
@@ -609,7 +616,7 @@ def test_group_structure_matches_full_composition():
     groups = _oracle_groups()
     assert len(groups) == 49 + len(CATALOG_2D) + len(CATALOG_3D)
     for name, g in groups.items():
-        table = cayley_table(*_keyed(g.elements, g.joint_perms))
+        table = cayley_table(*_keyed(_matrices(g), g.joint_perms))
         assert g.mult_table.tolist() == table, name
         assert g.inverse.tolist() == inverses(table), name
         assert {c.member_ids for c in g.classes} == merged_conjugacy_classes(table), name
@@ -622,7 +629,7 @@ def test_unclosed_subsets_name_the_first_missing_product(data):
     g = groups[data.draw(st.sampled_from(sorted(groups)))]
     keep = data.draw(st.lists(st.booleans(), min_size=g.order - 1, max_size=g.order - 1))
     ids = [0] + [x for x, k in enumerate(keep, 1) if k]
-    subset = [g.elements[x] for x in ids], g.joint_perms[ids]
+    subset = _matrices(g)[ids], g.joint_perms[ids]
     table = cayley_table(*_keyed(*subset))
     missing = next(((x, y) for x, row in enumerate(table)
                     for y, z in enumerate(row) if z is None), None)
@@ -630,12 +637,85 @@ def test_unclosed_subsets_name_the_first_missing_product(data):
     assert _not_a_group(*subset) == "the product of elements %d and %d is not in the set" % missing
 
 
+def _digest(g):
+    """Everything a group reports about its elements and their structure."""
+    return (
+        g.schoenflies,
+        [(op.kind, op.n, op.k, op.axis) for op in g.elements],
+        g.joint_perms.tolist(),
+        None if g.bar_perms is None else g.bar_perms.tolist(),
+        g.mult_table.tolist(),
+        g.inverse.tolist(),
+        g.classes,
+        g.principal_axis,
+    )
+
+
+def test_row_order_does_not_matter():
+    # classify_group takes the stacks in any row order and sorts them once
+    stacks = {name: detect_symmetries(f) for name, f in _snapshot_shapes().items()}
+    for dimension, catalog in ((2, CATALOG_2D), (3, CATALOG_3D)):
+        for label in catalog:
+            g = reference_group(label, dimension)
+            stacks[f"{label} ({dimension}D)"] = (_matrices(g), g.joint_perms)
+    groups = _oracle_groups()
+    assert sorted(stacks) == sorted(groups) and len(stacks) == 49 + 54
+    for seed, (name, stack) in enumerate(stacks.items()):
+        want = _digest(groups[name])
+        for shuffle in range(2):
+            rows = np.random.default_rng([seed, shuffle]).permutation(len(stack[0]))
+            assert _digest(classify_group(*(s[rows] for s in stack))) == want, name
+
+
+def test_detection_sorts_the_elements_once(octahedron, monkeypatch):
+    calls = []
+    canonical_order = symdetect._canonical_order
+
+    def counted(*args):
+        calls.append(args)
+        return canonical_order(*args)
+
+    monkeypatch.setattr(symdetect, "_canonical_order", counted)
+    detect_point_group(octahedron)
+    assert len(calls) == 1
+
+
+def test_classify_group_refuses_a_matrix_stack_of_the_wrong_shape(octahedron):
+    matrices, perms, _ = detect_symmetries(octahedron)
+    for bad in (matrices[0], matrices[:, :2], np.zeros((len(perms), 4, 4))):
+        with pytest.raises(ValueError, match=r"^matrices must have shape \(g, d, d\)"):
+            classify_group(bad, perms)
+
+
+def test_classify_group_refuses_joint_perms_of_the_wrong_shape(octahedron):
+    matrices, perms, _ = detect_symmetries(octahedron)
+    for bad in (perms[:-1], perms[:, :, None], perms.astype(float)):
+        with pytest.raises(ValueError, match=r"^joint_perms must be an integer array of shape"):
+            classify_group(matrices, bad)
+
+
+def test_classify_group_refuses_bar_perms_of_the_wrong_shape(octahedron):
+    matrices, perms, bar_perms = detect_symmetries(octahedron)
+    with pytest.raises(ValueError, match=r"^bar_perms must be an integer array of shape \(48,"):
+        classify_group(matrices, perms, bar_perms[:-1])
+
+
+def test_classify_group_refuses_entries_out_of_range(octahedron):
+    matrices, perms, bar_perms = detect_symmetries(octahedron)
+    wide, low = perms.copy(), bar_perms.copy()
+    wide[3, 2], low[5, 7] = 6, -1
+    with pytest.raises(ValueError, match=r"^joint_perms has an entry outside \[0, 6\)$"):
+        classify_group(matrices, wide, bar_perms)
+    with pytest.raises(ValueError, match=r"^bar_perms has an entry outside \[0, 12\)$"):
+        classify_group(matrices, perms, low)
+
+
 def test_close_symmetries_are_ambiguous_in_candidate_order(octahedron, monkeypatch):
     # a new key whose matrix lies within 1e-4 of a kept one is ambiguous,
     # unless a candidate reached before it landed ambiguously
-    ops, perms, bar_perms = detect_symmetries(octahedron)
-    first = (ops[0].matrix, True, perms[0], bar_perms[0])
-    twin = (ops[0].matrix + 5e-5, True, perms[1], bar_perms[1])
+    matrices, perms, bar_perms = detect_symmetries(octahedron)
+    first = (matrices[0], True, perms[0], bar_perms[0])
+    twin = (matrices[0] + 5e-5, True, perms[1], bar_perms[1])
     late = ToleranceAmbiguity("a later candidate lands on two joints")
 
     def candidates(*items):
