@@ -894,7 +894,7 @@ def _checked_perms(perms: np.ndarray, g: int, name: str) -> np.ndarray:
     """perms as int64; ValueError naming it unless it is an integer (g, w) array in [0, w)."""
     perms = np.asarray(perms)
     if perms.ndim != 2 or len(perms) != g or perms.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be an integer array of shape ({g}, width): {perms.shape}")
+        raise ValueError(f"{name} must be an integer array of shape ({g}, w), got {perms.shape}")
     if perms.size and (perms.min() < 0 or perms.max() >= perms.shape[1]):
         raise ValueError(f"{name} has an entry outside [0, {perms.shape[1]})")
     return perms.astype(np.int64, copy=False)
