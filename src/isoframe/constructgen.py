@@ -8,7 +8,9 @@ at a common height (preserves the full group), capping every face with
 a twisted triangle (preserves only the rotations), and stacking joints
 along a threefold axis.  Each construction adds three bars per new
 joint, so the scalar count is preserved exactly; that is asserted on
-every call.
+every call.  Each construction reads its faces from one table, built in
+`core.unit_scaled` coordinates, and the caps and hats take their apexes
+from one routine, so no result depends on the framework's scale.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from __future__ import annotations
 import itertools
 import math
 import statistics
+from typing import NamedTuple
 
 import numpy as np
 
 from .chartables import _rot2
-from .core import Framework, maxwell_count, new_framework
+from .core import Framework, maxwell_count, new_framework, unit_scaled
 from .errors import (
     DegenerateFace,
     DegenerateTwist,
@@ -39,7 +42,7 @@ Face = tuple[int, int, int]  # an ordered triple of joint ids whose three edges 
 
 
 def _as_face(f: Framework, face: Face) -> Face:
-    """face as a tuple, once it is checked to be a triangle of f with area."""
+    """face as a tuple, once it is checked to be a triangle of f."""
     if f.dimension != 3:
         raise ValueError("face constructions apply to 3D frameworks only")
     ids = tuple(face)
@@ -51,40 +54,74 @@ def _as_face(f: Framework, face: Face) -> Face:
     for u, v in itertools.combinations(ids, 2):
         if not f.has_bar(u, v):
             raise DegenerateFace(f"face edge ({u}, {v}) is not a bar")
-    p = f.coordinates[list(ids)]
-    area2 = float(np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0])))
-    if area2 <= 1e-12 * f.diameter() ** 2:
-        raise DegenerateFace(f"face {ids} has no area")
     return ids
 
 
-def _face_frame(
-    f: Framework, face: Face
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Centroid, outward unit normal and circumradius of a face."""
-    p = f.coordinates[list(face)]
-    fc = p.mean(axis=0)
-    n = np.cross(p[1] - p[0], p[2] - p[0])
-    n = n / np.linalg.norm(n)
-    outward = fc - f.centroid()
-    side = float(n @ outward)
-    if abs(side) > 1e-9 * f.diameter():
-        if side < 0:
-            n = -n
-    else:
-        # face plane passes through the centre; fix the sign by the
-        # first nonzero component so repeated runs agree
-        for comp in n:
-            if abs(comp) > 1e-7:
-                if comp < 0:
-                    n = -n
-                break
-    a = float(np.linalg.norm(p[1] - p[2]))
-    b = float(np.linalg.norm(p[0] - p[2]))
-    c = float(np.linalg.norm(p[0] - p[1]))
-    area = float(np.linalg.norm(np.cross(p[1] - p[0], p[2] - p[0]))) / 2.0
-    circum = a * b * c / (4.0 * area)
-    return fc, n, circum
+class _Faces(NamedTuple):
+    """Faces in f's unit_scaled coordinates: a length l here is l * 2**exp
+    in model units.  The scaling is exact, so positions and relative
+    tests read as in model units, and no product of coordinates
+    overflows or underflows at any scale."""
+
+    coords: np.ndarray  # the joints
+    exp: int
+    diam: float
+    faces: tuple[Face, ...]
+    centre: np.ndarray  # (F, 3) centroids
+    normal: np.ndarray  # (F, 3) outward unit normals
+    circum: np.ndarray  # (F,) circumradii
+    across: np.ndarray | None  # (F, 3) the face across edge ij, ik, jk; None if open
+
+
+def _faces(f: Framework, faces: tuple[Face, ...]) -> _Faces:
+    """The frame of each face, and its neighbour across each edge."""
+    if not faces:
+        raise DegenerateFace("the framework has no triangular faces to cap")
+    coords, exp = unit_scaled(f.coordinates)
+    diam = f.scaled_diameter()[0]  # measured on coords, with the same exp
+    ids = np.array(faces, dtype=np.int64)
+    p = coords[ids]
+    centre = p.mean(axis=1)
+    n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    area2 = np.linalg.norm(n, axis=1)
+    flat = area2 <= 1e-12 * diam**2
+    if flat.any():
+        raise DegenerateFace(f"face {faces[flat.argmax()]} has no area")
+    n /= area2[:, None]
+    side = ((centre - coords.mean(axis=0)) * n).sum(axis=1)
+    # a face plane through the centre takes the sign of its normal's
+    # first nonzero component, so repeated runs agree
+    lead = n[np.arange(len(n)), (np.abs(n) > 1e-7).argmax(axis=1)]
+    n[np.where(np.abs(side) > 1e-9 * diam, side, lead) < 0] *= -1.0
+    a, b, c = (np.linalg.norm(p[:, u] - p[:, v], axis=1) for u, v in ((1, 2), (0, 2), (0, 1)))
+    circum = a * b * c / (2.0 * area2)
+    # each edge of a closed surface lies on two faces, so its codes pair up
+    edges = np.sort(ids[:, [[0, 1], [0, 2], [1, 2]]], axis=2)
+    codes = (edges[..., 0] * f.joint_count + edges[..., 1]).ravel()
+    order = np.argsort(codes, kind="stable")
+    s = codes[order]
+    across = None
+    if len(s) % 2 == 0 and (s[::2] == s[1::2]).all() and (s[1:-1:2] < s[2::2]).all():
+        across = np.empty(len(s), dtype=np.int64)
+        across[order[::2]], across[order[1::2]] = order[1::2] // 3, order[::2] // 3
+        across = across.reshape(-1, 3)
+    return _Faces(coords, exp, diam, faces, centre, n, circum, across)
+
+
+def _add_apexes(f: Framework, t: _Faces, rows, heights) -> Framework:
+    """f with a joint at centre + height * normal of face t.faces[row],
+    for each row and height, tied to that face's three corners."""
+    rows, h = np.asarray(rows), np.asarray(heights, dtype=float)
+    flat = np.abs(h) <= 1e-9 * t.diam
+    if flat.any():
+        x = int(flat.argmax())
+        raise DegenerateFace(
+            f"apex height {np.ldexp(h[x], t.exp)} places the new joint in "
+            f"the plane of face {t.faces[rows[x]]}"
+        )
+    apex = t.centre[rows] + h[:, None] * t.normal[rows]
+    pairs = [(i, f.joint_count + x) for x, r in enumerate(rows) for i in t.faces[r]]
+    return _append(f, np.ldexp(apex, t.exp), pairs)
 
 
 def all_faces(f: Framework) -> tuple[Face, ...]:
@@ -104,11 +141,7 @@ def all_faces(f: Framework) -> tuple[Face, ...]:
     return tuple(sorted(faces))
 
 
-def _append(
-    f: Framework,
-    new_positions: list[np.ndarray],
-    new_pairs: list[tuple[int, int]],
-) -> Framework:
+def _append(f: Framework, new_positions, new_pairs) -> Framework:
     """f with the new joints and bars after its own, checked by new_framework."""
     positions = np.concatenate((f.coordinates, np.reshape(new_positions, (-1, f.dimension))))
     ends = np.concatenate((f.ends, np.array(new_pairs, dtype=np.int64).reshape(-1, 2)))
@@ -169,89 +202,49 @@ def platonic(name: str) -> Framework:
     return f
 
 
-def cap_face(
-    f: Framework, face: Face, apex_height: float
-) -> Framework:
+def cap_face(f: Framework, face: Face, apex_height: float) -> Framework:
     """Add one joint above a face, tied to its three corners.
 
     A vertex addition: one joint, three bars, count unchanged.  The
     apex sits on the outward normal through the face centroid; zero
     height would put it in the face plane, which destroys the move.
     """
-    fa = _as_face(f, face)
-    fc, n, _ = _face_frame(f, fa)
-    h = float(apex_height)
-    if abs(h) <= 1e-9 * f.diameter():
-        raise DegenerateFace(
-            f"apex height {h} places the new joint in the plane of "
-            f"face {fa}"
-        )
-    return _append(f, [fc + h * n], [(i, f.joint_count) for i in fa])
+    t = _faces(f, (_as_face(f, face),))
+    return _add_apexes(f, t, [0], [np.ldexp(apex_height, -t.exp)])
 
 
-def _adjacent_face_planes(
-    f: Framework, faces: tuple[Face, ...]
-) -> dict[Face, list[tuple[np.ndarray, float]]] | None:
-    by_edge: dict[tuple[int, int], list[Face]] = {}
-    for fa in faces:
-        i, j, k = fa
-        for e in ((i, j), (i, k), (j, k)):
-            by_edge.setdefault(e, []).append(fa)
-    planes: dict[Face, tuple[np.ndarray, float]] = {}
-    for fa in faces:
-        fc, n, _ = _face_frame(f, fa)
-        planes[fa] = (n, float(n @ fc))
-    out: dict[Face, list[tuple[np.ndarray, float]]] = {}
-    for fa in faces:
-        i, j, k = fa
-        neighbors = []
-        for e in ((i, j), (i, k), (j, k)):
-            others = [g for g in by_edge[e] if g != fa]
-            if len(others) != 1:
-                return None
-            neighbors.append(planes[others[0]])
-        out[fa] = neighbors
-    return out
-
-
-def _stellation_height(f: Framework, faces: tuple[Face, ...]) -> float | None:
+def _stellation_height(t: _Faces) -> float | None:
     """Common apex height putting each apex on its neighbors' planes.
 
     Returns None when the construction degenerates: open boundary, apex
     off the face axis, apex not strictly outward, apex colliding with a
     joint, or unequal heights across faces.
     """
-    neighbor_planes = _adjacent_face_planes(f, faces)
-    if neighbor_planes is None:
+    if t.across is None:
         return None
-    diam = f.diameter()
-    heights = []
-    for fa in faces:
-        fc, n, _ = _face_frame(f, fa)
-        A = np.array([pl[0] for pl in neighbor_planes[fa]])
-        d = np.array([pl[1] for pl in neighbor_planes[fa]])
-        if abs(np.linalg.det(A)) < 1e-12:
-            return None
-        s = np.linalg.solve(A, d)
-        rel = s - fc
-        h = float(rel @ n)
-        lateral = float(np.linalg.norm(rel - h * n))
-        if lateral > 1e-8 * diam or h <= 1e-6 * diam:
-            return None
-        apex = fc + h * n
-        gap = np.linalg.norm(f.coordinates - apex, axis=1).min()
-        if gap <= 1e-6 * diam:
-            return None
-        heights.append(h)
-    if max(heights) - min(heights) > 1e-8 * diam:
+    A = t.normal[t.across]
+    if (np.abs(np.linalg.det(A)) < 1e-12).any():
+        return None
+    # dot products through matmul, which rounds each row as a @ b does;
+    # (a * b).sum(axis=1) can differ in the last bit
+    offset = (t.normal[:, None] @ t.centre[..., None])[:, 0]
+    rel = np.linalg.solve(A, offset[t.across])[..., 0] - t.centre
+    h = (rel[:, None] @ t.normal[..., None])[:, 0, 0]
+    lateral = np.linalg.norm(rel - h[:, None] * t.normal, axis=1)
+    apex = t.centre + h[:, None] * t.normal
+    gap = np.linalg.norm(t.coords - apex[:, None], axis=2).min()
+    if (
+        lateral.max() > 1e-8 * t.diam
+        or h.min() <= 1e-6 * t.diam
+        or gap <= 1e-6 * t.diam
+        or h.max() - h.min() > 1e-8 * t.diam
+    ):
         return None
     # the same float np.median gives, without importing numpy.ma
-    return statistics.median(heights)
+    return statistics.median(h.tolist())
 
 
-def cap_all_faces_symmetric(
-    f: Framework, height: float | None = None
-) -> Framework:
+def cap_all_faces_symmetric(f: Framework, height: float | None = None) -> Framework:
     """Cap every triangular face at one common height.
 
     Equal heights keep the whole point group; that is re-detected on
@@ -259,25 +252,11 @@ def cap_all_faces_symmetric(
     meeting point of the adjacent face planes (the stellation position)
     when that is well defined, else to 0.8 of the face circumradius.
     """
-    faces = all_faces(f)
-    if not faces:
-        raise DegenerateFace("the framework has no triangular faces to cap")
-    if height is None:
-        h = _stellation_height(f, faces)
-        if h is None:
-            h = HEIGHT_FACTOR * float(
-                np.mean([_face_frame(f, fa)[2] for fa in faces])
-            )
-    else:
-        h = float(height)
-    new_positions = []
-    new_pairs = []
-    base = f.joint_count
-    for idx, fa in enumerate(faces):
-        fc, n, _ = _face_frame(f, fa)
-        new_positions.append(fc + h * n)
-        new_pairs.extend((i, base + idx) for i in fa)
-    result = _append(f, new_positions, new_pairs)
+    t = _faces(f, all_faces(f))
+    h = _stellation_height(t) if height is None else np.ldexp(height, -t.exp)
+    if h is None:
+        h = HEIGHT_FACTOR * float(np.mean(t.circum))
+    result = _add_apexes(f, t, range(len(t.faces)), [h] * len(t.faces))
     before = detect_point_group(f)
     after = detect_point_group(result)
     if (before.schoenflies, before.order) != (after.schoenflies, after.order):
@@ -312,62 +291,36 @@ def twisted_cap_all_faces(
             f"twist angle {theta} restores mirror symmetry (multiples "
             "of 60 degrees do)"
         )
-    faces = all_faces(f)
-    if not faces:
-        raise DegenerateFace("the framework has no triangular faces to cap")
-    diam = f.diameter()
-    if height is None:
-        h = HEIGHT_FACTOR * float(
-            np.mean([_face_frame(f, fa)[2] for fa in faces])
+    t = _faces(f, all_faces(f))
+    h = HEIGHT_FACTOR * float(np.mean(t.circum)) if height is None else np.ldexp(height, -t.exp)
+    if h <= 1e-9 * t.diam:
+        raise DegenerateTwist(
+            f"cap height {np.ldexp(h, t.exp)} places the twisted triangle in the face plane"
         )
-    else:
-        h = float(height)
-        if h <= 1e-9 * diam:
-            raise DegenerateTwist(
-                f"cap height {h} places the twisted triangle in the "
-                "face plane"
-            )
-    new_positions: list[np.ndarray] = []
+    K = np.cross(np.eye(3), t.normal[:, None])  # K[x] @ v is normal[x] x v
+    R = np.eye(3) + math.sin(theta) * K + (1.0 - math.cos(theta)) * (K @ K)
+    lifted = np.empty((len(t.faces), 3, 3))
     new_pairs: list[tuple[int, int]] = []
-    base = f.joint_count
-    for fa in faces:
-        fc, n, _ = _face_frame(f, fa)
-        K = np.array(
-            [
-                [0.0, -n[2], n[1]],
-                [n[2], 0.0, -n[0]],
-                [-n[1], n[0], 0.0],
-            ]
-        )
-        R = np.eye(3) + math.sin(theta) * K + (1.0 - math.cos(theta)) * (K @ K)
-        corners = f.coordinates[list(fa)]
-        lifted = [(fc + R @ (p - fc) + h * n) for p in corners]
-        first = base + len(new_positions)
-        new_positions.extend(lifted)
-        trio = [first, first + 1, first + 2]
-        new_pairs.extend(
-            [(trio[0], trio[1]), (trio[1], trio[2]), (trio[0], trio[2])]
-        )
-        touch: dict[int, int] = {i: 0 for i in fa}
-        for local, q in enumerate(lifted):
-            dists = sorted(
-                (float(np.linalg.norm(q - corners[c])), fa[c])
-                for c in range(3)
+    for x, fa in enumerate(t.faces):
+        fc, corners = t.centre[x], t.coords[list(fa)]
+        lifted[x] = [fc + R[x] @ (p - fc) + h * t.normal[x] for p in corners]
+        dist = np.linalg.norm(lifted[x][:, None] - corners, axis=2)
+        near = np.argsort(dist, axis=1, kind="stable")[:, :2]
+        d = np.sort(dist, axis=1)
+        if (d[:, 1] > d[:, 2] - 1e-9 * t.diam).any():
+            raise DegenerateTwist(
+                f"twist angle {theta} leaves the cap over face "
+                f"{fa} without two nearest corners"
             )
-            if dists[1][0] > dists[2][0] - 1e-9 * diam:
-                raise DegenerateTwist(
-                    f"twist angle {theta} leaves the cap over face "
-                    f"{fa} without two nearest corners"
-                )
-            for _, joint in dists[:2]:
-                new_pairs.append((joint, trio[local]))
-                touch[joint] += 1
-        if sorted(touch.values()) != [2, 2, 2]:
+        if (np.bincount(near.ravel(), minlength=3) != 2).any():
             raise DegenerateTwist(
                 f"cap over face {fa} does not close into an "
                 "antiprism; adjust the twist angle"
             )
-    return _append(f, new_positions, new_pairs)
+        trio = [f.joint_count + 3 * x + i for i in range(3)]
+        new_pairs += [(trio[0], trio[1]), (trio[1], trio[2]), (trio[0], trio[2])]
+        new_pairs += [(fa[c], trio[i]) for i in range(3) for c in near[i]]
+    return _append(f, np.ldexp(lifted, t.exp), new_pairs)
 
 
 def hat_stack(
@@ -388,8 +341,7 @@ def hat_stack(
     if k == 0:
         return f
     fa = _as_face(f, axis_face)
-    fc, n, circum = _face_frame(f, fa)
-    diam = f.diameter()
+    t = _faces(f, (fa,))
     # a threefold rotation that turns the face onto itself has its axis
     # through the face's centroid, along its normal
     group = detect_point_group(f)
@@ -401,14 +353,11 @@ def hat_stack(
             f"face {fa} is not centred on a threefold axis of the "
             "framework"
         )
-    h0 = HEIGHT_FACTOR * circum if first_height is None else float(first_height)
-    dh = 0.5 * circum if step is None else float(step)
-    if h0 <= 1e-9 * diam or dh <= 1e-9 * diam:
+    h0 = HEIGHT_FACTOR * t.circum[0] if first_height is None else np.ldexp(first_height, -t.exp)
+    dh = 0.5 * t.circum[0] if step is None else np.ldexp(step, -t.exp)
+    if h0 <= 1e-9 * t.diam or dh <= 1e-9 * t.diam:
         raise ValueError("hat heights must be positive and increasing")
-    base = f.joint_count
-    new_positions = [fc + (h0 + i * dh) * n for i in range(k)]
-    new_pairs = [(c, base + i) for i in range(k) for c in fa]
-    return _append(f, new_positions, new_pairs)
+    return _add_apexes(f, t, [0] * k, h0 + np.arange(k) * dh)
 
 
 def _orbit2(seed: tuple[float, float], mats: list[np.ndarray]) -> list[tuple[float, float]]:

@@ -368,6 +368,29 @@ def test_generate_error_paths(tmp_path, capsys):
     assert code == 3
 
 
+def test_generate_flat_caps_exit_3(tmp_path, capsys):
+    oct_ = _write(tmp_path, "oct.json", platonic("octahedron"))
+    code, _, err = _run(
+        capsys,
+        ["generate", "cap_all_faces_symmetric", "-i", oct_, "--height", "0"],
+    )
+    assert code == 3
+    assert "in the plane of face" in err
+
+
+def test_generate_caps_a_face_of_a_huge_octahedron(tmp_path, capsys):
+    # the squared diameter, 4e320, is past the largest float
+    o = platonic("octahedron")
+    big = new_framework(3, o.coordinates * 1e160, o.ends.tolist())
+    path = _write(tmp_path, "big.json", big)
+    code, out, _ = _run(
+        capsys,
+        ["generate", "cap_face", "-i", path, "--face", "0,2,4", "--height", "5e159"],
+    )
+    assert code == 0
+    assert from_json(out).joint_count == 7
+
+
 def test_dump_dot(tmp_path, capsys):
     path = _write(tmp_path, "c1.json", fig2_examples("C1"))
     dot = tmp_path / "c1.dot"

@@ -14,7 +14,7 @@ import pytest
 
 import isoframe
 from isoframe.constructgen import (
-    _adjacent_face_planes,
+    _faces,
     _stellation_height,
     all_faces,
     cap_all_faces_symmetric,
@@ -100,12 +100,16 @@ def test_stellation_heights_frozen(tetrahedron, octahedron, icosahedron):
     # octahedron: adjacent planes meet at 2/sqrt(3) above each face,
     # the stella octangula apex; icosahedron: a shallow spike; the
     # tetrahedron has no usable meeting point (the planes meet behind
-    # the face, at the opposite vertex)
-    assert _stellation_height(tetrahedron, all_faces(tetrahedron)) is None
-    h_oct = _stellation_height(octahedron, all_faces(octahedron))
-    assert h_oct == pytest.approx(2 / math.sqrt(3), abs=1e-12)
-    h_ico = _stellation_height(icosahedron, all_faces(icosahedron))
-    assert h_ico == pytest.approx(0.2714863789094012, abs=1e-12)
+    # the face, at the opposite vertex).  _stellation_height answers in
+    # unit_scaled units; height() turns that back into model units
+    def height(f):
+        t = _faces(f, all_faces(f))
+        h = _stellation_height(t)
+        return None if h is None else math.ldexp(h, t.exp)
+
+    assert height(tetrahedron) is None
+    assert height(octahedron) == pytest.approx(2 / math.sqrt(3), abs=1e-12)
+    assert height(icosahedron) == pytest.approx(0.2714863789094012, abs=1e-12)
 
 
 def test_capping_and_ranking_do_not_import_numpy_ma():
@@ -129,11 +133,12 @@ def test_capping_and_ranking_do_not_import_numpy_ma():
 def test_stellated_apexes_sit_on_adjacent_planes(octahedron):
     faces = all_faces(octahedron)
     st = cap_all_faces_symmetric(octahedron)
-    planes = _adjacent_face_planes(octahedron, faces)
-    assert planes is not None
-    for idx, fa in enumerate(faces):
+    t = _faces(octahedron, faces)
+    assert t.across is not None
+    for idx in range(len(faces)):
         apex = st.coordinates[octahedron.joint_count + idx]
-        for normal, offset in planes[fa]:
+        for g in t.across[idx]:
+            normal, offset = t.normal[g], math.ldexp(float(t.normal[g] @ t.centre[g]), t.exp)
             assert abs(float(normal @ apex) - offset) < 1e-9
 
 
@@ -163,6 +168,14 @@ def test_cap_all_faces_explicit_height(octahedron):
     assert (g.schoenflies, g.order) == ("Oh", 48)
     summary = mobility(st)
     assert (summary.mechanisms, summary.self_stresses) == (0, 0)
+
+
+def test_cap_all_faces_refuses_a_flat_height(octahedron):
+    # apexes within 1e-9 of the diameter of their face planes are refused,
+    # as cap_face refuses one; at h = 0 the octahedron had m = s = 8
+    for h in (0.0, 1e-10, -1e-10):
+        with pytest.raises(DegenerateFace, match="in the plane of face"):
+            cap_all_faces_symmetric(octahedron, height=h)
 
 
 def test_cap_all_faces_needs_faces():
@@ -341,7 +354,7 @@ def test_unknown_fixture_keys():
         counterexample_2d("C3")
 
 
-@pytest.mark.parametrize("scale", [1e-7, 1e7])
+@pytest.mark.parametrize("scale", [1e-160, 1e-7, 1e7, 1e160, 1e300])
 def test_constructions_do_not_depend_on_scale(octahedron, scale):
     scaled = new_framework(
         3, octahedron.coordinates * scale, octahedron.ends.tolist()
