@@ -171,8 +171,8 @@ def test_cap_all_faces_explicit_height(octahedron):
 
 
 def test_cap_all_faces_refuses_a_flat_height(octahedron):
-    # apexes within 1e-9 of the diameter of their face planes are refused,
-    # as cap_face refuses one; at h = 0 the octahedron had m = s = 8
+    # a height within 1e-9 of the diameter puts every apex in its face
+    # plane: flat caps (octahedron: m = s = 8), refused as cap_face does
     for h in (0.0, 1e-10, -1e-10):
         with pytest.raises(DegenerateFace, match="in the plane of face"):
             cap_all_faces_symmetric(octahedron, height=h)
