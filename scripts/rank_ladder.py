@@ -10,6 +10,11 @@ Shapes:
   `henneberg`, shape "chain", rng seed 0) plus one bar between its two
   ends, which keeps the whole chain in the core.
 - icosahedron_twisted: the j=72 twisted icosahedron; nothing peels.
+- icosahedron_twisted_capped: its faces capped at the stellation height
+  (`cap_all_faces_symmetric`), j=232.
+- double_banana, k5_pendant_triangle: the two small 3D graphs whose bars
+  are dependent (K5 plus a triangle hung on one of its joints, at
+  (t, t^2, t^3) for t = 0..6), so the count screen scans them.
 - mixed2d_400, mixed3d_200: `henneberg_graph` with edge splits mixed
   into vertex additions (d=2, j=400, split_share 0.5; d=3, j=200,
   split_share 0.8), rng seed 7, as `tests/test_numrank.py` `edge_split`
@@ -17,13 +22,16 @@ Shapes:
   elimination most of the core (300; 112).
 
 Each shape runs through `mobility`, `nullspace_bases` and, for the
-planar shapes, `pebble_game_2_3`, in --processes fresh processes, one
-after another, each with BLAS pinned to one thread.  A process builds
-its inputs and times each call once.  Prints one JSON line: for each
-shape and function, the min, median and max seconds over the processes,
-and the shape's rank, m, s, basis row counts, joints set aside before
-the SVD (`peeled_joints`) and the remainder's size
-(`singular_values.size`).
+planar shapes, `pebble_game_2_3`, for the 3D shapes `count_screen_3d`
+at cap 8, in --processes fresh processes, one after another, each with
+BLAS pinned to one thread.  A process imports numpy.random (else the
+first GF(p) rank pays ~17 ms for it), builds its inputs and times each
+call once.  Prints one JSON line: for each shape and function, the min,
+median and max seconds over the processes, and the shape's rank, m, s,
+basis row counts, joints set aside before the SVD (`peeled_joints`)
+and the remainder's size (`singular_values.size`); for a 3D shape also
+whether reversed Henneberg moves decided its count screen
+(`core_decided`).
 
     python3 scripts/rank_ladder.py                       # 5 processes
     python3 scripts/rank_ladder.py --processes 7 --shapes chain1000_closed
@@ -49,6 +57,9 @@ SHAPES = (
     "edge_split2000",
     "chain1000_closed",
     "icosahedron_twisted",
+    "icosahedron_twisted_capped",
+    "double_banana",
+    "k5_pendant_triangle",
     "mixed2d_400",
     "mixed3d_200",
 )
@@ -73,6 +84,13 @@ def build(shape: str):
         return iso.new_framework(2, coords.tolist(), bars + [(0, 999)])
     if shape == "icosahedron_twisted":
         return iso.twisted_cap_all_faces(iso.platonic("icosahedron"))
+    if shape == "icosahedron_twisted_capped":
+        return iso.cap_all_faces_symmetric(iso.twisted_cap_all_faces(iso.platonic("icosahedron")))
+    if shape == "double_banana":
+        return iso.double_banana()
+    if shape == "k5_pendant_triangle":
+        edges = [(u, v) for u in range(5) for v in range(u + 1, 5)] + [(4, 5), (4, 6), (5, 6)]
+        return iso.new_framework(3, [(t, t * t, t**3) for t in range(7)], edges)
     if shape in ("mixed2d_400", "mixed3d_200"):
         from oracles import henneberg_graph
 
@@ -85,7 +103,10 @@ def build(shape: str):
 
 def worker(shapes: list[str]) -> dict:
     """Seconds per call, and the counts, for each shape in this process."""
+    import numpy.random  # noqa: F401
+
     import isoframe as iso
+    from isoframe import laman
 
     out = {}
     for shape in shapes:
@@ -93,6 +114,8 @@ def worker(shapes: list[str]) -> dict:
         calls = {"mobility": iso.mobility, "nullspace_bases": iso.nullspace_bases}
         if f.dimension == 2:
             calls["pebble_game_2_3"] = iso.pebble_game_2_3
+        else:
+            calls["count_screen_3d"] = lambda f: iso.count_screen_3d(f, 8)
         row, results = {}, {}
         for name, call in calls.items():
             start = time.perf_counter()
@@ -111,6 +134,8 @@ def worker(shapes: list[str]) -> dict:
             "peeled_joints": ks.peeled_joints,
             "remainder": ks.singular_values.size,
         }
+        if f.dimension == 3:
+            row["counts"]["core_decided"] = laman._core_is_independent(f)
         out[shape] = row
     return out
 

@@ -108,6 +108,16 @@ def _faces(f: Framework, faces: tuple[Face, ...]) -> _Faces:
     return _Faces(coords, exp, diam, faces, centre, n, circum, across)
 
 
+def _in_units(t: _Faces, name: str, length: float | None, default=None):
+    """length in t's units, or default if None: math.ldexp raises where np.ldexp warns."""
+    if length is None:
+        return default
+    try:
+        return math.ldexp(length, -t.exp)
+    except OverflowError:
+        raise DegenerateFace(f"{name} {length} is too large for a framework this small") from None
+
+
 def _add_apexes(f: Framework, t: _Faces, rows, heights) -> Framework:
     """f with a joint at centre + height * normal of face t.faces[row],
     for each row and height, tied to that face's three corners."""
@@ -210,7 +220,7 @@ def cap_face(f: Framework, face: Face, apex_height: float) -> Framework:
     height would put it in the face plane, which destroys the move.
     """
     t = _faces(f, (_as_face(f, face),))
-    return _add_apexes(f, t, [0], [np.ldexp(apex_height, -t.exp)])
+    return _add_apexes(f, t, [0], [_in_units(t, "apex height", apex_height)])
 
 
 def _stellation_height(t: _Faces) -> float | None:
@@ -253,7 +263,7 @@ def cap_all_faces_symmetric(f: Framework, height: float | None = None) -> Framew
     when that is well defined, else to 0.8 of the face circumradius.
     """
     t = _faces(f, all_faces(f))
-    h = _stellation_height(t) if height is None else np.ldexp(height, -t.exp)
+    h = _stellation_height(t) if height is None else _in_units(t, "cap height", height)
     if h is None:
         h = HEIGHT_FACTOR * float(np.mean(t.circum))
     result = _add_apexes(f, t, range(len(t.faces)), [h] * len(t.faces))
@@ -292,7 +302,7 @@ def twisted_cap_all_faces(
             "of 60 degrees do)"
         )
     t = _faces(f, all_faces(f))
-    h = HEIGHT_FACTOR * float(np.mean(t.circum)) if height is None else np.ldexp(height, -t.exp)
+    h = _in_units(t, "cap height", height, HEIGHT_FACTOR * float(np.mean(t.circum)))
     if h <= 1e-9 * t.diam:
         raise DegenerateTwist(
             f"cap height {np.ldexp(h, t.exp)} places the twisted triangle in the face plane"
@@ -353,8 +363,8 @@ def hat_stack(
             f"face {fa} is not centred on a threefold axis of the "
             "framework"
         )
-    h0 = HEIGHT_FACTOR * t.circum[0] if first_height is None else np.ldexp(first_height, -t.exp)
-    dh = 0.5 * t.circum[0] if step is None else np.ldexp(step, -t.exp)
+    h0 = _in_units(t, "first height", first_height, HEIGHT_FACTOR * t.circum[0])
+    dh = _in_units(t, "step", step, 0.5 * t.circum[0])
     if h0 <= 1e-9 * t.diam or dh <= 1e-9 * t.diam:
         raise ValueError("hat heights must be positive and increasing")
     return _add_apexes(f, t, [0] * k, h0 + np.arange(k) * dh)

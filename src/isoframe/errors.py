@@ -91,8 +91,8 @@ class NonIntegralMultiplicity(IsoframeError):
 
 
 class DegenerateFace(IsoframeError):
-    """The requested face is not an actual triangle of the framework, or
-    its corners are collinear."""
+    """The requested face is not an actual triangle of the framework, its
+    corners are collinear, or a height above it is out of float range."""
 
 
 class DegenerateTwist(IsoframeError):

@@ -16,20 +16,21 @@ fixed-component counts upgrades the necessary conditions to sufficient
 ones for some groups; those verdicts carry their epistemic status,
 because for the reflection-rich groups the sufficiency is conjectured,
 not proved.  In 3D no counting characterization exists.  The count
-screen first ranks the rigidity matrix exactly over GF(p) at random
-points: when every bar is independent there, no joint set can span
-more bars than its count allows, so the screen is clean without a
-scan.  Only a graph whose bars are dependent there is scanned, over
-its small connected subgraphs.  The scan keeps joint sets as int
-bitmasks, so each visited subgraph costs a few integer operations: its
-bar count is carried over from its parent, and bar ids are listed only
-for hits.
+screen first undoes vertex additions and edge splits, which keep bars
+independent, and ranks the core left (else all bars) exactly over GF(p)
+at random points: when every bar is independent, no joint set can span
+more bars than its count allows, so the screen is clean without a scan.
+Only a graph whose bars are dependent there is scanned, over its small
+connected subgraphs.  The scan keeps joint sets as int bitmasks, so
+each visited subgraph costs a few integer operations: its bar count is
+carried over from its parent, and bar ids are listed only for hits.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -424,19 +425,53 @@ def _checked_cap(f: Framework, max_subgraph_joints: int) -> int:
 def count_screen_3d(f: Framework, cap: int) -> list[CountViolation]:
     """The 3D count screen up to cap joints, scanning only when it must.
 
-    When b <= 3j - 6 and the bars are independent at random points of
-    GF(p)^3 (`generic_rank`), they are independent at generic real
-    points, so every joint set S with |S| >= 3 spans at most 3|S| - 6
-    bars: the result is [], exactly what a completed scan returns.
-    Otherwise it is subgraph_maxwell_scan_3d(f, cap), CapExceeded
-    included.  The random points decide only whether the scan is
-    skipped, never what is reported.
+    When b <= 3j - 6 and the bars are independent at generic real
+    points (`_core_is_independent`, else `generic_rank`), every joint
+    set S with |S| >= 3 spans at most 3|S| - 6 bars: the result is [],
+    exactly what a completed scan returns.  Otherwise it is
+    subgraph_maxwell_scan_3d(f, cap), CapExceeded included; the
+    certificates decide only whether the scan runs.
     """
     cap = _checked_cap(f, cap)
     b = f.bar_count
-    if b <= 3 * f.joint_count - 6 and generic_rank(f, 3) == b:
+    if b <= 3 * f.joint_count - 6 and (_core_is_independent(f) or generic_rank(f, 3) == b):
         return []
     return subgraph_maxwell_scan_3d(f, cap)
+
+
+def _core_is_independent(g: Graph) -> bool:
+    """Whether g's bars are surely independent in 3D.  A joint of at most
+    3 bars goes (a vertex addition undone); one of 4 goes, and the missing
+    bar of least degree sum, ties by ids, between two of its neighbours
+    comes in (an edge split undone), unless they form a K4.  Both moves
+    keep bars generically independent (Tay & Whiteley 1985), so only the
+    core left is ranked, renumbered, with no Graph built for generic_rank.
+    """
+    nbrs = {v: set() for v in range(g.joint_count)}
+    for u, v in g.ends.tolist():
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    todo = list(nbrs)
+    while todo:
+        around = nbrs.get(v := todo.pop())
+        if around is None or len(around) > 4:
+            continue
+        if len(around) == 4:
+            gaps = [(a, c) for a in around for c in around if a < c and c not in nbrs[a]]
+            if not gaps:
+                continue
+            _, a, c = min((len(nbrs[a]) + len(nbrs[c]), a, c) for a, c in gaps)
+            nbrs[a].add(c)
+            nbrs[c].add(a)
+        del nbrs[v]
+        for w in around:
+            nbrs[w].discard(v)
+            if len(nbrs[w]) <= 4:
+                todo.append(w)
+    ids = {v: i for i, v in enumerate(nbrs)}  # ascending: nbrs keeps its insertion order
+    ends = np.array([(ids[u], ids[w]) for u in ids for w in nbrs[u] if w > u], dtype=np.int64)
+    core = SimpleNamespace(joint_count=len(ids), bar_count=len(ends), ends=ends.reshape(-1, 2))
+    return generic_rank(core, 3) == core.bar_count
 
 
 def generic_rank(g: Graph, d: int) -> int:

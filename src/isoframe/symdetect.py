@@ -473,7 +473,7 @@ def _matched_permutations(
     finds ambiguous, and its error comes last, else None.
 
     Images are landed in blocks of at most _BLOCK, one pairs_within call
-    each, and only the matched rows of a block are kept.
+    each; bars are looked up only for rows whose joints land one to one.
     """
     j, d = P.shape
     ends = np.zeros((0, 2), dtype=np.int64) if ends is None else ends
@@ -497,18 +497,18 @@ def _matched_permutations(
         hits, landed = hits.reshape(-1, j), landed.reshape(-1, j)
         ranked = np.sort(landed, axis=1)
         twice = (ranked[:, 1:] == ranked[:, :-1]).any(axis=1) | (hits > 1).any(axis=1)
-        u, v = landed[:, ends[:, 0]], landed[:, ends[:, 1]]
+        rows = ((hits == 1).all(axis=1) & ~twice).nonzero()[0]
+        u, v = landed[rows[:, None], ends[:, 0]], landed[rows[:, None], ends[:, 1]]
         image = np.minimum(u, v) * j + np.maximum(u, v)
         at = np.minimum(np.searchsorted(codes, image), max(len(codes) - 1, 0))
-        ok = (hits == 1).all(axis=1) & ~twice & (codes[at] == image).all(axis=1)
+        keep = (codes[at] == image).all(axis=1)
         for i in twice.nonzero()[0]:
             error = _ambiguity(hits[i], landed[i], tol, exp)
             if error:
-                ok[i:] = False
+                keep &= rows < i
                 break
-        keep = ok.nonzero()[0]
-        ids.append(lo + keep)
-        perms.append(landed[keep])
+        ids.append(lo + rows[keep])
+        perms.append(landed[rows[keep]])
         bar_perms.append(by_code[at[keep]])
         if error:
             break

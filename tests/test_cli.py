@@ -10,6 +10,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -389,6 +390,20 @@ def test_generate_caps_a_face_of_a_huge_octahedron(tmp_path, capsys):
     )
     assert code == 0
     assert from_json(out).joint_count == 7
+
+
+def test_generate_refuses_a_cap_height_past_float_range(tmp_path, capsys):
+    o = platonic("octahedron")
+    tiny = new_framework(3, o.coordinates * 1e-160, o.ends.tolist())
+    path = _write(tmp_path, "tiny.json", tiny)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(
+            capsys,
+            ["generate", "cap_face", "-i", path, "--face", "0,2,4", "--height", "1e150"],
+        )
+    assert (code, out) == (3, "")
+    assert "apex height 1e+150" in err
 
 
 def test_dump_dot(tmp_path, capsys):

@@ -8,6 +8,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -374,3 +375,24 @@ def test_constructions_do_not_depend_on_scale(octahedron, scale):
             ga.schoenflies,
             ga.order,
         )
+
+
+@pytest.mark.parametrize(
+    "build,name",
+    [
+        (lambda f: cap_face(f, (0, 2, 4), 1e150), "apex height"),
+        (lambda f: cap_all_faces_symmetric(f, height=1e150), "cap height"),
+        (lambda f: twisted_cap_all_faces(f, height=1e150), "cap height"),
+        (lambda f: hat_stack(f, (0, 2, 4), 2, first_height=1e150), "first height"),
+        (lambda f: hat_stack(f, (0, 2, 4), 2, step=1e150), "step"),
+    ],
+    ids=["cap_face", "cap_all_faces_symmetric", "twisted_cap_all_faces", "hat_first", "hat_step"],
+)
+def test_a_height_past_float_range_is_refused_without_a_warning(octahedron, build, name):
+    # 1e150 over coordinates of 1e-160 does not fit a float in the face
+    # table's units
+    tiny = new_framework(3, octahedron.coordinates * 1e-160, octahedron.ends.tolist())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateFace, match=f"^{name} 1e\\+150 is too large for a framework"):
+            build(tiny)

@@ -3,8 +3,10 @@ subgraph count scan and count screen."""
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from isoframe.constructgen import (
     double_banana,
     fig2_examples,
     platonic,
+    twisted_cap_all_faces,
 )
 from isoframe.core import new_framework
 from isoframe.errors import (
@@ -437,6 +440,33 @@ def test_count_screen_skips_the_scan_only_on_independent_bars(monkeypatch):
     # rank 17 of 18: the scan runs, and finds nothing within the cap
     assert count_screen_3d(double_banana(), 8) == []
     assert calls == [8]
+
+
+def test_reversed_henneberg_moves_decide_every_3d_gallery_fixture_but_the_banana():
+    spec = importlib.util.spec_from_file_location(
+        "build_gallery", Path(__file__).resolve().parents[1] / "scripts" / "build_gallery.py"
+    )
+    build = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(build)
+    shapes = {name: f for name, f in build._gallery().items() if f.dimension == 3}
+    assert len(shapes) == 17
+    decided = {name for name, f in shapes.items() if laman._core_is_independent(f)}
+    assert decided == set(shapes) - {"double_banana"}
+
+
+def test_the_twisted_icosahedron_ranks_only_its_core(monkeypatch):
+    rows = []
+    rank_mod_p = laman._rank_mod_p
+
+    def spy(m):
+        rows.append(m.shape[0])
+        return rank_mod_p(m)
+
+    monkeypatch.setattr(laman, "_rank_mod_p", spy)
+    f = twisted_cap_all_faces(platonic("icosahedron"))
+    assert (f.joint_count, f.bar_count) == (72, 210)
+    assert count_screen_3d(f, 8) == []
+    assert rows and max(rows) <= 30
 
 
 def test_count_screen_guards_match_the_scan():

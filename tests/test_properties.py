@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import assume, given, settings, target
 from hypothesis import strategies as st
 
-from isoframe import core
+from isoframe import core, laman
 from isoframe.chartables import CATALOG_2D, CATALOG_3D, character_table
 from isoframe.constructgen import cap_face, platonic, twisted_cap_all_faces
 from isoframe.core import from_json, new_framework, pairs_within, to_json
@@ -400,6 +400,19 @@ def test_generic_rank_matches_exact_rank_in_3d(g, seed):
         for _ in range(2)
     )
     assert generic_rank(g, 3) == want
+
+
+@given(graphs_3d(), st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_reversed_henneberg_moves_certify_only_independent_bars(g, seed):
+    if not laman._core_is_independent(g):
+        return
+    rng = random.Random(seed)
+    rank = max(
+        exact_rigidity_rank(random_rational_config(rng, g.joint_count, 3), g.ends.tolist())
+        for _ in range(2)
+    )
+    assert rank == g.bar_count
 
 
 @given(st.one_of(henneberg_bare_graphs(), random_bare_graphs()))
