@@ -30,8 +30,8 @@ call once.  Prints one JSON line: for each shape and function, the min,
 median and max seconds over the processes, and the shape's rank, m, s,
 basis row counts, joints set aside before the SVD (`peeled_joints`)
 and the remainder's size (`singular_values.size`); for a 3D shape also
-whether reversed Henneberg moves decided its count screen
-(`core_decided`).
+whether reversed Henneberg moves and vertex splits decided its count
+screen (`core_decided`) and how many joints they left (`core_joints`).
 
     python3 scripts/rank_ladder.py                       # 5 processes
     python3 scripts/rank_ladder.py --processes 7 --shapes chain1000_closed
@@ -106,7 +106,6 @@ def worker(shapes: list[str]) -> dict:
     import numpy.random  # noqa: F401
 
     import isoframe as iso
-    from isoframe import laman
 
     out = {}
     for shape in shapes:
@@ -135,9 +134,22 @@ def worker(shapes: list[str]) -> dict:
             "remainder": ks.singular_values.size,
         }
         if f.dimension == 3:
-            row["counts"]["core_decided"] = laman._core_is_independent(f)
+            row["counts"]["core_decided"], row["counts"]["core_joints"] = core(f)
         out[shape] = row
     return out
+
+
+def core(f) -> tuple[bool, int]:
+    """Whether laman._core_is_independent decides f, and the joint count of
+    the core it hands to generic_rank."""
+    from isoframe import laman
+
+    joints, rank = [], laman.generic_rank
+    laman.generic_rank = lambda g, d: joints.append(g.joint_count) or rank(g, d)
+    try:
+        return laman._core_is_independent(f), joints[0]
+    finally:
+        laman.generic_rank = rank
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -16,10 +16,12 @@ fixed-component counts upgrades the necessary conditions to sufficient
 ones for some groups; those verdicts carry their epistemic status,
 because for the reflection-rich groups the sufficiency is conjectured,
 not proved.  In 3D no counting characterization exists.  The count
-screen first undoes vertex additions and edge splits, which keep bars
-independent, and ranks the core left (else all bars) exactly over GF(p)
-at random points: when every bar is independent, no joint set can span
-more bars than its count allows, so the screen is clean without a scan.
+screen first undoes vertex additions and edge splits (Tay & Whiteley
+1985) and vertex splits (Whiteley 1990, "Vertex splitting in isostatic
+frameworks"), which keep bars independent, and ranks the core left, if
+any (else all bars), exactly over GF(p) at random points: when every bar
+is independent, no joint set can span more bars than its count allows,
+so the screen is clean without a scan.
 Only a graph whose bars are dependent there is scanned, over its small
 connected subgraphs.  The scan keeps joint sets as int bitmasks, so
 each visited subgraph costs a few integer operations: its bar count is
@@ -29,6 +31,7 @@ carried over from its parent, and bar ids are listed only for hits.
 from __future__ import annotations
 
 import bisect
+import heapq
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable
@@ -428,7 +431,8 @@ def count_screen_3d(f: Framework, cap: int) -> list[CountViolation]:
     When b <= 3j - 6 and the bars are independent at generic real
     points (`_core_is_independent`, else `generic_rank`), every joint
     set S with |S| >= 3 spans at most 3|S| - 6 bars: the result is [],
-    exactly what a completed scan returns.  Otherwise it is
+    exactly what a completed scan returns.  On every 3D gallery shape but
+    the double banana no core is left to rank.  Otherwise the result is
     subgraph_maxwell_scan_3d(f, cap), CapExceeded included; the
     certificates decide only whether the scan runs.
     """
@@ -443,16 +447,36 @@ def _core_is_independent(g: Graph) -> bool:
     """Whether g's bars are surely independent in 3D.  A joint of at most
     3 bars goes (a vertex addition undone); one of 4 goes, and the missing
     bar of least degree sum, ties by ids, between two of its neighbours
-    comes in (an edge split undone), unless they form a K4.  Both moves
-    keep bars generically independent (Tay & Whiteley 1985), so only the
-    core left is ranked, renumbered, with no Graph built for generic_rank.
+    comes in (an edge split undone), unless they form a K4.  When neither
+    applies, the bar of least degree sum, ties by ids, whose ends share
+    exactly two neighbours is contracted into its lower end (a vertex split
+    undone).  Run forwards, all three keep bars generically independent, so
+    only the core left is ranked, renumbered, with no Graph built for
+    generic_rank.  A heap keeps the contractible bars, retested on change.
     """
     nbrs = {v: set() for v in range(g.joint_count)}
     for u, v in g.ends.tolist():
         nbrs[u].add(v)
         nbrs[v].add(u)
-    todo = list(nbrs)
-    while todo:
+    todo, changed, splits = list(nbrs), set(nbrs), []
+    while todo or changed:
+        if not todo:  # no Henneberg move applies: undo a vertex split, if any
+            for u in changed & nbrs.keys():
+                for w in nbrs[u]:
+                    if len(nbrs[u] & nbrs[w]) == 2:
+                        heapq.heappush(splits, (len(nbrs[u]) + len(nbrs[w]), min(u, w), max(u, w)))
+            changed.clear()
+            while splits:  # an entry is stale once its bar or a degree changed
+                n, u, w = heapq.heappop(splits)
+                if w in nbrs.get(u, ()) and n == len(nbrs[u]) + len(nbrs[w]):
+                    if len(nbrs[u] & nbrs[w]) == 2:
+                        nbrs[u] = (nbrs[u] | nbrs.pop(w)) - {u, w}
+                        for x in nbrs[u]:
+                            nbrs[x] = nbrs[x] - {w} | {u}
+                        changed |= nbrs[u] | {u}
+                        todo += [x for x in sorted(changed) if len(nbrs[x]) <= 4]
+                        break
+            continue
         around = nbrs.get(v := todo.pop())
         if around is None or len(around) > 4:
             continue
@@ -464,6 +488,7 @@ def _core_is_independent(g: Graph) -> bool:
             nbrs[a].add(c)
             nbrs[c].add(a)
         del nbrs[v]
+        changed |= around
         for w in around:
             nbrs[w].discard(v)
             if len(nbrs[w]) <= 4:

@@ -53,6 +53,9 @@ from .core import SEPARATION_TOL, Framework, Peel, peel_low_degree, unit_scaled
 DEFAULT_RANK_TOL = 1e-10
 # power-iteration steps for the largest singular value of C
 _POWER_STEPS = 12
+# p @ _SPIN[d] stacks the velocities of a point p under the unit rotations:
+# (-y, x) in 2D, e x p about each axis e in 3D
+_SPIN = {2: np.array([[[0.0, 1.0], [-1.0, 0.0]]]), 3: np.cross(np.eye(3)[:, None], np.eye(3))}
 # A core of at most this many bars goes whole to the dense SVD; a larger
 # one is eliminated first (_Elimination).  On edge-split cores of 84 to
 # 240 bars (BLAS on one thread), mobility plus nullspace_bases break even
@@ -86,6 +89,13 @@ class EquilibriumSystem:
     @cached_property
     def C(self) -> np.ndarray:
         return _assemble(self.ends, self.units, self.joint_count)
+
+    @cached_property
+    def nonzeros(self) -> tuple[np.ndarray, np.ndarray]:
+        """C's 2bd entries (2, b, d), units then negatives, and their columns."""
+        d = self.units.shape[1]
+        cols = d * self.ends.T[..., None] + np.arange(d)
+        return np.stack([self.units, -self.units]), cols.ravel()
 
 
 def _assemble(ends: np.ndarray, units: np.ndarray, joint_count: int) -> np.ndarray:
@@ -186,23 +196,24 @@ def _peel(f: Framework, system: EquilibriumSystem, floor: float) -> Peel:
 
 
 def _image(system: EquilibriumSystem, x: np.ndarray) -> np.ndarray:
-    """C @ x[i], extension rates (n, b), for velocity fields x of shape (n, j, d)."""
-    a, b = system.ends.T
-    return np.einsum("bd,nbd->nb", system.units, x[:, a] - x[:, b])
+    """C @ x[i], extension rates (n, b), for velocity fields x of shape
+    (n, j, d): one gather of x at C's nonzeros and one einsum."""
+    entries, cols = system.nonzeros
+    at = x.reshape(len(x), x.shape[1] * x.shape[2])[:, cols]
+    return np.einsum("kbd,nkbd->nb", entries, at.reshape(len(x), *entries.shape))
 
 
 def _loads(system: EquilibriumSystem, w: np.ndarray) -> np.ndarray:
-    """C.T @ w[i], joint loads (n, j, d), for bar tensions w of shape (n, b)."""
-    n, b = w.shape
-    j, d = system.joint_count, system.units.shape[1]
-    at = (np.arange(n)[:, None] * j + system.ends.T[:, None]).reshape(2, n * b)
-    forces = (w[:, :, None] * system.units).reshape(n * b, d)
-    loads = [np.bincount(at[0], c, n * j) - np.bincount(at[1], c, n * j) for c in forces.T]
-    return np.stack(loads, axis=1).reshape(n, j, d)
+    """C.T @ w[i], joint loads (n, j, d), for bar tensions w of shape
+    (n, b): one bincount over C's nonzeros times the tensions."""
+    entries, cols = system.nonzeros
+    n, j, d = len(w), system.joint_count, entries.shape[2]
+    at = (cols + j * d * np.arange(n)[:, None]).ravel()
+    return np.bincount(at, (w[:, None, :, None] * entries).ravel(), n * j * d).reshape(n, j, d)
 
 
 def _largest_singular_value(system: EquilibriumSystem, start: np.ndarray) -> float:
-    """Power iteration on C.T @ C over the bar arrays, never forming C.
+    """Power iteration on C.T @ C, one `_image` and one `_loads` a step.
 
     The start is the dilation field (the joint coordinates), whose image
     under C is the bar lengths, so the estimate does not depend on how
@@ -442,7 +453,9 @@ def _reduce(f: Framework, tol: float, vectors: bool) -> _Reduced:
 def rigid_body_basis(f: Framework) -> np.ndarray:
     """Orthonormal basis (rows) of rigid-body velocity fields.
 
-    Translations plus infinitesimal rotations about the centroid.  For
+    Translations plus infinitesimal rotations about the centroid, built
+    as one (d(d+1)/2, j, d) stack: the d unit translations, then the
+    rotation fields, one matrix product with _SPIN.  For
     degenerate placements (all joints collinear in 3D) the span is
     smaller than d(d+1)/2 and the basis reflects that.
     """
@@ -453,22 +466,10 @@ def rigid_body_basis(f: Framework) -> np.ndarray:
     # diameter they rank under one cutoff with the unit translations
     coords, _ = unit_scaled(f.coordinates)
     coords = (coords - coords.mean(axis=0)) / (f.scaled_diameter()[0] or 1.0)
-    fields: list[np.ndarray] = []
-    for axis in range(d):
-        t = np.zeros((j, d))
-        t[:, axis] = 1.0
-        fields.append(t.ravel())
-    if d == 2:
-        rot = np.stack([-coords[:, 1], coords[:, 0]], axis=1)
-        fields.append(rot.ravel())
-    else:
-        for axis in range(3):
-            e = np.zeros(3)
-            e[axis] = 1.0
-            rot = np.cross(np.broadcast_to(e, coords.shape), coords)
-            fields.append(rot.ravel())
-    raw = np.stack(fields)
-    u, sv, vt = np.linalg.svd(raw, full_matrices=False)
+    fields = np.zeros((d * (d + 1) // 2, j, d))
+    fields[np.arange(d), :, np.arange(d)] = 1.0
+    fields[d:] = coords @ _SPIN[d]
+    u, sv, vt = np.linalg.svd(fields.reshape(len(fields), j * d), full_matrices=False)
     return vt[: _rank(sv, 1e-12)]
 
 

@@ -15,8 +15,9 @@ The pipeline:
    at most core._BLOCK, through one core.pairs_within call each, and
    look every bar permutation up in the sorted bar-end codes; the
    stacks stop before the first candidate that lands ambiguously.  A
-   symmetry is its joint permutation and the sign of its determinant;
-   the first candidate of each such key is kept (one stable argsort),
+   symmetry is its joint permutation and, on a hyperplane span, the
+   side it sends the normal to; the first candidate of each such key is
+   kept (one stable argsort),
    and a key whose matrix lies within _AMBIGUITY_GATE of an earlier one
    is ambiguous.  detect_symmetries hands over the keyed stacks.
 4. classify_group reads each symmetry's order from its key: the least
@@ -375,14 +376,15 @@ def _candidate_images(
 def _isometries(
     P: np.ndarray, basis: list[int], images: np.ndarray, tol: float, exp: int, ends: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, ToleranceAmbiguity | None]:
-    """The matched candidates' matrices, signs (proper or not) and
-    joint and bar permutations, in candidate order, and the error that
-    stopped them (_matched_permutations).
+    """The matched candidates' matrices, sides and joint and bar
+    permutations, in candidate order, and the error that stopped them
+    (_matched_permutations).
 
     The basis matrix B is the same for every candidate, so it is
     inverted once.  When the basis spans only a hyperplane, it is
     extended by its unit normal and each image of the basis gives two
-    candidates in turn, sending the normal to +normal and to -normal.
+    candidates in turn, sending the normal to +normal (side True, as for
+    a basis that spans the space) and to -normal (side False).
     Every candidate's d x d matrix is held at once, as its image row is;
     only the matched ones keep permutation rows.
     """
@@ -396,16 +398,16 @@ def _isometries(
         B = np.column_stack([B, normal])
         signed = np.tile(np.stack([normal, -normal]), (len(Bp), 1))[:, :, None]
         Bp = np.concatenate([np.repeat(Bp, 2, axis=0), signed], axis=2)
+    upright = np.arange(len(Bp)) % (2 if len(basis) < d else 1) == 0
     try:
         Ms = np.ascontiguousarray(Bp) @ np.linalg.inv(B)
     except np.linalg.LinAlgError:
-        Ms = np.zeros((0, d, d))
-    Ms = Ms[np.abs(Ms.transpose(0, 2, 1) @ Ms - np.eye(d)).max(axis=(1, 2)) <= 0.05]
-    u, _, vt = np.linalg.svd(Ms)
-    Ms = u @ vt
+        Ms, upright = np.zeros((0, d, d)), upright[:0]
+    near = np.abs(Ms.transpose(0, 2, 1) @ Ms - np.eye(d)).max(axis=(1, 2)) <= 0.05
+    u, _, vt = np.linalg.svd(Ms[near])
+    Ms, upright = u @ vt, upright[near]
     ids, perms, bar_perms, error = _matched_permutations(P, Ms, tol, exp, ends)
-    Ms = Ms[ids]
-    return Ms, np.linalg.det(Ms) > 0, perms, bar_perms, error
+    return Ms[ids], upright[ids], perms, bar_perms, error
 
 
 def _ambiguity(
@@ -554,12 +556,13 @@ def detect_symmetries(
     shell = _shells(norms, tol)
     basis = _greedy_basis(P, shell, spanrank, tol)
     images = _candidate_images(P, basis, shell, norms, 4 * tol * scale)
-    Ms, proper, perms, bar_perms, error = _isometries(P, basis, images, tol, exp, f.ends)
+    Ms, upright, perms, bar_perms, error = _isometries(P, basis, images, tol, exp, f.ends)
 
-    # a symmetry is its joint permutation and the sign of its determinant:
-    # one row of bytes each, the images of an improper one moved up by j;
-    # the first candidate of each key is kept
-    keys = (perms + j * ~proper[:, None]).view(np.dtype((np.void, 8 * j))).ravel()
+    # a symmetry is its joint permutation and its side, which tells a
+    # matrix from its mirror image in a hyperplane span: one row of bytes
+    # each, the images of side False moved up by j; the first candidate
+    # of each key is kept
+    keys = (perms + j * ~upright[:, None]).view(np.dtype((np.void, 8 * j))).ravel()
     order = keys.argsort(kind="stable")
     new = np.ones(len(keys), dtype=bool)
     new[1:] = keys[order[1:]] != keys[order[:-1]]
@@ -570,7 +573,7 @@ def detect_symmetries(
     _raise_if_close(Ms[first])
     if error:
         raise error
-    if not ((perms[first] == np.arange(j)).all(axis=1) & proper[first]).any():
+    if not ((perms[first] == np.arange(j)).all(axis=1) & upright[first]).any():
         raise InternalInconsistency("the identity was not among the detected symmetries")
     return Ms[first], perms[first], bar_perms[first]
 

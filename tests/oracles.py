@@ -16,7 +16,10 @@ stacked factorisation of the peeled joints in numrank._Elimination, and
 the back-substitution over them, alone.  dense_reference ranks the core
 that the peel (shared with the package) leaves by one dense SVD, with no
 elimination: it checks numrank's _Elimination and the back-substitution
-through it.
+through it.  rigid_body_basis_per_field builds the rigid-body fields one
+at a time and largest_singular_value_per_coordinate runs the power
+iteration with one pair of bincounts per coordinate: they check
+numrank's stacked fields and its one-gather, one-bincount C and C.T.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from isoframe import numrank
-from isoframe.core import new_framework, peel_low_degree
+from isoframe.core import new_framework, peel_low_degree, unit_scaled
 from isoframe.errors import (
     DanglingEndpoint,
     DuplicateBar,
@@ -704,6 +707,49 @@ def dense_reference(f, tol: float = numrank.DEFAULT_RANK_TOL):
         _, s2, v2 = np.linalg.svd(proj, full_matrices=False)
         mech = v2[s2 > 0.5]
     return b - core_bars.size + core_rank, stress, mech
+
+
+def rigid_body_basis_per_field(f) -> np.ndarray:
+    """numrank.rigid_body_basis with its fields built one at a time: the d
+    unit translations, then the rotation (-y, x) in 2D, or one np.cross
+    per axis e, e x p, in 3D, about the centroid in units of the diameter."""
+    d, j = f.dimension, f.joint_count
+    if j == 0:
+        return np.zeros((0, 0))
+    coords, _ = unit_scaled(f.coordinates)
+    coords = (coords - coords.mean(axis=0)) / (f.scaled_diameter()[0] or 1.0)
+    fields: list[np.ndarray] = []
+    for axis in range(d):
+        t = np.zeros((j, d))
+        t[:, axis] = 1.0
+        fields.append(t.ravel())
+    if d == 2:
+        fields.append(np.stack([-coords[:, 1], coords[:, 0]], axis=1).ravel())
+    else:
+        for e in np.eye(3):
+            fields.append(np.cross(np.broadcast_to(e, coords.shape), coords).ravel())
+    _, sv, vt = np.linalg.svd(np.stack(fields), full_matrices=False)
+    return vt[: int(np.sum(sv > 1e-12 * sv[0]))]
+
+
+def largest_singular_value_per_coordinate(system, start: np.ndarray) -> float:
+    """numrank._largest_singular_value with C applied as the difference of
+    the ends' velocities along each unit direction, and C.T as two
+    bincounts per coordinate, one for each end."""
+    a, b = system.ends.T
+    j, d = system.joint_count, system.units.shape[1]
+    x = start
+    for _ in range(numrank._POWER_STEPS):
+        w = np.einsum("bd,bd->b", system.units, x[a] - x[b])
+        forces = w[:, None] * system.units
+        x = np.stack(
+            [np.bincount(a, c, j) - np.bincount(b, c, j) for c in forces.T], axis=1
+        )
+        norm = np.linalg.norm(x)
+        if norm == 0.0:
+            return 0.0
+        x = x / norm
+    return float(np.linalg.norm(np.einsum("bd,bd->b", system.units, x[a] - x[b])))
 
 
 # ---------------------------------------------------------------------------

@@ -731,6 +731,25 @@ def test_json_commands_do_not_import_numpy_ma(tmp_path):
     assert out.split() == ["0"] * len(runs) + ["False"]
 
 
+def test_3d_commands_on_icosahedral_inputs_do_not_import_numpy_random(tmp_path):
+    # numpy.random costs a fresh process 10-18 ms to import; only a GF(p)
+    # rank draws from it, and reversed vertex splits leave these inputs no
+    # core to rank.  Each command runs in its own fresh process.
+    ico = _write(tmp_path, "ico.json", platonic("icosahedron"))
+    twisted = _write(tmp_path, "twisted.json", twisted_cap_all_faces(platonic("icosahedron")))
+    for argv in (["analyze", ico, "--json"], ["check", twisted, "--sufficient"]):
+        code = (
+            "import contextlib, io, sys\n"
+            "from isoframe.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "print(code, 'numpy.random' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["0", "False"], argv
+
+
 def test_bare_graph_loader_checks_the_bars_once(tmp_path, capsys, monkeypatch):
     from isoframe import core, laman
 

@@ -442,19 +442,17 @@ def test_count_screen_skips_the_scan_only_on_independent_bars(monkeypatch):
     assert calls == [8]
 
 
-def test_reversed_henneberg_moves_decide_every_3d_gallery_fixture_but_the_banana():
+def _gallery_3d():
     spec = importlib.util.spec_from_file_location(
         "build_gallery", Path(__file__).resolve().parents[1] / "scripts" / "build_gallery.py"
     )
     build = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(build)
-    shapes = {name: f for name, f in build._gallery().items() if f.dimension == 3}
-    assert len(shapes) == 17
-    decided = {name for name, f in shapes.items() if laman._core_is_independent(f)}
-    assert decided == set(shapes) - {"double_banana"}
+    return {name: f for name, f in build._gallery().items() if f.dimension == 3}
 
 
-def test_the_twisted_icosahedron_ranks_only_its_core(monkeypatch):
+def _ranked_rows(monkeypatch):
+    """The row count of every matrix laman._rank_mod_p is given."""
     rows = []
     rank_mod_p = laman._rank_mod_p
 
@@ -463,10 +461,37 @@ def test_the_twisted_icosahedron_ranks_only_its_core(monkeypatch):
         return rank_mod_p(m)
 
     monkeypatch.setattr(laman, "_rank_mod_p", spy)
+    return rows
+
+
+def test_reversed_henneberg_moves_decide_every_3d_gallery_fixture_but_the_banana():
+    shapes = _gallery_3d()
+    assert len(shapes) == 17
+    decided = {name for name, f in shapes.items() if laman._core_is_independent(f)}
+    assert decided == set(shapes) - {"double_banana"}
+
+
+def test_no_gallery_shape_but_the_banana_reaches_a_rank(monkeypatch):
+    # reversed vertex splits take the icosahedron, where every joint keeps
+    # 5 bars, down to nothing, so the icosahedral shapes rank no core
+    rows = _ranked_rows(monkeypatch)
+    shapes = _gallery_3d()
+    assert sum(name.startswith("icosahedron") for name in shapes) == 6
+    for name, f in shapes.items():
+        if name != "double_banana":
+            assert count_screen_3d(f, 8) == [], name
+    assert rows == []
+    assert count_screen_3d(shapes["double_banana"], 8) == []
+    assert rows == [10, 18]  # its 5-joint core, then all its bars
+
+
+def test_the_twisted_icosahedron_ranks_only_its_core(monkeypatch):
+    # its core is empty: no GF(p) rank runs at all
+    rows = _ranked_rows(monkeypatch)
     f = twisted_cap_all_faces(platonic("icosahedron"))
     assert (f.joint_count, f.bar_count) == (72, 210)
     assert count_screen_3d(f, 8) == []
-    assert rows and max(rows) <= 30
+    assert rows == []
 
 
 def test_count_screen_guards_match_the_scan():

@@ -35,7 +35,9 @@ from oracles import (
     exact_rigidity_rank,
     henneberg_graph,
     kernel_per_joint,
+    largest_singular_value_per_coordinate,
     peel_per_joint,
+    rigid_body_basis_per_field,
 )
 
 
@@ -220,6 +222,42 @@ def test_rigid_body_dimension_does_not_depend_on_scale(octahedron, scale):
     sq = square_with_diagonal()
     ks = mobility(iso.new_framework(2, sq.coordinates * scale, sq.ends.tolist()))
     assert (ks.rigid_body_dim, ks.m, ks.s) == (3, 0, 0)
+
+
+@st.composite
+def placements(draw):
+    """Frameworks of 2 to 12 joints in 2D or 3D, half of them with every
+    joint on one line, at scales from 1e-8 to 1e8, with any bars."""
+    d = draw(st.sampled_from([2, 3]))
+    j = draw(st.integers(2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        steps = rng.permutation(j) + rng.uniform(0.0, 0.5, j)
+        coords = np.outer(steps, rng.normal(size=d)) + rng.normal(size=d)
+    else:
+        coords = rng.normal(size=(j, d))
+    coords *= 10.0 ** draw(st.integers(-8, 8))
+    pairs = [(a, b) for a in range(j) for b in range(a + 1, j)]
+    keep = rng.random(len(pairs)) < draw(st.floats(0.0, 1.0))
+    return iso.new_framework(d, coords.tolist(), [p for p, k in zip(pairs, keep) if k])
+
+
+@given(placements())
+@settings(max_examples=150, deadline=None)
+def test_stacked_rigid_body_fields_match_the_fields_built_one_by_one(f):
+    got, want = rigid_body_basis(f), rigid_body_basis_per_field(f)
+    assert rigid_body_dimension(f) == len(got) == len(want)
+    assert np.abs(got.T @ got - want.T @ want).max() < 1e-9  # one span
+
+
+@given(placements())
+@settings(max_examples=150, deadline=None)
+def test_fused_power_iteration_matches_the_per_coordinate_one(f):
+    system = build_system(f)
+    start = core.unit_scaled(f.coordinates)[0]
+    got = numrank._largest_singular_value(system, start)
+    want = largest_singular_value_per_coordinate(system, start)
+    assert abs(got - want) <= 1e-12 * want
 
 
 def test_nullspace_bases_without_bars():

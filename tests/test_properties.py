@@ -4,6 +4,7 @@ generic rank, 3D scan and count screen."""
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 import random
 from unittest import mock
@@ -402,8 +403,36 @@ def test_generic_rank_matches_exact_rank_in_3d(g, seed):
     assert generic_rank(g, 3) == want
 
 
-@given(graphs_3d(), st.integers(0, 2**32 - 1))
-@settings(max_examples=100, deadline=None)
+@st.composite
+def flipped_triangulations(draw):
+    """The octahedron's or the icosahedron's graph after up to 12 random
+    edge flips, plus 0-2 bars (which make it dependent) and 0-3 joints of
+    2 bars each."""
+    edges = {tuple(e) for e in platonic(draw(st.sampled_from(["octahedron", "icosahedron"]))).ends.tolist()}
+    j = 1 + max(map(max, edges))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    faces = {
+        frozenset(t)
+        for t in itertools.combinations(range(j), 3)
+        if set(itertools.combinations(t, 2)) <= edges
+    }
+    for _ in range(draw(st.integers(0, 12))):
+        a, b = rng.choice(sorted(edges))
+        c, d = sorted(set().union(*(t for t in faces if {a, b} <= t)) - {a, b})
+        if (c, d) not in edges:  # flip ab to cd across the faces abc, abd
+            edges = edges - {(a, b)} | {(c, d)}
+            faces = faces - {frozenset((a, b, c)), frozenset((a, b, d))}
+            faces |= {frozenset((a, c, d)), frozenset((b, c, d))}
+    missing = sorted(set(itertools.combinations(range(j), 2)) - edges)
+    edges |= set(rng.sample(missing, draw(st.integers(0, 2))))
+    for w in range(j, j + draw(st.integers(0, 3))):
+        edges |= {(x, w) for x in rng.sample(range(w), 2)}
+        j = w + 1
+    return Graph(j, sorted(edges))
+
+
+@given(st.one_of(graphs_3d(), flipped_triangulations()), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
 def test_reversed_henneberg_moves_certify_only_independent_bars(g, seed):
     if not laman._core_is_independent(g):
         return

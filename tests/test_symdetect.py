@@ -680,6 +680,31 @@ def test_detection_sorts_the_elements_once(octahedron, monkeypatch):
     assert len(calls) == 1
 
 
+def test_detection_takes_the_determinants_once(octahedron, monkeypatch):
+    # detection keys a symmetry by the side of a hyperplane span it sends
+    # the normal to, not by its determinant; classify_group takes the signs
+    calls = []
+    det = np.linalg.det
+
+    def counted(M):
+        calls.append(np.shape(M))
+        return det(M)
+
+    monkeypatch.setattr(np.linalg, "det", counted)
+    planar = fig2_examples("C3v_perp")
+    flat = np.column_stack([planar.coordinates, np.zeros(planar.joint_count)])
+    shapes = {
+        "octahedron": octahedron,
+        "planar": planar,
+        "flat3d": new_framework(3, flat, planar.ends.tolist()),
+    }
+    for name, f in shapes.items():
+        calls.clear()
+        group = detect_point_group(f)
+        assert calls == [(group.order, f.dimension, f.dimension)], name
+    assert group.schoenflies == "D3h"  # the plane of the joints is a mirror
+
+
 def test_classify_group_refuses_a_matrix_stack_of_the_wrong_shape(octahedron):
     matrices, perms, _ = detect_symmetries(octahedron)
     for bad in (matrices[0], matrices[:, :2], np.zeros((len(perms), 4, 4))):
