@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import bisect
 import heapq
+import itertools
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable
@@ -454,16 +455,17 @@ def _core_is_independent(g: Graph) -> bool:
     only the core left is ranked, renumbered, with no Graph built for
     generic_rank.  A heap keeps the contractible bars, retested on change.
     """
-    nbrs = {v: set() for v in range(g.joint_count)}
-    for u, v in g.ends.tolist():
+    order, _, live = g.peel(3)  # the vertex additions undone first, kept by g
+    nbrs = {v: set() for v in sorted(set(range(g.joint_count)).difference(order))}
+    for u, v in itertools.compress(g.ends.tolist(), live):
         nbrs[u].add(v)
         nbrs[v].add(u)
     todo, changed, splits = list(nbrs), set(nbrs), []
-    while todo or changed:
+    while nbrs and (todo or changed):
         if not todo:  # no Henneberg move applies: undo a vertex split, if any
             for u in changed & nbrs.keys():
-                for w in nbrs[u]:
-                    if len(nbrs[u] & nbrs[w]) == 2:
+                for w in nbrs[u]:  # a bar between two changed joints once
+                    if (u < w or w not in changed) and len(nbrs[u] & nbrs[w]) == 2:
                         heapq.heappush(splits, (len(nbrs[u]) + len(nbrs[w]), min(u, w), max(u, w)))
             changed.clear()
             while splits:  # an entry is stale once its bar or a degree changed

@@ -15,9 +15,8 @@ The pipeline:
    at most core._BLOCK, through one core.pairs_within call each, and
    look every bar permutation up in the sorted bar-end codes; the
    stacks stop before the first candidate that lands ambiguously.  A
-   symmetry is its joint permutation and, on a hyperplane span, the
-   side it sends the normal to; the first candidate of each such key is
-   kept (one stable argsort),
+   symmetry is its joint permutation and its side of a hyperplane span;
+   the first candidate of each such key is kept (one stable argsort),
    and a key whose matrix lies within _AMBIGUITY_GATE of an earlier one
    is ambiguous.  detect_symmetries hands over the keyed stacks.
 4. classify_group reads each symmetry's order from its key: the least
@@ -558,10 +557,9 @@ def detect_symmetries(
     images = _candidate_images(P, basis, shell, norms, 4 * tol * scale)
     Ms, upright, perms, bar_perms, error = _isometries(P, basis, images, tol, exp, f.ends)
 
-    # a symmetry is its joint permutation and its side, which tells a
-    # matrix from its mirror image in a hyperplane span: one row of bytes
-    # each, the images of side False moved up by j; the first candidate
-    # of each key is kept
+    # a symmetry is its joint permutation and its side of a hyperplane
+    # span: one row of bytes each, the images of side False moved up by
+    # j; the first candidate of each key is kept
     keys = (perms + j * ~upright[:, None]).view(np.dtype((np.void, 8 * j))).ravel()
     order = keys.argsort(kind="stable")
     new = np.ones(len(keys), dtype=bool)

@@ -408,7 +408,8 @@ def flipped_triangulations(draw):
     """The octahedron's or the icosahedron's graph after up to 12 random
     edge flips, plus 0-2 bars (which make it dependent) and 0-3 joints of
     2 bars each."""
-    edges = {tuple(e) for e in platonic(draw(st.sampled_from(["octahedron", "icosahedron"]))).ends.tolist()}
+    solid = platonic(draw(st.sampled_from(["octahedron", "icosahedron"])))
+    edges = set(map(tuple, solid.ends.tolist()))
     j = 1 + max(map(max, edges))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     faces = {
