@@ -397,7 +397,7 @@ def _isometries(
         B = np.column_stack([B, normal])
         signed = np.tile(np.stack([normal, -normal]), (len(Bp), 1))[:, :, None]
         Bp = np.concatenate([np.repeat(Bp, 2, axis=0), signed], axis=2)
-    upright = np.arange(len(Bp)) % (2 if len(basis) < d else 1) == 0
+    upright = np.arange(len(Bp)) % 2 == 0 if len(basis) < d else np.ones(len(Bp), dtype=bool)
     try:
         Ms = np.ascontiguousarray(Bp) @ np.linalg.inv(B)
     except np.linalg.LinAlgError:
