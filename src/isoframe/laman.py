@@ -451,9 +451,9 @@ def _core_is_independent(g: Graph) -> bool:
     comes in (an edge split undone), unless they form a K4.  When neither
     applies, the bar of least degree sum, ties by ids, whose ends share
     exactly two neighbours is contracted into its lower end (a vertex split
-    undone).  Run forwards, all three keep bars generically independent, so
-    only the core left is ranked, renumbered, with no Graph built for
-    generic_rank.  A heap keeps the contractible bars, retested on change.
+    undone).  Run forwards all three keep bars generically independent (Tay
+    & Whiteley 1985; Whiteley 1990), so only the core left is ranked, with
+    no Graph built for generic_rank.  A heap keeps the contractible bars.
     """
     order, _, live = g.peel(3)  # the vertex additions undone first, kept by g
     nbrs = {v: set() for v in sorted(set(range(g.joint_count)).difference(order))}
