@@ -25,13 +25,17 @@ Each shape runs through `mobility`, `nullspace_bases` and, for the
 planar shapes, `pebble_game_2_3`, for the 3D shapes `count_screen_3d`
 at cap 8, in --processes fresh processes, one after another, each with
 BLAS pinned to one thread.  A process imports numpy.random (else the
-first GF(p) rank pays ~17 ms for it), builds its inputs and times each
-call once.  Prints one JSON line: for each shape and function, the min,
-median and max seconds over the processes, and the shape's rank, m, s,
-basis row counts, joints set aside before the SVD (`peeled_joints`)
-and the remainder's size (`singular_values.size`); for a 3D shape also
-whether reversed Henneberg moves and vertex splits decided its count
-screen (`core_decided`) and how many joints they left (`core_joints`).
+first GF(p) rank pays ~17 ms for it) and times each call once, on a
+framework built for that call alone: a framework keeps its peels, so
+`pebble_game_2_3` and `count_screen_3d` pay the peel, as `pebble` and
+`check --sufficient` do.  Prints one JSON line: for each shape and
+function, the min, median and max seconds over the processes, and the
+shape's rank, m, s, basis row counts, joints set aside before the SVD
+(`peeled_joints`), the remainder's size (`singular_values.size`) and
+whether `mobility` ran the power iteration for the rank cut
+(`power_iteration`); for a 3D shape also whether reversed Henneberg
+moves and vertex splits decided its count screen (`core_decided`) and
+how many joints they left (`core_joints`).
 
     python3 scripts/rank_ladder.py                       # 5 processes
     python3 scripts/rank_ladder.py --processes 7 --shapes chain1000_closed
@@ -106,7 +110,10 @@ def worker(shapes: list[str]) -> dict:
     import numpy.random  # noqa: F401
 
     import isoframe as iso
+    from isoframe import numrank
 
+    powers, power = [], numrank._largest_singular_value
+    numrank._largest_singular_value = lambda *args: powers.append(1) or power(*args)
     out = {}
     for shape in shapes:
         f = build(shape)
@@ -115,11 +122,14 @@ def worker(shapes: list[str]) -> dict:
             calls["pebble_game_2_3"] = iso.pebble_game_2_3
         else:
             calls["count_screen_3d"] = lambda f: iso.count_screen_3d(f, 8)
-        row, results = {}, {}
+        row, results, ran = {}, {}, {}
         for name, call in calls.items():
+            f = build(shape)
+            del powers[:]
             start = time.perf_counter()
             results[name] = call(f)
             row[name] = time.perf_counter() - start
+            ran[name] = bool(powers)
         ks = results["mobility"]
         stress, mech = results["nullspace_bases"]
         row["counts"] = {
@@ -132,6 +142,7 @@ def worker(shapes: list[str]) -> dict:
             "mechanism_rows": len(mech),
             "peeled_joints": ks.peeled_joints,
             "remainder": ks.singular_values.size,
+            "power_iteration": ran["mobility"],
         }
         if f.dimension == 3:
             row["counts"]["core_decided"], row["counts"]["core_joints"] = core(f)

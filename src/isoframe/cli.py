@@ -4,8 +4,8 @@ Subcommands: analyze (full pipeline), detect (point group only), check
 (counting conditions, optionally a sufficiency pass), pebble (the
 (2,3)-sparsity game, accepts graphs without coordinates), generate
 (build fixtures and constructions).  Reports print as aligned text or,
-with --json, as canonical JSON: keys sorted, two-space indent, so the
-same input and flags give byte-identical output.
+with --json, as canonical JSON: one line, keys sorted, written by json's
+C encoder, so the same input and flags give byte-identical output.
 
 Exit codes: 0 pass or success, 1 checked and failed, 2 outside the
 supported scope, 3 bad input (a command-line usage error included).
@@ -60,7 +60,7 @@ from .symdetect import (
     orbits,
 )
 
-REPORT_VERSION = 4
+REPORT_VERSION = 5
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -774,7 +774,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
 
     if isinstance(report, dict) and args.json:
-        report = json.dumps(report, indent=2, sort_keys=True)
+        report = json.dumps(report, sort_keys=True)
     elif isinstance(report, dict):
         report = _render_text(report)
     try:

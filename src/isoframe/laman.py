@@ -209,11 +209,19 @@ def pebble_game_2_3(
     plain game's: at the first rejected bar k, bars 0..k-1 are placed,
     and the witness is the smallest joint set that holds both ends of k
     and spans 2|S| - 3 of them, which those bars alone decide.
+
+    When the peel leaves no live bar and no on_move is given, every bar
+    is placed so, and the report is closed-form: 2j - b free pebbles,
+    tight exactly when that is 3; no state is built and no bar played.
     """
     j = g.joint_count
     if j < 2:
         raise ValueError(f"the pebble game needs at least 2 joints, got {j}")
-    order, blocks, _ = g.peel(2)  # before the lists of ends: one copy at a time
+    order, blocks, live = g.peel(2)  # before the lists of ends: one copy at a time
+    if on_move is None and not any(live):
+        free = 2 * j - g.bar_count
+        verdict = "tight" if free == 3 else "independent-but-underbraced"
+        return SparsityReport(verdict, j, g.bar_count, free)
     us, vs = g.ends.T.tolist()
     tails: list[int | None] = [None] * len(us)
     for v, bars in zip(order, blocks):

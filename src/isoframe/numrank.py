@@ -218,7 +218,8 @@ def _largest_singular_value(system: EquilibriumSystem, start: np.ndarray) -> flo
     The start is the dilation field (the joint coordinates), whose image
     under C is the bar lengths, so the estimate does not depend on how
     joints and bars are labelled.  It is a lower bound, close to the
-    largest singular value after _POWER_STEPS steps.
+    largest singular value after _POWER_STEPS steps.  `_reduce` asks for
+    it only when its value can move the rank cut.
     """
     x = start[None]
     for _ in range(_POWER_STEPS):
@@ -426,8 +427,12 @@ def _reduce(f: Framework, tol: float, vectors: bool) -> _Reduced:
     left, the remainder, by SVD against the cutoff of all of C.
 
     When nothing was set aside the remainder is C itself, and its largest
-    singular value is the one the cutoff needs; otherwise power iteration
-    on the whole C supplies it, unless nothing is left to rank.
+    singular value is the one the cutoff needs.  Otherwise that value lies
+    between sv[0] and sqrt(2 * Delta), Delta the largest joint degree:
+    block Gershgorin on C.T @ C, each row of C being two unit blocks.  So
+    power iteration on the whole C supplies it only when a remainder value
+    lies in the band of cutoffs that range allows; elsewhere every top
+    value gives the same count.
     """
     _check_tolerance(tol)
     system = build_system(f)
@@ -440,7 +445,9 @@ def _reduce(f: Framework, tol: float, vectors: bool) -> _Reduced:
         sv = np.linalg.svd(remainder, compute_uv=False) if remainder.size else np.zeros(0)
     top = sv[0] if sv.size else 0.0
     if elim.set_aside and sv.size:
-        top = max(top, _largest_singular_value(system, unit_scaled(f.coordinates)[0]))
+        bound = max(top, math.sqrt(2 * np.bincount(system.ends.ravel()).max()))
+        if np.any((sv > tol * top) & (sv <= tol * bound * (1 + 1e-9))):  # pad: rounding
+            top = max(top, _largest_singular_value(system, unit_scaled(f.coordinates)[0]))
     rem_rank = _rank(sv, tol, top)
     rank = elim.pivots + rem_rank
     kernel = stress = None

@@ -20,6 +20,10 @@ through it.  rigid_body_basis_per_field builds the rigid-body fields one
 at a time and largest_singular_value_per_coordinate runs the power
 iteration with one pair of bincounts per coordinate: they check
 numrank's stacked fields and its one-gather, one-bincount C and C.T.
+mobility_always_powered shares the peel, the elimination and the power
+iteration with the package and takes the cut of all of C from the power
+iteration whenever a joint was set aside: it checks the band in which
+numrank._reduce skips that iteration.
 """
 
 from __future__ import annotations
@@ -750,6 +754,23 @@ def largest_singular_value_per_coordinate(system, start: np.ndarray) -> float:
             return 0.0
         x = x / norm
     return float(np.linalg.norm(np.einsum("bd,bd->b", system.units, x[a] - x[b])))
+
+
+def mobility_always_powered(f, tol: float = numrank.DEFAULT_RANK_TOL) -> tuple[int, int, int]:
+    """numrank.mobility's (rank, m, s), with the largest singular value of
+    all of C from the power iteration whenever a joint was set aside and
+    a remainder is left, whatever the remainder's singular values."""
+    d, j, b = f.dimension, f.joint_count, f.bar_count
+    system = numrank.build_system(f)
+    floor = max(1e-3, math.sqrt(tol))
+    elim = numrank._Elimination(system, numrank._peel(f, system, floor), floor, False)
+    remainder = elim.remainder()
+    sv = np.linalg.svd(remainder, compute_uv=False) if remainder.size else np.zeros(0)
+    top = sv[0] if sv.size else 0.0
+    if elim.set_aside and sv.size:
+        top = max(top, numrank._largest_singular_value(system, unit_scaled(f.coordinates)[0]))
+    rank = elim.pivots + numrank._rank(sv, tol, top)
+    return rank, d * j - rank - numrank.rigid_body_dimension(f), b - rank
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ subgraph count scan and count screen."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import itertools
 import random
@@ -48,6 +49,7 @@ from oracles import (
     henneberg_graph,
     henneberg_tight_graph,
     laman_verdict_bruteforce,
+    pebble_game_plain,
     random_count_graph,
     rank_mod_p_swapping,
 )
@@ -510,6 +512,35 @@ def test_pebble_long_strip_in_shuffled_order():
     edges = [(0, 1)] + [e for k in range(2, j) for e in ((k - 2, k), (k - 1, k))]
     random.Random(0).shuffle(edges)
     assert pebble_game_2_3(Graph(j, tuple(edges))).verdict == "tight"
+
+
+def test_a_fully_peeled_graph_is_decided_without_a_game(monkeypatch):
+    # every joint peels, so every bar is placed from a peeled joint's
+    # pebbles: the report is the plain game's, and no state is made
+    def refuse(*args):
+        raise AssertionError("a PebbleState was made")
+
+    rng = random.Random(3)
+    strip = [(0, 1)] + [e for k in range(2, 60) for e in ((k - 2, k), (k - 1, k))]
+    rng.shuffle(strip)
+    graphs = [
+        Graph(60, tuple(strip)),  # tight
+        Graph(60, tuple(strip[1:])),  # one bar short
+        Graph(40, tuple(henneberg_graph(rng, 2, 40, 0.0))),  # vertex additions
+        Graph(5, ((0, 1), (2, 3))),  # no bar joins the rest
+        Graph(2, ()),
+    ]
+    monkeypatch.setattr(laman, "PebbleState", refuse)
+    for g in graphs:
+        assert not any(g.peel(2)[2])
+        report = pebble_game_2_3(g)
+        assert dataclasses.asdict(report) == pebble_game_plain(g.joint_count, g.ends.tolist())
+    assert [pebble_game_2_3(g).verdict for g in graphs[:3]] == [
+        "tight", "independent-but-underbraced", "tight"
+    ]
+    # an audited game is played bar by bar, as before
+    with pytest.raises(AssertionError, match="PebbleState"):
+        pebble_game_2_3(graphs[0], on_move=lambda state: None)
 
 
 def _count_pulls(monkeypatch) -> list[int]:

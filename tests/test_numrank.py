@@ -8,6 +8,7 @@ of the matrix actually analysed.
 
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 import warnings
@@ -36,6 +37,7 @@ from oracles import (
     henneberg_graph,
     kernel_per_joint,
     largest_singular_value_per_coordinate,
+    mobility_always_powered,
     peel_per_joint,
     rigid_body_basis_per_field,
 )
@@ -657,9 +659,64 @@ def test_an_empty_core_skips_the_power_iteration(monkeypatch):
     ks = mobility(planar_chain(200))
     assert (ks.peeled_joints, ks.rank) == (200, 2 * 200 - 3)
     assert calls == []
-    ks = mobility(flat_henneberg(2, 40, 1, 0.0, 1))
+    # a core is left, but at the default tolerance no remainder value lies
+    # in the band where the top of all of C could move the cut
+    f = flat_henneberg(2, 40, 1, 0.0, 1)
+    ks = mobility(f)
     assert 0 < ks.peeled_joints < 40
+    assert calls == []
+    ks = mobility(f, 0.1)
+    sv, bound = ks.singular_values, math.sqrt(2 * np.bincount(f.ends.ravel()).max())
+    assert np.any((sv > 0.1 * sv[0]) & (sv <= 0.1 * bound))
     assert len(calls) == 1
+    assert (ks.rank, ks.m, ks.s) == mobility_always_powered(f, 0.1)
+
+
+@st.composite
+def partly_peeled(draw):
+    """Vertex-addition frameworks with some joints flat, edge-split ones
+    with some vertex additions, either with up to 3 bars added, in 2D and
+    3D: the peel sets some joints aside and leaves a core."""
+    d = draw(st.sampled_from([2, 3]))
+    j = draw(st.integers(d + 3, 30))
+    seed = draw(st.integers(0, 2**32 - 1))
+    extra = draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        return flat_henneberg(d, j, seed, draw(st.sampled_from([0.0, 0.3, 1.0])), extra)
+    return edge_split(d, j, seed, draw(st.sampled_from([0.5, 1.0])), added=extra)
+
+
+_CUT_TOLERANCES = [1e-12, 1e-10, 1e-6, 1e-3, 1e-2, 0.1, 0.3, 0.5]
+
+
+def test_the_rank_cut_matches_the_always_powered_cut(monkeypatch):
+    calls = _count_calls(monkeypatch, "_largest_singular_value", numrank)
+    branches = set()
+
+    @given(partly_peeled(), st.sampled_from(_CUT_TOLERANCES))
+    @settings(max_examples=200, deadline=None)
+    def check(f, tol):
+        before = len(calls)
+        ks = mobility(f, tol)
+        if len(calls) > before:
+            branches.add("power iteration")
+        elif ks.peeled_joints and ks.singular_values.size:
+            branches.add("band empty")
+        assert (ks.rank, ks.m, ks.s) == mobility_always_powered(f, tol)
+
+    check()
+    assert branches == {"power iteration", "band empty"}
+
+
+@given(partly_peeled())
+@settings(max_examples=100, deadline=None)
+def test_the_top_singular_value_of_c_is_within_the_gershgorin_bound(f):
+    # each row of C is two unit blocks, so no row sum of blocks of C.T @ C
+    # exceeds twice the largest joint degree
+    system = build_system(f)
+    bound = math.sqrt(2 * np.bincount(f.ends.ravel()).max()) * (1 + 1e-9)
+    assert np.linalg.svd(system.C, compute_uv=False)[0] <= bound
+    assert numrank._largest_singular_value(system, core.unit_scaled(f.coordinates)[0]) <= bound
 
 
 def test_no_dense_compatibility_matrix_on_a_peeled_input(monkeypatch):
