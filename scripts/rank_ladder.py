@@ -20,6 +20,10 @@ Shapes:
   split_share 0.8), rng seed 7, as `tests/test_numrank.py` `edge_split`
   builds them: the peel sets a few joints aside (3; 2) and the
   elimination most of the core (300; 112).
+- peel_random1000, peel_random4000, peel_chain1000, peel_chain4000:
+  bare graphs of `bench/gen.py` `henneberg` (rng seed 7) for
+  `core.peel_low_degree` alone, at d = 2 (`peel_d2`) and d = 3
+  (`peel_d3`); every joint peels at both.
 
 Each shape runs through `mobility`, `nullspace_bases` and, for the
 planar shapes, `pebble_game_2_3`, for the 3D shapes `count_screen_3d`
@@ -28,17 +32,20 @@ BLAS pinned to one thread.  A process imports numpy.random (else the
 first GF(p) rank pays ~17 ms for it) and times each call once, on a
 framework built for that call alone: a framework keeps its peels, so
 `pebble_game_2_3` and `count_screen_3d` pay the peel, as `pebble` and
-`check --sufficient` do.  Prints one JSON line: for each shape and
-function, the min, median and max seconds over the processes, and the
-shape's rank, m, s, basis row counts, joints set aside before the SVD
-(`peeled_joints`), the remainder's size (`singular_values.size`) and
-whether `mobility` ran the power iteration for the rank cut
-(`power_iteration`); for a 3D shape also whether reversed Henneberg
-moves and vertex splits decided its count screen (`core_decided`) and
-how many joints they left (`core_joints`).
+`check --sufficient` do.  A peel shape times `Graph.peel` once per d
+on a fresh graph: one `core.peel_low_degree` call.  Prints one JSON
+line: for each shape and function, the min, median and max seconds
+over the processes, and the shape's rank, m, s, basis row counts
+(a peel shape: its joints, bars and peeled joints), joints set aside
+before the SVD (`peeled_joints`), the remainder's size
+(`singular_values.size`) and whether `mobility` ran the power
+iteration for the rank cut (`power_iteration`); for a 3D shape also
+whether reversed Henneberg moves and vertex splits decided its count
+screen (`core_decided`) and how many joints they left (`core_joints`).
 
     python3 scripts/rank_ladder.py                       # 5 processes
     python3 scripts/rank_ladder.py --processes 7 --shapes chain1000_closed
+    python3 scripts/rank_ladder.py --shapes peel_random4000,peel_chain4000
 """
 
 from __future__ import annotations
@@ -66,6 +73,10 @@ SHAPES = (
     "k5_pendant_triangle",
     "mixed2d_400",
     "mixed3d_200",
+    "peel_random1000",
+    "peel_random4000",
+    "peel_chain1000",
+    "peel_chain4000",
 )
 
 
@@ -116,6 +127,9 @@ def worker(shapes: list[str]) -> dict:
     numrank._largest_singular_value = lambda *args: powers.append(1) or power(*args)
     out = {}
     for shape in shapes:
+        if shape.startswith("peel_"):
+            out[shape] = peel_row(shape)
+            continue
         f = build(shape)
         calls = {"mobility": iso.mobility, "nullspace_bases": iso.nullspace_bases}
         if f.dimension == 2:
@@ -148,6 +162,27 @@ def worker(shapes: list[str]) -> dict:
             row["counts"]["core_decided"], row["counts"]["core_joints"] = core(f)
         out[shape] = row
     return out
+
+
+def peel_row(shape: str) -> dict:
+    """Seconds of one peel at d = 2 and at d = 3, each on a fresh graph."""
+    import numpy as np
+    from gen import henneberg
+
+    from isoframe.core import Graph
+
+    kind = shape.removeprefix("peel_").rstrip("0123456789")
+    j = int(shape.removeprefix(f"peel_{kind}"))
+    _, bars = henneberg(np.random.default_rng(7), j, kind)
+    row, counts = {}, {"joints": j, "bars": len(bars)}
+    for d in (2, 3):
+        g = Graph(j, bars)
+        start = time.perf_counter()
+        peel = g.peel(d)
+        row[f"peel_d{d}"] = time.perf_counter() - start
+        counts[f"peeled_d{d}"] = len(peel[0])
+    row["counts"] = counts
+    return row
 
 
 def core(f) -> tuple[bool, int]:

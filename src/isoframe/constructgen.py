@@ -112,6 +112,8 @@ def _in_units(t: _Faces, name: str, length: float | None, default=None):
     """length in t's units, or default if None: math.ldexp raises where np.ldexp warns."""
     if length is None:
         return default
+    if not math.isfinite(length):
+        raise DegenerateFace(f"{name} {length} is not finite")
     try:
         return math.ldexp(length, -t.exp)
     except OverflowError:
@@ -294,6 +296,8 @@ def twisted_cap_all_faces(
     would flip the twist sign, so only the rotation subgroup survives.
     """
     theta = float(twist_angle)
+    if not math.isfinite(theta):
+        raise DegenerateTwist(f"twist angle {theta} is not finite")
     period = 2.0 * math.pi / 3.0
     r = theta % period
     if min(r, period - r) < 1e-9 or abs(r - period / 2.0) < 1e-9:

@@ -35,8 +35,8 @@ SEPARATION_TOL = 1e-12
 # Candidate pairs that pairs_within examines at once.
 _BLOCK = 1 << 16
 
-# What peel_low_degree returns: peeled joints, their bars, live bars.
-Peel = tuple[tuple[int, ...], tuple[tuple[int, ...], ...], tuple[bool, ...]]
+# What peel_low_degree returns: (order, owner), read-only intp arrays.
+Peel = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -83,9 +83,9 @@ class Graph:
         return self._ends
 
     def peel(self, d: int) -> Peel:
-        """peel_low_degree on the two id columns of ends, kept for each d."""
+        """peel_low_degree(self, d), kept for each d: (order, owner)."""
         if d not in self._peels:
-            self._peels[d] = peel_low_degree(self.joint_count, *self._ends.T.tolist(), d)
+            self._peels[d] = peel_low_degree(self, d)
         return self._peels[d]
 
     def has_bar(self, u: int, v: int) -> bool:
@@ -341,52 +341,65 @@ def pairs_within(
             start = stop
 
 
-def peel_low_degree(
-    joint_count: int,
-    us: Sequence[int],
-    vs: Sequence[int],
-    d: int,
-    accept: Callable[[list[int]], bool] | None = None,
-) -> Peel:
-    """Henneberg's vertex addition run in reverse, on bar i = (us[i], vs[i]).
+def peel_low_degree(g: Graph, d: int, accept: Callable[[list[int]], bool] | None = None) -> Peel:
+    """Henneberg's vertex addition run in reverse on the bars of g.
 
     Repeatedly set aside a joint with at most d live bars, when `accept`
-    (if given) takes the list of its live bar ids; its bars die with it,
-    and its neighbours are tried again once their own live degree has
-    dropped to d.  A joint that `accept` refuses is tried again each
-    time it loses another bar.  us and vs are the two id columns of a
-    graph's ends as lists, `ends.T.tolist()`: no list of rows is built.
+    (if given) takes the list of its live bar ids, ascending; its bars
+    die with it, and its neighbours are tried again once their own live
+    degree has dropped to d.  A joint that `accept` refuses is tried
+    again each time it loses another bar.  The loop reads the two id
+    columns of g.ends as lists: no list of rows is built.
 
-    Returns tuples: the peeled joints in peel order, the live bars of
-    each when it was peeled, and which bars are left live: the core.
+    Returns (order, owner): the peeled joints in peel order, and for each
+    bar the joint it was peeled with, or -1 for a live bar, in the core.
     """
-    incident: list[list[int]] = [[] for _ in range(joint_count)]
+    us, vs = g.ends.T.tolist()
+    incident: list[list[int]] = [[] for _ in range(g.joint_count)]
     for i, (u, v) in enumerate(zip(us, vs)):
         incident[u].append(i)
         incident[v].append(i)
     degree = [len(bars) for bars in incident]
-    live = [True] * len(us)
-    peeled = [False] * joint_count
+    owner = [-1] * len(us)
+    peeled = [False] * g.joint_count
     todo = [v for v, k in enumerate(degree) if k <= d]
     order: list[int] = []
-    blocks: list[tuple[int, ...]] = []
     while todo:
         v = todo.pop()
         if peeled[v]:
             continue
-        bars = [i for i in incident[v] if live[i]]
+        bars = [i for i in incident[v] if owner[i] < 0]
         if accept is not None and not accept(bars):
             continue
         peeled[v] = True
         order.append(v)
-        blocks.append(tuple(bars))
         for i in bars:
-            live[i] = False
+            owner[i] = v
             w = us[i] + vs[i] - v
             degree[w] -= 1
             if degree[w] <= d:
                 todo.append(w)
-    return tuple(order), tuple(blocks), tuple(live)
+    peel = np.array(order, dtype=np.intp), np.array(owner, dtype=np.intp)
+    for a in peel:
+        a.setflags(write=False)
+    return peel
+
+
+def peel_blocks(peel: Peel) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """For each block size k, the peel-order positions of the joints
+    peeled with k bars, and their bars as an (n, k) array, ids ascending
+    in each row; from one bincount and one stable argsort of owner."""
+    order, owner = peel
+    pos = np.zeros(order.max(initial=-1) + 1, dtype=np.intp)
+    pos[order] = np.arange(len(order))
+    bars = np.flatnonzero(owner >= 0)
+    key = pos[owner[bars]]
+    bars = bars[np.argsort(key, kind="stable")]
+    sizes = np.bincount(key, minlength=len(order))
+    start = np.cumsum(sizes) - sizes
+    for k in set(sizes.tolist()):
+        at = np.flatnonzero(sizes == k)
+        yield at, bars[start[at, None] + np.arange(k)]
 
 
 def maxwell_count(f: Framework) -> int:

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import itertools
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 from typing import Callable
@@ -202,7 +201,8 @@ def pebble_game_2_3(
     (`peel_low_degree`, kept by the graph as `Graph.peel`).  Every
     (2,3)-circuit has minimum degree 3, so a bar that leaves with a
     peeled joint lies in no circuit and is never rejected: it is counted
-    as placed at once and paid from the peeled joint's own 2 pebbles.
+    as placed at once and paid from the own 2 pebbles of its owner, the
+    joint the peel's owner array names for it (-1 for a core bar).
     No core joint would get an edge directed into a peeled one, so no
     search from the core could walk such a bar, and it enters no
     out-list; only the core's bars gather pebbles.  The report is the
@@ -210,29 +210,25 @@ def pebble_game_2_3(
     and the witness is the smallest joint set that holds both ends of k
     and spans 2|S| - 3 of them, which those bars alone decide.
 
-    When the peel leaves no live bar and no on_move is given, every bar
+    When every bar has an owner and no on_move is given, every bar
     is placed so, and the report is closed-form: 2j - b free pebbles,
     tight exactly when that is 3; no state is built and no bar played.
     """
     j = g.joint_count
     if j < 2:
         raise ValueError(f"the pebble game needs at least 2 joints, got {j}")
-    order, blocks, live = g.peel(2)  # before the lists of ends: one copy at a time
-    if on_move is None and not any(live):
+    owner = g.peel(2)[1]  # before the lists of ends: one copy at a time
+    if on_move is None and (owner >= 0).all():
         free = 2 * j - g.bar_count
         verdict = "tight" if free == 3 else "independent-but-underbraced"
         return SparsityReport(verdict, j, g.bar_count, free)
     us, vs = g.ends.T.tolist()
-    tails: list[int | None] = [None] * len(us)
-    for v, bars in zip(order, blocks):
-        for bar_id in bars:
-            tails[bar_id] = v
+    tails = owner.tolist()  # the peeled joint that pays for each bar, -1 in the core
     state = PebbleState(j)
     if on_move is not None:
         on_move(state)
-    for bar_id, (u, v) in enumerate(zip(us, vs)):
-        tail = tails[bar_id]
-        if tail is not None:
+    for bar_id, (u, v, tail) in enumerate(zip(us, vs, tails)):
+        if tail >= 0:
             state.pebbles[tail] -= 1
             state.placed += 1
         elif state.gather(u, v):
@@ -259,12 +255,7 @@ def pebble_game_2_3(
             on_move(state)
     free = sum(state.pebbles)
     verdict = "tight" if free == 3 else "independent-but-underbraced"
-    return SparsityReport(
-        verdict=verdict,
-        joint_count=j,
-        bar_count=len(us),
-        free_pebbles=free,
-    )
+    return SparsityReport(verdict, j, len(us), free)
 
 
 @dataclass(frozen=True)
@@ -463,9 +454,9 @@ def _core_is_independent(g: Graph) -> bool:
     & Whiteley 1985; Whiteley 1990), so only the core left is ranked, with
     no Graph built for generic_rank.  A heap keeps the contractible bars.
     """
-    order, _, live = g.peel(3)  # the vertex additions undone first, kept by g
-    nbrs = {v: set() for v in sorted(set(range(g.joint_count)).difference(order))}
-    for u, v in itertools.compress(g.ends.tolist(), live):
+    order, owner = g.peel(3)  # the vertex additions undone first, kept by g
+    nbrs = {v: set() for v in np.delete(np.arange(g.joint_count), order).tolist()}
+    for u, v in g.ends[owner < 0].tolist():
         nbrs[u].add(v)
         nbrs[v].add(u)
     todo, changed, splits = list(nbrs), set(nbrs), []

@@ -47,7 +47,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InternalInconsistency, NonFiniteEntry, ZeroLengthBar
-from .core import SEPARATION_TOL, Framework, Peel, peel_low_degree, unit_scaled
+from .core import SEPARATION_TOL, Framework, Peel, peel_blocks, peel_low_degree, unit_scaled
 
 # Singular values below DEFAULT_RANK_TOL * largest are treated as zero.
 DEFAULT_RANK_TOL = 1e-10
@@ -172,27 +172,19 @@ def _peel(f: Framework, system: EquilibriumSystem, floor: float) -> Peel:
     it adds exactly k to the rank.  Its bars die with it, and the next
     joint is tried.  Dropping bars never worsens a joint's conditioning,
     so which joints peel does not depend on the order they are tried in.
-    The test runs once per block size k = 2..d, over the framework's
-    plain peel (`Framework.peel`, which takes every joint it can and is
-    kept): if no block fails, a peel testing each joint as it came takes
-    the same ones, so only a refusal reruns the peel joint by joint.
-
-    Returns the peeled joints in peel order, the live bars of each when
-    it was peeled, and which bars are left in the core.
+    The test runs once per block size k = 2..d, on the blocks that
+    `peel_blocks` stacks from the framework's plain peel (`Framework.peel`,
+    which takes every joint it can and is kept): if no block fails, a
+    peel testing each joint as it came takes the same ones, so only a
+    refusal reruns the peel joint by joint.  Returns (order, owner).
     """
-
-    def conditioned(blocks) -> bool:  # blocks: sequences of bar ids
-        return all(
-            _conditioned(system.units[[bars for bars in blocks if len(bars) == k]], floor)
-            for k in set(map(len, blocks)) - {0, 1}
-        )
-
-    d = f.dimension
+    units, d = system.units, f.dimension
     peel = f.peel(d)
-    if conditioned(peel[1]):
+    if all(_conditioned(units[bars], floor) for _, bars in peel_blocks(peel) if bars.shape[1] > 1):
         return peel
-    us, vs = f.ends.T.tolist()
-    return peel_low_degree(f.joint_count, us, vs, d, lambda bars: conditioned([bars]))
+    return peel_low_degree(
+        f, d, lambda bars: len(bars) < 2 or _conditioned(units[bars][None], floor)
+    )
 
 
 def _image(system: EquilibriumSystem, x: np.ndarray) -> np.ndarray:
@@ -273,46 +265,44 @@ class _Elimination:
     """
 
     def __init__(self, system: EquilibriumSystem, peel: Peel, floor: float, keep: bool):
-        order, blocks, live = peel
         self.system = system
         self.d = system.units.shape[1]
-        self.steps: list[tuple] = self._peeled(order, blocks) if keep else []
+        self.steps: list[tuple] = self._peeled(peel) if keep else []
         self.reflections: list[tuple] = []  # (rows in, fill rows, Q's last k - d columns)
-        self.alive = live  # the bars, then the fill rows
+        self.alive = peel[1] < 0  # the bars, then the fill rows
         self.at: list = []  # the joints of each row, an int array (made by _eliminate)
         self.vals: list = []  # its d-blocks on them
         self.pos = np.zeros(system.joint_count, dtype=np.intp)  # a joint's place in a block
         done = np.zeros(system.joint_count, dtype=bool)
-        done[list(order)] = True
-        self.rows = np.flatnonzero(live)
-        self.pivots = len(live) - len(self.rows)  # a peeled joint's k bars add k
+        done[peel[0]] = True
+        self.rows = np.flatnonzero(self.alive)
+        self.pivots = len(self.alive) - len(self.rows)  # a peeled joint's k bars add k
         if len(self.rows) > _DENSE_ROWS:
             self._eliminate(done, floor, keep)
         self.joints = np.flatnonzero(~done)
         self.set_aside = system.joint_count - len(self.joints)
 
-    def _peeled(self, order: tuple[int, ...], blocks: tuple[tuple[int, ...], ...]) -> list:
+    def _peeled(self, peel: Peel) -> list:
         """The peeled joints' steps, in peel order.  Joint v's k bars i to
         joints w_i ask u_i . x_v = u_i . x_(w_i): its pivot rows are the
         unit directions U, and X holds -U, block-diagonally on the w_i."""
-        ends, units, d = self.system.ends, self.system.units, self.d
+        ends, units, d, order = self.system.ends, self.system.units, self.d, peel[0]
         steps: list = [None] * len(order)
-        for k in set(map(len, blocks)):
-            at = [i for i, bars in enumerate(blocks) if len(bars) == k]
-            bars = np.array([blocks[i] for i in at], dtype=np.intp).reshape(len(at), k)
+        for at, bars in peel_blocks(peel):
+            n, k = bars.shape
             U = units[bars]
-            X = np.zeros((len(at), k, k, d))
+            X = np.zeros((n, k, k, d))
             X[:, np.arange(k), np.arange(k)] = -U
-            others = ends[bars].sum(axis=2) - np.take(order, at)[:, None]
-            W, new = _back(U, X.reshape(len(at), k, k * d))
-            for i, step in zip(at, zip(others, W, new)):
+            others = ends[bars].sum(axis=2) - order[at, None]
+            W, new = _back(U, X.reshape(n, k, k * d))
+            for i, step in zip(at.tolist(), zip(others, W, new)):
                 steps[i] = (order[i], *step)
         return steps
 
     def _eliminate(self, done: np.ndarray, floor: float, keep: bool) -> None:
         ends, units, d = self.system.ends, self.system.units, self.d
         bars = self.rows.tolist()
-        self.alive = list(self.alive)
+        self.alive = self.alive.tolist()
         self.at = list(ends)
         self.vals = list(np.stack([units, -units], axis=1))
         incident: list[list[int]] = [[] for _ in done]  # row ids, dead ones too

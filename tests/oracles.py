@@ -9,6 +9,8 @@ that only tests use.  peel_per_joint shares core.peel_low_degree with
 the package: it checks the batched conditioning test of numrank._peel,
 not the peel itself; peel_low_degree_rows, a copy of the peel that reads
 one (u, v) row per bar, checks the peel on its two id columns.
+as_tuples reads a peel's (order, owner) back into that copy's tuples,
+one joint at a time, so no comparison with it shares core.peel_blocks.
 new_framework_per_joint likewise hands the joints it has checked to
 core.new_framework: it checks the joint check alone.
 kernel_per_joint takes the peel and the core's kernel: it checks the
@@ -36,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from isoframe import numrank
-from isoframe.core import new_framework, peel_low_degree, unit_scaled
+from isoframe.core import Graph, new_framework, peel_low_degree, unit_scaled
 from isoframe.errors import (
     DanglingEndpoint,
     DuplicateBar,
@@ -626,7 +628,16 @@ def peel_per_joint(system, d: int, floor: float):
         U = system.units[bars]
         return np.linalg.eigvalsh(U @ U.T)[0] >= floor * floor
 
-    return peel_low_degree(system.joint_count, *system.ends.T.tolist(), d, accept)
+    return peel_low_degree(Graph(system.joint_count, system.ends), d, accept)
+
+
+def as_tuples(peel):
+    """A peel (order, owner) as the tuples core.peel_low_degree once gave:
+    the peeled joints in peel order, the bars of each, ids ascending, and
+    a live flag per bar, read off owner one joint at a time."""
+    order, owner = (a.tolist() for a in peel)
+    blocks = tuple(tuple(i for i, w in enumerate(owner) if w == v) for v in order)
+    return tuple(order), blocks, tuple(w < 0 for w in owner)
 
 
 def peel_low_degree_rows(joint_count: int, ends, d: int, accept=None):
@@ -666,7 +677,7 @@ def kernel_per_joint(system, peel, core_null: np.ndarray) -> np.ndarray:
     per peeled joint as the reverse peel reaches it: orthonormal rows
     spanning null(C), from core_null, rows spanning the kernel of the
     core's bars on the core joints' columns."""
-    order, blocks, _ = peel
+    order, blocks, _ = as_tuples(peel)
     j, d = system.joint_count, system.units.shape[1]
     core_joints = np.delete(np.arange(j), order)
     count = len(core_null)
@@ -696,7 +707,7 @@ def dense_reference(f, tol: float = numrank.DEFAULT_RANK_TOL):
     system = numrank.build_system(f)
     peel = numrank._peel(f, system, max(1e-3, math.sqrt(tol)))
     core_joints = np.delete(np.arange(j), peel[0])
-    core_bars = np.flatnonzero(peel[2])
+    core_bars = np.flatnonzero(peel[1] < 0)
     columns = (d * core_joints[:, None] + np.arange(d)).ravel()
     u, sv, vt = np.linalg.svd(system.C[np.ix_(core_bars, columns)], full_matrices=True)
     top = np.linalg.svd(system.C, compute_uv=False)[0] if sv.size else 0.0

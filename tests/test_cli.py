@@ -405,6 +405,13 @@ def test_generate_error_paths(tmp_path, capsys):
     assert code == 3
     assert "twist" in err.lower()
 
+    code, _, err = _run(
+        capsys,
+        ["generate", "twisted_cap_all_faces", "-i", oct_, "--twist-deg", "inf"],
+    )
+    assert code == 3
+    assert "twist angle inf is not finite" in err
+
     code, _, _ = _run(capsys, ["generate", "cap_face", "-i", oct_])
     assert code == 3
 
@@ -439,14 +446,20 @@ def test_generate_refuses_a_cap_height_past_float_range(tmp_path, capsys):
     o = platonic("octahedron")
     tiny = new_framework(3, o.coordinates * 1e-160, o.ends.tolist())
     path = _write(tmp_path, "tiny.json", tiny)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code, out, err = _run(
-            capsys,
-            ["generate", "cap_face", "-i", path, "--face", "0,2,4", "--height", "1e150"],
-        )
-    assert (code, out) == (3, "")
-    assert "apex height 1e+150" in err
+    for height, said in [
+        ("1e150", "1e+150 is too large"),
+        ("nan", "nan is not finite"),
+        ("inf", "inf is not finite"),
+        ("-inf", "-inf is not finite"),
+    ]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = _run(
+                capsys,
+                ["generate", "cap_face", "-i", path, "--face", "0,2,4", f"--height={height}"],
+            )
+        assert (code, out) == (3, "")
+        assert f"apex height {said}" in err
 
 
 def test_dump_dot(tmp_path, capsys):

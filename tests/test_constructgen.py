@@ -6,6 +6,7 @@ import itertools
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -239,6 +240,14 @@ def test_degenerate_twists_rejected(octahedron, angle):
         twisted_cap_all_faces(octahedron, twist_angle=angle)
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_twist_is_refused(octahedron, angle):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateTwist, match=f"^twist angle {angle} is not finite"):
+            twisted_cap_all_faces(octahedron, twist_angle=angle)
+
+
 def test_hat_stack_zero_is_identity(tetrahedron):
     assert hat_stack(tetrahedron, (0, 1, 2), 0) is tetrahedron
 
@@ -380,19 +389,25 @@ def test_constructions_do_not_depend_on_scale(octahedron, scale):
 @pytest.mark.parametrize(
     "build,name",
     [
-        (lambda f: cap_face(f, (0, 2, 4), 1e150), "apex height"),
-        (lambda f: cap_all_faces_symmetric(f, height=1e150), "cap height"),
-        (lambda f: twisted_cap_all_faces(f, height=1e150), "cap height"),
-        (lambda f: hat_stack(f, (0, 2, 4), 2, first_height=1e150), "first height"),
-        (lambda f: hat_stack(f, (0, 2, 4), 2, step=1e150), "step"),
+        (lambda f, h: cap_face(f, (0, 2, 4), h), "apex height"),
+        (lambda f, h: cap_all_faces_symmetric(f, height=h), "cap height"),
+        (lambda f, h: twisted_cap_all_faces(f, height=h), "cap height"),
+        (lambda f, h: hat_stack(f, (0, 2, 4), 2, first_height=h), "first height"),
+        (lambda f, h: hat_stack(f, (0, 2, 4), 2, step=h), "step"),
     ],
     ids=["cap_face", "cap_all_faces_symmetric", "twisted_cap_all_faces", "hat_first", "hat_step"],
 )
 def test_a_height_past_float_range_is_refused_without_a_warning(octahedron, build, name):
     # 1e150 over coordinates of 1e-160 does not fit a float in the face
-    # table's units
+    # table's units; nan and infinities fit no units at all
     tiny = new_framework(3, octahedron.coordinates * 1e-160, octahedron.ends.tolist())
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(DegenerateFace, match=f"^{name} 1e\\+150 is too large for a framework"):
-            build(tiny)
+    for value, why in [
+        (1e150, "is too large for a framework"),
+        (math.nan, "is not finite"),
+        (math.inf, "is not finite"),
+        (-math.inf, "is not finite"),
+    ]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateFace, match=f"^{re.escape(f'{name} {value} {why}')}"):
+                build(tiny, value)

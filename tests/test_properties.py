@@ -29,6 +29,7 @@ from isoframe.numrank import build_system, mobility, nullspace_bases, numeric_ra
 from isoframe.symdetect import detect_point_group
 
 from oracles import (
+    as_tuples,
     count_violations_bruteforce,
     diameter_bruteforce,
     exact_rigidity_rank,
@@ -320,8 +321,8 @@ def test_peeled_pebble_game_matches_plain_game(g):
     report = pebble_game_2_3(g)
     assert dataclasses.asdict(report) == pebble_game_plain(g.joint_count, g.ends.tolist())
     core_joints = three_core(g.joint_count, g.ends.tolist())
-    order, _, _ = g.peel(2)
-    assert set(order) == set(range(g.joint_count)) - core_joints
+    order, _ = g.peel(2)
+    assert set(order.tolist()) == set(range(g.joint_count)) - core_joints
     if report.verdict == "dependent":
         assert set(report.witness_joint_ids) <= core_joints
 
@@ -331,12 +332,27 @@ def test_peeled_pebble_game_matches_plain_game(g):
 def test_the_peel_on_two_columns_matches_the_peel_on_rows(j, rng, d, refuse):
     pairs = [(a, b) for a in range(j) for b in range(a + 1, j)]
     ends = core.bar_ends(j, rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * j))))
-    us, vs = ends.T.tolist()
     # a refusing accept makes joints wait for another bar to go
     accept = (lambda bars: sum(bars) % 3 != 1) if refuse else None
     want = peel_low_degree_rows(j, ends.tolist(), d, accept)
-    assert core.peel_low_degree(j, us, vs, d, accept) == want
-    assert Graph(j, ends).peel(d) == peel_low_degree_rows(j, ends.tolist(), d)
+    assert as_tuples(core.peel_low_degree(Graph(j, ends), d, accept)) == want
+    assert as_tuples(Graph(j, ends).peel(d)) == peel_low_degree_rows(j, ends.tolist(), d)
+
+
+@given(st.integers(0, 40), st.randoms(use_true_random=False), st.sampled_from([2, 3]), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_peel_blocks_cover_each_peeled_joint_once_in_peel_order(j, rng, d, refuse):
+    pairs = [(a, b) for a in range(j) for b in range(a + 1, j)]
+    ends = core.bar_ends(j, rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * j))))
+    accept = (lambda bars: sum(bars) % 3 != 1) if refuse else None
+    order, blocks, _ = peel_low_degree_rows(j, ends.tolist(), d, accept)
+    seen = []
+    for at, bars in core.peel_blocks(core.peel_low_degree(Graph(j, ends), d, accept)):
+        assert at.tolist() == sorted(set(at.tolist()))  # in peel order, each once
+        assert bars.shape == (len(at), len(blocks[at[0]]))
+        assert [tuple(row) for row in bars.tolist()] == [blocks[i] for i in at.tolist()]
+        seen += at.tolist()
+    assert sorted(seen) == list(range(len(order)))
 
 
 @given(
